@@ -14,7 +14,7 @@ from pathlib import Path
 from .mps_io import export_model_text
 from .scenario import (
     ScenarioError,
-    build_scenario_model,
+    build_scenario_model,  # noqa: F401  (perfbench traces this name)
     load_scenario,
     report_capacity_csv,
     report_demand_csv,
@@ -91,14 +91,12 @@ def _cmd_solve(args) -> int:
         config = replace(config, relax_integrality=True)
     doc = replace(doc, config=config)
 
-    if args.export_lp:
-        model = build_scenario_model(doc)
-        args.export_lp.parent.mkdir(parents=True, exist_ok=True)
-        args.export_lp.write_bytes(export_model_text(model, name=doc.name).encode("utf-8"))
-        print(f"model exported to {args.export_lp}")
-
     output = run(doc)
     result = output.result
+    if args.export_lp:
+        args.export_lp.parent.mkdir(parents=True, exist_ok=True)
+        args.export_lp.write_bytes(export_model_text(output.model, name=doc.name).encode("utf-8"))
+        print(f"model exported to {args.export_lp}")
     print(f"status: {result.status}")
     if result.objective is not None:
         print(f"objective: {result.objective:.6f}")
@@ -125,9 +123,8 @@ def _cmd_solve(args) -> int:
             print(f"reports written to {args.out_dir}")
         elif result.status != OPTIMAL:
             # keep a model export around for offline diagnosis of failed solves
-            model = build_scenario_model(doc)
             path = args.out_dir / "model.mps"
-            path.write_bytes(export_model_text(model, name=doc.name).encode("utf-8"))
+            path.write_bytes(export_model_text(output.model, name=doc.name).encode("utf-8"))
             print(f"no solution; model exported to {path}", file=sys.stderr)
 
     if result.status == OPTIMAL:

@@ -4,9 +4,11 @@ The converter folds singleton rows and fixed variables into bounds exactly
 (no tolerance-based presolve), shifts or splits variables so every remaining
 column is nonnegative, and keeps a bijection back to the model variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
-and Bland's rule as the anti-cycling fallback; the final basic solution is
-recomputed from a fresh factorization of the basis so that residuals are at
-machine precision rather than accumulated tableau error.
+and Bland's rule as the anti-cycling fallback.  The final primal and dual
+values are recomputed from the original data so that residuals are at
+machine precision rather than accumulated tableau error: the optimal basis
+is nearly triangular, so peeling its row and column singletons leaves a
+small dense bump, and only that bump goes through a dense solve.
 """
 
 from __future__ import annotations
@@ -234,6 +236,96 @@ class LpSolution:
     dual_objective: Optional[float] = None
 
 
+def _solve_sparse_basis(
+    rows: np.ndarray,
+    slots: np.ndarray,
+    vals: np.ndarray,
+    b: np.ndarray,
+    c_basic: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve B x = b and B^T y = c_basic for a sparse square basis B.
+
+    B holds vals[k] at (rows[k], slots[k]).  Row singletons are peeled in
+    forward order and column singletons in backward order; this permutes B to
+    block lower triangular form around a dense bump, and B^T is block upper
+    triangular under the same permutation.  Each peel pairs one row with one
+    slot, so the bump is square.  Raises LinAlgError when the peel finds a
+    row or column with no live entry or the bump is singular.
+    """
+    m = b.size
+    by_slot: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    by_row: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    for r, s, v in zip(rows.tolist(), slots.tolist(), vals.tolist()):
+        by_slot[s].append((r, v))
+        by_row[r].append((s, v))
+    row_done = [False] * m
+    slot_done = [False] * m
+
+    def peel(lines, crossing, line_done, cross_done):
+        # Pair each line whose live entries fall to one with that entry's
+        # partner; returns (line, partner, pivot) in peel order.
+        live = [sum(not cross_done[k] for k, _ in entries) for entries in lines]
+        if any(live[i] == 0 and not line_done[i] for i in range(m)):
+            raise np.linalg.LinAlgError("structurally singular basis")
+        pending = [i for i in range(m) if live[i] == 1 and not line_done[i]]
+        order = []
+        while pending:
+            i = pending.pop()
+            k, pivot = next(e for e in lines[i] if not cross_done[e[0]])
+            line_done[i] = cross_done[k] = True
+            order.append((i, k, pivot))
+            for j, _ in crossing[k]:
+                if not line_done[j]:
+                    live[j] -= 1
+                    if live[j] == 1:
+                        pending.append(j)
+                    elif live[j] == 0:
+                        raise np.linalg.LinAlgError("structurally singular basis")
+        return order
+
+    front = peel(by_row, by_slot, row_done, slot_done)
+    back = peel(by_slot, by_row, slot_done, row_done)
+    bump_rows = [r for r in range(m) if not row_done[r]]
+    bump_slots = [s for s in range(m) if not slot_done[s]]
+    position = {r: i for i, r in enumerate(bump_rows)}
+    bump = np.zeros((len(bump_rows), len(bump_slots)))
+    for j, s in enumerate(bump_slots):
+        for r, v in by_slot[s]:
+            if r in position:
+                bump[position[r], j] += v
+
+    rhs = b.tolist()
+    x = [0.0] * m
+
+    def settle(s, value):
+        x[s] = value
+        for r, v in by_slot[s]:
+            rhs[r] -= v * value
+
+    for r, s, pivot in front:
+        settle(s, rhs[r] / pivot)
+    if bump_slots:
+        for s, value in zip(bump_slots, np.linalg.solve(bump, [rhs[r] for r in bump_rows])):
+            settle(s, float(value))
+    for s, r, pivot in reversed(back):
+        settle(s, rhs[r] / pivot)
+
+    c = c_basic.tolist()
+    y = [0.0] * m
+
+    def reduced(s):
+        return c[s] - sum(v * y[r] for r, v in by_slot[s])
+
+    for s, r, pivot in back:
+        y[r] = reduced(s) / pivot
+    if bump_slots:
+        for r, value in zip(bump_rows, np.linalg.solve(bump.T, [reduced(s) for s in bump_slots])):
+            y[r] = float(value)
+    for r, s, pivot in reversed(front):
+        y[r] = reduced(s) / pivot
+    return np.array(x), np.array(y)
+
+
 def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     """Two-phase primal simplex on the standard-form problem.
 
@@ -243,6 +335,12 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     tableau a quarter slimmer and free of artificial fill-in.  Pivot updates
     touch only the nonzero block of the rank-1 correction, falling back to a
     full update once the tableau densifies.
+
+    At the optimum, x and the duals y are re-solved from the sparse basis
+    columns with one singleton-peel ordering plus a dense solve of the bump
+    (_solve_sparse_basis).  x falls back to the tableau's values when that
+    re-solve leaves a residual above 1e-6, and x does so with no dual
+    objective when the basis proves singular.
     """
     if tol is None:
         tol = Tolerances()
@@ -257,15 +355,10 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
 
     # Orient every row with a nonnegative right-hand side; <= rows get a
     # slack column, = and >= rows start from a logical artificial.
-    A = sf.A.copy()
-    b = sf.b.copy()
-    rel = list(sf.relations)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] = -b[i]
-            if rel[i] != "=":
-                rel[i] = "<=" if rel[i] == ">=" else ">="
+    sign = np.where(sf.b < 0, -1.0, 1.0)
+    b = sf.b * sign
+    flipped = {"<=": ">=", ">=": "<=", "=": "="}
+    rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, sign)]
 
     slack_rows = [i for i in range(m) if rel[i] == "<="]
     surplus_rows = [i for i in range(m) if rel[i] == ">="]
@@ -279,7 +372,7 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     # Tableau rows 0..m-1 are constraints; row m is the phase-2 objective,
     # row m+1 the phase-1 objective.
     T = np.zeros((m + 2, width), dtype=float)
-    T[:m, :n] = A
+    np.multiply(sf.A, sign[:, None], out=T[:m, :n])
     T[:m, -1] = b
     col = n
     slack_col_of_row = {}
@@ -408,31 +501,36 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
 
     # Recompute the basic solution from the original data: one fresh solve
     # wipes out the error accumulated across thousands of tableau updates.
-    equality_matrix = np.zeros((m, ncols), dtype=float)
-    equality_matrix[:, :n] = A
-    for i in slack_rows:
-        equality_matrix[i, slack_col_of_row[i]] = 1.0
-    for i in surplus_rows:
-        equality_matrix[i, surplus_col_of_row[i]] = -1.0
-
-    basis_matrix = np.zeros((m, m), dtype=float)
+    # The basis is assembled as sparse columns (slot, row, value): a logical
+    # slot holds a unit column, a structural slot its oriented column of A.
     real = ~basic_artificial
-    basis_matrix[:, real] = equality_matrix[:, basis[real]]
-    for i in np.nonzero(basic_artificial)[0]:
-        basis_matrix[i, i] = 1.0
+    slot_of_col = np.full(ncols, -1)
+    slot_of_col[basis[real]] = np.nonzero(real)[0]
+    a_rows, a_cols = np.nonzero(sf.A)
+    keep = slot_of_col[a_cols] >= 0
+    a_rows, a_cols = a_rows[keep], a_cols[keep]
+    logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
+    logical_slots = slot_of_col[n:]
+    in_basis = logical_slots >= 0
+    artificial_slots = np.nonzero(basic_artificial)[0]
+    rows = np.concatenate([a_rows, logical_rows[in_basis], artificial_slots])
+    slots = np.concatenate([slot_of_col[a_cols], logical_slots[in_basis], artificial_slots])
+    vals = np.concatenate([
+        sf.A[a_rows, a_cols] * sign[a_rows],
+        np.repeat([1.0, -1.0], [n_slack, n_surplus])[in_basis],
+        np.ones(artificial_slots.size),
+    ])
 
     x_full = np.zeros(ncols, dtype=float)
     dual_objective = None
+    basic_costs = np.zeros(m)
+    structural = real & (basis < n)
+    basic_costs[structural] = sf.c[basis[structural]]
     try:
-        x_basic = np.linalg.solve(basis_matrix, b)
-        residual = float(np.abs(basis_matrix @ x_basic - b).max(initial=0.0))
-        if residual > 1e-6:
+        x_basic, y = _solve_sparse_basis(rows, slots, vals, b, basic_costs)
+        residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
+        if float(np.abs(residual).max(initial=0.0)) > 1e-6:
             x_basic = T[:m, -1].copy()
-        costs_full = np.zeros(ncols)
-        costs_full[:n] = sf.c
-        basic_costs = np.zeros(m)
-        basic_costs[real] = costs_full[basis[real]]
-        y = np.linalg.solve(basis_matrix.T, basic_costs)
         dual_objective = float(y @ b) + sf.objective_constant
     except np.linalg.LinAlgError:
         x_basic = T[:m, -1].copy()

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from railflow.simplex import (
     INFEASIBLE,
@@ -10,6 +15,7 @@ from railflow.simplex import (
     OPTIMAL,
     UNBOUNDED,
     InfeasibleModel,
+    _solve_sparse_basis,
     StandardFormLP,
     Tolerances,
     build_standard_form,
@@ -246,3 +252,135 @@ def test_degenerate_lp_terminates():
     sol = solve_lp(raw_lp(c, A, b))
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-1.0)
+
+
+def solve_coo(M, b, c):
+    """_solve_sparse_basis on the nonzeros of a dense matrix."""
+    rows, slots = np.nonzero(M)
+    return _solve_sparse_basis(rows, slots, M[rows, slots], np.asarray(b, float), np.asarray(c, float))
+
+
+def test_sparse_basis_peels_singletons_around_a_bump(monkeypatch):
+    # Block lower triangular: rows 0-1 are forward row singletons, rows and
+    # columns 2-4 a dense bump, columns 5-6 backward column singletons.
+    L = np.array(
+        [
+            [2.0, 0, 0, 0, 0, 0, 0],
+            [1.0, -3.0, 0, 0, 0, 0, 0],
+            [0.5, 0, 4.0, 1.0, -1.0, 0, 0],
+            [0, 2.0, 1.0, 3.0, 2.0, 0, 0],
+            [0, 0, -1.0, 1.0, 5.0, 0, 0],
+            [1.0, 0, 2.0, 0, 1.0, 1.5, 0],
+            [0, 1.0, 0, -2.0, 0, 0.5, -4.0],
+        ]
+    )
+    rng = np.random.default_rng(3)
+    M = L[rng.permutation(7)][:, rng.permutation(7)]
+    b = rng.uniform(-2.0, 2.0, 7)
+    c = rng.uniform(-2.0, 2.0, 7)
+    dense_solve = np.linalg.solve
+    shapes = []
+
+    def recording_solve(a, v):
+        shapes.append(np.shape(a))
+        return dense_solve(a, v)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    x, y = solve_coo(M, b, c)
+    assert shapes == [(3, 3), (3, 3)]  # only the bump is solved densely
+    np.testing.assert_allclose(x, dense_solve(M, b), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y, dense_solve(M.T, c), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        # rows 0 and 1 both hold only column 0
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+        # column 1 is empty
+        [[1.0, 0.0, 1.0], [2.0, 0.0, 1.0], [1.0, 0.0, 3.0]],
+        # structurally fine, but the bump is numerically singular
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+    ],
+)
+def test_sparse_basis_singular_raises(M):
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_coo(np.array(M), np.ones(3), np.ones(3))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_sparse_basis_matches_dense_solve_property(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 16))
+    density = rng.uniform(0.0, 0.4)
+    M = np.where(rng.random((n, n)) < density, rng.uniform(-3.0, 3.0, (n, n)), 0.0)
+    M[np.arange(n), np.arange(n)] = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    M = M[rng.permutation(n)][:, rng.permutation(n)]
+    assume(np.linalg.cond(M) < 1e6)
+    b = rng.uniform(-5.0, 5.0, n)
+    c = rng.uniform(-5.0, 5.0, n)
+    x, y = solve_coo(M, b, c)
+    np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(y, np.linalg.solve(M.T, c), rtol=1e-9, atol=1e-9)
+
+
+def test_small_network_lp_matches_highs(small_doc):
+    # A real-size basis (1130 rows) leaves a bump after the singleton peel,
+    # which the tiny random LPs above never do.
+    from scipy.optimize import linprog
+
+    from railflow.scenario import build_scenario_model
+
+    config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
+    sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
+    assert (sf.n_rows, sf.n_cols) == (1130, 1406)
+    solution = solve_lp(sf)
+    assert solution.status == OPTIMAL
+
+    rel = np.array(sf.relations)
+    upper = np.concatenate([sf.A[rel == "<="], -sf.A[rel == ">="]])
+    reference = linprog(
+        sf.c,
+        A_ub=upper,
+        b_ub=np.concatenate([sf.b[rel == "<="], -sf.b[rel == ">="]]),
+        A_eq=sf.A[rel == "="],
+        b_eq=sf.b[rel == "="],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert reference.status == 0
+    assert solution.objective == pytest.approx(reference.fun + sf.objective_constant, rel=1e-9)
+
+    activity = sf.A @ solution.x
+    assert np.all(activity[rel == "<="] <= sf.b[rel == "<="] + 1e-9)
+    assert np.all(activity[rel == ">="] >= sf.b[rel == ">="] - 1e-9)
+    np.testing.assert_allclose(activity[rel == "="], sf.b[rel == "="], rtol=0, atol=1e-9)
+    assert solution.x.min() >= 0.0
+
+
+def test_solving_does_not_import_scipy(scenario_dir):
+    """A solve must not pull in scipy at run time.
+
+    scipy is a test dependency only.  Importing scipy.sparse.linalg after
+    numpy raises peak RSS from about 27 MB to 59 MB and takes about 0.3 s
+    (2-core 2.0 GHz Xeon).  BENCHMARK.json lets peak_rss_mb grow by 10 %,
+    about 11 MB on a solve that peaks near 106 MB, so a basis factorization
+    borrowed from scipy would cost three times that bound in memory alone.
+    """
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from railflow.scenario import load_scenario, run\n"
+        f"output = run(load_scenario(Path({str(scenario_dir / 'small_network.json')!r})))\n"
+        "assert output.result.status == 'optimal', output.result.status\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
