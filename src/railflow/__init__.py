@@ -15,7 +15,6 @@ from .catalog import (
     aggregate_durations,
     demand_total,
     derive_implements,
-    implementing_routes,
     route_nodes,
     validate_catalog,
     validate_route,
@@ -36,7 +35,6 @@ from .model import (
     emit_capacity,
     emit_demand_layer,
     emit_flow_layer,
-    single_track_directional_limit,
 )
 from .mps_io import export_model_text
 from .network import (
@@ -48,7 +46,6 @@ from .network import (
     ValidationReport,
     Violation,
     is_single_track,
-    link_between,
     validate_network,
 )
 from .scenario import (

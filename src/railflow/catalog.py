@@ -100,12 +100,6 @@ def derive_implements(demands: tuple[Demand, ...], routes: tuple[Route, ...]) ->
     }
 
 
-def implementing_routes(demand_id: int, catalog: ServiceCatalog) -> tuple[int, ...]:
-    """Route ids implementing the demand; empty means it can only be cancelled."""
-    catalog.demand(demand_id)
-    return tuple(catalog.implements.get(demand_id, ()))
-
-
 def demand_total(demand: Demand) -> int:
     """Total requested volume over the whole horizon."""
     return sum(demand.volumes)

@@ -4,9 +4,11 @@ The model schedules *volumes* of trains, never individual trains.  Per route
 (commodity) and period it balances departures, link traversals inside one
 period (direct arcs), traversals crossing into the next period (next arcs,
 counted half in each adjacent period for capacity) and volumes standing at
-stations (node inventory arcs).  The demand layer converts requested volumes
-into departures, postponements and cancellations; aggregate-duration pacing
-rows stop volumes from outrunning their train type.
+stations (node inventory arcs).  A route's flow variables exist only on its
+own links and stations; off-route flow is not declared at all.  The demand
+layer converts requested volumes into departures, postponements and
+cancellations; aggregate-duration pacing rows stop volumes from outrunning
+their train type.
 
 Everything here is solver independent: the result is a list of named linear
 constraints plus a linear objective.  Building is a pure function of its
@@ -20,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .catalog import ServiceCatalog, aggregate_durations, demand_total, route_nodes
+from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
 from .network import Horizon, Network
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
@@ -38,9 +40,7 @@ class ModelConfig:
     top of the always-present base capacity rows.  k_setup follows the
     convention where values in (0, 1] make a direction change consume at
     least (allocated volume / k_setup) of setup time; 1.0 means the setup
-    equals the lower of the two directional volumes.  (The coarse linear
-    sketch with a coefficient >= 1 multiplying the opposing volume is the
-    reciprocal convention; see single_track_directional_limit.)
+    equals the lower of the two directional volumes.
     """
 
     capacity_mode: str = "basic"
@@ -58,6 +58,15 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.capacity_mode not in CAPACITY_MODES:
             raise ModelError(f"unknown capacity mode {self.capacity_mode!r}")
+        numbers = [
+            (name, getattr(self, name))
+            for name in ("k_het", "k_setup", "big_m", "arrival_slack", "cost_cancel", "cost_post")
+        ]
+        for name in ("k_setup_overrides", "arrival_slack_overrides"):
+            numbers += [(f"{name}[{key}]", v) for key, v in (getattr(self, name) or {}).items()]
+        for name, value in numbers:
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
         if self.k_het < 0:
             raise ModelError("k_het must be >= 0")
         if not 0 < self.k_setup <= 1:
@@ -74,17 +83,6 @@ class ModelConfig:
         if self.arrival_slack_overrides:
             return self.arrival_slack_overrides.get(route_id, self.arrival_slack)
         return self.arrival_slack
-
-
-def single_track_directional_limit(c_max: float, k: float, opposing_volume: float) -> float:
-    """Directional capacity from the coarse linear single-track sketch.
-
-    With meeting-setup coefficient k >= 1, each opposing train removes k
-    units from this direction's usable capacity: limit = c_max - k * y.
-    """
-    if k < 1:
-        raise ValueError("the linear sketch uses a coefficient >= 1")
-    return c_max - k * opposing_volume
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,12 @@ class TimeExpandedModel:
         self.objective: dict[int, float] = {}
         self.big_m: float = 0.0
         self.single_track_pairs: tuple[tuple[int, int], ...] = ()
+        # Route support, set by build_variables: each route's nodes in order,
+        # and the routes (in catalog order) riding each link or visiting
+        # each node.  Flow variables exist only there.
+        self.nodes_of: dict[int, tuple[int, ...]] = {}
+        self.routes_on_link: dict[int, tuple[Route, ...]] = {}
+        self.routes_at_node: dict[int, tuple[Route, ...]] = {}
         self._index: dict[VariableRef, int] = {}
 
     # -- variables ---------------------------------------------------------
@@ -171,9 +175,6 @@ class TimeExpandedModel:
     def var(self, kind: str, *key) -> int:
         """Index of a declared variable; raises KeyError when absent."""
         return self._index[VariableRef(kind, tuple(key))]
-
-    def has_var(self, kind: str, *key) -> bool:
-        return VariableRef(kind, tuple(key)) in self._index
 
     def add_constraint(
         self,
@@ -206,17 +207,10 @@ class TimeExpandedModel:
     def objective_value(self, values) -> float:
         return float(sum(coef * values[idx] for idx, coef in self.objective.items()))
 
-    def constraint_activity(self, constraint: LinearConstraint, values) -> float:
-        return float(sum(coef * values[idx] for idx, coef in constraint.terms))
-
 
 # ---------------------------------------------------------------------------
 # variable declaration
 # ---------------------------------------------------------------------------
-
-
-def _routes_using_link(catalog: ServiceCatalog, link_id: int) -> list:
-    return [r for r in catalog.routes if link_id in r.links]
 
 
 def build_variables(
@@ -227,6 +221,8 @@ def build_variables(
 ) -> TimeExpandedModel:
     """Declare every decision variable; no constraints yet.
 
+    Flow variables (direct, next, ext, ni, in, aggr) of a route exist only on
+    that route's links and nodes: a route's volume can use nothing else.
     Continuous variables are nonnegative except the source/sink exchange
     variables, which are negative at route destinations by construction
     (they equal minus the arrivals) and are therefore left free.
@@ -252,6 +248,13 @@ def build_variables(
     T0 = horizon.extended_periods
     routes = catalog.routes
     demands = catalog.demands
+    model.nodes_of = {r.id: route_nodes(r, network) for r in routes}
+    model.routes_on_link = {l.id: tuple(r for r in routes if l.id in r.links) for l in network.links}
+    model.routes_at_node = {
+        n.id: tuple(r for r in routes if n.id in model.nodes_of[r.id]) for n in network.nodes
+    }
+    on_link = model.routes_on_link
+    at_node = model.routes_at_node
 
     for r in routes:
         for t in T:
@@ -261,27 +264,27 @@ def build_variables(
             model.add_variable("arr", (r.id, t), f"arr({r.name},{t})")
     for n in network.nodes:
         for t in T:
-            for r in routes:
+            for r in at_node[n.id]:
                 model.add_variable("ext", (n.id, t, r.id), f"ext({n.name},{t},{r.name})", lb=-math.inf)
     for l in network.links:
         for t in T:
-            for r in routes:
+            for r in on_link[l.id]:
                 model.add_variable("direct", (l.id, t, r.id), f"direct({l.name},{t},{r.name})")
     for l in network.links:
         for t in T0:
-            for r in routes:
+            for r in on_link[l.id]:
                 model.add_variable("next", (l.id, t, r.id), f"next({l.name},{t},{r.name})")
     for n in network.nodes:
         for t in T0:
-            for r in routes:
+            for r in at_node[n.id]:
                 model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})")
     for n in network.nodes:
-        for t in T0:
-            for r in routes:
+        for t in T:
+            for r in at_node[n.id]:
                 model.add_variable("in", (n.id, t, r.id), f"in({n.name},{t},{r.name})")
     for n in network.nodes:
         for t in T0:
-            for r in routes:
+            for r in at_node[n.id]:
                 model.add_variable("aggr", (n.id, t, r.id), f"aggr({n.name},{t},{r.name})")
     for d in demands:
         for t in T0:
@@ -347,7 +350,6 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     every pair of distinct train types sharing a link.
     """
     network = model.network
-    catalog = model.catalog
     config = model.config
     T = model.horizon.periods
 
@@ -419,7 +421,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             active = [
                 h
                 for h in network.train_types
-                if any(r.train_type == h.id for r in _routes_using_link(catalog, l.id))
+                if any(r.train_type == h.id for r in model.routes_on_link[l.id])
             ]
             if len(active) == 0:
                 continue
@@ -441,11 +443,10 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 )
 
     for l in network.links:
-        users = _routes_using_link(catalog, l.id)
         for t in T:
             for h in network.train_types:
                 terms: list[tuple[int, float]] = []
-                for r in users:
+                for r in model.routes_on_link[l.id]:
                     if r.train_type != h.id:
                         continue
                     terms.append((model.var("direct", l.id, t, r.id), 1.0))
@@ -511,53 +512,21 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
 def emit_flow_layer(model: TimeExpandedModel) -> None:
     """Per-route flow conservation over the time-expanded graph.
 
-    Off-route arcs and inventories are pinned to zero (Bound1/Bound2); next
-    arcs and node inventories are empty at both ends of the horizon (Bound4,
-    Bound5, Bound6), so every departed volume must reach its sink within the
-    horizon.  Flow1 ties the exchange variables to departures and arrivals,
-    Flow2 balances each timed node and Flow3 defines the per-period inflow
-    used by the pacing rows.
+    Only the route's own links and nodes carry its flow (see build_variables).
+    Next arcs and node inventories are empty at both ends of the horizon
+    (Bound4, Bound5, Bound6), so every departed volume must reach its sink
+    within the horizon.  Flow1 ties the exchange variables to departures and
+    arrivals, Flow2 balances each timed node and Flow3 defines the per-period
+    inflow used by the pacing rows.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
     t_max = model.horizon.t_max
-
-    on_route_links: dict[int, set[int]] = {r.id: set(r.links) for r in catalog.routes}
-    nodes_of: dict[int, tuple[int, ...]] = {
-        r.id: route_nodes(r, network) for r in catalog.routes
-    }
+    at_node = model.routes_at_node
 
     for l in network.links:
-        for t in T:
-            for r in catalog.routes:
-                if l.id in on_route_links[r.id]:
-                    continue
-                model.add_constraint(
-                    f"Bound1[x=direct,l={l.name},t={t},r={r.name}]",
-                    [(model.var("direct", l.id, t, r.id), 1.0)],
-                    "=",
-                    0.0,
-                )
-                model.add_constraint(
-                    f"Bound1[x=next,l={l.name},t={t},r={r.name}]",
-                    [(model.var("next", l.id, t, r.id), 1.0)],
-                    "=",
-                    0.0,
-                )
-    for n in network.nodes:
-        for t in T:
-            for r in catalog.routes:
-                if n.id in nodes_of[r.id]:
-                    continue
-                model.add_constraint(
-                    f"Bound2[n={n.name},t={t},r={r.name}]",
-                    [(model.var("ni", n.id, t, r.id), 1.0)],
-                    "=",
-                    0.0,
-                )
-    for l in network.links:
-        for r in catalog.routes:
+        for r in model.routes_on_link[l.id]:
             model.add_constraint(
                 f"Bound4[l={l.name},t=0,r={r.name}]",
                 [(model.var("next", l.id, 0, r.id), 1.0)],
@@ -571,7 +540,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
                 0.0,
             )
     for n in network.nodes:
-        for r in catalog.routes:
+        for r in at_node[n.id]:
             model.add_constraint(
                 f"Bound5[n={n.name},r={r.name}]",
                 [(model.var("ni", n.id, 0, r.id), 1.0)],
@@ -581,7 +550,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     # Closing counterpart of Bound5: the horizon ends with empty stations,
     # so departed volume cannot be stranded short of its destination.
     for n in network.nodes:
-        for r in catalog.routes:
+        for r in at_node[n.id]:
             model.add_constraint(
                 f"Bound6[n={n.name},r={r.name}]",
                 [(model.var("ni", n.id, t_max, r.id), 1.0)],
@@ -591,7 +560,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
 
     for n in network.nodes:
         for t in T:
-            for r in catalog.routes:
+            for r in at_node[n.id]:
                 ext = model.var("ext", n.id, t, r.id)
                 name = f"Flow1[n={n.name},t={t},r={r.name}]"
                 if n.id == r.origin:
@@ -608,7 +577,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
             link = network.link(link_id)
             incoming.setdefault(link.head, []).append(link_id)
             outgoing.setdefault(link.tail, []).append(link_id)
-        for n_id in nodes_of[r.id]:
+        for n_id in model.nodes_of[r.id]:
             nname = network.node(n_id).name
             for t in T:
                 terms = [
@@ -626,7 +595,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
 
     for n in network.nodes:
         for t in T:
-            for r in catalog.routes:
+            for r in at_node[n.id]:
                 terms = [(model.var("in", n.id, t, r.id), 1.0)]
                 if n.id == r.origin:
                     terms.append((model.var("dep", r.id, t), -1.0))
@@ -661,33 +630,23 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
 
     aggr[n,t,r] accumulates, period by period, the largest volume of route r
     that can possibly have reached node n given the departures so far; the
-    Aggregate3/Aggregate4 rows then cap the cumulative inflow by it.
+    Aggregate3/Aggregate4 rows then cap the cumulative inflow by it.  Like
+    every flow variable, aggr exists only at the route's own nodes, where
+    Aggregate1 starts it at zero.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
+    nodes_of = model.nodes_of
 
     for n in network.nodes:
-        for r in catalog.routes:
+        for r in model.routes_at_node[n.id]:
             model.add_constraint(
                 f"Aggregate1[n={n.name},r={r.name}]",
                 [(model.var("aggr", n.id, 0, r.id), 1.0)],
                 "=",
                 0.0,
             )
-
-    nodes_of = {r.id: route_nodes(r, network) for r in catalog.routes}
-    for n in network.nodes:
-        for t in T:
-            for r in catalog.routes:
-                if n.id in nodes_of[r.id]:
-                    continue
-                model.add_constraint(
-                    f"Aggregate2.1[n={n.name},t={t},r={r.name}]",
-                    [(model.var("aggr", n.id, t, r.id), 1.0)],
-                    "=",
-                    0.0,
-                )
 
     for r in catalog.routes:
         reach = aggregate_durations(r, network)

@@ -11,7 +11,7 @@ fractions of one time period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,11 @@ class Network:
     horizon: Horizon
     _node_by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _link_by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _link_by_pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _type_by_label: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self._node_by_name.update({n.name: n for n in self.nodes})
         self._link_by_name.update({l.name: l for l in self.links})
-        self._link_by_pair.update({(l.tail, l.head): l for l in self.links})
         self._type_by_label.update({h.label: h for h in self.train_types})
 
     def node(self, node_id: int) -> StationNode:
@@ -141,14 +139,6 @@ def is_single_track(network: Network, link_id: int) -> bool:
     """True iff the link shares its physical track with its reverse link."""
     network.link(link_id)
     return network.sigma[link_id] != link_id
-
-
-def link_between(network: Network, tail: int, head: int) -> Optional[int]:
-    """Id of the unique directed link tail->head, or None if absent."""
-    network.node(tail)
-    network.node(head)
-    found = network._link_by_pair.get((tail, head))
-    return found.id if found is not None else None
 
 
 def _check_enumeration(kind: str, ids: list[int], out: list[Violation]) -> None:

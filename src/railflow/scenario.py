@@ -9,6 +9,7 @@ temporary capacity restrictions (TCRs).  Durations may be given in minutes
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -107,6 +108,21 @@ class ScenarioDocument:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, position: str, errors: list[str], default: float = 0.0) -> float:
+    """value as a finite float; otherwise record the finding and return default."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.append(f"{position}: expected a number, got {value!r}")
+        return default
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        errors.append(f"{position}: expected a finite number, got {value!r}")
+        return default
+    return number
+
+
 def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> tuple[ModelConfig, bool]:
     pace = bool(raw.get("pace_refinement", True))
     mode = raw.get("capacity_mode", "basic")
@@ -114,10 +130,9 @@ def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> 
         errors.append(f"config: unknown capacity_mode {mode!r}")
         mode = "basic"
     slack_raw = raw.get("arrival_slack", 0.0)
-    slack_default = 0.0
     slack_overrides: dict[int, float] | None = None
     if isinstance(slack_raw, dict):
-        slack_default = float(slack_raw.get("default", 0.0))
+        slack_default = _number(slack_raw.get("default", 0.0), "config.arrival_slack.default", errors)
         per_route = slack_raw.get("routes", {})
         route_ids = {spec.name: i + 1 for i, spec in enumerate(routes)}
         overrides = {}
@@ -125,20 +140,24 @@ def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> 
             if name not in route_ids:
                 errors.append(f"config.arrival_slack: unknown route {name!r}")
                 continue
-            overrides[route_ids[name]] = float(value)
+            overrides[route_ids[name]] = _number(value, f"config.arrival_slack.routes[{name!r}]", errors)
         slack_overrides = overrides or None
     else:
-        slack_default = float(slack_raw)
+        slack_default = _number(slack_raw, "config.arrival_slack", errors)
+
+    def number(key: str, default: float) -> float:
+        return _number(raw.get(key, default), f"config.{key}", errors, default)
+
     try:
         config = ModelConfig(
             capacity_mode=mode,
-            k_het=float(raw.get("k_het", 0.25)),
-            k_setup=float(raw.get("k_setup", 1.0)),
-            big_m=(float(raw["big_m"]) if raw.get("big_m") is not None else None),
+            k_het=number("k_het", 0.25),
+            k_setup=number("k_setup", 1.0),
+            big_m=(number("big_m", 0.0) if raw.get("big_m") is not None else None),
             arrival_slack=slack_default,
             arrival_slack_overrides=slack_overrides,
-            cost_cancel=float(raw.get("cost_cancel", 1000.0)),
-            cost_post=float(raw.get("cost_post", 20.0)),
+            cost_cancel=number("cost_cancel", 1000.0),
+            cost_post=number("cost_post", 20.0),
             relax_integrality=bool(raw.get("relax_integrality", False)),
             include_arrival_accounting=bool(raw.get("include_arrival_accounting", False)),
         )
@@ -169,18 +188,12 @@ def _parse_tcr(raw, position: str, t_max: int, link_names: set[str], errors: lis
     if (capacity is None) == (scale is None):
         errors.append(f"{position}: give exactly one of capacity or scale")
         return None
-    if capacity is not None and capacity < 0:
-        errors.append(f"{position}: capacity must be >= 0")
+    key, value = ("capacity", capacity) if capacity is not None else ("scale", scale)
+    value = _number(value, f"{position}.{key}", errors)
+    if value < 0:
+        errors.append(f"{position}: {key} must be >= 0")
         return None
-    if scale is not None and scale < 0:
-        errors.append(f"{position}: scale must be >= 0")
-        return None
-    return TcrOverride(
-        link=link,
-        period=period,
-        capacity=(float(capacity) if capacity is not None else None),
-        scale=(float(scale) if scale is not None else None),
-    )
+    return TcrOverride(link=link, period=period, **{key: value})
 
 
 def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
@@ -267,14 +280,19 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     caps_raw = raw.get("capacities", {})
     default_cap = caps_raw.get("default")
-    per_link = caps_raw.get("links", {})
+    if default_cap is not None:
+        default_cap = _number(default_cap, "capacities.default", errors)
+    per_link = {
+        lname: _number(value, f"capacities.links[{lname!r}]", errors)
+        for lname, value in caps_raw.get("links", {}).items()
+    }
     capacity: dict[tuple[str, int], float] = {}
     for lname in (l.name for l in links):
         base = per_link.get(lname, default_cap)
         if base is None:
             continue  # cells may still cover this link completely
         for t in range(1, t_max + 1):
-            capacity[(lname, t)] = float(base)
+            capacity[(lname, t)] = base
     for i, cell in enumerate(caps_raw.get("cells", ())):
         position = f"capacities.cells[{i}]"
         if not isinstance(cell, dict):
@@ -288,7 +306,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= t_max:
             errors.append(f"{position}: period {t!r} outside horizon 1..{t_max}")
             continue
-        capacity[(lname, t)] = float(cell.get("value", 0.0))
+        capacity[(lname, t)] = _number(cell.get("value", 0.0), f"{position}.value", errors)
     for link in links:
         missing = [t for t in range(1, t_max + 1) if (link.name, t) not in capacity]
         if missing:
@@ -313,8 +331,8 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             if label not in type_labels:
                 errors.append(f"durations[{lname!r}][{label!r}]: unknown train type")
                 continue
-            fraction = float(value) / period_length if in_minutes else float(value)
-            durations[(lname, str(label))] = fraction
+            value = _number(value, f"durations[{lname!r}][{label!r}]", errors)
+            durations[(lname, str(label))] = value / period_length if in_minutes else value
 
     routes: list[RouteSpec] = []
     route_names: set[str] = set()
@@ -531,12 +549,17 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
             )
         if (o.capacity is None) == (o.scale is None):
             raise ScenarioError([f"tcr_overrides[{i}]: give exactly one of capacity or scale"])
+        key = "capacity" if o.capacity is not None else "scale"
+        errors: list[str] = []
+        value = _number(getattr(o, key), f"tcr_overrides[{i}].{key}", errors)
+        if errors:
+            raise ScenarioError(errors)
         periods = (o.period,) if o.period is not None else tuple(range(1, doc.t_max + 1))
         for t in periods:
-            if o.capacity is not None:
-                capacity[(o.link, t)] = float(o.capacity)
+            if key == "capacity":
+                capacity[(o.link, t)] = value
             else:
-                capacity[(o.link, t)] = capacity[(o.link, t)] * float(o.scale)
+                capacity[(o.link, t)] = capacity[(o.link, t)] * value
     return replace(doc, capacity=capacity, tcr_overrides=())
 
 
@@ -652,17 +675,15 @@ class DemandOutcomeReport:
 
 def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> CapacityUsageReport:
     network = model.network
-    catalog = model.catalog
     total: dict[tuple[str, int], float] = {}
     by_type: dict[tuple[str, int, str], float] = {}
     nominal: dict[tuple[str, int], float] = {}
     for link in network.links:
-        users = [r for r in catalog.routes if link.id in r.links]
         for t in network.horizon.periods:
             nominal[(link.name, t)] = network.capacity[(link.id, t)]
             for h in network.train_types:
                 usage = 0.0
-                for r in users:
+                for r in model.routes_on_link[link.id]:
                     if r.train_type != h.id:
                         continue
                     usage += values[model.var("direct", link.id, t, r.id)]

@@ -8,7 +8,6 @@ from railflow.catalog import (
     aggregate_durations,
     demand_total,
     derive_implements,
-    implementing_routes,
     route_nodes,
     validate_catalog,
     validate_route,
@@ -56,13 +55,11 @@ def test_endpoint_mismatch(small_net):
 
 def test_implementing_routes(small_cat):
     ef = small_cat.demand_named("E-F-p")
-    names = {small_cat.route(r).name for r in implementing_routes(ef.id, small_cat)}
+    names = {small_cat.route(r).name for r in small_cat.implements[ef.id]}
     assert names == {"E-F-p1", "E-F-p2"}
     dg = small_cat.demand_named("D-G-f")
-    names = {small_cat.route(r).name for r in implementing_routes(dg.id, small_cat)}
+    names = {small_cat.route(r).name for r in small_cat.implements[dg.id]}
     assert names == {"D-G-f1"}
-    with pytest.raises(KeyError):
-        implementing_routes(99, small_cat)
 
 
 def test_unservable_demand_has_no_routes():
@@ -72,7 +69,7 @@ def test_unservable_demand_has_no_routes():
     orphan = Demand(1, "C-A", 3, 1, 1, (1, 0, 0))
     implements = derive_implements((orphan,), (route,))
     catalog = ServiceCatalog((orphan,), (route,), implements)
-    assert implementing_routes(1, catalog) == ()
+    assert catalog.implements[1] == ()
 
 
 def test_aggregate_durations_prefix_sums():

@@ -4,18 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from railflow.catalog import Demand, Route, ServiceCatalog, derive_implements
+from railflow.catalog import Demand, Route, ServiceCatalog, derive_implements, route_nodes
 from railflow.checks import ConstraintSystem
 from railflow.model import (
+    CAPACITY_MODES,
     ModelConfig,
     ModelError,
     build_model,
     build_variables,
     departure_spread,
-    single_track_directional_limit,
 )
 from railflow.network import Horizon, Network, StationNode, TrackLink, TrainType
 from support import line_catalog, line_model, line_network, usage
+from test_golden import SCENARIOS
 
 
 def count_kind(model, kind):
@@ -265,12 +266,6 @@ def test_heterogeneous_rows_charge_cross_type_capacity():
     assert coefs[model.var("linkcap", 1, 1, 2)] == pytest.approx(1.25)
 
 
-def test_linear_single_track_sketch():
-    assert single_track_directional_limit(5.0, 1.0, 2.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        single_track_directional_limit(5.0, 0.5, 2.0)
-
-
 def test_build_is_deterministic():
     first = line_model()
     second = line_model()
@@ -348,3 +343,46 @@ def test_big_m_default_dominates_capacity():
             net.horizon,
             ModelConfig(capacity_mode="single_track_alt2", big_m=5.0),
         )
+
+
+LINK_FLOWS = ("direct", "next")
+NODE_FLOWS = ("ext", "ni", "in", "aggr")
+
+
+def bundled_model(scenario_dir, scenario, mode):
+    from dataclasses import replace
+
+    from railflow.scenario import build_scenario_model, load_scenario
+
+    doc = load_scenario(scenario_dir / f"{scenario}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-track modes on networks without pairs
+        return build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode=mode)))
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
+    model = bundled_model(scenario_dir, scenario, mode)
+    network = model.network
+    for var in model.variables:
+        kind, key = var.ref.kind, var.ref.key
+        if kind in LINK_FLOWS:
+            link_id, _, route_id = key
+            assert link_id in model.catalog.route(route_id).links, var.name
+        elif kind in NODE_FLOWS:
+            node_id, t, route_id = key
+            assert node_id in route_nodes(model.catalog.route(route_id), network), var.name
+            assert kind != "in" or t >= 1, var.name
+
+    used = set(model.objective)
+    for row in model.constraints:
+        used.update(idx for idx, _ in row.terms)
+    unused = [v.name for i, v in enumerate(model.variables) if i not in used]
+    assert not unused
+
+
+def test_small_network_size(scenario_dir):
+    model = bundled_model(scenario_dir, "small_network", "basic")
+    assert len(model.variables) == 1450
+    assert len(model.constraints) == 1468

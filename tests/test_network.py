@@ -8,10 +8,8 @@ from railflow.network import (
     TrackLink,
     TrainType,
     is_single_track,
-    link_between,
     validate_network,
 )
-from support import line_network
 
 
 def two_node_net(sigma=None, duration=0.5, links=None):
@@ -127,16 +125,6 @@ def test_single_track_queries():
     assert is_single_track(coupled, 2)  # involution symmetry
     with pytest.raises(KeyError):
         is_single_track(coupled, 9)
-
-
-def test_link_between_directed():
-    net = two_node_net()
-    assert link_between(net, 1, 2) == 1
-    assert link_between(net, 2, 1) == 2
-    line = line_network()
-    assert link_between(line, 1, 3) is None
-    with pytest.raises(KeyError):
-        link_between(net, 1, 5)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

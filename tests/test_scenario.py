@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 
+from railflow.cli import main
+from railflow.model import ModelConfig, ModelError
 from railflow.network import is_single_track
 from railflow.scenario import (
     ScenarioError,
@@ -85,6 +88,8 @@ def test_apply_tcr_rejects_bad_overrides(small_doc):
         apply_tcr(small_doc, [TcrOverride(link="nope", period=1, capacity=0.0)])
     with pytest.raises(ScenarioError):
         apply_tcr(small_doc, [TcrOverride(link="E-F", period=1)])
+    with pytest.raises(ScenarioError, match="finite"):
+        apply_tcr(small_doc, [TcrOverride(link="E-F", period=1, scale=math.nan)])
 
 
 def test_inline_overrides_match_apply_tcr(scenario_dir, small_doc):
@@ -194,3 +199,57 @@ def test_alternative_capacity_modes_solve(shuttle_doc):
         output = run(dataclasses.replace(shuttle_doc, config=config))
         assert output.result.status == "optimal"
         assert output.capacity.setup_pairs == ()
+
+
+def _set(*path):
+    """Setter writing a value at path in a raw document, creating containers."""
+
+    def put(raw, value):
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+
+    return put
+
+
+NUMERIC_FIELDS = {
+    "capacities.default": _set("capacities", "default"),
+    "capacities.links['A-B']": _set("capacities", "links", "A-B"),
+    "capacities.cells[0].value": lambda raw, v: raw["capacities"].update(
+        cells=[{"link": "A-B", "period": 1, "value": v}]
+    ),
+    "durations['A-B']['reg']": _set("durations_minutes", "A-B", "reg"),
+    "tcr_overrides[0].capacity": lambda raw, v: raw.update(tcr_overrides=[{"link": "A-B", "capacity": v}]),
+    "tcr_overrides[0].scale": lambda raw, v: raw.update(tcr_overrides=[{"link": "A-B", "scale": v}]),
+    "config.k_het": _set("config", "k_het"),
+    "config.k_setup": _set("config", "k_setup"),
+    "config.big_m": _set("config", "big_m"),
+    "config.cost_cancel": _set("config", "cost_cancel"),
+    "config.cost_post": _set("config", "cost_post"),
+    "config.arrival_slack": _set("config", "arrival_slack"),
+    "config.arrival_slack.default": _set("config", "arrival_slack", "default"),
+    "config.arrival_slack.routes['A-C-r1']": _set("config", "arrival_slack", "routes", "A-C-r1"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "five"], ids=["nan", "inf", "-inf", "str"])
+@pytest.mark.parametrize("position", list(NUMERIC_FIELDS))
+def test_non_finite_or_non_numeric_input_rejected_at_load(scenario_dir, tmp_path, capsys, position, value):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    NUMERIC_FIELDS[position](raw, value)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert any(line.startswith(f"{position}: expected a") for line in err.value.errors)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"error: {position}: expected a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["k_het", "k_setup", "big_m", "arrival_slack", "cost_cancel", "cost_post"])
+def test_model_config_rejects_non_finite(field):
+    for value in (math.nan, math.inf):
+        with pytest.raises(ModelError, match=f"{field} must be finite"):
+            ModelConfig(**{field: value})

@@ -333,7 +333,7 @@ def test_small_network_lp_matches_highs(small_doc):
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (1130, 1406)
+    assert (sf.n_rows, sf.n_cols) == (1130, 1350)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
