@@ -75,11 +75,7 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return max(0.0, incumbent - bound) / max(1.0, abs(incumbent))
 
 
-def solve_mip(
-    model: TimeExpandedModel,
-    tol: Tolerances | None = None,
-    extra_rows: Sequence[LinearConstraint] = (),
-) -> SolveResult:
+def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveResult:
     """Prove-optimal solve of the model's LP/MIP.
 
     With relax_integrality (or no integer marks) this is a single LP solve.
@@ -89,7 +85,7 @@ def solve_mip(
     int_vars = [i for i, v in enumerate(model.variables) if v.integer]
 
     if not int_vars:
-        solution, values = solve_model_lp(model, tol, extra_rows=extra_rows)
+        solution, values = solve_model_lp(model, tol)
         return SolveResult(
             solution.status, solution.objective, values, solution.iterations, nodes=1,
             gap=0.0 if solution.status == OPTIMAL else None,
@@ -105,9 +101,8 @@ def solve_mip(
     incumbent: Optional[np.ndarray] = None
     incumbent_obj = math.inf
     hit_limit = False
-    base_rows = tuple(extra_rows)
 
-    root_solution, root_values = solve_model_lp(model, tol, extra_rows=extra_rows)
+    root_solution, root_values = solve_model_lp(model, tol)
     iterations += root_solution.iterations
     nodes += 1
     if root_solution.status == UNBOUNDED:
@@ -138,9 +133,7 @@ def solve_mip(
             # (like single-track setup times) get lifted to whatever the
             # rounding requires, which plain value rounding cannot do.
             fixes = {idx: float(round(values[idx])) for idx in int_vars}
-            fix_solution, fix_values = solve_model_lp(
-                model, tol, extra_rows=base_rows, extra_fixes=fixes
-            )
+            fix_solution, fix_values = solve_model_lp(model, tol, extra_fixes=fixes)
             iterations += fix_solution.iterations
             if fix_solution.status == OPTIMAL and fix_values is not None:
                 repaired = fix_values
@@ -163,7 +156,7 @@ def solve_mip(
             counter += 1
             heapq.heappush(heap, (solution.objective, counter, child))
 
-    process(root_solution, root_values, tuple(extra_rows))
+    process(root_solution, root_values, ())
 
     best_bound = root_solution.objective
     while heap:

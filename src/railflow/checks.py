@@ -8,15 +8,20 @@ solution alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import TimeExpandedModel
+from .model import LinearConstraint, TimeExpandedModel
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Vectorized activity evaluation for all constraints of one model."""
+    """The rows of a model as CSR arrays, for vectorized activities.
+
+    from_rows is the one place where LinearConstraint rows become arrays; the
+    audit here and simplex.build_standard_form both read them.
+    """
 
     starts: np.ndarray
     var_idx: np.ndarray
@@ -25,27 +30,22 @@ class ConstraintSystem:
     sense: np.ndarray  # -1 for <=, 0 for =, +1 for >=
 
     @classmethod
-    def from_model(cls, model: TimeExpandedModel) -> "ConstraintSystem":
-        starts = np.zeros(len(model.constraints) + 1, dtype=int)
-        var_idx: list[int] = []
-        coefs: list[float] = []
-        rhs = np.zeros(len(model.constraints))
-        sense = np.zeros(len(model.constraints), dtype=int)
+    def from_rows(cls, rows: Sequence[LinearConstraint]) -> "ConstraintSystem":
+        """CSR arrays of the rows, in row order and, within a row, term order."""
+        terms = [term for row in rows for term in row.terms]
         sense_of = {"<=": -1, "=": 0, ">=": 1}
-        for k, row in enumerate(model.constraints):
-            for idx, coef in row.terms:
-                var_idx.append(idx)
-                coefs.append(coef)
-            starts[k + 1] = len(var_idx)
-            rhs[k] = row.rhs
-            sense[k] = sense_of[row.relation]
+        lengths = np.array([len(row.terms) for row in rows], dtype=int)
         return cls(
-            starts=starts,
-            var_idx=np.array(var_idx, dtype=int),
-            coefs=np.array(coefs, dtype=float),
-            rhs=rhs,
-            sense=sense,
+            starts=np.concatenate([[0], np.cumsum(lengths)]),
+            var_idx=np.array([idx for idx, _ in terms], dtype=int),
+            coefs=np.array([coef for _, coef in terms], dtype=float),
+            rhs=np.array([row.rhs for row in rows], dtype=float),
+            sense=np.array([sense_of[row.relation] for row in rows], dtype=int),
         )
+
+    @classmethod
+    def from_model(cls, model: TimeExpandedModel) -> "ConstraintSystem":
+        return cls.from_rows(model.constraints)
 
     def activities(self, values: np.ndarray) -> np.ndarray:
         n = len(self.rhs)
@@ -84,14 +84,6 @@ def max_violation_by_family(model: TimeExpandedModel, values: np.ndarray) -> dic
         family = constraint_family(row.name)
         if violation > worst.get(family, 0.0):
             worst[family] = float(violation)
-    return worst
-
-
-def integrality_violation(model: TimeExpandedModel, values: np.ndarray) -> float:
-    worst = 0.0
-    for i, var in enumerate(model.variables):
-        if var.integer:
-            worst = max(worst, abs(values[i] - round(values[i])))
     return worst
 
 

@@ -224,8 +224,13 @@ def build_variables(
     Flow variables (direct, next, ext, ni, in, aggr) of a route exist only on
     that route's links and nodes: a route's volume can use nothing else.
     Continuous variables are nonnegative except the source/sink exchange
-    variables, which are negative at route destinations by construction
-    (they equal minus the arrivals) and are therefore left free.
+    variables at a route's origin and destination, which are negative at the
+    destination by construction (they equal minus the arrivals) and are
+    therefore left free; at stations the route passes through, nothing enters
+    or leaves, so ext is fixed at zero.  The horizon ends are bounds too: next
+    arcs and node inventories are empty in periods 0 and t_max, pacing
+    aggregates start at zero, and nothing is postponed into period 0 or out of
+    the last period, so unplaceable volume has to be cancelled.
     """
     for route in catalog.routes:
         for link_id in route.links:
@@ -246,6 +251,7 @@ def build_variables(
     model = TimeExpandedModel(network, catalog, horizon, config)
     T = horizon.periods
     T0 = horizon.extended_periods
+    ends = {0: 0.0, horizon.t_max: 0.0}  # upper bound of next, ni and post at the horizon ends
     routes = catalog.routes
     demands = catalog.demands
     model.nodes_of = {r.id: route_nodes(r, network) for r in routes}
@@ -265,7 +271,9 @@ def build_variables(
     for n in network.nodes:
         for t in T:
             for r in at_node[n.id]:
-                model.add_variable("ext", (n.id, t, r.id), f"ext({n.name},{t},{r.name})", lb=-math.inf)
+                through = n.id not in (r.origin, r.destination)
+                lb, ub = (0.0, 0.0) if through else (-math.inf, math.inf)
+                model.add_variable("ext", (n.id, t, r.id), f"ext({n.name},{t},{r.name})", lb=lb, ub=ub)
     for l in network.links:
         for t in T:
             for r in on_link[l.id]:
@@ -273,11 +281,13 @@ def build_variables(
     for l in network.links:
         for t in T0:
             for r in on_link[l.id]:
-                model.add_variable("next", (l.id, t, r.id), f"next({l.name},{t},{r.name})")
+                ub = ends.get(t, math.inf)
+                model.add_variable("next", (l.id, t, r.id), f"next({l.name},{t},{r.name})", ub=ub)
     for n in network.nodes:
         for t in T0:
             for r in at_node[n.id]:
-                model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})")
+                ub = ends.get(t, math.inf)
+                model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})", ub=ub)
     for n in network.nodes:
         for t in T:
             for r in at_node[n.id]:
@@ -285,10 +295,11 @@ def build_variables(
     for n in network.nodes:
         for t in T0:
             for r in at_node[n.id]:
-                model.add_variable("aggr", (n.id, t, r.id), f"aggr({n.name},{t},{r.name})")
+                ub = 0.0 if t == 0 else math.inf
+                model.add_variable("aggr", (n.id, t, r.id), f"aggr({n.name},{t},{r.name})", ub=ub)
     for d in demands:
         for t in T0:
-            model.add_variable("post", (d.id, t), f"post({d.name},{t})")
+            model.add_variable("post", (d.id, t), f"post({d.name},{t})", ub=ends.get(t, math.inf))
     for d in demands:
         for t in T:
             model.add_variable("cancel_t", (d.id, t), f"cancel({d.name},{t})")
@@ -342,9 +353,10 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     """Base capacity rows plus the family selected by capacity_mode.
 
     Capacity1 keeps the per-type allocations within the nominal capacity;
-    Capacity4 keeps the flow of each type (direct plus half of each adjacent
-    next arc) within its allocation.  single_track_alt1 makes coupled links
-    share the mean of their nominal capacities; single_track_alt2 adds a
+    Capacity4 keeps the flow of each type some route runs on the link (direct
+    plus half of each adjacent next arc) within its allocation; the other
+    types' allocations are only nonnegative.  single_track_alt1 makes coupled
+    links share the mean of their nominal capacities; single_track_alt2 adds a
     setup-time variable w tied, through a binary flag, to the smaller of the
     two directional allocations; heterogeneous charges extra capacity for
     every pair of distinct train types sharing a link.
@@ -445,10 +457,11 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     for l in network.links:
         for t in T:
             for h in network.train_types:
+                riding = [r for r in model.routes_on_link[l.id] if r.train_type == h.id]
+                if not riding:
+                    continue
                 terms: list[tuple[int, float]] = []
-                for r in model.routes_on_link[l.id]:
-                    if r.train_type != h.id:
-                        continue
+                for r in riding:
                     terms.append((model.var("direct", l.id, t, r.id), 1.0))
                     terms.append((model.var("next", l.id, t - 1, r.id), 0.5))
                     terms.append((model.var("next", l.id, t, r.id), 0.5))
@@ -461,21 +474,11 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 def emit_demand_layer(model: TimeExpandedModel) -> None:
     """Demand balance: departures, postponements and cancellations.
 
-    Postponed volume carried out of period t is post[d,t]; nothing may be
-    postponed into period 0 or out of the last period, so unplaceable volume
-    has to be cancelled instead.
+    Postponed volume carried out of period t is post[d,t]; its bounds (see
+    build_variables) keep periods 0 and t_max empty.
     """
     catalog = model.catalog
-    t_max = model.horizon.t_max
 
-    for d in catalog.demands:
-        model.add_constraint(
-            f"Demand1[d={d.name}]", [(model.var("post", d.id, 0), 1.0)], "=", 0.0
-        )
-    for d in catalog.demands:
-        model.add_constraint(
-            f"Demand2[d={d.name}]", [(model.var("post", d.id, t_max), 1.0)], "=", 0.0
-        )
     for d in catalog.demands:
         route_ids = catalog.implements.get(d.id, ())
         for t in model.horizon.periods:
@@ -513,50 +516,17 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     """Per-route flow conservation over the time-expanded graph.
 
     Only the route's own links and nodes carry its flow (see build_variables).
-    Next arcs and node inventories are empty at both ends of the horizon
-    (Bound4, Bound5, Bound6), so every departed volume must reach its sink
-    within the horizon.  Flow1 ties the exchange variables to departures and
-    arrivals, Flow2 balances each timed node and Flow3 defines the per-period
-    inflow used by the pacing rows.
+    Next arcs and node inventories are bounded to zero at both ends of the
+    horizon, so every departed volume must reach its sink within the horizon.
+    Flow1 ties the exchange variables at a route's origin and destination to
+    departures and arrivals (ext is fixed at zero elsewhere), Flow2 balances
+    each timed node and Flow3 defines the per-period inflow used by the pacing
+    rows.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
-    t_max = model.horizon.t_max
     at_node = model.routes_at_node
-
-    for l in network.links:
-        for r in model.routes_on_link[l.id]:
-            model.add_constraint(
-                f"Bound4[l={l.name},t=0,r={r.name}]",
-                [(model.var("next", l.id, 0, r.id), 1.0)],
-                "=",
-                0.0,
-            )
-            model.add_constraint(
-                f"Bound4[l={l.name},t={t_max},r={r.name}]",
-                [(model.var("next", l.id, t_max, r.id), 1.0)],
-                "=",
-                0.0,
-            )
-    for n in network.nodes:
-        for r in at_node[n.id]:
-            model.add_constraint(
-                f"Bound5[n={n.name},r={r.name}]",
-                [(model.var("ni", n.id, 0, r.id), 1.0)],
-                "=",
-                0.0,
-            )
-    # Closing counterpart of Bound5: the horizon ends with empty stations,
-    # so departed volume cannot be stranded short of its destination.
-    for n in network.nodes:
-        for r in at_node[n.id]:
-            model.add_constraint(
-                f"Bound6[n={n.name},r={r.name}]",
-                [(model.var("ni", n.id, t_max, r.id), 1.0)],
-                "=",
-                0.0,
-            )
 
     for n in network.nodes:
         for t in T:
@@ -567,8 +537,6 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
                     model.add_constraint(name, [(ext, 1.0), (model.var("dep", r.id, t), -1.0)], "=", 0.0)
                 elif n.id == r.destination:
                     model.add_constraint(name, [(ext, 1.0), (model.var("arr", r.id, t), 1.0)], "=", 0.0)
-                else:
-                    model.add_constraint(name, [(ext, 1.0)], "=", 0.0)
 
     for r in catalog.routes:
         incoming: dict[int, list[int]] = {}
@@ -631,22 +599,13 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
     aggr[n,t,r] accumulates, period by period, the largest volume of route r
     that can possibly have reached node n given the departures so far; the
     Aggregate3/Aggregate4 rows then cap the cumulative inflow by it.  Like
-    every flow variable, aggr exists only at the route's own nodes, where
-    Aggregate1 starts it at zero.
+    every flow variable, aggr exists only at the route's own nodes, and its
+    bound starts it at zero in period 0.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
     nodes_of = model.nodes_of
-
-    for n in network.nodes:
-        for r in model.routes_at_node[n.id]:
-            model.add_constraint(
-                f"Aggregate1[n={n.name},r={r.name}]",
-                [(model.var("aggr", n.id, 0, r.id), 1.0)],
-                "=",
-                0.0,
-            )
 
     for r in catalog.routes:
         reach = aggregate_durations(r, network)

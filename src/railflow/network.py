@@ -103,12 +103,10 @@ class Network:
     horizon: Horizon
     _node_by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _link_by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _type_by_label: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self._node_by_name.update({n.name: n for n in self.nodes})
         self._link_by_name.update({l.name: l for l in self.links})
-        self._type_by_label.update({h.label: h for h in self.train_types})
 
     def node(self, node_id: int) -> StationNode:
         if not 1 <= node_id <= len(self.nodes):
@@ -130,9 +128,6 @@ class Network:
 
     def link_named(self, name: str) -> TrackLink:
         return self._link_by_name[name]
-
-    def type_labelled(self, label: str) -> TrainType:
-        return self._type_by_label[label]
 
 
 def is_single_track(network: Network, link_id: int) -> bool:

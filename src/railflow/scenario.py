@@ -123,8 +123,33 @@ def _number(value, position: str, errors: list[str], default: float = 0.0) -> fl
     return number
 
 
+def _object(value, position: str, errors: list[str]) -> dict:
+    """value if it is a JSON object; otherwise record the finding and return {}."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{position}: expected an object, got {value!r}")
+    return {}
+
+
+def _array(value, position: str, errors: list[str]) -> Sequence:
+    """value if it is a JSON array; otherwise record the finding and return ()."""
+    if isinstance(value, (list, tuple)):
+        return value
+    errors.append(f"{position}: expected an array, got {value!r}")
+    return ()
+
+
+def _flag(raw: dict, key: str, default: bool, errors: list[str]) -> bool:
+    """raw[key] as a JSON boolean; a string such as "false" is an error, not True."""
+    value = raw.get(key, default)
+    if isinstance(value, bool):
+        return value
+    errors.append(f"config.{key}: expected true or false, got {value!r}")
+    return default
+
+
 def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> tuple[ModelConfig, bool]:
-    pace = bool(raw.get("pace_refinement", True))
+    pace = _flag(raw, "pace_refinement", True, errors)
     mode = raw.get("capacity_mode", "basic")
     if mode not in CAPACITY_MODES:
         errors.append(f"config: unknown capacity_mode {mode!r}")
@@ -133,7 +158,7 @@ def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> 
     slack_overrides: dict[int, float] | None = None
     if isinstance(slack_raw, dict):
         slack_default = _number(slack_raw.get("default", 0.0), "config.arrival_slack.default", errors)
-        per_route = slack_raw.get("routes", {})
+        per_route = _object(slack_raw.get("routes", {}), "config.arrival_slack.routes", errors)
         route_ids = {spec.name: i + 1 for i, spec in enumerate(routes)}
         overrides = {}
         for name, value in per_route.items():
@@ -158,8 +183,8 @@ def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> 
             arrival_slack_overrides=slack_overrides,
             cost_cancel=number("cost_cancel", 1000.0),
             cost_post=number("cost_post", 20.0),
-            relax_integrality=bool(raw.get("relax_integrality", False)),
-            include_arrival_accounting=bool(raw.get("include_arrival_accounting", False)),
+            relax_integrality=_flag(raw, "relax_integrality", False, errors),
+            include_arrival_accounting=_flag(raw, "include_arrival_accounting", False, errors),
         )
     except ValueError as exc:
         errors.append(f"config: {exc}")
@@ -199,8 +224,9 @@ def _parse_tcr(raw, position: str, t_max: int, link_names: set[str], errors: lis
 def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     """Parse and fully validate a scenario document.
 
-    Raises ScenarioError listing every problem found, each tagged with the
-    position in the document.
+    A Path is read from disk; str and bytes are JSON text; a dict is the
+    parsed document itself.  Raises ScenarioError listing every problem
+    found, each tagged with the position in the document.
     """
     if isinstance(source, Path):
         raw = json.loads(source.read_text())
@@ -236,15 +262,15 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         errors.append("horizon: must be >= 1")
         t_max = 1
 
-    type_labels = tuple(str(x) for x in raw.get("train_types", ()))
+    type_labels = tuple(str(x) for x in _array(raw.get("train_types", ()), "train_types", errors))
     if not type_labels:
         errors.append("train_types: at least one train type is required")
-    node_names = tuple(str(x) for x in raw.get("nodes", ()))
+    node_names = tuple(str(x) for x in _array(raw.get("nodes", ()), "nodes", errors))
     node_set = set(node_names)
 
     links: list[LinkSpec] = []
     link_names: set[str] = set()
-    for i, item in enumerate(raw.get("links", ())):
+    for i, item in enumerate(_array(raw.get("links", ()), "links", errors)):
         position = f"links[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
@@ -264,7 +290,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         links.append(LinkSpec(lname, str(tail), str(head)))
 
     pairs: list[tuple[str, str]] = []
-    for i, item in enumerate(raw.get("single_track_pairs", ())):
+    for i, item in enumerate(_array(raw.get("single_track_pairs", ()), "single_track_pairs", errors)):
         position = f"single_track_pairs[{i}]"
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             errors.append(f"{position}: expected a pair of link names")
@@ -278,13 +304,13 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             continue
         pairs.append((a, b))
 
-    caps_raw = raw.get("capacities", {})
+    caps_raw = _object(raw.get("capacities", {}), "capacities", errors)
     default_cap = caps_raw.get("default")
     if default_cap is not None:
         default_cap = _number(default_cap, "capacities.default", errors)
     per_link = {
         lname: _number(value, f"capacities.links[{lname!r}]", errors)
-        for lname, value in caps_raw.get("links", {}).items()
+        for lname, value in _object(caps_raw.get("links", {}), "capacities.links", errors).items()
     }
     capacity: dict[tuple[str, int], float] = {}
     for lname in (l.name for l in links):
@@ -293,7 +319,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             continue  # cells may still cover this link completely
         for t in range(1, t_max + 1):
             capacity[(lname, t)] = base
-    for i, cell in enumerate(caps_raw.get("cells", ())):
+    for i, cell in enumerate(_array(caps_raw.get("cells", ()), "capacities.cells", errors)):
         position = f"capacities.cells[{i}]"
         if not isinstance(cell, dict):
             errors.append(f"{position}: expected an object")
@@ -336,7 +362,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     routes: list[RouteSpec] = []
     route_names: set[str] = set()
-    for i, item in enumerate(raw.get("routes", ())):
+    for i, item in enumerate(_array(raw.get("routes", ()), "routes", errors)):
         position = f"routes[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
@@ -349,7 +375,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if rname in route_names:
             errors.append(f"{position}: duplicate route name {rname!r}")
             continue
-        used = tuple(str(x) for x in item.get("links", ()))
+        used = tuple(str(x) for x in _array(item.get("links", ()), f"{position}.links", errors))
         missing = [x for x in used if x not in link_names]
         if missing:
             errors.append(f"{position}: route {rname} references unknown links {missing}")
@@ -362,7 +388,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     demands: list[DemandSpec] = []
     demand_names: set[str] = set()
-    for i, item in enumerate(raw.get("demands", ())):
+    for i, item in enumerate(_array(raw.get("demands", ()), "demands", errors)):
         position = f"demands[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
@@ -370,7 +396,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         dname = str(item.get("name", f"demand-{i}"))
         origin, destination = item.get("origin"), item.get("destination")
         label = item.get("train_type")
-        volumes = item.get("volumes", ())
+        volumes = _array(item.get("volumes", ()), f"{position}.volumes", errors)
         if dname in demand_names:
             errors.append(f"{position}: duplicate demand name {dname!r}")
             continue
@@ -402,16 +428,19 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
                 if dname not in demand_names:
                     errors.append(f"implements[{dname!r}]: unknown demand")
                     continue
+                rnames = _array(rnames, f"implements[{dname!r}]", errors)
                 bad = [x for x in rnames if x not in route_names]
                 if bad:
                     errors.append(f"implements[{dname!r}]: unknown routes {bad}")
                     continue
                 implements[dname] = tuple(str(x) for x in rnames)
 
-    config, pace = _parse_config(raw.get("config", {}) or {}, routes, errors)
+    config_raw = raw.get("config")
+    config_raw = {} if config_raw is None else _object(config_raw, "config", errors)
+    config, pace = _parse_config(config_raw, routes, errors)
 
     tcrs: list[TcrOverride] = []
-    for i, item in enumerate(raw.get("tcr_overrides", ())):
+    for i, item in enumerate(_array(raw.get("tcr_overrides", ()), "tcr_overrides", errors)):
         parsed = _parse_tcr(item, f"tcr_overrides[{i}]", t_max, link_names, errors)
         if parsed is not None:
             tcrs.append(parsed)

@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .checks import ConstraintSystem
 from .model import LinearConstraint, TimeExpandedModel
 
 OPTIMAL = "optimal"
@@ -48,13 +49,16 @@ class InfeasibleModel(Exception):
 class StandardFormLP:
     """min c.x + constant s.t. A x (rel) b, x >= 0, with model-variable mapping.
 
-    Each live model variable maps to one column (offset + column value) or, if
-    free, to a plus/minus column pair.  Fixed variables carry their value in
-    offset with no column.
+    A is sparse: vals[k] sits at (rows[k], cols[k]), sorted by row and then
+    column.  Each live model variable maps to one column (offset + column
+    value) or, if free, to a plus/minus column pair.  Fixed variables carry
+    their value in offset with no column.
     """
 
     c: np.ndarray
-    A: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     relations: tuple[str, ...]
     b: np.ndarray
     row_names: tuple[str, ...]
@@ -66,11 +70,11 @@ class StandardFormLP:
 
     @property
     def n_rows(self) -> int:
-        return self.A.shape[0]
+        return self.b.size
 
     @property
     def n_cols(self) -> int:
-        return self.A.shape[1]
+        return self.c.size
 
     def model_values(self, x: np.ndarray) -> np.ndarray:
         values = self.offset.copy()
@@ -89,137 +93,99 @@ def build_standard_form(
 ) -> StandardFormLP:
     """Convert a model (plus branching rows/fixings) to nonnegative standard form.
 
-    Raises InfeasibleModel when bound folding alone proves infeasibility.
+    Singleton rows become bounds.  Every other row keeps its place; its fixed
+    and shifted terms move to the right-hand side, and it is dropped when no
+    live column is left.  The upper bounds of the live columns follow as
+    __ub rows in variable order.  Raises InfeasibleModel when bound folding
+    alone proves infeasibility.
     """
+    rows = list(model.constraints) + list(extra_rows)
+    system = ConstraintSystem.from_rows(rows)
     n_vars = len(model.variables)
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
     if extra_fixes:
-        for idx, value in extra_fixes.items():
-            lo[idx] = max(lo[idx], value)
-            hi[idx] = min(hi[idx], value)
+        fix_idx = np.fromiter(extra_fixes.keys(), dtype=int, count=len(extra_fixes))
+        fix_val = np.fromiter(extra_fixes.values(), dtype=float, count=len(extra_fixes))
+        np.maximum.at(lo, fix_idx, fix_val)
+        np.minimum.at(hi, fix_idx, fix_val)
 
-    all_rows = list(model.constraints) + list(extra_rows)
-    multi_rows: list[LinearConstraint] = []
-    for row in all_rows:
-        if len(row.terms) != 1:
-            multi_rows.append(row)
-            continue
-        idx, coef = row.terms[0]
-        bound = row.rhs / coef
-        relation = row.relation
-        if coef < 0 and relation != "=":
-            relation = "<=" if relation == ">=" else ">="
-        if relation == "=":
-            lo[idx] = max(lo[idx], bound)
-            hi[idx] = min(hi[idx], bound)
-        elif relation == "<=":
-            hi[idx] = min(hi[idx], bound)
-        else:
-            lo[idx] = max(lo[idx], bound)
+    # A singleton row bounds its variable; a negative coefficient flips the
+    # relation (sense -1 is <=, 0 is =, +1 is >=).
+    lengths = np.diff(system.starts)
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    single = lengths == 1
+    first = system.starts[:-1][single]
+    var, coef = system.var_idx[first], system.coefs[first]
+    bound = system.rhs[single] / coef
+    sense = system.sense[single] * np.sign(coef)
+    np.maximum.at(lo, var[sense >= 0], bound[sense >= 0])
+    np.minimum.at(hi, var[sense <= 0], bound[sense <= 0])
 
     bad = np.nonzero(lo > hi + 1e-9)[0]
     if bad.size:
         names = ", ".join(model.variables[i].name for i in bad[:5])
         raise InfeasibleModel(f"conflicting bounds on {names}")
 
-    fixed = np.zeros(n_vars, dtype=bool)
-    offset = np.zeros(n_vars, dtype=float)
-    for i in range(n_vars):
-        if hi[i] - lo[i] <= 1e-12 and math.isfinite(lo[i]):
-            fixed[i] = True
-            offset[i] = lo[i]
+    fixed = (hi - lo <= 1e-12) & np.isfinite(lo)
+    free = ~fixed & (lo == -math.inf)
+    offset = np.where(free, 0.0, lo)
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    pos_col = np.where(fixed, -1, np.cumsum(width) - width)
+    neg_col = np.where(free, pos_col + 1, -1)
 
-    objective = dict(objective_override) if objective_override is not None else dict(model.objective)
+    objective = model.objective if objective_override is None else objective_override
+    obj = np.zeros(n_vars)
+    obj[np.fromiter(objective.keys(), dtype=int, count=len(objective))] = np.fromiter(
+        objective.values(), dtype=float, count=len(objective)
+    )
+    c = np.zeros(int(width.sum()))
+    c[pos_col[~fixed]] = obj[~fixed]
+    c[neg_col[free]] = -obj[free]
 
-    pos_col = np.full(n_vars, -1, dtype=int)
-    neg_col = np.full(n_vars, -1, dtype=int)
-    c_list: list[float] = []
-    # upper bounds become rows over the live columns: (terms, rhs, name)
-    ub_rows: list[tuple[tuple[tuple[int, float], ...], float, str]] = []
-    obj_constant = 0.0
-    for i in range(n_vars):
-        if fixed[i]:
-            obj_constant += objective.get(i, 0.0) * offset[i]
-            continue
-        coef = objective.get(i, 0.0)
-        name = model.variables[i].name
-        if lo[i] == -math.inf:
-            pos_col[i] = len(c_list)
-            c_list.append(coef)
-            neg_col[i] = len(c_list)
-            c_list.append(-coef)
-            if math.isfinite(hi[i]):
-                ub_rows.append(
-                    (((pos_col[i], 1.0), (neg_col[i], -1.0)), hi[i], name)
-                )
-        else:
-            offset[i] = lo[i]
-            obj_constant += coef * lo[i]
-            pos_col[i] = len(c_list)
-            c_list.append(coef)
-            if math.isfinite(hi[i]):
-                ub_rows.append((((pos_col[i], 1.0),), hi[i] - lo[i], name))
+    multi = ~single
+    adj = system.rhs - np.bincount(
+        row_of, weights=system.coefs * offset[system.var_idx], minlength=len(rows)
+    )
+    live = multi[row_of] & ~fixed[system.var_idx]
+    n_live = np.bincount(row_of[live], minlength=len(rows))
+    violated = np.where(system.sense == 0, np.abs(adj), system.sense * adj) > 1e-9
+    dead = np.nonzero(multi & (n_live == 0) & violated)[0]
+    if dead.size:
+        raise InfeasibleModel(f"constraint {rows[dead[0]].name} is violated by fixed variables")
+    kept = multi & (n_live > 0)
 
-    rows_a: list[tuple[np.ndarray, np.ndarray]] = []
-    relations: list[str] = []
-    rhs: list[float] = []
-    names: list[str] = []
-    for row in multi_rows:
-        cols: list[int] = []
-        vals: list[float] = []
-        adj = row.rhs
-        for idx, coef in row.terms:
-            if fixed[idx]:
-                adj -= coef * offset[idx]
-                continue
-            if pos_col[idx] >= 0 and neg_col[idx] >= 0:
-                cols.append(pos_col[idx])
-                vals.append(coef)
-                cols.append(neg_col[idx])
-                vals.append(-coef)
-            else:
-                adj -= coef * offset[idx]
-                cols.append(pos_col[idx])
-                vals.append(coef)
-        if not cols:
-            violated = (
-                (row.relation == "=" and abs(adj) > 1e-9)
-                or (row.relation == "<=" and adj < -1e-9)
-                or (row.relation == ">=" and adj > 1e-9)
-            )
-            if violated:
-                raise InfeasibleModel(f"constraint {row.name} is violated by fixed variables")
-            continue
-        rows_a.append((np.array(cols, dtype=int), np.array(vals, dtype=float)))
-        relations.append(row.relation)
-        rhs.append(adj)
-        names.append(row.name)
-    for terms, bound, varname in ub_rows:
-        if len(terms) == 1 and bound < -1e-9:
-            # shifted nonnegative column: its span collapsed below zero
-            raise InfeasibleModel(f"upper bound below lower bound for {varname}")
-        rows_a.append(
-            (
-                np.array([col for col, _ in terms], dtype=int),
-                np.array([v for _, v in terms], dtype=float),
-            )
-        )
-        relations.append("<=")
-        rhs.append(bound)
-        names.append(f"__ub[{varname}]")
+    ub_var = np.nonzero(~fixed & np.isfinite(hi))[0]
+    ub_free = free[ub_var]
+    span = np.where(ub_free, hi[ub_var], hi[ub_var] - lo[ub_var])
+    short = np.nonzero(~ub_free & (span < -1e-9))[0]
+    if short.size:
+        # shifted nonnegative column: its span collapsed below zero
+        raise InfeasibleModel(f"upper bound below lower bound for {model.variables[ub_var[short[0]]].name}")
 
-    n_cols = len(c_list)
-    A = np.zeros((len(rows_a), n_cols), dtype=float)
-    for r, (cols, vals) in enumerate(rows_a):
-        np.add.at(A[r], cols, vals)
+    term_row = (np.cumsum(kept) - 1)[row_of[live]]
+    term_var, term_coef = system.var_idx[live], system.coefs[live]
+    split = free[term_var]
+    ub_row = np.count_nonzero(kept) + np.arange(ub_var.size)
+    a_rows = np.concatenate([term_row, term_row[split], ub_row, ub_row[ub_free]])
+    a_cols = np.concatenate(
+        [pos_col[term_var], neg_col[term_var[split]], pos_col[ub_var], neg_col[ub_var[ub_free]]]
+    )
+    a_vals = np.concatenate(
+        [term_coef, -term_coef[split], np.ones(ub_var.size), -np.ones(np.count_nonzero(ub_free))]
+    )
+    order = np.lexsort((a_cols, a_rows))
+    relation_of = np.array(["<=", "=", ">="])
     return StandardFormLP(
-        c=np.array(c_list, dtype=float),
-        A=A,
-        relations=tuple(relations),
-        b=np.array(rhs, dtype=float),
-        row_names=tuple(names),
-        objective_constant=obj_constant,
+        c=c,
+        rows=a_rows[order],
+        cols=a_cols[order],
+        vals=a_vals[order],
+        relations=tuple(relation_of[system.sense[kept] + 1].tolist()) + ("<=",) * ub_var.size,
+        b=np.concatenate([adj[kept], span]),
+        row_names=tuple(rows[k].name for k in np.nonzero(kept)[0])
+        + tuple(f"__ub[{model.variables[i].name}]" for i in ub_var),
+        objective_constant=float(obj @ offset),
         n_model_vars=n_vars,
         offset=offset,
         pos_col=pos_col,
@@ -372,7 +338,7 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     # Tableau rows 0..m-1 are constraints; row m is the phase-2 objective,
     # row m+1 the phase-1 objective.
     T = np.zeros((m + 2, width), dtype=float)
-    np.multiply(sf.A, sign[:, None], out=T[:m, :n])
+    np.add.at(T, (sf.rows, sf.cols), sf.vals * sign[sf.rows])
     T[:m, -1] = b
     col = n
     slack_col_of_row = {}
@@ -506,9 +472,8 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     real = ~basic_artificial
     slot_of_col = np.full(ncols, -1)
     slot_of_col[basis[real]] = np.nonzero(real)[0]
-    a_rows, a_cols = np.nonzero(sf.A)
-    keep = slot_of_col[a_cols] >= 0
-    a_rows, a_cols = a_rows[keep], a_cols[keep]
+    keep = slot_of_col[sf.cols] >= 0
+    a_rows, a_cols = sf.rows[keep], sf.cols[keep]
     logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
     logical_slots = slot_of_col[n:]
     in_basis = logical_slots >= 0
@@ -516,7 +481,7 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     rows = np.concatenate([a_rows, logical_rows[in_basis], artificial_slots])
     slots = np.concatenate([slot_of_col[a_cols], logical_slots[in_basis], artificial_slots])
     vals = np.concatenate([
-        sf.A[a_rows, a_cols] * sign[a_rows],
+        sf.vals[keep] * sign[a_rows],
         np.repeat([1.0, -1.0], [n_slack, n_surplus])[in_basis],
         np.ones(artificial_slots.size),
     ])

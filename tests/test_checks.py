@@ -4,7 +4,6 @@ import pytest
 from railflow.checks import (
     ConstraintSystem,
     constraint_family,
-    integrality_violation,
     max_violation_by_family,
     verify_solution,
 )
@@ -49,5 +48,4 @@ def test_verify_solution_reports_bounds_and_integrality():
     assert any("outside" in line for line in issues)
     issues = verify_solution(model, np.array([1.4]))
     assert any("not integral" in line for line in issues)
-    assert integrality_violation(model, np.array([1.4])) == pytest.approx(0.4)
     assert verify_solution(model, np.array([2.0])) == []

@@ -59,10 +59,12 @@ def test_zero_routes_leaves_demand_layer_only():
 
 
 def test_exchange_variables_are_free_everything_else_nonnegative():
-    model = line_model()
+    model = line_model()  # one route A-B-C: B is passed through
     for var in model.variables:
-        if var.ref.kind == "ext":
-            assert var.lb == -math.inf
+        if var.ref.kind == "ext" and var.ref.key[0] != 2:
+            assert (var.lb, var.ub) == (-math.inf, math.inf)
+        elif var.ref.kind == "ext":
+            assert (var.lb, var.ub) == (0.0, 0.0)
         else:
             assert var.lb == 0.0
 
@@ -132,13 +134,9 @@ def test_departure_balance_recurrence():
 
 
 def test_post_variables_pinned_at_horizon_ends():
-    model = line_model(t_max=1, volumes=(1,))
-    names = [c.name for c in model.constraints]
-    assert "Demand1[d=A-C]" in names and "Demand2[d=A-C]" in names
-    demand1 = constraint(model, "Demand1[d=A-C]")
-    demand2 = constraint(model, "Demand2[d=A-C]")
-    assert demand1.terms == ((model.var("post", 1, 0), 1.0),)
-    assert demand2.terms == ((model.var("post", 1, 1), 1.0),)
+    model = line_model(t_max=2, volumes=(1, 0))
+    post = [model.variables[model.var("post", 1, t)] for t in (0, 1, 2)]
+    assert [(v.lb, v.ub) for v in post] == [(0.0, 0.0), (0.0, math.inf), (0.0, 0.0)]
 
 
 def test_departure_spread_fractional_and_integral():
@@ -382,7 +380,30 @@ def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
     assert not unused
 
 
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
+    model = bundled_model(scenario_dir, scenario, mode)
+    t_max = model.horizon.t_max
+    for var in model.variables:
+        kind, key = var.ref.kind, var.ref.key
+        closed = (
+            (kind in ("next", "ni") and key[1] in (0, t_max))
+            or (kind == "aggr" and key[1] == 0)
+            or (kind == "post" and key[1] in (0, t_max))
+        )
+        if closed:
+            assert (var.lb, var.ub) == (0.0, 0.0), var.name
+        elif kind != "ext":
+            assert var.ub > 0.0, var.name
+    # The only one-term rows left allocate a link to its single train type.
+    singletons = {c.name.split("[")[0] for c in model.constraints if len(c.terms) == 1}
+    assert singletons <= {"Capacity1", "Capacity3"}
+    families = {c.name.split("[")[0] for c in model.constraints}
+    assert not families & {"Demand1", "Demand2", "Bound4", "Bound5", "Bound6", "Aggregate1"}
+
+
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
     assert len(model.variables) == 1450
-    assert len(model.constraints) == 1468
+    assert len(model.constraints) == 1123

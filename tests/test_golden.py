@@ -1,9 +1,11 @@
 """Same results on every bundled scenario x capacity mode.
 
-``golden_bundled.json`` records, per case, the status, the objective and the
-sha256 of both CSV reports.  A refactor must reproduce it unchanged; a change
-that is meant to alter results rewrites it with
-``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+``golden_bundled.json`` records, per case, the status, the objective, the
+total simplex iterations, the branch-and-bound nodes and the sha256 of both
+CSV reports; equal iterations and nodes mean the solver took the same
+pivots.  A refactor must reproduce it unchanged; a change that is meant to
+alter results rewrites it with ``PYTHONPATH=src python tests/test_golden.py``
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -31,7 +33,12 @@ def record(case: str) -> dict:
         # single-track modes warn on networks without single-track pairs
         warnings.simplefilter("ignore")
         output = run(doc)
-    entry = {"status": output.result.status, "objective": output.result.objective}
+    entry = {
+        "status": output.result.status,
+        "objective": output.result.objective,
+        "iterations": output.result.iterations,
+        "nodes": output.result.nodes,
+    }
     if output.capacity is not None:
         entry["capacity_usage_sha256"] = hashlib.sha256(report_capacity_csv(output.capacity)).hexdigest()
         entry["demand_outcomes_sha256"] = hashlib.sha256(report_demand_csv(output.demands)).hexdigest()
@@ -47,6 +54,7 @@ def test_bundled_results_match_golden(case):
         assert got["objective"] is None
     else:
         assert got["objective"] == pytest.approx(expected["objective"], rel=1e-9, abs=0.0)
+    assert (got["iterations"], got["nodes"]) == (expected["iterations"], expected["nodes"])
     for key in ("capacity_usage_sha256", "demand_outcomes_sha256"):
         assert got.get(key) == expected.get(key)
 

@@ -253,3 +253,63 @@ def test_model_config_rejects_non_finite(field):
     for value in (math.nan, math.inf):
         with pytest.raises(ModelError, match=f"{field} must be finite"):
             ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["false", 0, "yes"], ids=["str-false", "zero", "str-yes"])
+@pytest.mark.parametrize("field", ["relax_integrality", "include_arrival_accounting", "pace_refinement"])
+def test_config_flags_must_be_json_booleans(scenario_dir, tmp_path, capsys, field, value):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["config"][field] = value
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert f"config.{field}: expected true or false, got {value!r}" in err.value.errors
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"error: config.{field}: expected true or false" in capsys.readouterr().err
+
+
+def _put(path, value):
+    """Setter writing value at path (keys and list indices) in a raw document."""
+
+    def put(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return put
+
+
+MALFORMED_CONTAINERS = {
+    "capacities": _put(("capacities",), []),
+    "capacities.links": _put(("capacities", "links"), []),
+    "capacities.cells": _put(("capacities", "cells"), 5),
+    "config": _put(("config",), ["relax_integrality"]),
+    "config.arrival_slack.routes": _put(("config", "arrival_slack"), {"routes": []}),
+    "train_types": _put(("train_types",), 5),
+    "nodes": _put(("nodes",), 5),
+    "links": _put(("links",), 5),
+    "single_track_pairs": _put(("single_track_pairs",), 5),
+    "routes": _put(("routes",), 5),
+    "routes[0].links": _put(("routes", 0, "links"), 5),
+    "demands": _put(("demands",), 5),
+    "demands[0].volumes": _put(("demands", 0, "volumes"), 5),
+    "implements['A-C']": _put(("implements",), {"A-C": 5}),
+    "tcr_overrides": _put(("tcr_overrides",), 5),
+}
+
+
+@pytest.mark.parametrize("position", list(MALFORMED_CONTAINERS))
+def test_malformed_containers_rejected_at_load(scenario_dir, tmp_path, capsys, position):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    MALFORMED_CONTAINERS[position](raw)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert any(line.startswith(f"{position}: expected an") for line in err.value.errors)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"error: {position}: expected an" in capsys.readouterr().err

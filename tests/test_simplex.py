@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from railflow.model import LinearConstraint
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -30,9 +31,12 @@ def raw_lp(c, A, b, relations=None):
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(len(b), len(c))
     n = len(c)
+    rows, cols = np.nonzero(A)
     return StandardFormLP(
         c=c,
-        A=A,
+        rows=rows,
+        cols=cols,
+        vals=A[rows, cols],
         relations=tuple(relations or ("<=",) * len(b)),
         b=np.asarray(b, dtype=float),
         row_names=tuple(f"r{i}" for i in range(len(b))),
@@ -42,6 +46,102 @@ def raw_lp(c, A, b, relations=None):
         pos_col=np.arange(n),
         neg_col=np.full(n, -1),
     )
+
+
+def dense(sf):
+    """The constraint matrix of a StandardFormLP as a dense array."""
+    A = np.zeros((sf.n_rows, sf.n_cols))
+    np.add.at(A, (sf.rows, sf.cols), sf.vals)
+    return A
+
+
+def reference_standard_form(model, extra_rows=(), extra_fixes=None):
+    """Row-by-row conversion with a dense A: the reference build_standard_form must match.
+
+    Returns (c, A, relations, b, row_names, constant, offset, pos_col, neg_col).
+    """
+    n_vars = len(model.variables)
+    lo = np.array([v.lb for v in model.variables], dtype=float)
+    hi = np.array([v.ub for v in model.variables], dtype=float)
+    for idx, value in (extra_fixes or {}).items():
+        lo[idx], hi[idx] = max(lo[idx], value), min(hi[idx], value)
+    multi_rows = []
+    for row in list(model.constraints) + list(extra_rows):
+        if len(row.terms) != 1:
+            multi_rows.append(row)
+            continue
+        idx, coef = row.terms[0]
+        relation = {"<=": ">=", ">=": "<=", "=": "="}[row.relation] if coef < 0 else row.relation
+        if relation in ("=", ">="):
+            lo[idx] = max(lo[idx], row.rhs / coef)
+        if relation in ("=", "<="):
+            hi[idx] = min(hi[idx], row.rhs / coef)
+    if np.any(lo > hi + 1e-9):
+        raise InfeasibleModel("conflicting bounds")
+    fixed = [hi[i] - lo[i] <= 1e-12 and np.isfinite(lo[i]) for i in range(n_vars)]
+    offset = np.zeros(n_vars)
+    pos_col = np.full(n_vars, -1)
+    neg_col = np.full(n_vars, -1)
+    c, ub_rows, constant = [], [], 0.0
+    for i in range(n_vars):
+        coef = model.objective.get(i, 0.0)
+        if fixed[i]:
+            offset[i] = lo[i]
+            constant += coef * lo[i]
+            continue
+        pos_col[i] = len(c)
+        c.append(coef)
+        if lo[i] == -np.inf:
+            neg_col[i] = len(c)
+            c.append(-coef)
+            terms, span = ((pos_col[i], 1.0), (neg_col[i], -1.0)), hi[i]
+        else:
+            offset[i] = lo[i]
+            constant += coef * lo[i]
+            terms, span = ((pos_col[i], 1.0),), hi[i] - lo[i]
+        if np.isfinite(hi[i]):
+            ub_rows.append((terms, "<=", span, f"__ub[{model.variables[i].name}]"))
+    rows = []
+    for row in multi_rows:
+        terms, rhs = [], row.rhs
+        for idx, coef in row.terms:
+            rhs -= coef * offset[idx]
+            if not fixed[idx]:
+                terms.append((pos_col[idx], coef))
+            if neg_col[idx] >= 0:
+                terms.append((neg_col[idx], -coef))
+        violated = {"=": abs(rhs) > 1e-9, "<=": rhs < -1e-9, ">=": rhs > 1e-9}[row.relation]
+        if terms:
+            rows.append((terms, row.relation, rhs, row.name))
+        elif violated:
+            raise InfeasibleModel(f"constraint {row.name} is violated by fixed variables")
+    rows += ub_rows
+    A = np.zeros((len(rows), len(c)))
+    for k, (terms, _, _, _) in enumerate(rows):
+        for col, coef in terms:
+            A[k, col] += coef
+    relations = tuple(r[1] for r in rows)
+    b = np.array([r[2] for r in rows], dtype=float)
+    names = tuple(r[3] for r in rows)
+    return np.array(c, dtype=float), A, relations, b, names, constant, offset, pos_col, neg_col
+
+
+def assert_matches_reference(model, extra_rows=(), extra_fixes=None):
+    try:
+        expected = reference_standard_form(model, extra_rows, extra_fixes)
+    except InfeasibleModel:
+        with pytest.raises(InfeasibleModel):
+            build_standard_form(model, extra_rows, extra_fixes)
+        return
+    sf = build_standard_form(model, extra_rows, extra_fixes)
+    c, A, relations, b, names, constant, offset, pos_col, neg_col = expected
+    assert (sf.relations, sf.row_names) == (relations, names)
+    assert np.array_equal(sf.rows, np.nonzero(A)[0]) and np.array_equal(sf.cols, np.nonzero(A)[1])
+    for got, want in zip((sf.c, dense(sf), sf.offset, sf.pos_col, sf.neg_col), (c, A, offset, pos_col, neg_col)):
+        assert np.array_equal(got, want)
+    # right-hand sides and the constant sum the same terms in another order
+    np.testing.assert_allclose(sf.b, b, rtol=1e-12, atol=1e-12)
+    assert sf.objective_constant == pytest.approx(constant, rel=1e-12, abs=1e-12)
 
 
 def enumerate_vertices_min(c, A, b):
@@ -239,6 +339,53 @@ def test_general_form_agreement_with_reference():
     assert min(outcomes.values()) > 0  # the generator hits all three outcomes
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+def test_standard_form_matches_reference(seed):
+    # Free, boxed, shifted and fixed variables; empty, singleton (either
+    # sign) and multi-term rows, all satisfied by one point within the
+    # bounds; branching rows and fixings on top, which may conflict.
+    from support import bare_model
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    model = bare_model()
+    for j in range(n):
+        lb = float(rng.choice([0.0, -np.inf, 1.5, -2.0]))
+        ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb] if np.isfinite(lb) else [np.inf, 1.0]))
+        model.add_variable("x", (j,), f"x{j}", lb=lb, ub=ub)
+    point = [float(np.clip(1.0, v.lb, v.ub)) for v in model.variables]
+    model.objective = {j: float(v) for j, v in enumerate(rng.uniform(-2, 2, n).round(3)) if v}
+    for k in range(int(rng.integers(0, 7))):
+        picked = rng.choice(n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False)
+        terms = [(int(j), float(rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0]))) for j in picked]
+        relation = str(rng.choice(["<=", "=", ">="]))
+        slack = {"<=": 1.0, "=": 0.0, ">=": -1.0}[relation] * round(float(rng.uniform(0, 2)), 3)
+        model.add_constraint(f"row[{k}]", terms, relation, sum(a * point[j] for j, a in terms) + slack)
+    extra_rows = [
+        LinearConstraint(f"__branch[{k}]", ((int(j), 1.0),), str(rng.choice(["<=", ">="])), float(rng.integers(-1, 3)))
+        for k, j in enumerate(rng.integers(0, n, size=int(rng.integers(0, 3))))
+    ]
+    fixes = {int(j): float(rng.integers(0, 3)) for j in rng.choice(n, size=int(rng.integers(0, 3)))}
+    assert_matches_reference(model, extra_rows, fixes)
+
+
+def test_bundled_standard_forms_match_reference(scenario_dir):
+    import warnings
+
+    from railflow.model import CAPACITY_MODES
+    from railflow.scenario import build_scenario_model, load_scenario
+
+    doc = load_scenario(scenario_dir / "single_track_shuttle.json")
+    for mode in CAPACITY_MODES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode=mode)))
+        integers = [i for i, v in enumerate(model.variables) if v.integer]
+        assert_matches_reference(model)
+        branch = LinearConstraint("__branch", ((integers[0], 1.0),), ">=", 1.0)
+        assert_matches_reference(model, [branch], {i: 1.0 for i in integers[1:]})
+
+
 def test_degenerate_lp_terminates():
     # many redundant rows through the origin force degenerate pivots
     c = [-1.0, -1.0, -1.0]
@@ -337,13 +484,14 @@ def test_small_network_lp_matches_highs(small_doc):
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
+    A = dense(sf)
     rel = np.array(sf.relations)
-    upper = np.concatenate([sf.A[rel == "<="], -sf.A[rel == ">="]])
+    upper = np.concatenate([A[rel == "<="], -A[rel == ">="]])
     reference = linprog(
         sf.c,
         A_ub=upper,
         b_ub=np.concatenate([sf.b[rel == "<="], -sf.b[rel == ">="]]),
-        A_eq=sf.A[rel == "="],
+        A_eq=A[rel == "="],
         b_eq=sf.b[rel == "="],
         bounds=(0, None),
         method="highs",
@@ -351,7 +499,7 @@ def test_small_network_lp_matches_highs(small_doc):
     assert reference.status == 0
     assert solution.objective == pytest.approx(reference.fun + sf.objective_constant, rel=1e-9)
 
-    activity = sf.A @ solution.x
+    activity = A @ solution.x
     assert np.all(activity[rel == "<="] <= sf.b[rel == "<="] + 1e-9)
     assert np.all(activity[rel == ">="] >= sf.b[rel == ">="] - 1e-9)
     np.testing.assert_allclose(activity[rel == "="], sf.b[rel == "="], rtol=0, atol=1e-9)
