@@ -4,7 +4,8 @@ The converter folds singleton rows and fixed variables into bounds exactly
 (no tolerance-based presolve), shifts or splits variables so every remaining
 column is nonnegative, and keeps a bijection back to the model variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
-and Bland's rule as the anti-cycling fallback.  The final primal and dual
+and Bland's rule as the anti-cycling fallback; each iteration's work is in
+the nonzeros of the entering column and pivot row.  The final primal and dual
 values are recomputed from the original data so that residuals are at
 machine precision rather than accumulated tableau error: the optimal basis
 is nearly triangular, so peeling its row and column singletons leaves a
@@ -158,10 +159,6 @@ def build_standard_form(
     ub_var = np.nonzero(~fixed & np.isfinite(hi))[0]
     ub_free = free[ub_var]
     span = np.where(ub_free, hi[ub_var], hi[ub_var] - lo[ub_var])
-    short = np.nonzero(~ub_free & (span < -1e-9))[0]
-    if short.size:
-        # shifted nonnegative column: its span collapsed below zero
-        raise InfeasibleModel(f"upper bound below lower bound for {model.variables[ub_var[short[0]]].name}")
 
     term_row = (np.cumsum(kept) - 1)[row_of[live]]
     term_var, term_coef = system.var_idx[live], system.coefs[live]
@@ -298,9 +295,11 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     Artificial variables are kept logical: a basis slot either holds a real
     column or marks its row as artificial.  Since an artificial never
     re-enters the basis, its column values are never needed, which keeps the
-    tableau a quarter slimmer and free of artificial fill-in.  Pivot updates
-    touch only the nonzero block of the rank-1 correction, falling back to a
-    full update once the tableau densifies.
+    tableau a quarter slimmer and free of artificial fill-in.  Each iteration
+    works in the nonzeros of the entering column and pivot row: the column
+    is read once, the artificial guard and the ratio test scan its nonzeros,
+    and the pivot divides the row and applies the rank-1 correction on those
+    nonzeros only, falling back to a full update once the tableau densifies.
 
     At the optimum, x and the duals y are re-solved from the sparse basis
     columns with one singleton-peel ordering plus a dense solve of the bump
@@ -339,7 +338,9 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     # row m+1 the phase-1 objective.
     T = np.zeros((m + 2, width), dtype=float)
     np.add.at(T, (sf.rows, sf.cols), sf.vals * sign[sf.rows])
-    T[:m, -1] = b
+    # + 0.0 turns a -0.0 into +0.0: a pivot divides only the nonzeros of its
+    # row, so a -0.0 would survive it and could reach x through the fallback.
+    T[:m, -1] = b + 0.0
     col = n
     slack_col_of_row = {}
     for i in slack_rows:
@@ -373,24 +374,29 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     iterations = 0
     dense_update = False
 
-    def pivot(p: int, q: int) -> None:
+    def pivot(p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
+        # column is T[:, q] before the pivot and nzc its nonzero rows.  The
+        # row is divided and snapped on its nonzeros only; the rank-1 block
+        # is written through T.reshape(-1), a view as T is C-contiguous.
         nonlocal dense_update
-        T[p, :] /= T[p, q]
-        row = T[p, :]
-        row[np.abs(row) < 1e-13] = 0.0
+        row = T[p]
+        nzr = np.nonzero(row)[0]
+        vals = row[nzr] / column[p]
+        vals[np.abs(vals) < 1e-13] = 0.0
+        row[nzr] = vals
         row[q] = 1.0
-        column = T[:, q].copy()
-        column[p] = 0.0
+        nzr = nzr[vals != 0.0]
+        nzc = nzc[nzc != p]
         if not dense_update:
-            nzr = np.nonzero(row)[0]
-            nzc = np.nonzero(column)[0]
             if len(nzr) * len(nzc) < 0.35 * T.size:
-                T[np.ix_(nzc, nzr)] -= np.outer(column[nzc], row[nzr])
+                block = (nzc[:, None] * width + nzr).ravel()
+                T.reshape(-1)[block] -= np.outer(column[nzc], row[nzr]).ravel()
             else:
                 dense_update = True
         if dense_update:
+            column[p] = 0.0
             T[...] -= np.outer(column, row)
-        T[:, q] = 0.0
+        T[nzc, q] = 0.0
         T[p, q] = 1.0
 
     def run_phase(cost_row: int, phase_one: bool) -> str:
@@ -411,38 +417,40 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
                 if costs[q] >= -tol.pivot:
                     return OPTIMAL
 
-            column = T[:m, q]
+            column = T[:, q].copy()
+            nzc = np.nonzero(column)[0]
+            nz = nzc[nzc < m]
+            entries = column[nz]
             # Keep basic artificials at zero: rows where the entering column
             # would increase one (negative entry) are pivoted on immediately,
             # a zero-length step that drives the artificial out for good.
             # Positive entries need no guard; the ratio test picks them at
             # ratio zero by itself.
             if not phase_one and basic_artificial.any():
-                guard = np.nonzero(basic_artificial & (column < -tol.pivot))[0]
+                guard = nz[basic_artificial[nz] & (entries < -tol.pivot)]
                 if guard.size:
-                    entries = column[guard]
-                    strongest = entries.min()
-                    pick = guard[entries <= strongest + 1e-12]
+                    strongest = column[guard].min()
+                    pick = guard[column[guard] <= strongest + 1e-12]
                     p = int(pick[np.argmin(leave_rank[pick])])
                     basic_artificial[p] = False
                     basis[p] = q
                     leave_rank[p] = q
-                    pivot(p, q)
+                    pivot(p, q, column, nzc)
                     iterations += 1
                     continue
 
-            positive = column > tol.pivot
+            positive = entries > tol.pivot
             if not positive.any():
                 return UNBOUNDED if not phase_one else OPTIMAL
-            ratios = np.full(m, np.inf)
-            ratios[positive] = T[:m, -1][positive] / column[positive]
+            candidates = nz[positive]
+            ratios = T[candidates, -1] / entries[positive]
             best = ratios.min()
-            ties = np.nonzero(ratios <= best + 1e-12)[0]
+            ties = candidates[ratios <= best + 1e-12]
             p = int(ties[np.argmin(leave_rank[ties])])
             basic_artificial[p] = False
             basis[p] = q
             leave_rank[p] = q
-            pivot(p, q)
+            pivot(p, q, column, nzc)
             iterations += 1
             if best <= 1e-12:
                 stall += 1

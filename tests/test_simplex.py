@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from railflow.model import LinearConstraint
+from railflow.model import CAPACITY_MODES, LinearConstraint
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
     InfeasibleModel,
+    LpSolution,
     _solve_sparse_basis,
     StandardFormLP,
     Tolerances,
@@ -142,6 +143,211 @@ def assert_matches_reference(model, extra_rows=(), extra_fixes=None):
     # right-hand sides and the constant sum the same terms in another order
     np.testing.assert_allclose(sf.b, b, rtol=1e-12, atol=1e-12)
     assert sf.objective_constant == pytest.approx(constant, rel=1e-12, abs=1e-12)
+
+
+def reference_solve_lp(sf, tol=None):
+    """solve_lp as it was before pivots worked on nonzeros only: the reference.
+
+    Every iteration makes whole-column and whole-row passes over the tableau;
+    solve_lp must take the same pivots and return the same bits.
+    """
+    if tol is None:
+        tol = Tolerances()
+    m, n = sf.n_rows, sf.n_cols
+
+    if n == 0:
+        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
+    if m == 0:
+        if np.any(sf.c < -tol.pivot):
+            return LpSolution(UNBOUNDED, None, None, 0)
+        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
+
+    # Orient every row with a nonnegative right-hand side; <= rows get a
+    # slack column, = and >= rows start from a logical artificial.
+    sign = np.where(sf.b < 0, -1.0, 1.0)
+    b = sf.b * sign
+    flipped = {"<=": ">=", ">=": "<=", "=": "="}
+    rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, sign)]
+
+    slack_rows = [i for i in range(m) if rel[i] == "<="]
+    surplus_rows = [i for i in range(m) if rel[i] == ">="]
+    art_rows = [i for i in range(m) if rel[i] != "<="]
+    n_slack = len(slack_rows)
+    n_surplus = len(surplus_rows)
+    n_art = len(art_rows)
+    ncols = n + n_slack + n_surplus
+    width = ncols + 1
+
+    # Tableau rows 0..m-1 are constraints; row m is the phase-2 objective,
+    # row m+1 the phase-1 objective.
+    T = np.zeros((m + 2, width), dtype=float)
+    np.add.at(T, (sf.rows, sf.cols), sf.vals * sign[sf.rows])
+    T[:m, -1] = b
+    col = n
+    slack_col_of_row = {}
+    for i in slack_rows:
+        T[i, col] = 1.0
+        slack_col_of_row[i] = col
+        col += 1
+    surplus_col_of_row = {}
+    for i in surplus_rows:
+        T[i, col] = -1.0
+        surplus_col_of_row[i] = col
+        col += 1
+
+    basis = np.empty(m, dtype=int)
+    basic_artificial = np.zeros(m, dtype=bool)
+    for i in slack_rows:
+        basis[i] = slack_col_of_row[i]
+    for i in art_rows:
+        basis[i] = -1
+        basic_artificial[i] = True
+
+    T[m, :n] = sf.c
+    if n_art:
+        art_mask = np.zeros(m, dtype=bool)
+        art_mask[art_rows] = True
+        T[m + 1, :] = -T[:m][art_mask].sum(axis=0)
+
+    # Leaving-variable order for Bland's rule: artificials rank before real
+    # columns so they are preferred out on ties (fixed, deterministic order).
+    leave_rank = np.where(basic_artificial, -1 - np.arange(m), basis)
+
+    iterations = 0
+    dense_update = False
+
+    def pivot(p: int, q: int) -> None:
+        nonlocal dense_update
+        T[p, :] /= T[p, q]
+        row = T[p, :]
+        row[np.abs(row) < 1e-13] = 0.0
+        row[q] = 1.0
+        column = T[:, q].copy()
+        column[p] = 0.0
+        if not dense_update:
+            nzr = np.nonzero(row)[0]
+            nzc = np.nonzero(column)[0]
+            if len(nzr) * len(nzc) < 0.35 * T.size:
+                T[np.ix_(nzc, nzr)] -= np.outer(column[nzc], row[nzr])
+            else:
+                dense_update = True
+        if dense_update:
+            T[...] -= np.outer(column, row)
+        T[:, q] = 0.0
+        T[p, q] = 1.0
+
+    def run_phase(cost_row: int, phase_one: bool) -> str:
+        nonlocal iterations
+        bland = False
+        stall = 0
+        while True:
+            if iterations >= tol.max_iterations:
+                return ITERATION_LIMIT
+            costs = T[cost_row, :ncols]
+            if bland:
+                neg = np.nonzero(costs < -tol.pivot)[0]
+                if neg.size == 0:
+                    return OPTIMAL
+                q = int(neg[0])
+            else:
+                q = int(np.argmin(costs))
+                if costs[q] >= -tol.pivot:
+                    return OPTIMAL
+
+            column = T[:m, q]
+            # Keep basic artificials at zero: rows where the entering column
+            # would increase one (negative entry) are pivoted on immediately,
+            # a zero-length step that drives the artificial out for good.
+            # Positive entries need no guard; the ratio test picks them at
+            # ratio zero by itself.
+            if not phase_one and basic_artificial.any():
+                guard = np.nonzero(basic_artificial & (column < -tol.pivot))[0]
+                if guard.size:
+                    entries = column[guard]
+                    strongest = entries.min()
+                    pick = guard[entries <= strongest + 1e-12]
+                    p = int(pick[np.argmin(leave_rank[pick])])
+                    basic_artificial[p] = False
+                    basis[p] = q
+                    leave_rank[p] = q
+                    pivot(p, q)
+                    iterations += 1
+                    continue
+
+            positive = column > tol.pivot
+            if not positive.any():
+                return UNBOUNDED if not phase_one else OPTIMAL
+            ratios = np.full(m, np.inf)
+            ratios[positive] = T[:m, -1][positive] / column[positive]
+            best = ratios.min()
+            ties = np.nonzero(ratios <= best + 1e-12)[0]
+            p = int(ties[np.argmin(leave_rank[ties])])
+            basic_artificial[p] = False
+            basis[p] = q
+            leave_rank[p] = q
+            pivot(p, q)
+            iterations += 1
+            if best <= 1e-12:
+                stall += 1
+                if stall > tol.bland_after:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+
+    if n_art:
+        outcome = run_phase(m + 1, phase_one=True)
+        if outcome == ITERATION_LIMIT:
+            return LpSolution(ITERATION_LIMIT, None, None, iterations)
+        if T[m + 1, -1] < -(tol.feasibility * max(1.0, float(np.abs(b).max(initial=1.0)))):
+            return LpSolution(INFEASIBLE, None, None, iterations)
+
+    outcome = run_phase(m, phase_one=False)
+    if outcome == ITERATION_LIMIT:
+        return LpSolution(ITERATION_LIMIT, None, None, iterations)
+    if outcome == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None, iterations)
+
+    # Recompute the basic solution from the original data: one fresh solve
+    # wipes out the error accumulated across thousands of tableau updates.
+    # The basis is assembled as sparse columns (slot, row, value): a logical
+    # slot holds a unit column, a structural slot its oriented column of A.
+    real = ~basic_artificial
+    slot_of_col = np.full(ncols, -1)
+    slot_of_col[basis[real]] = np.nonzero(real)[0]
+    keep = slot_of_col[sf.cols] >= 0
+    a_rows, a_cols = sf.rows[keep], sf.cols[keep]
+    logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
+    logical_slots = slot_of_col[n:]
+    in_basis = logical_slots >= 0
+    artificial_slots = np.nonzero(basic_artificial)[0]
+    rows = np.concatenate([a_rows, logical_rows[in_basis], artificial_slots])
+    slots = np.concatenate([slot_of_col[a_cols], logical_slots[in_basis], artificial_slots])
+    vals = np.concatenate([
+        sf.vals[keep] * sign[a_rows],
+        np.repeat([1.0, -1.0], [n_slack, n_surplus])[in_basis],
+        np.ones(artificial_slots.size),
+    ])
+
+    x_full = np.zeros(ncols, dtype=float)
+    dual_objective = None
+    basic_costs = np.zeros(m)
+    structural = real & (basis < n)
+    basic_costs[structural] = sf.c[basis[structural]]
+    try:
+        x_basic, y = _solve_sparse_basis(rows, slots, vals, b, basic_costs)
+        residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
+        if float(np.abs(residual).max(initial=0.0)) > 1e-6:
+            x_basic = T[:m, -1].copy()
+        dual_objective = float(y @ b) + sf.objective_constant
+    except np.linalg.LinAlgError:
+        x_basic = T[:m, -1].copy()
+    x_full[basis[real]] = x_basic[real]
+
+    np.clip(x_full, 0.0, None, out=x_full)
+    x = x_full[:n]
+    objective = float(sf.c @ x) + sf.objective_constant
+    return LpSolution(OPTIMAL, objective, x, iterations, dual_objective)
 
 
 def enumerate_vertices_min(c, A, b):
@@ -399,6 +605,129 @@ def test_degenerate_lp_terminates():
     sol = solve_lp(raw_lp(c, A, b))
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-1.0)
+
+
+def assert_same_solution(got, want):
+    """Same status and iterations; bit-equal x, objective and dual objective."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert repr(got.objective) == repr(want.objective)
+    assert repr(got.dual_objective) == repr(want.dual_objective)
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+
+
+def random_standard_form(rng, dense=False):
+    """Small standard-form LP with mixed relations, signs, zeros and repeats.
+
+    Coefficients come from a few round values so that ties, zero ratios and
+    degenerate pivots are common; right-hand sides include negatives and
+    -0.0, and a copied row (sometimes with another relation) makes the
+    system redundant or contradictory.  Many draws are infeasible or
+    unbounded.  A dense draw fills A, which drives the pivots into the
+    full-tableau update.
+    """
+    m, n = (int(k) for k in rng.integers(1, 7, size=2))
+    A = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0], size=(m, n))
+    if not dense:
+        A[rng.random((m, n)) < 0.5] = 0.0
+    b = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0, 3.0], size=m)
+    relations = rng.choice(["<=", "=", ">="], size=m).tolist()
+    if m > 1 and rng.random() < 0.4:
+        A[-1], b[-1] = A[0], b[0]
+        if rng.random() < 0.5:
+            relations[-1] = relations[0]
+    c = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=n)
+    return raw_lp(c, A, b, relations)
+
+
+def assert_matches_reference_solve(lp):
+    """solve_lp equals reference_solve_lp, uncut and cut at every iteration count."""
+    want = reference_solve_lp(lp)
+    assert_same_solution(solve_lp(lp), want)
+    for k in range(want.iterations + 1):
+        tol = Tolerances(max_iterations=k)
+        assert_same_solution(solve_lp(lp, tol), reference_solve_lp(lp, tol))
+    return want
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_solve_lp_matches_reference_property(seed):
+    rng = np.random.default_rng(seed)
+    assert_matches_reference_solve(random_standard_form(rng, dense=rng.random() < 0.3))
+
+
+def test_solve_lp_matches_reference_on_every_outcome():
+    # Cuts inside phase 1 show on infeasible draws (every iteration is in
+    # phase 1), cuts inside phase 2 on draws of <= rows with b >= 0 (no
+    # artificial, so no phase 1).
+    seen = set()
+    for seed in range(300):
+        lp = random_standard_form(np.random.default_rng(seed))
+        want = assert_matches_reference_solve(lp)
+        seen.add(want.status)
+        if want.iterations and want.status == INFEASIBLE:
+            seen.add("cut in phase 1")
+        if want.iterations and set(lp.relations) == {"<="} and lp.b.min() >= 0:
+            seen.add("cut in phase 2")
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "cut in phase 1", "cut in phase 2"}
+
+
+def test_dense_update_matches_reference(monkeypatch):
+    lp = random_standard_form(np.random.default_rng(4), dense=True)
+    rows_updated = []
+    outer = np.outer
+
+    def recording_outer(a, b):
+        rows_updated.append(len(a))
+        return outer(a, b)
+
+    monkeypatch.setattr(np, "outer", recording_outer)
+    solution = solve_lp(lp)
+    monkeypatch.undo()
+    # Only the full-tableau update passes a column of all m + 2 rows: the
+    # block update leaves out at least the pivot row.
+    assert lp.n_rows + 2 in rows_updated
+    assert solution.status == OPTIMAL
+    assert_matches_reference_solve(lp)
+
+
+def test_bland_rule_ends_cycling():
+    # Beale's cycling example: the largest-coefficient rule cycles through
+    # degenerate pivots at the origin until Bland's rule takes over.
+    lp = raw_lp(
+        [-0.75, 20.0, -0.5, 6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+    )
+    solution = solve_lp(lp)
+    assert (solution.status, solution.iterations) == (OPTIMAL, 43)
+    assert solution.objective == -1.25
+    np.testing.assert_array_equal(solution.x, [1.0, 0.0, 1.0, 0.0])
+    assert_same_solution(solution, reference_solve_lp(lp))
+    never_bland = Tolerances(bland_after=10**6, max_iterations=1_000)
+    assert solve_lp(lp, never_bland).status == ITERATION_LIMIT
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+def test_bundled_lp_matches_reference(small_doc, mode):
+    # Real tableaux: fractions with many denominators, degenerate stretches
+    # and about 1100 pivots, which the round-valued random LPs do not give.
+    from railflow.scenario import build_scenario_model
+
+    config = replace(small_doc.config, capacity_mode=mode, relax_integrality=True)
+    sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
+    assert_same_solution(solve_lp(sf), reference_solve_lp(sf))
+
+
+def test_shifted_column_with_upper_below_lower_is_conflicting():
+    model = synthetic_model([1.0, 1.0], [([1.0, 1.0], "<=", 4.0)])
+    model.variables[1] = model.variables[1].__class__(
+        model.variables[1].ref, model.variables[1].name, lb=2.0, ub=1.5
+    )
+    with pytest.raises(InfeasibleModel, match=r"conflicting bounds on x1$"):
+        build_standard_form(model)
 
 
 def solve_coo(M, b, c):
