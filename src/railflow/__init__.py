@@ -70,6 +70,7 @@ from .scenario import (
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICS,
     OPTIMAL,
     UNBOUNDED,
     LpSolution,

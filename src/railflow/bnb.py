@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .model import LinearConstraint, TimeExpandedModel
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICS,
     OPTIMAL,
     UNBOUNDED,
     Tolerances,
@@ -100,17 +101,13 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     nodes = 0
     incumbent: Optional[np.ndarray] = None
     incumbent_obj = math.inf
-    hit_limit = False
+    stopped: Optional[str] = None  # ITERATION_LIMIT or NUMERICS once the search stops early
 
     root_solution, root_values = solve_model_lp(model, tol)
     iterations += root_solution.iterations
     nodes += 1
-    if root_solution.status == UNBOUNDED:
-        return SolveResult(UNBOUNDED, None, None, iterations, nodes)
-    if root_solution.status == INFEASIBLE:
-        return SolveResult(INFEASIBLE, None, None, iterations, nodes)
-    if root_solution.status == ITERATION_LIMIT:
-        return SolveResult(ITERATION_LIMIT, None, None, iterations, nodes)
+    if root_solution.status != OPTIMAL:
+        return SolveResult(root_solution.status, None, None, iterations, nodes)
 
     # heap of (lp bound, tie-break counter, branch rows)
     heap: list[tuple[float, int, tuple[LinearConstraint, ...]]] = []
@@ -166,13 +163,13 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
             break
         heapq.heappop(heap)
         if nodes >= tol.max_nodes:
-            hit_limit = True
+            stopped = ITERATION_LIMIT
             break
         solution, values = solve_model_lp(model, tol, extra_rows=branch_rows)
         iterations += solution.iterations
         nodes += 1
-        if solution.status == ITERATION_LIMIT:
-            hit_limit = True
+        if solution.status in (ITERATION_LIMIT, NUMERICS):
+            stopped = solution.status
             break
         if solution.status == INFEASIBLE:
             continue
@@ -183,15 +180,14 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         process(solution, values, branch_rows)
 
     if incumbent is None:
-        status = ITERATION_LIMIT if hit_limit else INFEASIBLE
-        return SolveResult(status, None, None, iterations, nodes)
+        return SolveResult(stopped or INFEASIBLE, None, None, iterations, nodes)
 
-    if heap and not hit_limit:
+    if heap and not stopped:
         best_bound = min(best_bound, heap[0][0])
     elif not heap:
         best_bound = incumbent_obj
     gap = _relative_gap(incumbent_obj, best_bound)
-    status = OPTIMAL if (not hit_limit and gap <= tol.mip_gap) else ITERATION_LIMIT
+    status = stopped or (OPTIMAL if gap <= tol.mip_gap else ITERATION_LIMIT)
     values = incumbent.copy()
     values[np.abs(values) < 1e-11] = 0.0
     for idx in int_vars:
@@ -211,6 +207,11 @@ def refine_to_earliest_pace(
     through every node as early as possible.  This resolves the tie between
     alternate optima that differ only in when volume crosses a link, so the
     reported capacity usage matches the physical reading of the flows.
+
+    The solved optimum is feasible for this LP by construction, so a
+    refinement that does not end optimal keeps the solved values but not the
+    OPTIMAL status: it reads ITERATION_LIMIT when the LP hit its cap and
+    NUMERICS otherwise.
     """
     if result.status != OPTIMAL or result.values is None:
         return result
@@ -248,8 +249,9 @@ def refine_to_earliest_pace(
         extra_fixes=fixes,
         objective_override=secondary,
     )
-    if solution.status != OPTIMAL or values is None:
-        return result
+    if solution.status != OPTIMAL:
+        status = ITERATION_LIMIT if solution.status == ITERATION_LIMIT else NUMERICS
+        return replace(result, status=status, iterations=result.iterations + solution.iterations)
     _reoptimize_setup(model, values)
     refined_obj = model.objective_value(values)
     return SolveResult(
@@ -282,8 +284,8 @@ def _reoptimize_setup(model: TimeExpandedModel, values: np.ndarray) -> None:
             opp = sum(
                 values[model.var("linkcap", other, t, h.id)] for h in model.network.train_types
             )
-            need_when_flagged = own / model.config.setup_coefficient(rep, t)
-            need_when_clear = opp / model.config.setup_coefficient(other, t)
+            need_when_flagged = own / model.config.k_setup
+            need_when_clear = opp / model.config.k_setup
             w_idx = model.var("setup_w", rep, t)
             beta_idx = model.var("dirflag_beta", rep, t)
             if need_when_flagged <= need_when_clear + 1e-12:

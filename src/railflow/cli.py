@@ -1,6 +1,7 @@
 """Batch front end: validate scenario files, solve them, write reports.
 
-Exit codes: 0 optimal, 1 input error, 2 infeasible, 3 solver limit reached.
+Exit codes: 0 optimal, 1 input error, 2 infeasible, 3 solver limit reached
+(or unbounded), 4 numerics (the simplex could not verify its optimal basis).
 """
 
 from __future__ import annotations
@@ -20,12 +21,21 @@ from .scenario import (
     report_demand_csv,
     run,
 )
-from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL
+from .model import CAPACITY_MODES
+from .simplex import INFEASIBLE, ITERATION_LIMIT, NUMERICS, OPTIMAL, UNBOUNDED
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
+EXIT_NUMERICS = 4
+EXIT_OF_STATUS = {
+    OPTIMAL: EXIT_OK,
+    INFEASIBLE: EXIT_INFEASIBLE,
+    ITERATION_LIMIT: EXIT_LIMIT,
+    UNBOUNDED: EXIT_LIMIT,
+    NUMERICS: EXIT_NUMERICS,
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -39,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("--scenario", type=Path, required=True, help="scenario JSON file")
     solve.add_argument(
         "--capacity-mode",
-        choices=["basic", "single_track_alt1", "single_track_alt2", "heterogeneous"],
+        choices=CAPACITY_MODES,
         help="override the scenario's capacity mode",
     )
     solve.add_argument(
@@ -55,15 +65,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
+def _load(path: Path):
+    """The scenario at path, or None after printing why it cannot be loaded."""
     try:
-        doc = load_scenario(args.scenario)
+        return load_scenario(path)
     except ScenarioError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
-        return EXIT_INPUT
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_validate(args) -> int:
+    doc = _load(args.scenario)
+    if doc is None:
         return EXIT_INPUT
     print(
         f"{doc.name}: ok ({len(doc.nodes)} nodes, {len(doc.links)} links,"
@@ -74,14 +90,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        doc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(f"error: {line}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    doc = _load(args.scenario)
+    if doc is None:
         return EXIT_INPUT
 
     config = doc.config
@@ -127,13 +137,7 @@ def _cmd_solve(args) -> int:
             path.write_bytes(export_model_text(output.model, name=doc.name).encode("utf-8"))
             print(f"no solution; model exported to {path}", file=sys.stderr)
 
-    if result.status == OPTIMAL:
-        return EXIT_OK
-    if result.status == INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if result.status == ITERATION_LIMIT:
-        return EXIT_LIMIT
-    return EXIT_LIMIT
+    return EXIT_OF_STATUS[result.status]
 
 
 def main(argv=None) -> int:

@@ -46,7 +46,6 @@ class ModelConfig:
     capacity_mode: str = "basic"
     k_het: float = 0.25
     k_setup: float = 1.0
-    k_setup_overrides: Mapping[tuple[int, int], float] | None = None
     big_m: Optional[float] = None
     arrival_slack: float = 0.0
     arrival_slack_overrides: Mapping[int, float] | None = None
@@ -62,8 +61,10 @@ class ModelConfig:
             (name, getattr(self, name))
             for name in ("k_het", "k_setup", "big_m", "arrival_slack", "cost_cancel", "cost_post")
         ]
-        for name in ("k_setup_overrides", "arrival_slack_overrides"):
-            numbers += [(f"{name}[{key}]", v) for key, v in (getattr(self, name) or {}).items()]
+        numbers += [
+            (f"arrival_slack_overrides[{key}]", v)
+            for key, v in (self.arrival_slack_overrides or {}).items()
+        ]
         for name, value in numbers:
             if value is not None and not math.isfinite(value):
                 raise ModelError(f"{name} must be finite, got {value}")
@@ -73,11 +74,6 @@ class ModelConfig:
             raise ModelError("k_setup must lie in (0, 1]")
         if self.arrival_slack < 0:
             raise ModelError("arrival slack must be >= 0")
-
-    def setup_coefficient(self, link_id: int, t: int) -> float:
-        if self.k_setup_overrides:
-            return self.k_setup_overrides.get((link_id, t), self.k_setup)
-        return self.k_setup
 
     def slack_for_route(self, route_id: int) -> float:
         if self.arrival_slack_overrides:
@@ -186,23 +182,6 @@ class TimeExpandedModel:
         if relation not in ("<=", "=", ">="):
             raise ModelError(f"bad relation {relation!r} in {name}")
         self.constraints.append(LinearConstraint(name, _merge_terms(terms), relation, float(rhs)))
-
-    # -- label helpers used in names and reports ---------------------------
-
-    def link_label(self, link_id: int) -> str:
-        return self.network.link(link_id).name
-
-    def node_label(self, node_id: int) -> str:
-        return self.network.node(node_id).name
-
-    def type_label(self, type_id: int) -> str:
-        return self.network.train_type(type_id).label
-
-    def route_label(self, route_id: int) -> str:
-        return self.catalog.route(route_id).name
-
-    def demand_label(self, demand_id: int) -> str:
-        return self.catalog.demand(demand_id).name
 
     def objective_value(self, values) -> float:
         return float(sum(coef * values[idx] for idx, coef in self.objective.items()))
@@ -418,13 +397,13 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 opp = [(model.var("linkcap", other, t, h.id), 1.0) for h in network.train_types]
                 model.add_constraint(
                     f"Capacity2alt2setup[l={lname},t={t}]",
-                    own + [(w, -config.setup_coefficient(rep, t)), (beta, model.big_m)],
+                    own + [(w, -config.k_setup), (beta, model.big_m)],
                     "<=",
                     model.big_m,
                 )
                 model.add_constraint(
                     f"Capacity2alt2setup[l={oname},t={t}]",
-                    opp + [(w, -config.setup_coefficient(other, t)), (beta, -model.big_m)],
+                    opp + [(w, -config.k_setup), (beta, -model.big_m)],
                     "<=",
                     0.0,
                 )

@@ -196,29 +196,40 @@ def _parse_tcr(raw, position: str, t_max: int, link_names: set[str], errors: lis
     if not isinstance(raw, dict):
         errors.append(f"{position}: expected an object")
         return None
-    link = raw.get("link")
-    if link not in link_names:
-        errors.append(f"{position}: unknown link {link!r}")
+    override = TcrOverride(raw.get("link"), raw.get("period"), raw.get("capacity"), raw.get("scale"))
+    return _checked_tcr(override, position, t_max, link_names, errors)
+
+
+def _checked_tcr(
+    o: TcrOverride, position: str, t_max: int, link_names: set[str], errors: list[str]
+) -> Optional[TcrOverride]:
+    """o with a float value if it is valid; otherwise record the finding and return None.
+
+    Valid means: a known link, no period or one in 1..t_max, exactly one of
+    capacity or scale, and that value finite and >= 0.
+    """
+    if not isinstance(o.link, str) or o.link not in link_names:
+        errors.append(f"{position}: unknown link {o.link!r}")
         return None
-    period = raw.get("period")
-    if period is not None:
-        if not isinstance(period, int) or isinstance(period, bool):
+    if o.period is not None:
+        if not isinstance(o.period, int) or isinstance(o.period, bool):
             errors.append(f"{position}: period must be an integer or null")
             return None
-        if not 1 <= period <= t_max:
-            errors.append(f"{position}: period {period} outside horizon 1..{t_max}")
+        if not 1 <= o.period <= t_max:
+            errors.append(f"{position}: period {o.period} outside horizon 1..{t_max}")
             return None
-    capacity = raw.get("capacity")
-    scale = raw.get("scale")
-    if (capacity is None) == (scale is None):
+    if (o.capacity is None) == (o.scale is None):
         errors.append(f"{position}: give exactly one of capacity or scale")
         return None
-    key, value = ("capacity", capacity) if capacity is not None else ("scale", scale)
-    value = _number(value, f"{position}.{key}", errors)
+    key = "capacity" if o.capacity is not None else "scale"
+    found = len(errors)
+    value = _number(getattr(o, key), f"{position}.{key}", errors)
+    if len(errors) > found:
+        return None
     if value < 0:
         errors.append(f"{position}: {key} must be >= 0")
         return None
-    return TcrOverride(link=link, period=period, **{key: value})
+    return replace(o, **{key: value})
 
 
 def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
@@ -570,25 +581,16 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
     link_names = {l.name for l in doc.links}
     capacity = dict(doc.capacity)
     for i, o in enumerate(overrides):
-        if o.link not in link_names:
-            raise ScenarioError([f"tcr_overrides[{i}]: unknown link {o.link!r}"])
-        if o.period is not None and not 1 <= o.period <= doc.t_max:
-            raise ScenarioError(
-                [f"tcr_overrides[{i}]: period {o.period} outside horizon 1..{doc.t_max}"]
-            )
-        if (o.capacity is None) == (o.scale is None):
-            raise ScenarioError([f"tcr_overrides[{i}]: give exactly one of capacity or scale"])
-        key = "capacity" if o.capacity is not None else "scale"
         errors: list[str] = []
-        value = _number(getattr(o, key), f"tcr_overrides[{i}].{key}", errors)
-        if errors:
+        o = _checked_tcr(o, f"tcr_overrides[{i}]", doc.t_max, link_names, errors)
+        if o is None:
             raise ScenarioError(errors)
         periods = (o.period,) if o.period is not None else tuple(range(1, doc.t_max + 1))
         for t in periods:
-            if key == "capacity":
-                capacity[(o.link, t)] = value
+            if o.capacity is not None:
+                capacity[(o.link, t)] = o.capacity
             else:
-                capacity[(o.link, t)] = capacity[(o.link, t)] * value
+                capacity[(o.link, t)] = capacity[(o.link, t)] * o.scale
     return replace(doc, capacity=capacity, tcr_overrides=())
 
 

@@ -9,7 +9,9 @@ the nonzeros of the entering column and pivot row.  The final primal and dual
 values are recomputed from the original data so that residuals are at
 machine precision rather than accumulated tableau error: the optimal basis
 is nearly triangular, so peeling its row and column singletons leaves a
-small dense bump, and only that bump goes through a dense solve.
+small dense bump, and only that bump goes through a dense solve.  A basis
+that this re-solve cannot verify ends the solve as NUMERICS; tableau values
+never leave the solver.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+NUMERICS = "numerics"
 
 
 @dataclass(frozen=True)
@@ -299,13 +302,14 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     works in the nonzeros of the entering column and pivot row: the column
     is read once, the artificial guard and the ratio test scan its nonzeros,
     and the pivot divides the row and applies the rank-1 correction on those
-    nonzeros only, falling back to a full update once the tableau densifies.
+    nonzeros only.
 
     At the optimum, x and the duals y are re-solved from the sparse basis
     columns with one singleton-peel ordering plus a dense solve of the bump
-    (_solve_sparse_basis).  x falls back to the tableau's values when that
-    re-solve leaves a residual above 1e-6, and x does so with no dual
-    objective when the basis proves singular.
+    (_solve_sparse_basis).  That re-solve is the only source of an OPTIMAL
+    solution, so an OPTIMAL result always carries a dual objective.  When the
+    basis proves singular, or x leaves a residual above 1e-6, the result is
+    NUMERICS with no values.
     """
     if tol is None:
         tol = Tolerances()
@@ -338,9 +342,7 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     # row m+1 the phase-1 objective.
     T = np.zeros((m + 2, width), dtype=float)
     np.add.at(T, (sf.rows, sf.cols), sf.vals * sign[sf.rows])
-    # + 0.0 turns a -0.0 into +0.0: a pivot divides only the nonzeros of its
-    # row, so a -0.0 would survive it and could reach x through the fallback.
-    T[:m, -1] = b + 0.0
+    T[:m, -1] = b
     col = n
     slack_col_of_row = {}
     for i in slack_rows:
@@ -372,13 +374,11 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
     leave_rank = np.where(basic_artificial, -1 - np.arange(m), basis)
 
     iterations = 0
-    dense_update = False
 
     def pivot(p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
         # row is divided and snapped on its nonzeros only; the rank-1 block
         # is written through T.reshape(-1), a view as T is C-contiguous.
-        nonlocal dense_update
         row = T[p]
         nzr = np.nonzero(row)[0]
         vals = row[nzr] / column[p]
@@ -387,15 +387,8 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
         row[q] = 1.0
         nzr = nzr[vals != 0.0]
         nzc = nzc[nzc != p]
-        if not dense_update:
-            if len(nzr) * len(nzc) < 0.35 * T.size:
-                block = (nzc[:, None] * width + nzr).ravel()
-                T.reshape(-1)[block] -= np.outer(column[nzc], row[nzr]).ravel()
-            else:
-                dense_update = True
-        if dense_update:
-            column[p] = 0.0
-            T[...] -= np.outer(column, row)
+        block = (nzc[:, None] * width + nzr).ravel()
+        T.reshape(-1)[block] -= np.outer(column[nzc], row[nzr]).ravel()
         T[nzc, q] = 0.0
         T[p, q] = 1.0
 
@@ -494,25 +487,23 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
         np.ones(artificial_slots.size),
     ])
 
-    x_full = np.zeros(ncols, dtype=float)
-    dual_objective = None
     basic_costs = np.zeros(m)
     structural = real & (basis < n)
     basic_costs[structural] = sf.c[basis[structural]]
     try:
         x_basic, y = _solve_sparse_basis(rows, slots, vals, b, basic_costs)
-        residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
-        if float(np.abs(residual).max(initial=0.0)) > 1e-6:
-            x_basic = T[:m, -1].copy()
-        dual_objective = float(y @ b) + sf.objective_constant
     except np.linalg.LinAlgError:
-        x_basic = T[:m, -1].copy()
+        return LpSolution(NUMERICS, None, None, iterations)
+    residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
+    if float(np.abs(residual).max(initial=0.0)) > 1e-6:
+        return LpSolution(NUMERICS, None, None, iterations)
+    x_full = np.zeros(ncols, dtype=float)
     x_full[basis[real]] = x_basic[real]
 
     np.clip(x_full, 0.0, None, out=x_full)
     x = x_full[:n]
     objective = float(sf.c @ x) + sf.objective_constant
-    return LpSolution(OPTIMAL, objective, x, iterations, dual_objective)
+    return LpSolution(OPTIMAL, objective, x, iterations, float(y @ b) + sf.objective_constant)
 
 
 def solve_model_lp(

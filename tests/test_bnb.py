@@ -3,10 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from railflow.bnb import solve_mip
+from railflow import bnb
+from railflow.bnb import refine_to_earliest_pace, solve_mip
 from railflow.catalog import Demand, Route, ServiceCatalog
 from railflow.model import ModelConfig, build_model
-from railflow.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Tolerances
+from railflow.simplex import (
+    INFEASIBLE,
+    ITERATION_LIMIT,
+    NUMERICS,
+    OPTIMAL,
+    UNBOUNDED,
+    LpSolution,
+    Tolerances,
+)
 from support import line_network, line_model, synthetic_model
 
 
@@ -141,3 +150,59 @@ def test_incumbent_gap_reported_closed():
         assert result.gap is not None and result.gap <= 1e-6
         assert result.bound is not None
         assert result.bound <= result.objective + 1e-9
+
+
+def lp_ending(monkeypatch, status, when):
+    """Make every LP solve whose keyword arguments satisfy when end with status."""
+    solve = bnb.solve_model_lp
+
+    def patched(model, tol=None, **kwargs):
+        if when(kwargs):
+            return LpSolution(status, None, None, 7), None
+        return solve(model, tol, **kwargs)
+
+    monkeypatch.setattr(bnb, "solve_model_lp", patched)
+
+
+@pytest.mark.parametrize(
+    "when",
+    [lambda kwargs: not kwargs, lambda kwargs: "extra_rows" in kwargs],
+    ids=["root", "node"],
+)
+def test_numerics_lp_stops_the_search(monkeypatch, when):
+    # The root LP puts the binary at 0.5 and rounding finds the incumbent 0,
+    # so the search must solve a child node to prove it optimal.
+    model = synthetic_model([-1.0], [([2.0], "<=", 1.0)], integer=(0,), ub=[1.0])
+    lp_ending(monkeypatch, NUMERICS, when)
+    result = solve_mip(model)
+    assert result.status == NUMERICS
+    assert result.iterations >= 7
+
+
+@pytest.mark.parametrize(
+    "lp_status, status",
+    [
+        (NUMERICS, NUMERICS),
+        (INFEASIBLE, NUMERICS),
+        (UNBOUNDED, NUMERICS),
+        (ITERATION_LIMIT, ITERATION_LIMIT),
+    ],
+)
+def test_failed_refinement_is_not_optimal(monkeypatch, lp_status, status):
+    model = line_model(volumes=(1, 1, 0))
+    solved = solve_mip(model)
+    assert solved.status == OPTIMAL
+    lp_ending(monkeypatch, lp_status, lambda kwargs: True)
+    refined = refine_to_earliest_pace(model, solved)
+    assert refined.status == status
+    assert refined.objective == solved.objective
+    assert refined.values is solved.values
+    assert refined.iterations == solved.iterations + 7
+
+
+def test_refinement_at_the_iteration_cap_reads_iteration_limit():
+    model = line_model(volumes=(1, 1, 0))
+    solved = solve_mip(model)
+    assert refine_to_earliest_pace(model, solved).status == OPTIMAL
+    capped = refine_to_earliest_pace(model, solved, Tolerances(max_iterations=1))
+    assert capped.status == ITERATION_LIMIT

@@ -1,6 +1,18 @@
 import json
+import sys
+from pathlib import Path
 
+import pytest
+
+from mps_reader import solve_with_scipy
 from railflow.cli import main
+from railflow.mps_io import export_model_text
+from railflow.scenario import load_scenario, run
+from railflow.simplex import NUMERICS
+
+# The benchmark's seeded line generator, imported read only.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import synth  # noqa: E402
 
 
 def test_validate_ok(scenario_dir, capsys):
@@ -95,3 +107,27 @@ def test_export_is_deterministic_across_processes(scenario_dir, tmp_path):
         )
         paths.append(target.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize(
+    "shape, name, highs",
+    [((13, 5, 6, 5), "line5", 0.4551), ((32, 6, 6, 6), "line6", 0.8938)],
+    ids=["line5-13", "line6-32"],
+)
+def test_unverifiable_basis_exits_numerics(tmp_path, capsys, shape, name, highs):
+    # Generated LP lines where the tableau drifts until the final basis is
+    # singular or inaccurate.  HiGHS solves them; the run must say numerics,
+    # not report the drifted tableau as optimal.
+    doc = synth.line_scenario(*shape, relax_integrality=True, pace_refinement=False, name=name)
+    output = run(load_scenario(doc))
+    assert (output.result.status, output.result.values, output.capacity) == (NUMERICS, None, None)
+    external = solve_with_scipy(export_model_text(output.model))
+    assert external.status == 0 and external.fun == pytest.approx(highs, abs=1e-4)
+
+    path = tmp_path / "line.json"
+    path.write_bytes(synth.scenario_bytes(doc))
+    out_dir = tmp_path / "out"
+    assert main(["solve", "--scenario", str(path), "--out-dir", str(out_dir)]) == 4
+    assert "status: numerics" in capsys.readouterr().out
+    assert json.loads((out_dir / "solution.json").read_text())["status"] == NUMERICS
+    assert (out_dir / "model.mps").exists() and not (out_dir / "capacity_usage.csv").exists()

@@ -90,6 +90,17 @@ def test_apply_tcr_rejects_bad_overrides(small_doc):
         apply_tcr(small_doc, [TcrOverride(link="E-F", period=1)])
     with pytest.raises(ScenarioError, match="finite"):
         apply_tcr(small_doc, [TcrOverride(link="E-F", period=1, scale=math.nan)])
+    with pytest.raises(ScenarioError, match=r"capacity must be >= 0"):
+        apply_tcr(small_doc, [TcrOverride(link="E-F", period=1, capacity=-1.0)])
+    with pytest.raises(ScenarioError, match=r"scale must be >= 0"):
+        apply_tcr(small_doc, [TcrOverride(link="E-F", scale=-0.5)])
+
+
+def test_tcr_link_that_is_not_a_name_rejected_at_load(scenario_dir):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["tcr_overrides"] = [{"link": ["A-B"], "capacity": 1}]
+    with pytest.raises(ScenarioError, match=r"tcr_overrides\[0\]: unknown link \['A-B'\]"):
+        load_scenario(raw)
 
 
 def test_inline_overrides_match_apply_tcr(scenario_dir, small_doc):

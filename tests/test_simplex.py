@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from railflow import simplex
 from railflow.model import CAPACITY_MODES, LinearConstraint
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICS,
     OPTIMAL,
     UNBOUNDED,
     InfeasibleModel,
@@ -625,8 +627,8 @@ def random_standard_form(rng, dense=False):
     degenerate pivots are common; right-hand sides include negatives and
     -0.0, and a copied row (sometimes with another relation) makes the
     system redundant or contradictory.  Many draws are infeasible or
-    unbounded.  A dense draw fills A, which drives the pivots into the
-    full-tableau update.
+    unbounded.  A dense draw fills A, which drives reference_solve_lp into
+    its full-tableau update.
     """
     m, n = (int(k) for k in rng.integers(1, 7, size=2))
     A = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0], size=(m, n))
@@ -674,23 +676,30 @@ def test_solve_lp_matches_reference_on_every_outcome():
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "cut in phase 1", "cut in phase 2"}
 
 
-def test_dense_update_matches_reference(monkeypatch):
-    lp = random_standard_form(np.random.default_rng(4), dense=True)
-    rows_updated = []
-    outer = np.outer
+@pytest.mark.parametrize(
+    "shift, status",
+    [(None, NUMERICS), (1e-5, NUMERICS), (1e-8, OPTIMAL)],
+    ids=["singular", "residual-above-1e-6", "residual-below-1e-6"],
+)
+def test_unverified_basis_is_numerics(monkeypatch, shift, status):
+    # The basis re-solve is the only source of an optimal x: when it raises,
+    # or its x misses b by more than 1e-6, no tableau value is reported.
+    lp = raw_lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0], ["<=", ">="])
+    want = solve_lp(lp)
+    assert want.status == OPTIMAL and want.dual_objective == pytest.approx(want.objective)
+    resolve = simplex._solve_sparse_basis
 
-    def recording_outer(a, b):
-        rows_updated.append(len(a))
-        return outer(a, b)
+    def unverified(rows, slots, vals, b, c_basic):
+        if shift is None:
+            raise np.linalg.LinAlgError("singular bump")
+        x, y = resolve(rows, slots, vals, b, c_basic)
+        return x + shift, y
 
-    monkeypatch.setattr(np, "outer", recording_outer)
-    solution = solve_lp(lp)
-    monkeypatch.undo()
-    # Only the full-tableau update passes a column of all m + 2 rows: the
-    # block update leaves out at least the pivot row.
-    assert lp.n_rows + 2 in rows_updated
-    assert solution.status == OPTIMAL
-    assert_matches_reference_solve(lp)
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", unverified)
+    got = solve_lp(lp)
+    assert (got.status, got.iterations) == (status, want.iterations)
+    if status == NUMERICS:
+        assert (got.objective, got.x, got.dual_objective) == (None, None, None)
 
 
 def test_bland_rule_ends_cycling():
