@@ -3,21 +3,23 @@
 Only the direction-change flags (binary) and the per-demand cancellation
 totals (general integer) are ever marked, so trees stay small.  Each node is
 the base LP plus simple bound rows; nodes are explored best bound first with
-most-fractional branching and deterministic tie-breaking.  A cheap rounding
-repair tries to complete almost-integral LP points into verified incumbents
-before branching, which usually closes the root node outright.
+most-fractional branching and deterministic tie-breaking.  A fractional node
+is completed by a fix-and-solve LP (every integer pinned at its rounded
+value), which usually closes the root node outright.  Every incumbent is the
+optimal vertex of an LP, and the result carries that LP's final tableau, on
+which refine_to_earliest_pace continues warm.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import random
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
-from .checks import ConstraintSystem
 from .model import LinearConstraint, TimeExpandedModel
 from .simplex import (
     INFEASIBLE,
@@ -25,7 +27,9 @@ from .simplex import (
     NUMERICS,
     OPTIMAL,
     UNBOUNDED,
+    Tableau,
     Tolerances,
+    solve_face_lp,
     solve_model_lp,
 )
 
@@ -41,6 +45,9 @@ class SolveResult:
     nodes: int = 0
     gap: Optional[float] = None
     bound: Optional[float] = None
+    # The final tableau of the LP the values came from, until
+    # refine_to_earliest_pace uses it up (scenario.run drops it).
+    tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
     def value(self, model: TimeExpandedModel, kind: str, *key) -> float:
         if self.values is None:
@@ -53,25 +60,6 @@ def _bound_row(model: TimeExpandedModel, var_idx: int, relation: str, bound: flo
     return LinearConstraint(name, ((var_idx, 1.0),), relation, bound)
 
 
-def _try_rounding_repair(
-    model: TimeExpandedModel,
-    system: ConstraintSystem,
-    values: np.ndarray,
-    int_vars: Sequence[int],
-    tol: Tolerances,
-) -> Optional[np.ndarray]:
-    """Round fractional integer variables and verify full feasibility."""
-    candidate = values.copy()
-    for idx in int_vars:
-        candidate[idx] = float(round(candidate[idx]))
-    if np.max(system.violations(candidate), initial=0.0) > tol.feasibility:
-        return None
-    for idx, var in enumerate(model.variables):
-        if candidate[idx] < var.lb - tol.feasibility or candidate[idx] > var.ub + tol.feasibility:
-            return None
-    return candidate
-
-
 def _relative_gap(incumbent: float, bound: float) -> float:
     return max(0.0, incumbent - bound) / max(1.0, abs(incumbent))
 
@@ -80,6 +68,8 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     """Prove-optimal solve of the model's LP/MIP.
 
     With relax_integrality (or no integer marks) this is a single LP solve.
+    The reported objective is that of the reported values, after values
+    below 1e-11 are zeroed and integers rounded.
     """
     if tol is None:
         tol = Tolerances()
@@ -88,12 +78,15 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     if not int_vars:
         solution, values = solve_model_lp(model, tol)
         return SolveResult(
-            solution.status, solution.objective, values, solution.iterations, nodes=1,
+            solution.status,
+            None if values is None else model.objective_value(values),
+            values,
+            solution.iterations,
+            nodes=1,
             gap=0.0 if solution.status == OPTIMAL else None,
-            bound=solution.objective,
+            bound=solution.objective, tableau=solution.tableau,
         )
 
-    system = ConstraintSystem.from_model(model)
     objective_of = model.objective_value
 
     counter = 0
@@ -101,6 +94,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     nodes = 0
     incumbent: Optional[np.ndarray] = None
     incumbent_obj = math.inf
+    incumbent_tableau: Optional[Tableau] = None
     stopped: Optional[str] = None  # ITERATION_LIMIT or NUMERICS once the search stops early
 
     root_solution, root_values = solve_model_lp(model, tol)
@@ -113,34 +107,36 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     heap: list[tuple[float, int, tuple[LinearConstraint, ...]]] = []
 
     def process(solution, values, branch_rows: tuple[LinearConstraint, ...]) -> None:
-        """Update the incumbent or queue the two children of this node."""
-        nonlocal incumbent, incumbent_obj, counter, iterations
+        """Prune this optimal node, take it as the incumbent or queue its children.
+
+        The node's tableau is taken off the solution here, so that only an
+        incumbent's tableau outlives its node: once there is an incumbent,
+        each further node LP holds a second tableau while it solves.
+        """
+        nonlocal incumbent, incumbent_obj, incumbent_tableau, counter, iterations
+        tableau, solution.tableau = solution.tableau, None
+        if solution.objective >= incumbent_obj - 1e-12:
+            return
         fractional = [
             idx for idx in int_vars if abs(values[idx] - round(values[idx])) > tol.integrality
         ]
         if not fractional:
-            if solution.objective < incumbent_obj - 1e-12:
-                incumbent = values
-                incumbent_obj = solution.objective
+            incumbent, incumbent_obj, incumbent_tableau = values, solution.objective, tableau
             return
-        repaired = _try_rounding_repair(model, system, values, int_vars, tol)
-        if repaired is None:
-            # Fix-and-solve completion: re-solve the continuous problem with
-            # every integer pinned at its rounded value.  Zero-cost variables
-            # (like single-track setup times) get lifted to whatever the
-            # rounding requires, which plain value rounding cannot do.
-            fixes = {idx: float(round(values[idx])) for idx in int_vars}
-            fix_solution, fix_values = solve_model_lp(model, tol, extra_fixes=fixes)
-            iterations += fix_solution.iterations
-            if fix_solution.status == OPTIMAL and fix_values is not None:
-                repaired = fix_values
-        if repaired is not None:
-            repaired_obj = objective_of(repaired)
+        del tableau  # a fractional node's tableau goes before the completion LP builds one
+        # Fix-and-solve completion: re-solve the continuous problem with
+        # every integer pinned at its rounded value.  Zero-cost variables
+        # (like single-track setup times) get lifted to whatever the
+        # rounding requires, which plain value rounding cannot do.
+        fixes = {idx: float(round(values[idx])) for idx in int_vars}
+        fix_solution, fix_values = solve_model_lp(model, tol, extra_fixes=fixes)
+        iterations += fix_solution.iterations
+        if fix_solution.status == OPTIMAL:
+            repaired_obj = objective_of(fix_values)
             if repaired_obj < incumbent_obj - 1e-12:
-                incumbent = repaired
-                incumbent_obj = repaired_obj
+                incumbent, incumbent_obj, incumbent_tableau = fix_values, repaired_obj, fix_solution.tableau
             if repaired_obj <= solution.objective + 1e-9:
-                return  # the repair already attains this node's bound
+                return  # the completion already attains this node's bound
         scores = [
             (min(values[idx] - math.floor(values[idx]), math.ceil(values[idx]) - values[idx]), idx)
             for idx in fractional
@@ -175,8 +171,6 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
             continue
         if solution.status == UNBOUNDED:
             return SolveResult(UNBOUNDED, None, None, iterations, nodes)
-        if solution.objective >= incumbent_obj - 1e-12:
-            continue
         process(solution, values, branch_rows)
 
     if incumbent is None:
@@ -192,45 +186,19 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     values[np.abs(values) < 1e-11] = 0.0
     for idx in int_vars:
         values[idx] = float(round(values[idx]))
-    return SolveResult(status, incumbent_obj, values, iterations, nodes, gap=gap, bound=best_bound)
-
-
-def refine_to_earliest_pace(
-    model: TimeExpandedModel,
-    result: SolveResult,
-    tol: Tolerances | None = None,
-) -> SolveResult:
-    """Among the optima of a solved model, pick the earliest-moving one.
-
-    The primary objective value is pinned by an extra row, integer variables
-    are fixed at their solved values, and a secondary objective pushes volume
-    through every node as early as possible.  This resolves the tie between
-    alternate optima that differ only in when volume crosses a link, so the
-    reported capacity usage matches the physical reading of the flows.
-
-    The solved optimum is feasible for this LP by construction, so a
-    refinement that does not end optimal keeps the solved values but not the
-    OPTIMAL status: it reads ITERATION_LIMIT when the LP hit its cap and
-    NUMERICS otherwise.
-    """
-    if result.status != OPTIMAL or result.values is None:
-        return result
-    if tol is None:
-        tol = Tolerances()
-
-    pin = 1e-9 * max(1.0, abs(result.objective)) + 1e-9
-    objective_row = LinearConstraint(
-        "__objective_pin",
-        tuple((idx, coef) for idx, coef in model.objective.items()),
-        "<=",
-        result.objective + pin,
+    return SolveResult(
+        status, objective_of(values), values, iterations, nodes, gap=gap, bound=best_bound,
+        tableau=incumbent_tableau if status == OPTIMAL else None,
     )
-    fixes = {
-        idx: float(round(result.values[idx]))
-        for idx, var in enumerate(model.variables)
-        if var.integer
-    }
-    secondary = {
+
+
+# Seed of the tie-break weights; any fixed value gives a canonical report.
+_TIE_BREAK_SEED = "railflow tie-break"
+
+
+def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
+    """Earliest pace: each period's volume at a node weighted by the period."""
+    pace = {
         idx: float(var.ref.key[1])
         for idx, var in enumerate(model.variables)
         if var.ref.kind == "in" and var.ref.key[1] >= 1
@@ -241,24 +209,65 @@ def refine_to_earliest_pace(
     # invariant of the flow, so this cannot trade against the pace term).
     for idx, var in enumerate(model.variables):
         if var.ref.kind in ("setup_w", "linkcap"):
-            secondary[idx] = 1e-6
-    solution, values = solve_model_lp(
-        model,
-        tol,
-        extra_rows=(objective_row,),
-        extra_fixes=fixes,
-        objective_override=secondary,
-    )
-    if solution.status != OPTIMAL:
-        status = ITERATION_LIMIT if solution.status == ITERATION_LIMIT else NUMERICS
-        return replace(result, status=status, iterations=result.iterations + solution.iterations)
+            pace[idx] = 1e-6
+    return pace
+
+
+def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
+    """Fixed generic weights in [1, 2) on every model variable."""
+    rng = random.Random(_TIE_BREAK_SEED)
+    return {idx: 1.0 + rng.random() for idx in range(len(model.variables))}
+
+
+def refine_to_earliest_pace(
+    model: TimeExpandedModel,
+    result: SolveResult,
+    tol: Tolerances | None = None,
+) -> SolveResult:
+    """Among the optima of a solved model, pick the earliest-moving one.
+
+    The refinement continues on the final tableau of the LP the result came
+    from (result.tableau, which it uses up) in two warm stages, each on the
+    optimal face of the one before (solve_face_lp):
+
+    1. pace: integer variables are held at their solved values, and a
+       secondary objective pushes volume through every node as early as
+       possible.  This resolves the tie between alternate optima that
+       differ only in when volume crosses a link, so the reported capacity
+       usage matches the physical reading of the flows.
+    2. tie-break: fixed generic weights on every model variable pick one
+       vertex of the pace-optimal face, so the reported solution depends on
+       the model alone, not on the pivots that reached it.
+
+    Each stage starts from an optimal basis of the one before, so a
+    refinement that does not end optimal failed numerically or at the cap;
+    it keeps the solved values but not the OPTIMAL status: it reads
+    ITERATION_LIMIT when a stage hit its cap and NUMERICS otherwise.  A
+    result without a tableau (an LP without rows or columns, whose solution
+    is x = 0) is returned as it is.
+    """
+    if result.status != OPTIMAL or result.values is None:
+        return result
+    tableau, result.tableau = result.tableau, None
+    if tableau is None:
+        return result
+    if tol is None:
+        tol = Tolerances()
+
+    integers = [idx for idx, var in enumerate(model.variables) if var.integer]
+    iterations = result.iterations
+    for objective, hold in ((_pace_objective(model), integers), (_tie_break_objective(model), ())):
+        solution, values = solve_face_lp(tableau, objective, tol, hold)
+        iterations += solution.iterations
+        if solution.status != OPTIMAL:
+            status = ITERATION_LIMIT if solution.status == ITERATION_LIMIT else NUMERICS
+            return replace(result, status=status, iterations=iterations)
     _reoptimize_setup(model, values)
-    refined_obj = model.objective_value(values)
     return SolveResult(
         OPTIMAL,
-        refined_obj,
+        model.objective_value(values),
         values,
-        result.iterations + solution.iterations,
+        iterations,
         result.nodes,
         gap=result.gap,
         bound=result.bound,

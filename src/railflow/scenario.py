@@ -842,6 +842,7 @@ def run(doc: ScenarioDocument, tolerances: Tolerances | None = None) -> RunOutpu
     result = solve_mip(model, tolerances)
     if result.status == OPTIMAL and doc.pace_refinement:
         result = refine_to_earliest_pace(model, result, tolerances)
+    result.tableau = None
     if result.status != OPTIMAL or result.values is None:
         return RunOutput(result, None, None, model)
     capacity = build_capacity_report(model, result.values)

@@ -11,13 +11,16 @@ machine precision rather than accumulated tableau error: the optimal basis
 is nearly triangular, so peeling its row and column singletons leaves a
 small dense bump, and only that bump goes through a dense solve.  A basis
 that this re-solve cannot verify ends the solve as NUMERICS; tableau values
-never leave the solver.
+never leave the solver.  An optimal solve keeps its final tableau (Tableau),
+and solve_face_lp continues on it warm: it minimises another objective over
+the optimal face of the last one, without a phase 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -80,6 +83,19 @@ class StandardFormLP:
     def n_cols(self) -> int:
         return self.c.size
 
+    def with_objective(self, objective: Mapping[int, float]) -> "StandardFormLP":
+        """The same rows and columns under an objective over the model variables."""
+        obj = np.zeros(self.n_model_vars)
+        obj[np.fromiter(objective.keys(), dtype=int, count=len(objective))] = np.fromiter(
+            objective.values(), dtype=float, count=len(objective)
+        )
+        c = np.zeros(self.n_cols)
+        pos = self.pos_col >= 0
+        c[self.pos_col[pos]] = obj[pos]
+        neg = self.neg_col >= 0
+        c[self.neg_col[neg]] = -obj[neg]
+        return replace(self, c=c, objective_constant=float(obj @ self.offset))
+
     def model_values(self, x: np.ndarray) -> np.ndarray:
         values = self.offset.copy()
         pos = self.pos_col >= 0
@@ -93,7 +109,6 @@ def build_standard_form(
     model: TimeExpandedModel,
     extra_rows: Sequence[LinearConstraint] = (),
     extra_fixes: Mapping[int, float] | None = None,
-    objective_override: Mapping[int, float] | None = None,
 ) -> StandardFormLP:
     """Convert a model (plus branching rows/fixings) to nonnegative standard form.
 
@@ -138,15 +153,6 @@ def build_standard_form(
     pos_col = np.where(fixed, -1, np.cumsum(width) - width)
     neg_col = np.where(free, pos_col + 1, -1)
 
-    objective = model.objective if objective_override is None else objective_override
-    obj = np.zeros(n_vars)
-    obj[np.fromiter(objective.keys(), dtype=int, count=len(objective))] = np.fromiter(
-        objective.values(), dtype=float, count=len(objective)
-    )
-    c = np.zeros(int(width.sum()))
-    c[pos_col[~fixed]] = obj[~fixed]
-    c[neg_col[free]] = -obj[free]
-
     multi = ~single
     adj = system.rhs - np.bincount(
         row_of, weights=system.coefs * offset[system.var_idx], minlength=len(rows)
@@ -177,7 +183,7 @@ def build_standard_form(
     order = np.lexsort((a_cols, a_rows))
     relation_of = np.array(["<=", "=", ">="])
     return StandardFormLP(
-        c=c,
+        c=np.zeros(int(width.sum())),
         rows=a_rows[order],
         cols=a_cols[order],
         vals=a_vals[order],
@@ -185,12 +191,12 @@ def build_standard_form(
         b=np.concatenate([adj[kept], span]),
         row_names=tuple(rows[k].name for k in np.nonzero(kept)[0])
         + tuple(f"__ub[{model.variables[i].name}]" for i in ub_var),
-        objective_constant=float(obj @ offset),
+        objective_constant=0.0,
         n_model_vars=n_vars,
         offset=offset,
         pos_col=pos_col,
         neg_col=neg_col,
-    )
+    ).with_objective(model.objective)
 
 
 @dataclass
@@ -200,6 +206,9 @@ class LpSolution:
     x: Optional[np.ndarray]
     iterations: int
     dual_objective: Optional[float] = None
+    # The final tableau of an OPTIMAL solve, for warm stages (solve_face_lp);
+    # its memory stays in use until this is set to None.
+    tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
 
 def _solve_sparse_basis(
@@ -292,93 +301,84 @@ def _solve_sparse_basis(
     return np.array(x), np.array(y)
 
 
-def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
-    """Two-phase primal simplex on the standard-form problem.
+class Tableau:
+    """The dense tableau of one solve and its basis, kept for warm stages.
 
-    Artificial variables are kept logical: a basis slot either holds a real
-    column or marks its row as artificial.  Since an artificial never
-    re-enters the basis, its column values are never needed, which keeps the
-    tableau a quarter slimmer and free of artificial fill-in.  Each iteration
-    works in the nonzeros of the entering column and pivot row: the column
-    is read once, the artificial guard and the ratio test scan its nonzeros,
-    and the pivot divides the row and applies the rank-1 correction on those
-    nonzeros only.
+    Rows 0..m-1 of T are the constraints, oriented so that the right-hand
+    side (the last column) starts nonnegative; row m is the phase-2 cost row
+    and row m+1 the phase-1 cost row.  Columns are the n structural columns,
+    then a slack per <= row and a surplus per >= row.  Artificial variables
+    are kept logical: basis[i] is the column basic in row i, or -1 for an
+    artificial, which never re-enters, so its column values are never needed.
 
-    At the optimum, x and the duals y are re-solved from the sparse basis
-    columns with one singleton-peel ordering plus a dense solve of the bump
-    (_solve_sparse_basis).  That re-solve is the only source of an OPTIMAL
-    solution, so an OPTIMAL result always carries a dual objective.  When the
-    basis proves singular, or x leaves a residual above 1e-6, the result is
-    NUMERICS with no values.
+    A row flagged in basic_artificial is held at zero in phase 2.  Besides
+    the artificials, that covers rows whose basic column was held (hold):
+    such a row keeps its real column.  shut marks the columns that may not
+    enter (None: every column may), and shift the value that hold moved out
+    of each held column (None: nothing moved).
     """
-    if tol is None:
-        tol = Tolerances()
-    m, n = sf.n_rows, sf.n_cols
 
-    if n == 0:
-        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
-    if m == 0:
-        if np.any(sf.c < -tol.pivot):
-            return LpSolution(UNBOUNDED, None, None, 0)
-        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
+    def __init__(self, sf: StandardFormLP) -> None:
+        m, n = sf.n_rows, sf.n_cols
+        # Orient every row with a nonnegative right-hand side; <= rows get a
+        # slack column, = and >= rows start from a logical artificial.
+        self.sign = np.where(sf.b < 0, -1.0, 1.0)
+        self.b = sf.b * self.sign
+        flipped = {"<=": ">=", ">=": "<=", "=": "="}
+        rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, self.sign)]
+        slack_rows = [i for i in range(m) if rel[i] == "<="]
+        surplus_rows = [i for i in range(m) if rel[i] == ">="]
+        self.sf = sf
+        self.m, self.n = m, n
+        self.n_slack, self.n_surplus = len(slack_rows), len(surplus_rows)
+        self.ncols = n + self.n_slack + self.n_surplus
+        self.logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
+        logical_cols = n + np.arange(self.logical_rows.size)
 
-    # Orient every row with a nonnegative right-hand side; <= rows get a
-    # slack column, = and >= rows start from a logical artificial.
-    sign = np.where(sf.b < 0, -1.0, 1.0)
-    b = sf.b * sign
-    flipped = {"<=": ">=", ">=": "<=", "=": "="}
-    rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, sign)]
+        # T gets its own anonymous mapping: the kernel zero-fills it, and it
+        # is unmapped as soon as T and its views are released.  From
+        # np.zeros it would come from glibc's brk heap once the dynamic mmap
+        # threshold has risen past tableau size (glibc raises it to the size
+        # of each mapped block freed), and a freed tableau that sits below
+        # longer-lived small blocks stays resident, so the peak RSS of later
+        # solves would exceed their live memory by a tableau.
+        shape = (m + 2, self.ncols + 1)
+        T = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
+        np.add.at(T, (sf.rows, sf.cols), sf.vals * self.sign[sf.rows])
+        T[:m, -1] = self.b
+        T[self.logical_rows, logical_cols] = np.repeat([1.0, -1.0], [self.n_slack, self.n_surplus])
+        self.basis = np.full(m, -1)
+        self.basis[slack_rows] = logical_cols[: self.n_slack]
+        self.basic_artificial = self.basis < 0
+        T[m, :n] = sf.c
+        self.has_artificial = bool(self.basic_artificial.any())
+        if self.has_artificial:
+            # The phase-1 row is minus the sum of the artificial rows, added
+            # up in row order in place (the order and bits of a sum over
+            # axis 0) without a copy of those rows.
+            art_rows = np.nonzero(self.basic_artificial)[0].tolist()
+            phase_one = T[m + 1]
+            phase_one[:] = T[art_rows[0]]
+            for r in art_rows[1:]:
+                phase_one += T[r]
+            np.negative(phase_one, out=phase_one)
+        self.T = T
+        # Leaving-variable order for Bland's rule: artificials rank before
+        # real columns so they are preferred out on ties (fixed order).
+        self.leave_rank = np.where(self.basic_artificial, -1 - np.arange(m), self.basis)
+        self.shut: Optional[np.ndarray] = None
+        self.shift: Optional[np.ndarray] = None
+        self.iterations = 0
+        # Column costs and verified duals of the last OPTIMAL re-solve.
+        self.c: Optional[np.ndarray] = None
+        self.y: Optional[np.ndarray] = None
 
-    slack_rows = [i for i in range(m) if rel[i] == "<="]
-    surplus_rows = [i for i in range(m) if rel[i] == ">="]
-    art_rows = [i for i in range(m) if rel[i] != "<="]
-    n_slack = len(slack_rows)
-    n_surplus = len(surplus_rows)
-    n_art = len(art_rows)
-    ncols = n + n_slack + n_surplus
-    width = ncols + 1
-
-    # Tableau rows 0..m-1 are constraints; row m is the phase-2 objective,
-    # row m+1 the phase-1 objective.
-    T = np.zeros((m + 2, width), dtype=float)
-    np.add.at(T, (sf.rows, sf.cols), sf.vals * sign[sf.rows])
-    T[:m, -1] = b
-    col = n
-    slack_col_of_row = {}
-    for i in slack_rows:
-        T[i, col] = 1.0
-        slack_col_of_row[i] = col
-        col += 1
-    surplus_col_of_row = {}
-    for i in surplus_rows:
-        T[i, col] = -1.0
-        surplus_col_of_row[i] = col
-        col += 1
-
-    basis = np.empty(m, dtype=int)
-    basic_artificial = np.zeros(m, dtype=bool)
-    for i in slack_rows:
-        basis[i] = slack_col_of_row[i]
-    for i in art_rows:
-        basis[i] = -1
-        basic_artificial[i] = True
-
-    T[m, :n] = sf.c
-    if n_art:
-        art_mask = np.zeros(m, dtype=bool)
-        art_mask[art_rows] = True
-        T[m + 1, :] = -T[:m][art_mask].sum(axis=0)
-
-    # Leaving-variable order for Bland's rule: artificials rank before real
-    # columns so they are preferred out on ties (fixed, deterministic order).
-    leave_rank = np.where(basic_artificial, -1 - np.arange(m), basis)
-
-    iterations = 0
-
-    def pivot(p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
+    def pivot(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
         # row is divided and snapped on its nonzeros only; the rank-1 block
         # is written through T.reshape(-1), a view as T is C-contiguous.
+        T = self.T
+        width = T.shape[1]
         row = T[p]
         nzr = np.nonzero(row)[0]
         vals = row[nzr] / column[p]
@@ -392,14 +392,17 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
         T[nzc, q] = 0.0
         T[p, q] = 1.0
 
-    def run_phase(cost_row: int, phase_one: bool) -> str:
-        nonlocal iterations
+    def run_phase(self, cost_row: int, phase_one: bool, tol: Tolerances) -> str:
+        T, m, ncols, shut = self.T, self.m, self.ncols, self.shut
+        basis, basic_artificial, leave_rank = self.basis, self.basic_artificial, self.leave_rank
         bland = False
         stall = 0
         while True:
-            if iterations >= tol.max_iterations:
+            if self.iterations >= tol.max_iterations:
                 return ITERATION_LIMIT
             costs = T[cost_row, :ncols]
+            if shut is not None:
+                costs = np.where(shut, 0.0, costs)
             if bland:
                 neg = np.nonzero(costs < -tol.pivot)[0]
                 if neg.size == 0:
@@ -428,8 +431,8 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
                     basic_artificial[p] = False
                     basis[p] = q
                     leave_rank[p] = q
-                    pivot(p, q, column, nzc)
-                    iterations += 1
+                    self.pivot(p, q, column, nzc)
+                    self.iterations += 1
                     continue
 
             positive = entries > tol.pivot
@@ -443,8 +446,8 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
             basic_artificial[p] = False
             basis[p] = q
             leave_rank[p] = q
-            pivot(p, q, column, nzc)
-            iterations += 1
+            self.pivot(p, q, column, nzc)
+            self.iterations += 1
             if best <= 1e-12:
                 stall += 1
                 if stall > tol.bland_after:
@@ -453,57 +456,168 @@ def solve_lp(sf: StandardFormLP, tol: Tolerances | None = None) -> LpSolution:
                 stall = 0
                 bland = False
 
-    if n_art:
-        outcome = run_phase(m + 1, phase_one=True)
+    def hold(self, cols: np.ndarray) -> None:
+        """Fix the given columns at their current values, rounded to integers.
+
+        A held column is shut.  A nonbasic one stays at zero.  A basic one
+        moves its rounded value into shift, and its row becomes an artificial
+        row at zero: phase 2 keeps it there, and the basis re-solve keeps the
+        real column over a right-hand side reduced by the moved value.
+        """
+        if self.shut is None:
+            self.shut = np.zeros(self.ncols, dtype=bool)
+        if self.shift is None:
+            self.shift = np.zeros(self.ncols)
+        self.shut[cols] = True
+        rows = np.nonzero(np.isin(self.basis, cols))[0]
+        self.shift[self.basis[rows]] = np.round(self.T[rows, -1])
+        self.T[rows, -1] = 0.0
+        self.basic_artificial[rows] = True
+        self.leave_rank[rows] = -1 - rows
+
+    def restrict(self, c: np.ndarray, tol: Tolerances) -> None:
+        """Shut the columns with a positive reduced cost and make c the cost row.
+
+        The reduced costs are those of the last objective under the verified
+        duals y of the last re-solve, not the tableau's drifted cost row.
+        The columns that may still enter span exactly the optimal face of
+        that objective, so phase 2 on the new row minimises c over that
+        face.  The new row is c minus c_B times the constraint rows, formed
+        by one product over a view of T.
+        """
+        m, n, T, sf = self.m, self.n, self.T, self.sf
+        reduced = np.empty(self.ncols)
+        reduced[:n] = self.c - np.bincount(
+            sf.cols, weights=sf.vals * self.sign[sf.rows] * self.y[sf.rows], minlength=n
+        )
+        reduced[n:] = self.y[self.logical_rows] * np.repeat([-1.0, 1.0], [self.n_slack, self.n_surplus])
+        positive = reduced > tol.pivot
+        self.shut = positive if self.shut is None else self.shut | positive
+        basic_costs = np.zeros(m)
+        structural = (self.basis >= 0) & (self.basis < n)
+        basic_costs[structural] = c[self.basis[structural]]
+        costs = np.zeros(T.shape[1])
+        costs[:n] = c
+        T[m] = costs - basic_costs @ T[:m]
+
+    def finish(self, sf: StandardFormLP, tol: Tolerances) -> LpSolution:
+        """Phase 2 on cost row m, then the verified basis re-solve."""
+        outcome = self.run_phase(self.m, False, tol)
         if outcome == ITERATION_LIMIT:
-            return LpSolution(ITERATION_LIMIT, None, None, iterations)
-        if T[m + 1, -1] < -(tol.feasibility * max(1.0, float(np.abs(b).max(initial=1.0)))):
-            return LpSolution(INFEASIBLE, None, None, iterations)
+            return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
+        if outcome == UNBOUNDED:
+            return LpSolution(UNBOUNDED, None, None, self.iterations)
 
-    outcome = run_phase(m, phase_one=False)
-    if outcome == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, None, None, iterations)
-    if outcome == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, iterations)
+        # Recompute the basic solution from the original data: one fresh
+        # solve wipes out the error accumulated across thousands of tableau
+        # updates.  The basis is assembled as sparse columns (slot, row,
+        # value): an artificial slot holds a unit column, any other slot its
+        # oriented column of A; a held column moves its value to the
+        # right-hand side.
+        m, n, ncols = self.m, self.n, self.ncols
+        basis, artificial = self.basis, self.basic_artificial
+        real = basis >= 0
+        slot_of_col = np.full(ncols, -1)
+        slot_of_col[basis[real]] = np.nonzero(real)[0]
+        keep = slot_of_col[sf.cols] >= 0
+        a_rows, a_cols = sf.rows[keep], sf.cols[keep]
+        logical_slots = slot_of_col[n:]
+        in_basis = logical_slots >= 0
+        artificial_slots = np.nonzero(~real)[0]
+        rows = np.concatenate([a_rows, self.logical_rows[in_basis], artificial_slots])
+        slots = np.concatenate([slot_of_col[a_cols], logical_slots[in_basis], artificial_slots])
+        vals = np.concatenate([
+            sf.vals[keep] * self.sign[a_rows],
+            np.repeat([1.0, -1.0], [self.n_slack, self.n_surplus])[in_basis],
+            np.ones(artificial_slots.size),
+        ])
 
-    # Recompute the basic solution from the original data: one fresh solve
-    # wipes out the error accumulated across thousands of tableau updates.
-    # The basis is assembled as sparse columns (slot, row, value): a logical
-    # slot holds a unit column, a structural slot its oriented column of A.
-    real = ~basic_artificial
-    slot_of_col = np.full(ncols, -1)
-    slot_of_col[basis[real]] = np.nonzero(real)[0]
-    keep = slot_of_col[sf.cols] >= 0
-    a_rows, a_cols = sf.rows[keep], sf.cols[keep]
-    logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
-    logical_slots = slot_of_col[n:]
-    in_basis = logical_slots >= 0
-    artificial_slots = np.nonzero(basic_artificial)[0]
-    rows = np.concatenate([a_rows, logical_rows[in_basis], artificial_slots])
-    slots = np.concatenate([slot_of_col[a_cols], logical_slots[in_basis], artificial_slots])
-    vals = np.concatenate([
-        sf.vals[keep] * sign[a_rows],
-        np.repeat([1.0, -1.0], [n_slack, n_surplus])[in_basis],
-        np.ones(artificial_slots.size),
-    ])
+        b = self.b
+        if self.shift is not None:
+            moved = sf.vals * self.sign[sf.rows] * self.shift[sf.cols]
+            b = b - np.bincount(sf.rows, weights=moved, minlength=m)
+        # A held column keeps its cost, as in the cost row restrict formed,
+        # so that y prices the face the same way phase 2 did.
+        basic_costs = np.zeros(m)
+        structural = real & (basis < n)
+        basic_costs[structural] = sf.c[basis[structural]]
+        try:
+            x_basic, y = _solve_sparse_basis(rows, slots, vals, b, basic_costs)
+        except np.linalg.LinAlgError:
+            return LpSolution(NUMERICS, None, None, self.iterations)
+        residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
+        if float(np.abs(residual).max(initial=0.0)) > 1e-6:
+            return LpSolution(NUMERICS, None, None, self.iterations)
+        x_full = np.zeros(ncols, dtype=float)
+        x_full[basis[~artificial]] = x_basic[~artificial]
+        dual_objective = float(y @ b) + sf.objective_constant
+        if self.shift is not None:
+            x_full += self.shift
+            dual_objective += float(sf.c @ self.shift[:n])
 
-    basic_costs = np.zeros(m)
-    structural = real & (basis < n)
-    basic_costs[structural] = sf.c[basis[structural]]
-    try:
-        x_basic, y = _solve_sparse_basis(rows, slots, vals, b, basic_costs)
-    except np.linalg.LinAlgError:
-        return LpSolution(NUMERICS, None, None, iterations)
-    residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
-    if float(np.abs(residual).max(initial=0.0)) > 1e-6:
-        return LpSolution(NUMERICS, None, None, iterations)
-    x_full = np.zeros(ncols, dtype=float)
-    x_full[basis[real]] = x_basic[real]
+        np.clip(x_full, 0.0, None, out=x_full)
+        x = x_full[:n]
+        objective = float(sf.c @ x) + sf.objective_constant
+        self.c, self.y = sf.c, y
+        return LpSolution(OPTIMAL, objective, x, self.iterations, dual_objective, self)
 
-    np.clip(x_full, 0.0, None, out=x_full)
-    x = x_full[:n]
-    objective = float(sf.c @ x) + sf.objective_constant
-    return LpSolution(OPTIMAL, objective, x, iterations, float(y @ b) + sf.objective_constant)
+
+def solve_lp(
+    sf: StandardFormLP, tol: Tolerances | None = None, warm: Optional[Tableau] = None
+) -> LpSolution:
+    """Two-phase primal simplex on the standard-form problem.
+
+    The tableau (Tableau) keeps artificial variables logical, which keeps it
+    a quarter slimmer and free of artificial fill-in.  Each iteration works
+    in the nonzeros of the entering column and pivot row: the column is read
+    once, the artificial guard and the ratio test scan its nonzeros, and the
+    pivot divides the row and applies the rank-1 correction on those
+    nonzeros only.
+
+    At the optimum, x and the duals y are re-solved from the sparse basis
+    columns with one singleton-peel ordering plus a dense solve of the bump
+    (_solve_sparse_basis).  That re-solve is the only source of an OPTIMAL
+    solution, so an OPTIMAL result always carries a dual objective, and it
+    carries its final tableau.  When the basis proves singular, or x leaves
+    a residual above 1e-6, the result is NUMERICS with no values.
+
+    With warm, the final tableau of an earlier OPTIMAL solve over the same
+    rows and columns, no phase 1 runs: the tableau is restricted in place to
+    the optimal face of its last objective (Tableau.restrict), sf.c becomes
+    the cost row, and phase 2 continues from the basis it holds.
+    """
+    if tol is None:
+        tol = Tolerances()
+    if warm is not None:
+        warm.iterations = 0
+        warm.restrict(sf.c, tol)
+        return warm.finish(sf, tol)
+    m, n = sf.n_rows, sf.n_cols
+
+    if n == 0:
+        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
+    if m == 0:
+        if np.any(sf.c < -tol.pivot):
+            return LpSolution(UNBOUNDED, None, None, 0)
+        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
+
+    tableau = Tableau(sf)
+    if tableau.has_artificial:
+        outcome = tableau.run_phase(m + 1, True, tol)
+        if outcome == ITERATION_LIMIT:
+            return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)
+        scale = max(1.0, float(np.abs(tableau.b).max(initial=1.0)))
+        if tableau.T[m + 1, -1] < -(tol.feasibility * scale):
+            return LpSolution(INFEASIBLE, None, None, tableau.iterations)
+    return tableau.finish(sf, tol)
+
+
+def _model_values(sf: StandardFormLP, solution: LpSolution) -> tuple[LpSolution, Optional[np.ndarray]]:
+    if solution.status != OPTIMAL:
+        return solution, None
+    values = sf.model_values(solution.x)
+    values[np.abs(values) < 1e-11] = 0.0
+    return solution, values
 
 
 def solve_model_lp(
@@ -511,16 +625,33 @@ def solve_model_lp(
     tol: Tolerances | None = None,
     extra_rows: Sequence[LinearConstraint] = (),
     extra_fixes: Mapping[int, float] | None = None,
-    objective_override: Mapping[int, float] | None = None,
 ) -> tuple[LpSolution, Optional[np.ndarray]]:
     """Convert, solve and map the solution back onto the model variables."""
     try:
-        sf = build_standard_form(model, extra_rows, extra_fixes, objective_override)
+        sf = build_standard_form(model, extra_rows, extra_fixes)
     except InfeasibleModel:
         return LpSolution(INFEASIBLE, None, None, 0), None
-    solution = solve_lp(sf, tol)
-    if solution.status != OPTIMAL:
-        return solution, None
-    values = sf.model_values(solution.x)
-    values[np.abs(values) < 1e-11] = 0.0
-    return solution, values
+    return _model_values(sf, solve_lp(sf, tol))
+
+
+def solve_face_lp(
+    tableau: Tableau,
+    objective: Mapping[int, float],
+    tol: Tolerances | None = None,
+    hold: Sequence[int] = (),
+) -> tuple[LpSolution, Optional[np.ndarray]]:
+    """Minimise objective over the optimal face of the tableau's last solve.
+
+    The warm counterpart of solve_model_lp.  tableau is the final tableau of
+    an OPTIMAL solve (LpSolution.tableau) and is reused in place: the model
+    variables in hold are first fixed at their current values, rounded to
+    integers (Tableau.hold), then solve_lp continues warm on the objective
+    over the model variables.  An OPTIMAL result leaves the tableau ready
+    for one more stage on its own optimal face.
+    """
+    sf = tableau.sf.with_objective(objective)
+    if len(hold):
+        idx = np.asarray(hold, dtype=int)
+        cols = np.concatenate([sf.pos_col[idx], sf.neg_col[idx]])
+        tableau.hold(cols[cols >= 0])
+    return _model_values(sf, solve_lp(sf, tol, warm=tableau))

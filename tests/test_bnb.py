@@ -170,8 +170,9 @@ def lp_ending(monkeypatch, status, when):
     ids=["root", "node"],
 )
 def test_numerics_lp_stops_the_search(monkeypatch, when):
-    # The root LP puts the binary at 0.5 and rounding finds the incumbent 0,
-    # so the search must solve a child node to prove it optimal.
+    # The root LP puts the binary at 0.5 and the fix-and-solve completion
+    # finds the incumbent 0, so the search must solve a child node to prove
+    # it optimal.
     model = synthetic_model([-1.0], [([2.0], "<=", 1.0)], integer=(0,), ub=[1.0])
     lp_ending(monkeypatch, NUMERICS, when)
     result = solve_mip(model)
@@ -192,7 +193,9 @@ def test_failed_refinement_is_not_optimal(monkeypatch, lp_status, status):
     model = line_model(volumes=(1, 1, 0))
     solved = solve_mip(model)
     assert solved.status == OPTIMAL
-    lp_ending(monkeypatch, lp_status, lambda kwargs: True)
+    monkeypatch.setattr(
+        bnb, "solve_face_lp", lambda *args, **kwargs: (LpSolution(lp_status, None, None, 7), None)
+    )
     refined = refine_to_earliest_pace(model, solved)
     assert refined.status == status
     assert refined.objective == solved.objective
@@ -201,8 +204,9 @@ def test_failed_refinement_is_not_optimal(monkeypatch, lp_status, status):
 
 
 def test_refinement_at_the_iteration_cap_reads_iteration_limit():
+    # Refinement uses up the tableau of the result it refines, so each
+    # refinement gets its own solve.
     model = line_model(volumes=(1, 1, 0))
-    solved = solve_mip(model)
-    assert refine_to_earliest_pace(model, solved).status == OPTIMAL
-    capped = refine_to_earliest_pace(model, solved, Tolerances(max_iterations=1))
+    assert refine_to_earliest_pace(model, solve_mip(model)).status == OPTIMAL
+    capped = refine_to_earliest_pace(model, solve_mip(model), Tolerances(max_iterations=1))
     assert capped.status == ITERATION_LIMIT

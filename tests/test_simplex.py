@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from railflow.simplex import (
     StandardFormLP,
     Tolerances,
     build_standard_form,
+    solve_face_lp,
     solve_lp,
     solve_model_lp,
 )
@@ -702,6 +704,30 @@ def test_unverified_basis_is_numerics(monkeypatch, shift, status):
         assert (got.objective, got.x, got.dual_objective) == (None, None, None)
 
 
+@pytest.mark.parametrize("weights, expected", [((1.0, 2.0), [3.0, 0.0, 2.0, 0.0]), ((2.0, 1.0), [3.0, 0.0, 0.0, 2.0])])
+def test_face_lp_holds_a_basic_column_and_breaks_ties(weights, expected):
+    # min -x0 s.t. x0 + x2 + x3 = 5, x0 + x1 <= 3 ends with x0 basic at 3 and
+    # x2 + x3 = 2 on the optimal face.  Holding x0 moves its value to the
+    # right-hand side; the tie-break weights on x2 and x3 then pick the
+    # vertex, and the held x0 adds its weight times 3 to both the primal and
+    # the dual objective.
+    model = synthetic_model(
+        [-1.0, 0.0, 0.0, 0.0],
+        [([1.0, 0.0, 1.0, 1.0], "=", 5.0), ([1.0, 1.0, 0.0, 0.0], "<=", 3.0)],
+        ub=[10.0, np.inf, np.inf, np.inf],
+    )
+    primary, values = solve_model_lp(model)
+    assert primary.status == OPTIMAL and values[0] == 3.0
+    tableau = primary.tableau
+    held, values = solve_face_lp(tableau, {}, hold=[0])
+    assert held.status == OPTIMAL and values[0] == 3.0
+    assert tableau.shift[0] == 3.0 and tableau.shut[0]
+    tied, values = solve_face_lp(tableau, {0: 5.0, 2: weights[0], 3: weights[1]})
+    assert tied.status == OPTIMAL
+    np.testing.assert_array_equal(values, expected)
+    assert tied.objective == tied.dual_objective == 15.0 + 2.0 * min(weights)
+
+
 def test_bland_rule_ends_cycling():
     # Beale's cycling example: the largest-coefficient rule cycles through
     # degenerate pivots at the origin until Bland's rule takes over.
@@ -728,6 +754,29 @@ def test_bundled_lp_matches_reference(small_doc, mode):
     config = replace(small_doc.config, capacity_mode=mode, relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     assert_same_solution(solve_lp(sf), reference_solve_lp(sf))
+
+
+def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
+    # The tableau lives in its own mapping, which tracemalloc does not see,
+    # and the phase-1 row is summed in place without a copy of the
+    # artificial rows; everything else a solve allocates is row or column
+    # sized.  A tableau from np.zeros plus that copy traced 1.75 tableaus.
+    from railflow.scenario import build_scenario_model
+
+    config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
+    sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
+    assert sf.n_rows == 1207
+    n_logical = sum(relation != "=" for relation in sf.relations)
+    tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
+    tracemalloc.start()
+    try:
+        solution = solve_lp(sf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.status == OPTIMAL
+    assert solution.tableau.T.nbytes == tableau_bytes
+    assert peak < tableau_bytes / 4
 
 
 def test_shifted_column_with_upper_below_lower_is_conflicting():
