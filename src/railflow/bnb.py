@@ -74,19 +74,6 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     if tol is None:
         tol = Tolerances()
     int_vars = [i for i, v in enumerate(model.variables) if v.integer]
-
-    if not int_vars:
-        solution, values = solve_model_lp(model, tol)
-        return SolveResult(
-            solution.status,
-            None if values is None else model.objective_value(values),
-            values,
-            solution.iterations,
-            nodes=1,
-            gap=0.0 if solution.status == OPTIMAL else None,
-            bound=solution.objective, tableau=solution.tableau,
-        )
-
     objective_of = model.objective_value
 
     counter = 0

@@ -1,14 +1,14 @@
 """Time-expanded linear(-integer) model of the three-layer train flow problem.
 
 The model schedules *volumes* of trains, never individual trains.  Per route
-(commodity) and period it balances departures, link traversals inside one
-period (direct arcs), traversals crossing into the next period (next arcs,
-counted half in each adjacent period for capacity) and volumes standing at
-stations (node inventory arcs).  A route's flow variables exist only on its
-own links and stations; off-route flow is not declared at all.  The demand
-layer converts requested volumes into departures, postponements and
-cancellations; aggregate-duration pacing rows stop volumes from outrunning
-their train type.
+(commodity) and period it balances departures at the origin, arrivals at the
+destination, link traversals inside one period (direct arcs), traversals
+crossing into the next period (next arcs, counted half in each adjacent
+period for capacity) and volumes standing at stations (node inventory arcs).
+A route's flow variables exist only on its own links and stations; off-route
+flow is not declared at all.  The demand layer converts requested volumes
+into departures, postponements and cancellations; aggregate-duration pacing
+rows stop volumes from outrunning their train type.
 
 Everything here is solver independent: the result is a list of named linear
 constraints plus a linear objective.  Building is a pure function of its
@@ -160,6 +160,8 @@ class TimeExpandedModel:
         ub: float = math.inf,
         integer: bool = False,
     ) -> int:
+        if not math.isfinite(lb):
+            raise ModelError(f"variable {name} needs a finite lower bound, got {lb}")
         ref = VariableRef(kind, key)
         if ref in self._index:
             raise ModelError(f"variable {name} declared twice")
@@ -200,16 +202,13 @@ def build_variables(
 ) -> TimeExpandedModel:
     """Declare every decision variable; no constraints yet.
 
-    Flow variables (direct, next, ext, ni, in, aggr) of a route exist only on
-    that route's links and nodes: a route's volume can use nothing else.
-    Continuous variables are nonnegative except the source/sink exchange
-    variables at a route's origin and destination, which are negative at the
-    destination by construction (they equal minus the arrivals) and are
-    therefore left free; at stations the route passes through, nothing enters
-    or leaves, so ext is fixed at zero.  The horizon ends are bounds too: next
-    arcs and node inventories are empty in periods 0 and t_max, pacing
-    aggregates start at zero, and nothing is postponed into period 0 or out of
-    the last period, so unplaceable volume has to be cancelled.
+    Flow variables (direct, next, ni, in, aggr) of a route exist only on that
+    route's links and nodes: a route's volume can use nothing else.  Every
+    variable is nonnegative (add_variable rejects an infinite lower bound, so
+    no variable is free).  The horizon ends are bounds: next arcs and node
+    inventories are empty in periods 0 and t_max, pacing aggregates start at
+    zero, and nothing is postponed into period 0 or out of the last period,
+    so unplaceable volume has to be cancelled.
     """
     for route in catalog.routes:
         for link_id in route.links:
@@ -247,12 +246,6 @@ def build_variables(
     for r in routes:
         for t in T:
             model.add_variable("arr", (r.id, t), f"arr({r.name},{t})")
-    for n in network.nodes:
-        for t in T:
-            for r in at_node[n.id]:
-                through = n.id not in (r.origin, r.destination)
-                lb, ub = (0.0, 0.0) if through else (-math.inf, math.inf)
-                model.add_variable("ext", (n.id, t, r.id), f"ext({n.name},{t},{r.name})", lb=lb, ub=ub)
     for l in network.links:
         for t in T:
             for r in on_link[l.id]:
@@ -497,25 +490,14 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     Only the route's own links and nodes carry its flow (see build_variables).
     Next arcs and node inventories are bounded to zero at both ends of the
     horizon, so every departed volume must reach its sink within the horizon.
-    Flow1 ties the exchange variables at a route's origin and destination to
-    departures and arrivals (ext is fixed at zero elsewhere), Flow2 balances
-    each timed node and Flow3 defines the per-period inflow used by the pacing
-    rows.
+    Flow2 balances each timed node: departures enter the route's network at
+    its origin and arrivals leave it at its destination.  Flow3 defines the
+    per-period inflow used by the pacing rows.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
     at_node = model.routes_at_node
-
-    for n in network.nodes:
-        for t in T:
-            for r in at_node[n.id]:
-                ext = model.var("ext", n.id, t, r.id)
-                name = f"Flow1[n={n.name},t={t},r={r.name}]"
-                if n.id == r.origin:
-                    model.add_constraint(name, [(ext, 1.0), (model.var("dep", r.id, t), -1.0)], "=", 0.0)
-                elif n.id == r.destination:
-                    model.add_constraint(name, [(ext, 1.0), (model.var("arr", r.id, t), 1.0)], "=", 0.0)
 
     for r in catalog.routes:
         incoming: dict[int, list[int]] = {}
@@ -528,10 +510,13 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
             nname = network.node(n_id).name
             for t in T:
                 terms = [
-                    (model.var("ext", n_id, t, r.id), 1.0),
                     (model.var("ni", n_id, t - 1, r.id), 1.0),
                     (model.var("ni", n_id, t, r.id), -1.0),
                 ]
+                if n_id == r.origin:
+                    terms.append((model.var("dep", r.id, t), 1.0))
+                elif n_id == r.destination:
+                    terms.append((model.var("arr", r.id, t), -1.0))
                 for link_id in incoming.get(n_id, ()):
                     terms.append((model.var("direct", link_id, t, r.id), 1.0))
                     terms.append((model.var("next", link_id, t - 1, r.id), 1.0))

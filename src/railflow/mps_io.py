@@ -63,17 +63,11 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
 
     lines.append("BOUNDS")
     for var in model.variables:
-        free_below = var.lb == -math.inf
         capped = math.isfinite(var.ub)
         if var.lb == var.ub:
             lines.append(f" FX BND {var.name:<{_NAME_WIDTH}} {_fmt(var.lb)}")
             continue
-        if free_below and not capped:
-            lines.append(f" FR BND {var.name:<{_NAME_WIDTH}}")
-            continue
-        if free_below:
-            lines.append(f" MI BND {var.name:<{_NAME_WIDTH}}")
-        elif var.lb != 0.0:
+        if var.lb != 0.0:
             tag = "LI" if var.integer else "LO"
             lines.append(f" {tag} BND {var.name:<{_NAME_WIDTH}} {_fmt(var.lb)}")
         elif var.integer and not capped:

@@ -426,6 +426,13 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in volumes):
             errors.append(f"{position}: volumes must be nonnegative integers")
             continue
+        found = len(errors)
+        for k, v in enumerate(volumes):
+            _number(v, f"{position}.volumes[{k}]", errors)
+        if len(errors) == found:
+            _number(sum(volumes), f"{position}.volumes (total)", errors)
+        if len(errors) > found:
+            continue
         demand_names.add(dname)
         demands.append(DemandSpec(dname, str(origin), str(destination), str(label), tuple(volumes)))
 
@@ -477,6 +484,15 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         tcr_overrides=tuple(tcrs),
         notes=notes,
     )
+
+    largest = max(apply_tcr(doc, doc.tcr_overrides).capacity.values(), default=0.0)
+    if not math.isfinite(largest):
+        errors.append("tcr_overrides: a scaled capacity is too large for a float")
+    elif config.big_m is not None and config.big_m <= largest:
+        errors.append(
+            f"config.big_m: {config.big_m} must exceed the largest capacity {largest}"
+            " (after inline TCRs)"
+        )
 
     network = scenario_network(doc)
     catalog = scenario_catalog(doc, network)

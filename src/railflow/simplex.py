@@ -1,8 +1,9 @@
 """Standard-form conversion and a dense two-phase primal simplex.
 
 The converter folds singleton rows and fixed variables into bounds exactly
-(no tolerance-based presolve), shifts or splits variables so every remaining
-column is nonnegative, and keeps a bijection back to the model variables.
+(no tolerance-based presolve), shifts variables by their lower bounds so every
+remaining column is nonnegative, and keeps a bijection back to the model
+variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
 and Bland's rule as the anti-cycling fallback; each iteration's work is in
 the nonzeros of the entering column and pivot row.  The final primal and dual
@@ -18,7 +19,6 @@ the optimal face of the last one, without a phase 1.
 
 from __future__ import annotations
 
-import math
 import mmap
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
@@ -57,9 +57,9 @@ class StandardFormLP:
     """min c.x + constant s.t. A x (rel) b, x >= 0, with model-variable mapping.
 
     A is sparse: vals[k] sits at (rows[k], cols[k]), sorted by row and then
-    column.  Each live model variable maps to one column (offset + column
-    value) or, if free, to a plus/minus column pair.  Fixed variables carry
-    their value in offset with no column.
+    column.  Each live model variable maps to one column: its value is offset
+    plus the column value.  Fixed variables carry their value in offset with no
+    column.
     """
 
     c: np.ndarray
@@ -72,8 +72,7 @@ class StandardFormLP:
     objective_constant: float
     n_model_vars: int
     offset: np.ndarray          # per model variable, additive constant
-    pos_col: np.ndarray         # per model variable, +1 column index or -1
-    neg_col: np.ndarray         # per model variable, -1 column index or -1
+    pos_col: np.ndarray         # per model variable, column index or -1
 
     @property
     def n_rows(self) -> int:
@@ -92,16 +91,12 @@ class StandardFormLP:
         c = np.zeros(self.n_cols)
         pos = self.pos_col >= 0
         c[self.pos_col[pos]] = obj[pos]
-        neg = self.neg_col >= 0
-        c[self.neg_col[neg]] = -obj[neg]
         return replace(self, c=c, objective_constant=float(obj @ self.offset))
 
     def model_values(self, x: np.ndarray) -> np.ndarray:
         values = self.offset.copy()
         pos = self.pos_col >= 0
         values[pos] += x[self.pos_col[pos]]
-        neg = self.neg_col >= 0
-        values[neg] -= x[self.neg_col[neg]]
         return values
 
 
@@ -146,16 +141,12 @@ def build_standard_form(
         names = ", ".join(model.variables[i].name for i in bad[:5])
         raise InfeasibleModel(f"conflicting bounds on {names}")
 
-    fixed = (hi - lo <= 1e-12) & np.isfinite(lo)
-    free = ~fixed & (lo == -math.inf)
-    offset = np.where(free, 0.0, lo)
-    width = np.where(fixed, 0, np.where(free, 2, 1))
-    pos_col = np.where(fixed, -1, np.cumsum(width) - width)
-    neg_col = np.where(free, pos_col + 1, -1)
+    fixed = hi - lo <= 1e-12
+    pos_col = np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
     multi = ~single
     adj = system.rhs - np.bincount(
-        row_of, weights=system.coefs * offset[system.var_idx], minlength=len(rows)
+        row_of, weights=system.coefs * lo[system.var_idx], minlength=len(rows)
     )
     live = multi[row_of] & ~fixed[system.var_idx]
     n_live = np.bincount(row_of[live], minlength=len(rows))
@@ -166,36 +157,26 @@ def build_standard_form(
     kept = multi & (n_live > 0)
 
     ub_var = np.nonzero(~fixed & np.isfinite(hi))[0]
-    ub_free = free[ub_var]
-    span = np.where(ub_free, hi[ub_var], hi[ub_var] - lo[ub_var])
-
     term_row = (np.cumsum(kept) - 1)[row_of[live]]
-    term_var, term_coef = system.var_idx[live], system.coefs[live]
-    split = free[term_var]
     ub_row = np.count_nonzero(kept) + np.arange(ub_var.size)
-    a_rows = np.concatenate([term_row, term_row[split], ub_row, ub_row[ub_free]])
-    a_cols = np.concatenate(
-        [pos_col[term_var], neg_col[term_var[split]], pos_col[ub_var], neg_col[ub_var[ub_free]]]
-    )
-    a_vals = np.concatenate(
-        [term_coef, -term_coef[split], np.ones(ub_var.size), -np.ones(np.count_nonzero(ub_free))]
-    )
+    a_rows = np.concatenate([term_row, ub_row])
+    a_cols = pos_col[np.concatenate([system.var_idx[live], ub_var])]
+    a_vals = np.concatenate([system.coefs[live], np.ones(ub_var.size)])
     order = np.lexsort((a_cols, a_rows))
     relation_of = np.array(["<=", "=", ">="])
     return StandardFormLP(
-        c=np.zeros(int(width.sum())),
+        c=np.zeros(np.count_nonzero(~fixed)),
         rows=a_rows[order],
         cols=a_cols[order],
         vals=a_vals[order],
         relations=tuple(relation_of[system.sense[kept] + 1].tolist()) + ("<=",) * ub_var.size,
-        b=np.concatenate([adj[kept], span]),
+        b=np.concatenate([adj[kept], hi[ub_var] - lo[ub_var]]),
         row_names=tuple(rows[k].name for k in np.nonzero(kept)[0])
         + tuple(f"__ub[{model.variables[i].name}]" for i in ub_var),
         objective_constant=0.0,
         n_model_vars=n_vars,
-        offset=offset,
+        offset=lo,
         pos_col=pos_col,
-        neg_col=neg_col,
     ).with_objective(model.objective)
 
 
@@ -651,7 +632,6 @@ def solve_face_lp(
     """
     sf = tableau.sf.with_objective(objective)
     if len(hold):
-        idx = np.asarray(hold, dtype=int)
-        cols = np.concatenate([sf.pos_col[idx], sf.neg_col[idx]])
+        cols = sf.pos_col[np.asarray(hold, dtype=int)]
         tableau.hold(cols[cols >= 0])
     return _model_values(sf, solve_lp(sf, tol, warm=tableau))

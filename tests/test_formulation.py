@@ -52,21 +52,15 @@ def test_zero_routes_leaves_demand_layer_only():
     demand = Demand(1, "A-B", 1, 2, 1, (1, 0))
     cat = ServiceCatalog((demand,), (), {1: ()})
     model = build_variables(net, cat, net.horizon, ModelConfig())
-    for kind in ("dep", "arr", "ext", "direct", "next", "ni", "in", "aggr"):
+    for kind in ("dep", "arr", "direct", "next", "ni", "in", "aggr"):
         assert count_kind(model, kind) == 0
     assert count_kind(model, "post") == 3
     assert count_kind(model, "cancel_total") == 1
 
 
-def test_exchange_variables_are_free_everything_else_nonnegative():
-    model = line_model()  # one route A-B-C: B is passed through
-    for var in model.variables:
-        if var.ref.kind == "ext" and var.ref.key[0] != 2:
-            assert (var.lb, var.ub) == (-math.inf, math.inf)
-        elif var.ref.kind == "ext":
-            assert (var.lb, var.ub) == (0.0, 0.0)
-        else:
-            assert var.lb == 0.0
+def test_every_variable_is_nonnegative():
+    model = line_model()
+    assert all(var.lb == 0.0 for var in model.variables)
 
 
 def test_over_long_duration_rejected_at_build():
@@ -296,6 +290,27 @@ def test_flow3_origin_counts_departures():
     assert coefs[model.var("next", 1, 1, 1)] == -1.0
 
 
+def test_flow2_departures_enter_at_origin_and_arrivals_leave_at_destination():
+    model = line_model()  # one route A-B-C: B is passed through
+    assert dict(constraint(model, "Flow2[n=A,t=2,r=A-C-r1]").terms) == {
+        model.var("dep", 1, 2): 1.0,
+        model.var("ni", 1, 1, 1): 1.0,
+        model.var("ni", 1, 2, 1): -1.0,
+        model.var("direct", 1, 2, 1): -1.0,
+        model.var("next", 1, 2, 1): -1.0,
+    }
+    assert dict(constraint(model, "Flow2[n=C,t=2,r=A-C-r1]").terms) == {
+        model.var("arr", 1, 2): -1.0,
+        model.var("ni", 3, 1, 1): 1.0,
+        model.var("ni", 3, 2, 1): -1.0,
+        model.var("direct", 2, 2, 1): 1.0,
+        model.var("next", 2, 1, 1): 1.0,
+    }
+    through = dict(constraint(model, "Flow2[n=B,t=2,r=A-C-r1]").terms)
+    assert not {model.var("dep", 1, 2), model.var("arr", 1, 2)} & through.keys()
+    assert not names_of(model, "Flow1")
+
+
 def test_arrival_slack_reaches_the_rhs():
     model = line_model(config=ModelConfig(arrival_slack=2.0))
     row = constraint(model, "Arrival1[r=A-C-r1,t=1]")
@@ -344,7 +359,7 @@ def test_big_m_default_dominates_capacity():
 
 
 LINK_FLOWS = ("direct", "next")
-NODE_FLOWS = ("ext", "ni", "in", "aggr")
+NODE_FLOWS = ("ni", "in", "aggr")
 
 
 def bundled_model(scenario_dir, scenario, mode):
@@ -394,7 +409,7 @@ def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
         )
         if closed:
             assert (var.lb, var.ub) == (0.0, 0.0), var.name
-        elif kind != "ext":
+        else:
             assert var.ub > 0.0, var.name
     # The only one-term rows left allocate a link to its single train type.
     singletons = {c.name.split("[")[0] for c in model.constraints if len(c.terms) == 1}
@@ -405,5 +420,5 @@ def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
 
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
-    assert len(model.variables) == 1450
-    assert len(model.constraints) == 1123
+    assert len(model.variables) == 1275
+    assert len(model.constraints) == 1025

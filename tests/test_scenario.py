@@ -324,3 +324,64 @@ def test_malformed_containers_rejected_at_load(scenario_dir, tmp_path, capsys, p
     path.write_text(json.dumps(raw))
     assert main(["solve", "--scenario", str(path)]) == 1
     assert f"error: {position}: expected an" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "big_m, tcrs",
+    [(1, []), (5, []), (6, [{"link": "A-B", "period": 2, "scale": 2.0}])],
+    ids=["below", "equal", "below-after-tcr"],
+)
+def test_big_m_not_above_largest_capacity_rejected_at_load(scenario_dir, tmp_path, capsys, big_m, tcrs):
+    # Every capacity of the line is 5; the TCR raises one cell to 10.
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["config"]["big_m"] = big_m
+    raw["tcr_overrides"] = tcrs
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert any(line.startswith("config.big_m: ") for line in err.value.errors)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(path)]) == 1
+        assert "error: config.big_m: " in capsys.readouterr().err
+
+
+def test_tcr_scaling_a_capacity_past_float_range_rejected_at_load(scenario_dir, tmp_path, capsys):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["tcr_overrides"] = [{"link": "A-B", "scale": 1e308}]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert "tcr_overrides: a scaled capacity is too large for a float" in err.value.errors
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert "error: tcr_overrides: a scaled capacity is too large" in capsys.readouterr().err
+
+
+def test_big_m_above_largest_capacity_loads_and_solves(scenario_dir):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["config"]["big_m"] = 6
+    raw["tcr_overrides"] = [{"link": "A-B", "scale": 0.5}]
+    output = run(load_scenario(raw))
+    assert output.result.status == "optimal" and output.model.big_m == 6
+
+
+@pytest.mark.parametrize(
+    "volumes, position",
+    [([10**400, 0, 0], "demands[0].volumes[0]"), ([10**308, 10**308, 0], "demands[0].volumes (total)")],
+    ids=["volume", "total"],
+)
+def test_demand_volume_too_large_for_a_float_rejected_at_load(scenario_dir, tmp_path, capsys, volumes, position):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["demands"][0]["volumes"] = volumes
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert any(line.startswith(f"{position}: expected a finite number") for line in err.value.errors)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(path)]) == 1
+        assert f"error: {position}: expected a finite number" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from railflow import simplex
-from railflow.model import CAPACITY_MODES, LinearConstraint
+from railflow.model import CAPACITY_MODES, LinearConstraint, ModelError
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -49,7 +49,6 @@ def raw_lp(c, A, b, relations=None):
         n_model_vars=n,
         offset=np.zeros(n),
         pos_col=np.arange(n),
-        neg_col=np.full(n, -1),
     )
 
 
@@ -63,7 +62,7 @@ def dense(sf):
 def reference_standard_form(model, extra_rows=(), extra_fixes=None):
     """Row-by-row conversion with a dense A: the reference build_standard_form must match.
 
-    Returns (c, A, relations, b, row_names, constant, offset, pos_col, neg_col).
+    Returns (c, A, relations, b, row_names, constant, offset, pos_col).
     """
     n_vars = len(model.variables)
     lo = np.array([v.lb for v in model.variables], dtype=float)
@@ -83,29 +82,20 @@ def reference_standard_form(model, extra_rows=(), extra_fixes=None):
             hi[idx] = min(hi[idx], row.rhs / coef)
     if np.any(lo > hi + 1e-9):
         raise InfeasibleModel("conflicting bounds")
-    fixed = [hi[i] - lo[i] <= 1e-12 and np.isfinite(lo[i]) for i in range(n_vars)]
-    offset = np.zeros(n_vars)
+    fixed = [hi[i] - lo[i] <= 1e-12 for i in range(n_vars)]
+    offset = lo.copy()
     pos_col = np.full(n_vars, -1)
-    neg_col = np.full(n_vars, -1)
     c, ub_rows, constant = [], [], 0.0
     for i in range(n_vars):
         coef = model.objective.get(i, 0.0)
+        constant += coef * lo[i]
         if fixed[i]:
-            offset[i] = lo[i]
-            constant += coef * lo[i]
             continue
         pos_col[i] = len(c)
         c.append(coef)
-        if lo[i] == -np.inf:
-            neg_col[i] = len(c)
-            c.append(-coef)
-            terms, span = ((pos_col[i], 1.0), (neg_col[i], -1.0)), hi[i]
-        else:
-            offset[i] = lo[i]
-            constant += coef * lo[i]
-            terms, span = ((pos_col[i], 1.0),), hi[i] - lo[i]
         if np.isfinite(hi[i]):
-            ub_rows.append((terms, "<=", span, f"__ub[{model.variables[i].name}]"))
+            name = f"__ub[{model.variables[i].name}]"
+            ub_rows.append((((pos_col[i], 1.0),), "<=", hi[i] - lo[i], name))
     rows = []
     for row in multi_rows:
         terms, rhs = [], row.rhs
@@ -113,8 +103,6 @@ def reference_standard_form(model, extra_rows=(), extra_fixes=None):
             rhs -= coef * offset[idx]
             if not fixed[idx]:
                 terms.append((pos_col[idx], coef))
-            if neg_col[idx] >= 0:
-                terms.append((neg_col[idx], -coef))
         violated = {"=": abs(rhs) > 1e-9, "<=": rhs < -1e-9, ">=": rhs > 1e-9}[row.relation]
         if terms:
             rows.append((terms, row.relation, rhs, row.name))
@@ -128,7 +116,7 @@ def reference_standard_form(model, extra_rows=(), extra_fixes=None):
     relations = tuple(r[1] for r in rows)
     b = np.array([r[2] for r in rows], dtype=float)
     names = tuple(r[3] for r in rows)
-    return np.array(c, dtype=float), A, relations, b, names, constant, offset, pos_col, neg_col
+    return np.array(c, dtype=float), A, relations, b, names, constant, offset, pos_col
 
 
 def assert_matches_reference(model, extra_rows=(), extra_fixes=None):
@@ -139,10 +127,10 @@ def assert_matches_reference(model, extra_rows=(), extra_fixes=None):
             build_standard_form(model, extra_rows, extra_fixes)
         return
     sf = build_standard_form(model, extra_rows, extra_fixes)
-    c, A, relations, b, names, constant, offset, pos_col, neg_col = expected
+    c, A, relations, b, names, constant, offset, pos_col = expected
     assert (sf.relations, sf.row_names) == (relations, names)
     assert np.array_equal(sf.rows, np.nonzero(A)[0]) and np.array_equal(sf.cols, np.nonzero(A)[1])
-    for got, want in zip((sf.c, dense(sf), sf.offset, sf.pos_col, sf.neg_col), (c, A, offset, pos_col, neg_col)):
+    for got, want in zip((sf.c, dense(sf), sf.offset, sf.pos_col), (c, A, offset, pos_col)):
         assert np.array_equal(got, want)
     # right-hand sides and the constant sum the same terms in another order
     np.testing.assert_allclose(sf.b, b, rtol=1e-12, atol=1e-12)
@@ -475,14 +463,14 @@ def test_singleton_rows_fold_into_fixings():
     assert solution.objective == pytest.approx(2.0)
 
 
-def test_free_variable_can_go_negative():
-    model = synthetic_model([0.0, 1.0], [([1.0, -1.0], "=", -2.5)])
-    model.variables[0] = model.variables[0].__class__(
-        model.variables[0].ref, model.variables[0].name, lb=-np.inf
-    )
-    solution, values = solve_model_lp(model)
-    assert solution.status == OPTIMAL
-    assert values[0] == pytest.approx(-2.5)
+def test_add_variable_rejects_infinite_lower_bound():
+    # No variable is free, so the standard form never splits a column.
+    from support import bare_model
+
+    model = bare_model()
+    with pytest.raises(ModelError, match="finite lower bound"):
+        model.add_variable("x", (0,), "x0", lb=-np.inf)
+    assert model.variables == []
 
 
 def test_violated_empty_row_is_infeasible():
@@ -492,7 +480,7 @@ def test_violated_empty_row_is_infeasible():
 
 
 def test_general_form_agreement_with_reference():
-    # mixes of =, <=, >=, free and boxed variables against scipy's solver
+    # mixes of =, <=, >=, shifted and boxed variables against scipy's solver
     # (reference presolve off: it may misreport unbounded problems otherwise)
     from scipy.optimize import linprog
 
@@ -506,7 +494,7 @@ def test_general_form_agreement_with_reference():
         model = bare_model()
         bounds = []
         for j in range(n):
-            lb = -np.inf if rng.random() < 0.25 else 0.0
+            lb = -2.0 if rng.random() < 0.25 else 0.0
             ub = float(rng.uniform(0.5, 4.0)) if rng.random() < 0.3 else np.inf
             model.add_variable("x", (j,), f"x{j}", lb=lb, ub=ub)
             bounds.append((lb, ub))
@@ -551,17 +539,18 @@ def test_general_form_agreement_with_reference():
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_standard_form_matches_reference(seed):
-    # Free, boxed, shifted and fixed variables; empty, singleton (either
-    # sign) and multi-term rows, all satisfied by one point within the
-    # bounds; branching rows and fixings on top, which may conflict.
+    # Boxed, shifted (also below zero) and fixed variables; empty,
+    # singleton (either sign) and multi-term rows, all satisfied by one point
+    # within the bounds; branching rows and fixings on top, which may
+    # conflict.
     from support import bare_model
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     model = bare_model()
     for j in range(n):
-        lb = float(rng.choice([0.0, -np.inf, 1.5, -2.0]))
-        ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb] if np.isfinite(lb) else [np.inf, 1.0]))
+        lb = float(rng.choice([0.0, -3.0, 1.5, -2.0]))
+        ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb]))
         model.add_variable("x", (j,), f"x{j}", lb=lb, ub=ub)
     point = [float(np.clip(1.0, v.lb, v.ub)) for v in model.variables]
     model.objective = {j: float(v) for j, v in enumerate(rng.uniform(-2, 2, n).round(3)) if v}
@@ -765,7 +754,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
     config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert sf.n_rows == 1207
+    assert sf.n_rows == 1109
     n_logical = sum(relation != "=" for relation in sf.relations)
     tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
     tracemalloc.start()
@@ -859,7 +848,7 @@ def test_sparse_basis_matches_dense_solve_property(seed):
 
 
 def test_small_network_lp_matches_highs(small_doc):
-    # A real-size basis (1130 rows) leaves a bump after the singleton peel,
+    # A real-size basis (1032 rows) leaves a bump after the singleton peel,
     # which the tiny random LPs above never do.
     from scipy.optimize import linprog
 
@@ -867,7 +856,7 @@ def test_small_network_lp_matches_highs(small_doc):
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (1130, 1350)
+    assert (sf.n_rows, sf.n_cols) == (1032, 1154)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
