@@ -72,7 +72,9 @@ def _load(path: Path):
     except ScenarioError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError and what json.loads raises
+        # for an integer longer than Python's int-string limit.
         print(f"error: {exc}", file=sys.stderr)
     return None
 

@@ -493,6 +493,11 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             f"config.big_m: {config.big_m} must exceed the largest capacity {largest}"
             " (after inline TCRs)"
         )
+    elif config.big_m is None and not math.isfinite(10.0 * largest):
+        errors.append(
+            f"capacities: the default big M, 10 x the largest capacity {largest},"
+            " is too large for a float; set config.big_m"
+        )
 
     network = scenario_network(doc)
     catalog = scenario_catalog(doc, network)

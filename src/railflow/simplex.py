@@ -6,7 +6,11 @@ remaining column is nonnegative, and keeps a bijection back to the model
 variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
 and Bland's rule as the anti-cycling fallback; each iteration's work is in
-the nonzeros of the entering column and pivot row.  The final primal and dual
+the nonzeros of the entering column and pivot row.  A cold solve starts from
+a triangular crash basis: the = and >= rows with a zero right-hand side
+(flow balances, pacing aggregates) get a structural column before phase 1,
+by degenerate pivots whose multipliers stay at or below 1, so phase 1 does
+not spend most of its iterations swapping out zero artificials.  The final primal and dual
 values are recomputed from the original data so that residuals are at
 machine precision rather than accumulated tableau error: the optimal basis
 is nearly triangular, so peeling its row and column singletons leaves a
@@ -19,6 +23,7 @@ the optimal face of the last one, without a phase 1.
 
 from __future__ import annotations
 
+import heapq
 import mmap
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
@@ -282,6 +287,65 @@ def _solve_sparse_basis(
     return np.array(x), np.array(y)
 
 
+def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
+    """The (row, column) pivots of the triangular crash, in pivot order.
+
+    Candidates are the rows that start on an artificial with a right-hand
+    side of 0: = and >= rows with b == 0.  The live candidate row with the
+    fewest live columns comes next (lowest index on ties).  Among its live
+    columns, those with |a| at least half the row's largest live |a| and
+    equal to the largest |entry| of their column in A qualify; the one with
+    the fewest nonzeros (then the lowest index) is picked, and the row and
+    every column with an entry in it retire.  A row with no qualifying
+    column retires alone.
+
+    Retiring the columns makes the basis triangular: a pick's column has no
+    entry in an earlier pick's row, so it is still its column of A when it
+    is pivoted on, and the column-max rule keeps every elimination
+    multiplier at or below 1.
+    """
+    m, n = sf.n_rows, sf.n_cols
+    mags = np.abs(sf.vals)
+    col_max = np.zeros(n)
+    np.maximum.at(col_max, sf.cols, mags)
+    col_nnz = np.bincount(sf.cols, minlength=n).tolist()
+    starts = np.searchsorted(sf.rows, np.arange(m + 1)).tolist()
+    by_col = np.argsort(sf.cols, kind="stable")
+    col_starts = np.searchsorted(sf.cols[by_col], np.arange(n + 1)).tolist()
+    rows_by_col = sf.rows[by_col].tolist()
+    tops = (mags >= col_max[sf.cols]).tolist()
+    cols, mags = sf.cols.tolist(), mags.tolist()
+
+    # Only candidate rows are ever live, so only their counts are kept.
+    live_count = np.diff(starts).tolist()
+    row_live = [rel != "<=" and b == 0.0 for rel, b in zip(sf.relations, sf.b.tolist())]
+    col_live = [True] * n
+    heap = [(live_count[i], i) for i in range(m) if row_live[i]]
+    heapq.heapify(heap)
+    picks = []
+    while heap:
+        count, r = heapq.heappop(heap)
+        if not row_live[r] or count != live_count[r]:
+            continue
+        row_live[r] = False
+        entries = [k for k in range(starts[r], starts[r + 1]) if col_live[cols[k]]]
+        if not entries:
+            continue
+        half = 0.5 * max(mags[k] for k in entries)
+        eligible = [cols[k] for k in entries if tops[k] and mags[k] >= half]
+        if not eligible:
+            continue
+        picks.append((r, min(eligible, key=lambda j: (col_nnz[j], j))))
+        for k in entries:
+            j = cols[k]
+            col_live[j] = False
+            for i in rows_by_col[col_starts[j] : col_starts[j + 1]]:
+                if row_live[i]:
+                    live_count[i] -= 1
+                    heapq.heappush(heap, (live_count[i], i))
+    return picks
+
+
 class Tableau:
     """The dense tableau of one solve and its basis, kept for warm stages.
 
@@ -354,6 +418,27 @@ class Tableau:
         self.c: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
 
+    def enter(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
+        """Make column q basic in row p: one counted iteration."""
+        self.basic_artificial[p] = False
+        self.basis[p] = q
+        self.leave_rank[p] = q
+        self.pivot(p, q, column, nzc)
+        self.iterations += 1
+
+    def crash(self, tol: Tolerances) -> None:
+        """Pivot the crash picks (_crash_picks) in, before phase 1.
+
+        Each pick replaces the artificial of a row with a right-hand side of
+        0, so every pivot is degenerate and the start stays feasible.  The
+        picks stop at the iteration cap, where phase 1 then returns.
+        """
+        for p, q in _crash_picks(self.sf):
+            if self.iterations >= tol.max_iterations:
+                return
+            column = self.T[:, q].copy()
+            self.enter(p, q, column, np.nonzero(column)[0])
+
     def pivot(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
         # row is divided and snapped on its nonzeros only; the rank-1 block
@@ -375,7 +460,7 @@ class Tableau:
 
     def run_phase(self, cost_row: int, phase_one: bool, tol: Tolerances) -> str:
         T, m, ncols, shut = self.T, self.m, self.ncols, self.shut
-        basis, basic_artificial, leave_rank = self.basis, self.basic_artificial, self.leave_rank
+        basic_artificial, leave_rank = self.basic_artificial, self.leave_rank
         bland = False
         stall = 0
         while True:
@@ -408,12 +493,7 @@ class Tableau:
                 if guard.size:
                     strongest = column[guard].min()
                     pick = guard[column[guard] <= strongest + 1e-12]
-                    p = int(pick[np.argmin(leave_rank[pick])])
-                    basic_artificial[p] = False
-                    basis[p] = q
-                    leave_rank[p] = q
-                    self.pivot(p, q, column, nzc)
-                    self.iterations += 1
+                    self.enter(int(pick[np.argmin(leave_rank[pick])]), q, column, nzc)
                     continue
 
             positive = entries > tol.pivot
@@ -423,12 +503,7 @@ class Tableau:
             ratios = T[candidates, -1] / entries[positive]
             best = ratios.min()
             ties = candidates[ratios <= best + 1e-12]
-            p = int(ties[np.argmin(leave_rank[ties])])
-            basic_artificial[p] = False
-            basis[p] = q
-            leave_rank[p] = q
-            self.pivot(p, q, column, nzc)
-            self.iterations += 1
+            self.enter(int(ties[np.argmin(leave_rank[ties])]), q, column, nzc)
             if best <= 1e-12:
                 stall += 1
                 if stall > tol.bland_after:
@@ -549,7 +624,12 @@ def solve_lp(
     """Two-phase primal simplex on the standard-form problem.
 
     The tableau (Tableau) keeps artificial variables logical, which keeps it
-    a quarter slimmer and free of artificial fill-in.  Each iteration works
+    a quarter slimmer and free of artificial fill-in.  Before phase 1, the
+    crash (Tableau.crash) pivots a structural column into each row that
+    _crash_picks chooses among those starting on an artificial with a
+    right-hand side of 0.  These pivots are degenerate, so the start stays
+    feasible for phase 1; they count as iterations and against
+    max_iterations.  Each iteration works
     in the nonzeros of the entering column and pivot row: the column is read
     once, the artificial guard and the ratio test scan its nonzeros, and the
     pivot divides the row and applies the rank-1 correction on those
@@ -584,6 +664,7 @@ def solve_lp(
 
     tableau = Tableau(sf)
     if tableau.has_artificial:
+        tableau.crash(tol)
         outcome = tableau.run_phase(m + 1, True, tol)
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)

@@ -2,13 +2,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mps_reader import solve_with_scipy
 from railflow.cli import main
 from railflow.mps_io import export_model_text
 from railflow.scenario import load_scenario, run
-from railflow.simplex import NUMERICS
+from railflow import simplex
+from railflow.simplex import NUMERICS, OPTIMAL
 
 # The benchmark's seeded line generator, imported read only.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -35,6 +37,17 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert main(["validate", "--scenario", str(bad)]) == 1
+
+
+def test_integer_past_the_int_string_limit_is_an_input_error(scenario_dir, tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for it.
+    text = (scenario_dir / "three_station_line.json").read_text()
+    bad = tmp_path / "huge.json"
+    bad.write_text(text.replace('"horizon": 3', '"horizon": 5' + "0" * 5000, 1))
+    assert bad.read_text() != text
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_writes_reports_and_exports(scenario_dir, tmp_path, capsys):
@@ -109,23 +122,56 @@ def test_export_is_deterministic_across_processes(scenario_dir, tmp_path):
     assert paths[0] == paths[1]
 
 
-@pytest.mark.parametrize(
-    "shape, name, highs",
-    [((58, 5, 6, 5), "line5", 0.6179), ((32, 6, 6, 6), "line6", 0.8938)],
-    ids=["line5-58", "line6-32"],
-)
-def test_unverifiable_basis_exits_numerics(tmp_path, capsys, shape, name, highs):
-    # Generated LP lines where the tableau drifts until the final basis is
-    # singular or inaccurate.  HiGHS solves them; the run must say numerics,
-    # not report the drifted tableau as optimal.
-    doc = synth.line_scenario(*shape, relax_integrality=True, pace_refinement=False, name=name)
-    output = run(load_scenario(doc))
-    assert (output.result.status, output.result.values, output.capacity) == (NUMERICS, None, None)
-    external = solve_with_scipy(export_model_text(output.model))
-    assert external.status == 0 and external.fun == pytest.approx(highs, abs=1e-4)
+# Generated lines that the simplex got wrong before the crash basis.  The
+# first two ended numerics: the tableau drifted until the final basis was
+# singular or inaccurate.  The others are every wrong run of
+# scripts/line_sweep.py at that time: infeasible, at the iteration cap or
+# numerics.  Single-track lines run with pace refinement on, relaxed and
+# integer; the others relaxed, without it.
+LINES = [
+    (58, 5, 0, True, "line5", 0.617857),
+    (32, 6, 0, True, "line6", 0.893750),
+    (53, 4, 0, True, "line", 0.718333),
+    (61, 5, 0, True, "line", 0.759722),
+    (12, 6, 0, True, "line", 0.554444),
+    (14, 6, 0, True, "line", 0.739216),
+    (23, 6, 0, True, "line", 0.620833),
+] + [
+    (seed, 5, 1, relax, "line", highs)
+    for seed, highs in ((21, 0.656140), (22, 0.75), (34, 0.606667))
+    for relax in (True, False)
+]
 
-    path = tmp_path / "line.json"
-    path.write_bytes(synth.scenario_bytes(doc))
+
+@pytest.mark.parametrize(
+    "seed, stations, single_track, relax, name, highs",
+    LINES,
+    ids=[f"{n}-{st}-{s}" + ("-st-" + ("lp" if r else "mip") if t else "") for s, st, t, r, n, _ in LINES],
+)
+def test_generated_line_matches_highs(seed, stations, single_track, relax, name, highs):
+    doc = synth.line_scenario(
+        seed, stations, 6, stations, single_track=single_track, relax_integrality=relax,
+        pace_refinement=bool(single_track), name=name,
+    )
+    output = run(load_scenario(doc))
+    assert output.result.status == OPTIMAL
+    external = solve_with_scipy(export_model_text(output.model))
+    assert external.status == 0 and external.fun == pytest.approx(highs, abs=1e-6)
+    assert output.result.objective == pytest.approx(external.fun, abs=1e-7)
+
+
+def test_unverifiable_basis_exits_numerics(scenario_dir, tmp_path, capsys, monkeypatch):
+    # No bundled or generated case is known to end numerics, so the basis
+    # re-solve is made to fail: the run must say numerics, exit 4 and keep
+    # the model for diagnosis instead of reporting tableau values.
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular bump")
+
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", singular)
+    path = scenario_dir / "three_station_line.json"
+    output = run(load_scenario(path))
+    assert (output.result.status, output.result.values, output.capacity) == (NUMERICS, None, None)
+
     out_dir = tmp_path / "out"
     assert main(["solve", "--scenario", str(path), "--out-dir", str(out_dir)]) == 4
     assert "status: numerics" in capsys.readouterr().out

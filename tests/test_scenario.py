@@ -360,6 +360,24 @@ def test_tcr_scaling_a_capacity_past_float_range_rejected_at_load(scenario_dir, 
     assert "error: tcr_overrides: a scaled capacity is too large" in capsys.readouterr().err
 
 
+def test_default_big_m_past_float_range_rejected_at_load(scenario_dir, tmp_path, capsys):
+    # 10 x 1e308 overflows; with config.big_m set, the capacity itself is fine.
+    raw = json.loads((scenario_dir / "single_track_shuttle.json").read_text())
+    raw["capacities"]["default"] = 1e308
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert any(line.startswith("capacities: the default big M") for line in err.value.errors)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(path)]) == 1
+        assert "error: capacities: the default big M" in capsys.readouterr().err
+
+    raw["config"]["big_m"] = 1.5e308
+    assert load_scenario(raw).config.big_m == 1.5e308
+
+
 def test_big_m_above_largest_capacity_loads_and_solves(scenario_dir):
     raw = json.loads((scenario_dir / "three_station_line.json").read_text())
     raw["config"]["big_m"] = 6

@@ -141,7 +141,8 @@ def reference_solve_lp(sf, tol=None):
     """solve_lp as it was before pivots worked on nonzeros only: the reference.
 
     Every iteration makes whole-column and whole-row passes over the tableau;
-    solve_lp must take the same pivots and return the same bits.
+    solve_lp must take the same pivots and return the same bits.  The crash
+    picks (simplex._crash_picks) are replayed through this pivot.
     """
     if tol is None:
         tol = Tolerances()
@@ -288,6 +289,15 @@ def reference_solve_lp(sf, tol=None):
                 bland = False
 
     if n_art:
+        # The crash picks, pivoted in as counted phase-1 pivots up to the cap.
+        for p, q in simplex._crash_picks(sf):
+            if iterations >= tol.max_iterations:
+                break
+            basic_artificial[p] = False
+            basis[p] = q
+            leave_rank[p] = q
+            pivot(p, q)
+            iterations += 1
         outcome = run_phase(m + 1, phase_one=True)
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, iterations)
@@ -665,6 +675,39 @@ def test_solve_lp_matches_reference_on_every_outcome():
         if want.iterations and set(lp.relations) == {"<="} and lp.b.min() >= 0:
             seen.add("cut in phase 2")
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "cut in phase 1", "cut in phase 2"}
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
+    rng = np.random.default_rng(seed)
+    lp = random_standard_form(rng, dense=rng.random() < 0.3)
+    picks = simplex._crash_picks(lp)
+    rows = [p for p, _ in picks]
+    cols = [q for _, q in picks]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(lp.relations[p] != "<=" and lp.b[p] == 0.0 for p in rows)
+    A = dense(lp)
+    # Lower triangular in pick order: a pick's column has no entry in an
+    # earlier pick's row, so it enters as its column of A.
+    B = A[np.ix_(rows, cols)]
+    assert np.array_equal(B, np.tril(B)) and np.all(np.diag(B) != 0.0)
+    for p, q in picks:
+        assert np.abs(A[:, q]).max() == abs(A[p, q])
+
+
+def test_crash_covers_the_small_network_balances_without_growth(small_doc):
+    # 794 of the 1032 rows start on an artificial, 769 of them with a
+    # right-hand side of 0; the crash covers 677 of those, and its pivots
+    # leave every entry of the constraint rows at or below 1 in magnitude.
+    from railflow.scenario import build_scenario_model
+
+    config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
+    sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
+    tableau = simplex.Tableau(sf)
+    tableau.crash(Tolerances())
+    assert tableau.iterations == 677
+    assert np.count_nonzero(tableau.basic_artificial) == 794 - 677
+    assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
 
 
 @pytest.mark.parametrize(
