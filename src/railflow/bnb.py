@@ -184,11 +184,18 @@ _TIE_BREAK_SEED = "railflow tie-break"
 
 
 def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
-    """Earliest pace: each period's volume at a node weighted by the period."""
+    """Earliest pace: the volume entering each route node weighted by the period.
+
+    Volume enters the origin as departures and every later node over the
+    route's link into it: a direct arc within its period t, a next arc in
+    period t + 1 (a next arc out of t_max is empty).
+    """
+    delay = {"dep": 0, "direct": 0, "next": 1}
+    t_max = model.horizon.t_max
     pace = {
-        idx: float(var.ref.key[1])
+        idx: float(var.ref.key[1] + delay[var.ref.kind])
         for idx, var in enumerate(model.variables)
-        if var.ref.kind == "in" and var.ref.key[1] >= 1
+        if var.ref.kind in delay and var.ref.key[1] + delay[var.ref.kind] <= t_max
     }
     # Setup times and capacity allocations carry no primary cost and would
     # otherwise float anywhere between their bounds; a tiny weight pins the
@@ -274,12 +281,8 @@ def _reoptimize_setup(model: TimeExpandedModel, values: np.ndarray) -> None:
         return
     for rep, other in model.single_track_pairs:
         for t in model.horizon.periods:
-            own = sum(
-                values[model.var("linkcap", rep, t, h.id)] for h in model.network.train_types
-            )
-            opp = sum(
-                values[model.var("linkcap", other, t, h.id)] for h in model.network.train_types
-            )
+            own = sum(values[model.var("linkcap", rep, t, h.id)] for h in model.types_on_link[rep])
+            opp = sum(values[model.var("linkcap", other, t, h.id)] for h in model.types_on_link[other])
             need_when_flagged = own / model.config.k_setup
             need_when_clear = opp / model.config.k_setup
             w_idx = model.var("setup_w", rep, t)

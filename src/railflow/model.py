@@ -7,8 +7,10 @@ crossing into the next period (next arcs, counted half in each adjacent
 period for capacity) and volumes standing at stations (node inventory arcs).
 A route's flow variables exist only on its own links and stations; off-route
 flow is not declared at all.  The demand layer converts requested volumes
-into departures, postponements and cancellations; aggregate-duration pacing
-rows stop volumes from outrunning their train type.
+into departures, postponements and cancellations.  Pacing keeps volumes from
+outrunning their train type: at every route node after the origin, a lag
+variable holds the volume that could have arrived by the end of a period but
+has not yet, and cannot go negative.
 
 Everything here is solver independent: the result is a list of named linear
 constraints plus a linear objective.  Building is a pure function of its
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
-from .network import Horizon, Network
+from .network import Horizon, Network, TrainType
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
 
@@ -142,10 +144,12 @@ class TimeExpandedModel:
         self.big_m: float = 0.0
         self.single_track_pairs: tuple[tuple[int, int], ...] = ()
         # Route support, set by build_variables: each route's nodes in order,
-        # and the routes (in catalog order) riding each link or visiting
-        # each node.  Flow variables exist only there.
+        # the routes (in catalog order) riding each link or visiting each
+        # node, and the train types of a link's routes.  Flow variables and
+        # capacity allocations exist only there.
         self.nodes_of: dict[int, tuple[int, ...]] = {}
         self.routes_on_link: dict[int, tuple[Route, ...]] = {}
+        self.types_on_link: dict[int, tuple[TrainType, ...]] = {}
         self.routes_at_node: dict[int, tuple[Route, ...]] = {}
         self._index: dict[VariableRef, int] = {}
 
@@ -202,13 +206,14 @@ def build_variables(
 ) -> TimeExpandedModel:
     """Declare every decision variable; no constraints yet.
 
-    Flow variables (direct, next, ni, in, aggr) of a route exist only on that
-    route's links and nodes: a route's volume can use nothing else.  Every
-    variable is nonnegative (add_variable rejects an infinite lower bound, so
-    no variable is free).  The horizon ends are bounds: next arcs and node
-    inventories are empty in periods 0 and t_max, pacing aggregates start at
-    zero, and nothing is postponed into period 0 or out of the last period,
-    so unplaceable volume has to be cancelled.
+    Flow variables (direct, next, ni, lag) of a route exist only on that
+    route's links and nodes, and lag not at its origin, where it would always
+    be 0; a link's capacity allocations exist only for the train types of its
+    routes.  Every variable is nonnegative (add_variable rejects an infinite
+    lower bound, so no variable is free).  The horizon ends are bounds: next
+    arcs and node inventories are empty in periods 0 and t_max, and nothing
+    is postponed into period 0 or out of the last period, so unplaceable
+    volume has to be cancelled.
     """
     for route in catalog.routes:
         for link_id in route.links:
@@ -234,6 +239,10 @@ def build_variables(
     demands = catalog.demands
     model.nodes_of = {r.id: route_nodes(r, network) for r in routes}
     model.routes_on_link = {l.id: tuple(r for r in routes if l.id in r.links) for l in network.links}
+    model.types_on_link = {
+        l_id: tuple(h for h in network.train_types if any(r.train_type == h.id for r in riding))
+        for l_id, riding in model.routes_on_link.items()
+    }
     model.routes_at_node = {
         n.id: tuple(r for r in routes if n.id in model.nodes_of[r.id]) for n in network.nodes
     }
@@ -263,12 +272,8 @@ def build_variables(
     for n in network.nodes:
         for t in T:
             for r in at_node[n.id]:
-                model.add_variable("in", (n.id, t, r.id), f"in({n.name},{t},{r.name})")
-    for n in network.nodes:
-        for t in T0:
-            for r in at_node[n.id]:
-                ub = 0.0 if t == 0 else math.inf
-                model.add_variable("aggr", (n.id, t, r.id), f"aggr({n.name},{t},{r.name})", ub=ub)
+                if n.id != r.origin:
+                    model.add_variable("lag", (n.id, t, r.id), f"lag({n.name},{t},{r.name})")
     for d in demands:
         for t in T0:
             model.add_variable("post", (d.id, t), f"post({d.name},{t})", ub=ends.get(t, math.inf))
@@ -284,7 +289,7 @@ def build_variables(
         )
     for l in network.links:
         for t in T:
-            for h in network.train_types:
+            for h in model.types_on_link[l.id]:
                 model.add_variable("linkcap", (l.id, t, h.id), f"linkcap({l.name},{t},{h.label})")
 
     pairs = tuple(
@@ -324,24 +329,29 @@ def build_variables(
 def emit_capacity(model: TimeExpandedModel) -> None:
     """Base capacity rows plus the family selected by capacity_mode.
 
-    Capacity1 keeps the per-type allocations within the nominal capacity;
-    Capacity4 keeps the flow of each type some route runs on the link (direct
-    plus half of each adjacent next arc) within its allocation; the other
-    types' allocations are only nonnegative.  single_track_alt1 makes coupled
-    links share the mean of their nominal capacities; single_track_alt2 adds a
-    setup-time variable w tied, through a binary flag, to the smaller of the
-    two directional allocations; heterogeneous charges extra capacity for
-    every pair of distinct train types sharing a link.
+    Capacity1 keeps a link's allocations within its nominal capacity;
+    Capacity4 keeps the flow of each type on the link (direct plus half of
+    each adjacent next arc) within its allocation.  Only the train types of a
+    link's routes get an allocation, and a row that would have no terms is
+    not emitted.  single_track_alt1 makes coupled links share the mean of
+    their nominal capacities; single_track_alt2 adds a setup-time variable w
+    tied, through a binary flag, to the smaller of the two directional
+    allocations; heterogeneous charges extra capacity for every pair of
+    distinct train types sharing a link.
     """
     network = model.network
     config = model.config
     T = model.horizon.periods
 
+    def allocations(link_id: int, t: int) -> list[tuple[int, float]]:
+        return [(model.var("linkcap", link_id, t, h.id), 1.0) for h in model.types_on_link[link_id]]
+
     for l in network.links:
+        if not model.types_on_link[l.id]:
+            continue
         for t in T:
-            terms = [(model.var("linkcap", l.id, t, h.id), 1.0) for h in network.train_types]
             model.add_constraint(
-                f"Capacity1[l={l.name},t={t}]", terms, "<=", network.capacity[(l.id, t)]
+                f"Capacity1[l={l.name},t={t}]", allocations(l.id, t), "<=", network.capacity[(l.id, t)]
             )
 
     pairs = model.single_track_pairs
@@ -356,38 +366,30 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         for rep, other in pairs:
             lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
-                terms = [
-                    (model.var("linkcap", link_id, t, h.id), 1.0)
-                    for link_id in (rep, other)
-                    for h in network.train_types
-                ]
+                terms = allocations(rep, t) + allocations(other, t)
+                if not terms:
+                    continue
                 rhs = 0.5 * (network.capacity[(rep, t)] + network.capacity[(other, t)])
                 model.add_constraint(f"Capacity2alt1[l={lname}/{oname},t={t}]", terms, "<=", rhs)
     elif config.capacity_mode == "single_track_alt2":
         for rep, other in pairs:
             lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
-                both = [
-                    (model.var("linkcap", link_id, t, h.id), 1.0)
-                    for link_id in (rep, other)
-                    for h in network.train_types
-                ]
+                own, opp = allocations(rep, t), allocations(other, t)
                 w = model.var("setup_w", rep, t)
                 beta = model.var("dirflag_beta", rep, t)
                 model.add_constraint(
                     f"Capacity2alt2[l={lname},t={t}]",
-                    both + [(w, 1.0)],
+                    own + opp + [(w, 1.0)],
                     "<=",
                     network.capacity[(rep, t)],
                 )
                 model.add_constraint(
                     f"Capacity2alt2[l={oname},t={t}]",
-                    both + [(w, 1.0)],
+                    own + opp + [(w, 1.0)],
                     "<=",
                     network.capacity[(other, t)],
                 )
-                own = [(model.var("linkcap", rep, t, h.id), 1.0) for h in network.train_types]
-                opp = [(model.var("linkcap", other, t, h.id), 1.0) for h in network.train_types]
                 model.add_constraint(
                     f"Capacity2alt2setup[l={lname},t={t}]",
                     own + [(w, -config.k_setup), (beta, model.big_m)],
@@ -402,12 +404,8 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 )
     elif config.capacity_mode == "heterogeneous":
         for l in network.links:
-            active = [
-                h
-                for h in network.train_types
-                if any(r.train_type == h.id for r in model.routes_on_link[l.id])
-            ]
-            if len(active) == 0:
+            active = model.types_on_link[l.id]
+            if not active:
                 continue
             for t in T:
                 coef: dict[int, float] = {}
@@ -428,12 +426,11 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 
     for l in network.links:
         for t in T:
-            for h in network.train_types:
-                riding = [r for r in model.routes_on_link[l.id] if r.train_type == h.id]
-                if not riding:
-                    continue
+            for h in model.types_on_link[l.id]:
                 terms: list[tuple[int, float]] = []
-                for r in riding:
+                for r in model.routes_on_link[l.id]:
+                    if r.train_type != h.id:
+                        continue
                     terms.append((model.var("direct", l.id, t, r.id), 1.0))
                     terms.append((model.var("next", l.id, t - 1, r.id), 0.5))
                     terms.append((model.var("next", l.id, t, r.id), 0.5))
@@ -491,13 +488,11 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     Next arcs and node inventories are bounded to zero at both ends of the
     horizon, so every departed volume must reach its sink within the horizon.
     Flow2 balances each timed node: departures enter the route's network at
-    its origin and arrivals leave it at its destination.  Flow3 defines the
-    per-period inflow used by the pacing rows.
+    its origin and arrivals leave it at its destination.
     """
     network = model.network
     catalog = model.catalog
     T = model.horizon.periods
-    at_node = model.routes_at_node
 
     for r in catalog.routes:
         incoming: dict[int, list[int]] = {}
@@ -525,19 +520,6 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
                     terms.append((model.var("next", link_id, t, r.id), -1.0))
                 model.add_constraint(f"Flow2[n={nname},t={t},r={r.name}]", terms, "=", 0.0)
 
-    for n in network.nodes:
-        for t in T:
-            for r in at_node[n.id]:
-                terms = [(model.var("in", n.id, t, r.id), 1.0)]
-                if n.id == r.origin:
-                    terms.append((model.var("dep", r.id, t), -1.0))
-                for link_id in r.links:
-                    if network.link(link_id).head != n.id:
-                        continue
-                    terms.append((model.var("direct", link_id, t, r.id), -1.0))
-                    terms.append((model.var("next", link_id, t - 1, r.id), -1.0))
-                model.add_constraint(f"Flow3[n={n.name},t={t},r={r.name}]", terms, "=", 0.0)
-
 
 def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...]:
     """How one period's departures reach a node: (period offset, share) pairs.
@@ -558,75 +540,56 @@ def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...
 
 
 def emit_aggregates(model: TimeExpandedModel) -> None:
-    """Pacing: cumulative inflow at a node may not outrun the train's speed.
+    """Pacing: the volume reaching a node may not outrun the train's speed.
 
-    aggr[n,t,r] accumulates, period by period, the largest volume of route r
-    that can possibly have reached node n given the departures so far; the
-    Aggregate3/Aggregate4 rows then cap the cumulative inflow by it.  Like
-    every flow variable, aggr exists only at the route's own nodes, and its
-    bound starts it at zero in period 0.
+    lag[n,t,r] is the volume of route r that could have reached node n by the
+    end of period t, given the departures so far and the cumulative duration
+    to n, but has not yet.  Pace[n,t,r] adds each period's departures (spread
+    by departure_spread) and takes off the period's inflow over the route's
+    link into n (the direct arc of period t and the next arc from t-1); lag
+    starts at zero and its bound lag >= 0 keeps the cumulative inflow within
+    reach.  At the origin departures are the inflow, so it has no lag and no
+    Pace row.
     """
     network = model.network
-    catalog = model.catalog
     T = model.horizon.periods
-    nodes_of = model.nodes_of
 
-    for r in catalog.routes:
+    for r in model.catalog.routes:
         reach = aggregate_durations(r, network)
-        for n_id in nodes_of[r.id]:
+        for link_id in r.links:
+            n_id = network.link(link_id).head
             nname = network.node(n_id).name
             spread = departure_spread(reach[n_id])
             for t in T:
-                terms = [
-                    (model.var("aggr", n_id, t, r.id), 1.0),
-                    (model.var("aggr", n_id, t - 1, r.id), -1.0),
-                ]
+                terms = [(model.var("lag", n_id, t, r.id), 1.0)]
+                if t > 1:
+                    terms.append((model.var("lag", n_id, t - 1, r.id), -1.0))
                 for offset, share in spread:
                     if t - offset >= 1:
                         terms.append((model.var("dep", r.id, t - offset), -share))
-                model.add_constraint(
-                    f"Aggregate2.2[n={nname},t={t},r={r.name}]", terms, "=", 0.0
-                )
-
-    for r in catalog.routes:
-        for n_id in nodes_of[r.id]:
-            nname = network.node(n_id).name
-            model.add_constraint(
-                f"Aggregate3[n={nname},r={r.name}]",
-                [
-                    (model.var("aggr", n_id, 1, r.id), 1.0),
-                    (model.var("in", n_id, 1, r.id), -1.0),
-                ],
-                ">=",
-                0.0,
-            )
-            for t in T:
-                if t == 1:
-                    continue
-                terms = [(model.var("aggr", n_id, t, r.id), 1.0)]
-                terms.extend(
-                    (model.var("in", n_id, tt, r.id), -1.0) for tt in range(1, t + 1)
-                )
-                model.add_constraint(
-                    f"Aggregate4[n={nname},t={t},r={r.name}]", terms, ">=", 0.0
-                )
+                terms.append((model.var("direct", link_id, t, r.id), 1.0))
+                terms.append((model.var("next", link_id, t - 1, r.id), 1.0))
+                model.add_constraint(f"Pace[n={nname},t={t},r={r.name}]", terms, "=", 0.0)
 
 
 def emit_arrival(model: TimeExpandedModel) -> None:
     """Arrivals must keep up with what reaches the destination each period.
 
-    Volume flowing into the destination node in period t has to register as
-    an arrival in that period up to the route's slack allowance, so it cannot
-    idle at the sink and distort the travel-time accounting.
+    Volume flowing into the destination node in period t (over the route's
+    last link: its direct arc of period t and its next arc from t-1) has to
+    register as an arrival in that period up to the route's slack allowance,
+    so it cannot idle at the sink and distort the travel-time accounting.
     """
     for r in model.catalog.routes:
         slack = model.config.slack_for_route(r.id)
+        last = r.links[-1]
         for t in model.horizon.periods:
             model.add_constraint(
                 f"Arrival1[r={r.name},t={t}]",
                 [
                     (model.var("arr", r.id, t), 1.0),
-                    (model.var("in", r.destination, t, r.id), -1.0),
+                    (model.var("direct", last, t, r.id), -1.0),
+                    (model.var("next", last, t - 1, r.id), -1.0),
                 ],
                 ">=",
                 -slack,

@@ -8,7 +8,8 @@ The simplex works on a dense tableau with a largest-coefficient pivot rule
 and Bland's rule as the anti-cycling fallback; each iteration's work is in
 the nonzeros of the entering column and pivot row.  A cold solve starts from
 a triangular crash basis: the = and >= rows with a zero right-hand side
-(flow balances, pacing aggregates) get a structural column before phase 1,
+(flow balances, and the Pace rows that carry each pacing lag from one period
+to the next) get a structural column before phase 1,
 by degenerate pivots whose multipliers stay at or below 1, so phase 1 does
 not spend most of its iterations swapping out zero artificials.  The final primal and dual
 values are recomputed from the original data so that residuals are at

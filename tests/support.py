@@ -79,6 +79,20 @@ def synthetic_model(c, rows, *, integer=(), ub=None):
     return model
 
 
+def inflow(model, values, node_id, t, route):
+    """Volume of a route reaching one of its nodes in period t.
+
+    Departures at the origin; elsewhere the route's link into the node, direct
+    within t plus the crossing from t - 1.
+    """
+    if node_id == route.origin:
+        return values[model.var("dep", route.id, t)]
+    link_id = next(l for l in route.links if model.network.link(l).head == node_id)
+    return values[model.var("direct", link_id, t, route.id)] + values[
+        model.var("next", link_id, t - 1, route.id)
+    ]
+
+
 def usage(model, values, link_id, t, route_ids=None):
     """Capacity charge of one link and period: direct plus half of each crossing."""
     routes = model.catalog.routes if route_ids is None else [

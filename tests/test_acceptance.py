@@ -22,7 +22,7 @@ from railflow.scenario import (
 from railflow.simplex import OPTIMAL, solve_lp
 
 from mps_reader import solve_with_scipy
-from support import line_model, synthetic_model, usage
+from support import inflow, line_model, synthetic_model, usage
 from test_bnb import enumerate_mip_min, random_mip
 from test_simplex import enumerate_vertices_min, random_bounded_lp, raw_lp
 
@@ -56,7 +56,7 @@ def test_criterion_1_worked_pacing_example(three_station_run):
         assert usage(model, values, b_c, 2) == pytest.approx(0.25, abs=1e-6)
         route = model.catalog.route_named("A-C-r1")
         c = model.network.node_named("C").id
-        arrived_first_period = values[model.var("in", c, 1, route.id)]
+        arrived_first_period = inflow(model, values, c, 1, route)
         assert arrived_first_period <= 0.65 + 1e-9
         assert wall < 1.0
 
@@ -88,8 +88,8 @@ def _setup_invariant(model, values, feas=1e-6):
     for rep, other in model.single_track_pairs:
         for t in model.horizon.periods:
             w = values[model.var("setup_w", rep, t)]
-            own = sum(values[model.var("linkcap", rep, t, h.id)] for h in model.network.train_types)
-            opp = sum(values[model.var("linkcap", other, t, h.id)] for h in model.network.train_types)
+            own = sum(values[model.var("linkcap", rep, t, h.id)] for h in model.types_on_link[rep])
+            opp = sum(values[model.var("linkcap", other, t, h.id)] for h in model.types_on_link[other])
             assert w >= min(own, opp) - feas
             for link_id in (rep, other):
                 used = usage(model, values, link_id, t)
@@ -109,10 +109,12 @@ def test_criterion_3_setup_time_invariant(base_run, tcr_run, shuttle_run):
 def test_criterion_4_feasibility_invariants(base_run, tcr_run, shuttle_run, three_station_run):
     with criterion(4, "flow balance, pacing, capacity and demand accounting hold tightly"):
         for output, _ in (base_run, tcr_run, shuttle_run, three_station_run):
-            worst = max_violation_by_family(output.model, output.result.values)
+            model, values = output.model, output.result.values
+            worst = max_violation_by_family(model, values)
             assert worst.get("Flow2", 0.0) <= 1e-9
-            assert worst.get("Aggregate3", 0.0) <= 1e-9
-            assert worst.get("Aggregate4", 0.0) <= 1e-9
+            assert worst.get("Pace", 0.0) <= 1e-9
+            lags = [values[i] for i, v in enumerate(model.variables) if v.ref.kind == "lag"]
+            assert lags and min(lags) >= -1e-9
             assert worst.get("Capacity1", 0.0) <= 1e-9
             assert worst.get("Capacity4", 0.0) <= 1e-9
             report = output.demands

@@ -16,7 +16,7 @@ from railflow.simplex import (
     LpSolution,
     Tolerances,
 )
-from support import line_network, line_model, synthetic_model
+from support import inflow, line_network, line_model, synthetic_model
 
 
 def enumerate_mip_min(c, rows, ub):
@@ -210,3 +210,20 @@ def test_refinement_at_the_iteration_cap_reads_iteration_limit():
     assert refine_to_earliest_pace(model, solve_mip(model)).status == OPTIMAL
     capped = refine_to_earliest_pace(model, solve_mip(model), Tolerances(max_iterations=1))
     assert capped.status == ITERATION_LIMIT
+
+
+def test_pace_objective_weights_each_nodes_inflow_by_its_period():
+    # The flow terms of the pace stage are sum over route nodes n and periods
+    # t of t * (volume entering n in t), written on departures and link arcs.
+    model = line_model(durations=(0.15, 0.20, 0.3), t_max=4, volumes=(1, 1, 0, 0))
+    route = model.catalog.routes[0]
+    values = np.random.default_rng(5).uniform(0.0, 1.0, len(model.variables))
+    flows = {"dep", "direct", "next"}
+    pace = bnb._pace_objective(model)
+    got = sum(w * values[idx] for idx, w in pace.items() if model.variables[idx].ref.kind in flows)
+    expected = sum(
+        t * inflow(model, values, n, t, route)
+        for n in model.nodes_of[route.id]
+        for t in model.horizon.periods
+    )
+    assert got == pytest.approx(expected, rel=1e-12)

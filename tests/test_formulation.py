@@ -52,7 +52,7 @@ def test_zero_routes_leaves_demand_layer_only():
     demand = Demand(1, "A-B", 1, 2, 1, (1, 0))
     cat = ServiceCatalog((demand,), (), {1: ()})
     model = build_variables(net, cat, net.horizon, ModelConfig())
-    for kind in ("dep", "arr", "direct", "next", "ni", "in", "aggr"):
+    for kind in ("dep", "arr", "direct", "next", "ni", "lag", "linkcap"):
         assert count_kind(model, kind) == 0
     assert count_kind(model, "post") == 3
     assert count_kind(model, "cancel_total") == 1
@@ -143,14 +143,32 @@ def test_departure_spread_fractional_and_integral():
         departure_spread(-0.1)
 
 
-def test_aggregate_rows_use_the_spread():
-    model = line_model()  # cumulative 0.35 at the destination
-    row = constraint(model, "Aggregate2.2[n=C,t=2,r=A-C-r1]")
-    coefs = dict(row.terms)
-    assert coefs[model.var("aggr", 3, 2, 1)] == 1.0
-    assert coefs[model.var("aggr", 3, 1, 1)] == -1.0
-    assert coefs[model.var("dep", 1, 2)] == pytest.approx(-0.65)
-    assert coefs[model.var("dep", 1, 1)] == pytest.approx(-0.35)
+def test_pace_row_of_the_three_station_line_by_hand(three_station_doc):
+    # A-B takes 9 and B-C 12 of 60 minutes, so C lies 0.35 periods from A:
+    # of the departures of period 1, 0.65 can reach C within it and 0.35 in
+    # period 2.  What reaches C in period 2 comes over B-C, directly or as the
+    # crossing from period 1.
+    from railflow.scenario import build_scenario_model
+
+    model = build_scenario_model(three_station_doc)
+    c, b_c, route = 3, 2, 1
+    row = constraint(model, "Pace[n=C,t=2,r=A-C-r1]")
+    assert row.relation == "=" and row.rhs == 0.0
+    assert dict(row.terms) == {
+        model.var("lag", c, 2, route): 1.0,
+        model.var("lag", c, 1, route): -1.0,
+        model.var("dep", route, 2): pytest.approx(-0.65),
+        model.var("dep", route, 1): pytest.approx(-0.35),
+        model.var("direct", b_c, 2, route): 1.0,
+        model.var("next", b_c, 1, route): 1.0,
+    }
+    # period 1 has no earlier lag
+    assert dict(constraint(model, "Pace[n=C,t=1,r=A-C-r1]").terms) == {
+        model.var("lag", c, 1, route): 1.0,
+        model.var("dep", route, 1): pytest.approx(-0.65),
+        model.var("direct", b_c, 1, route): 1.0,
+        model.var("next", b_c, 0, route): 1.0,
+    }
 
 
 def test_objective_examples():
@@ -258,6 +276,44 @@ def test_heterogeneous_rows_charge_cross_type_capacity():
     assert coefs[model.var("linkcap", 1, 1, 2)] == pytest.approx(1.25)
 
 
+def test_allocations_only_for_the_train_types_of_a_links_routes():
+    nodes = (StationNode(1, "A"), StationNode(2, "B"), StationNode(3, "C"))
+    links = (TrackLink(1, 1, 2, "A-B"), TrackLink(2, 2, 3, "B-C"), TrackLink(3, 3, 1, "C-A"))
+    horizon = Horizon(2)
+    net = Network(
+        train_types=(TrainType(1, "reg"), TrainType(2, "gt")),
+        nodes=nodes,
+        links=links,
+        sigma={1: 1, 2: 2, 3: 3},
+        capacity={(l.id, t): 5.0 for l in links for t in horizon.periods},
+        duration={(l.id, h): 0.2 for l in links for h in (1, 2)},
+        horizon=horizon,
+    )
+    routes = (Route(1, "r-reg", 1, 3, 1, (1, 2)), Route(2, "r-gt", 1, 2, 2, (1,)))
+    demands = (Demand(1, "d-reg", 1, 3, 1, (1, 0)), Demand(2, "d-gt", 1, 2, 2, (1, 0)))
+    cat = ServiceCatalog(demands, routes, derive_implements(demands, routes))
+    model = build_model(net, cat, net.horizon, ModelConfig())
+    assert {l: [h.label for h in types] for l, types in model.types_on_link.items()} == {
+        1: ["reg", "gt"],
+        2: ["reg"],
+        3: [],
+    }
+    allocated = {v.ref.key for v in model.variables if v.ref.kind == "linkcap"}
+    assert allocated == {(1, t, 1) for t in (1, 2)} | {(1, t, 2) for t in (1, 2)} | {(2, t, 1) for t in (1, 2)}
+    # B-C allocates to its one type; C-A carries no route and has no capacity row
+    assert dict(constraint(model, "Capacity1[l=B-C,t=1]").terms) == {model.var("linkcap", 2, 1, 1): 1.0}
+    assert names_of(model, "Capacity4") == [
+        "Capacity4[l=A-B,t=1,h=reg]",
+        "Capacity4[l=A-B,t=1,h=gt]",
+        "Capacity4[l=A-B,t=2,h=reg]",
+        "Capacity4[l=A-B,t=2,h=gt]",
+        "Capacity4[l=B-C,t=1,h=reg]",
+        "Capacity4[l=B-C,t=2,h=reg]",
+    ]
+    assert not [c.name for c in model.constraints if "l=C-A" in c.name]
+    assert all(c.terms for c in model.constraints)
+
+
 def test_build_is_deterministic():
     first = line_model()
     second = line_model()
@@ -275,19 +331,21 @@ def test_cancel3_only_on_request():
     assert len(names_of(with_it, "Cancel3")) == 1
 
 
-def test_flow3_origin_counts_departures():
+def test_pace_rows_start_after_the_origin():
     model = line_model()
-    row = constraint(model, "Flow3[n=A,t=1,r=A-C-r1]")
-    coefs = dict(row.terms)
-    assert coefs == {
-        model.var("in", 1, 1, 1): 1.0,
-        model.var("dep", 1, 1): -1.0,
+    # the origin has neither a lag nor a Pace row: departures are its inflow
+    assert not [v.name for v in model.variables if v.ref.kind == "lag" and v.ref.key[0] == 1]
+    assert not [name for name in names_of(model, "Pace") if name.startswith("Pace[n=A,")]
+    # an interior node sees only the arriving link flows and the spread departures
+    row = constraint(model, "Pace[n=B,t=2,r=A-C-r1]")
+    assert dict(row.terms) == {
+        model.var("lag", 2, 2, 1): 1.0,
+        model.var("lag", 2, 1, 1): -1.0,
+        model.var("dep", 1, 2): pytest.approx(-0.85),
+        model.var("dep", 1, 1): pytest.approx(-0.15),
+        model.var("direct", 1, 2, 1): 1.0,
+        model.var("next", 1, 1, 1): 1.0,
     }
-    # an interior node sees only arriving link flows
-    row = constraint(model, "Flow3[n=B,t=2,r=A-C-r1]")
-    coefs = dict(row.terms)
-    assert coefs[model.var("direct", 1, 2, 1)] == -1.0
-    assert coefs[model.var("next", 1, 1, 1)] == -1.0
 
 
 def test_flow2_departures_enter_at_origin_and_arrivals_leave_at_destination():
@@ -315,9 +373,12 @@ def test_arrival_slack_reaches_the_rhs():
     model = line_model(config=ModelConfig(arrival_slack=2.0))
     row = constraint(model, "Arrival1[r=A-C-r1,t=1]")
     assert row.relation == ">=" and row.rhs == -2.0
-    coefs = dict(row.terms)
-    assert coefs[model.var("arr", 1, 1)] == 1.0
-    assert coefs[model.var("in", 3, 1, 1)] == -1.0
+    # what reaches C in period 1 comes over B-C: direct, or crossing from period 0
+    assert dict(row.terms) == {
+        model.var("arr", 1, 1): 1.0,
+        model.var("direct", 2, 1, 1): -1.0,
+        model.var("next", 2, 0, 1): -1.0,
+    }
 
 
 def test_heterogeneous_mode_solves():
@@ -359,7 +420,7 @@ def test_big_m_default_dominates_capacity():
 
 
 LINK_FLOWS = ("direct", "next")
-NODE_FLOWS = ("ni", "in", "aggr")
+NODE_FLOWS = ("ni", "lag")
 
 
 def bundled_model(scenario_dir, scenario, mode):
@@ -386,7 +447,10 @@ def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
         elif kind in NODE_FLOWS:
             node_id, t, route_id = key
             assert node_id in route_nodes(model.catalog.route(route_id), network), var.name
-            assert kind != "in" or t >= 1, var.name
+            assert kind != "lag" or t >= 1, var.name
+        elif kind == "linkcap":
+            link_id, _, type_id = key
+            assert type_id in {h.id for h in model.types_on_link[link_id]}, var.name
 
     used = set(model.objective)
     for row in model.constraints:
@@ -404,7 +468,6 @@ def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
         kind, key = var.ref.kind, var.ref.key
         closed = (
             (kind in ("next", "ni") and key[1] in (0, t_max))
-            or (kind == "aggr" and key[1] == 0)
             or (kind == "post" and key[1] in (0, t_max))
         )
         if closed:
@@ -415,10 +478,33 @@ def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
     singletons = {c.name.split("[")[0] for c in model.constraints if len(c.terms) == 1}
     assert singletons <= {"Capacity1", "Capacity3"}
     families = {c.name.split("[")[0] for c in model.constraints}
-    assert not families & {"Demand1", "Demand2", "Bound4", "Bound5", "Bound6", "Aggregate1"}
+    assert not families & {
+        "Demand1", "Demand2", "Bound4", "Bound5", "Bound6", "Aggregate1",
+        "Flow3", "Aggregate2.2", "Aggregate3", "Aggregate4",
+    }
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario):
+    model = bundled_model(scenario_dir, scenario, "basic")
+    network = model.network
+    periods = list(model.horizon.periods)
+    lags = {v.ref.key for v in model.variables if v.ref.kind == "lag"}
+    paces = set(names_of(model, "Pace"))
+    expected_lags, expected_paces = set(), set()
+    for r in model.catalog.routes:
+        for n_id in route_nodes(r, network)[1:]:
+            for t in periods:
+                expected_lags.add((n_id, t, r.id))
+                expected_paces.add(f"Pace[n={network.node(n_id).name},t={t},r={r.name}]")
+    assert lags == expected_lags
+    assert paces == expected_paces
+    origins = {(r.origin, r.id) for r in model.catalog.routes}
+    assert not {(n_id, r_id) for n_id, _, r_id in lags} & origins
 
 
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
-    assert len(model.variables) == 1275
-    assert len(model.constraints) == 1025
+    assert len(model.variables) == 879
+    assert len(model.constraints) == 584
+    assert not {v.ref.kind for v in model.variables} & {"in", "aggr"}

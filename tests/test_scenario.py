@@ -18,6 +18,8 @@ from railflow.scenario import (
     serialize_scenario,
 )
 
+from support import inflow
+
 
 def test_fixture_inventory(small_doc):
     assert len(small_doc.nodes) == 8
@@ -187,7 +189,7 @@ def test_intermediate_node_flow_detail(three_station_run):
     b = model.network.node_named("B").id
     b_c = model.network.link_named("B-C").id
     route = model.catalog.route_named("A-C-r1")
-    assert values[model.var("in", b, 1, route.id)] == pytest.approx(0.85, abs=1e-9)
+    assert inflow(model, values, b, 1, route) == pytest.approx(0.85, abs=1e-9)
     assert values[model.var("direct", b_c, 1, route.id)] == pytest.approx(0.65, abs=1e-9)
     assert values[model.var("next", b_c, 1, route.id)] == pytest.approx(0.20, abs=1e-9)
     assert values[model.var("ni", b, 1, route.id)] == pytest.approx(0.0, abs=1e-9)

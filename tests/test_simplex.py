@@ -696,8 +696,8 @@ def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
 
 
 def test_crash_covers_the_small_network_balances_without_growth(small_doc):
-    # 794 of the 1032 rows start on an artificial, 769 of them with a
-    # right-hand side of 0; the crash covers 677 of those, and its pivots
+    # 395 of the 591 rows start on an artificial, 370 of them with a
+    # right-hand side of 0; the crash covers 360 of those, and its pivots
     # leave every entry of the constraint rows at or below 1 in magnitude.
     from railflow.scenario import build_scenario_model
 
@@ -705,8 +705,8 @@ def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     tableau = simplex.Tableau(sf)
     tableau.crash(Tolerances())
-    assert tableau.iterations == 677
-    assert np.count_nonzero(tableau.basic_artificial) == 794 - 677
+    assert tableau.iterations == 360
+    assert np.count_nonzero(tableau.basic_artificial) == 395 - 360
     assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
 
 
@@ -780,7 +780,7 @@ def test_bland_rule_ends_cycling():
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
 def test_bundled_lp_matches_reference(small_doc, mode):
     # Real tableaux: fractions with many denominators, degenerate stretches
-    # and about 1100 pivots, which the round-valued random LPs do not give.
+    # and about 830 pivots, which the round-valued random LPs do not give.
     from railflow.scenario import build_scenario_model
 
     config = replace(small_doc.config, capacity_mode=mode, relax_integrality=True)
@@ -797,7 +797,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
     config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert sf.n_rows == 1109
+    assert sf.n_rows == 605
     n_logical = sum(relation != "=" for relation in sf.relations)
     tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
     tracemalloc.start()
@@ -891,15 +891,15 @@ def test_sparse_basis_matches_dense_solve_property(seed):
 
 
 def test_small_network_lp_matches_highs(small_doc):
-    # A real-size basis (1032 rows) leaves a bump after the singleton peel,
-    # which the tiny random LPs above never do.
+    # A real-size basis (591 rows), far past the tiny random LPs above; its
+    # singleton peel leaves no bump.
     from scipy.optimize import linprog
 
     from railflow.scenario import build_scenario_model
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (1032, 1154)
+    assert (sf.n_rows, sf.n_cols) == (591, 783)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
