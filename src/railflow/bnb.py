@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LinearConstraint, TimeExpandedModel
+from .model import LinearConstraint, TimeExpandedModel, link_usage
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -197,12 +197,10 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
         for idx, var in enumerate(model.variables)
         if var.ref.kind in delay and var.ref.key[1] + delay[var.ref.kind] <= t_max
     }
-    # Setup times and capacity allocations carry no primary cost and would
-    # otherwise float anywhere between their bounds; a tiny weight pins the
-    # allocations at the flow actually carried (their total over time is an
-    # invariant of the flow, so this cannot trade against the pace term).
+    # Setup times carry no primary cost and would otherwise float anywhere
+    # between their bounds; a tiny weight keeps them low.
     for idx, var in enumerate(model.variables):
-        if var.ref.kind in ("setup_w", "linkcap"):
+        if var.ref.kind == "setup_w":
             pace[idx] = 1e-6
     return pace
 
@@ -273,16 +271,16 @@ def _reoptimize_setup(model: TimeExpandedModel, values: np.ndarray) -> None:
 
     A (setup, direction-flag) pair appears in exactly four rows: the two pair
     capacity rows (setup enters with +1, so shrinking it keeps them feasible)
-    and the two flag-guarded allocation bounds (satisfied by construction for
-    the direction chosen here).  Everything else is untouched, so the result
+    and the two flag-guarded usage bounds (satisfied by construction for the
+    direction chosen here).  Everything else is untouched, so the result
     stays feasible with an identical objective.
     """
     if model.config.capacity_mode != "single_track_alt2":
         return
     for rep, other in model.single_track_pairs:
         for t in model.horizon.periods:
-            own = sum(values[model.var("linkcap", rep, t, h.id)] for h in model.types_on_link[rep])
-            opp = sum(values[model.var("linkcap", other, t, h.id)] for h in model.types_on_link[other])
+            own = sum(coef * values[idx] for idx, coef in link_usage(model, rep, t))
+            opp = sum(coef * values[idx] for idx, coef in link_usage(model, other, t))
             need_when_flagged = own / model.config.k_setup
             need_when_clear = opp / model.config.k_setup
             w_idx = model.var("setup_w", rep, t)

@@ -10,7 +10,8 @@ flow is not declared at all.  The demand layer converts requested volumes
 into departures, postponements and cancellations.  Pacing keeps volumes from
 outrunning their train type: at every route node after the origin, a lag
 variable holds the volume that could have arrived by the end of a period but
-has not yet, and cannot go negative.
+has not yet, and cannot go negative.  Capacity rows charge a link's flow
+straight against its capacity (link_usage).
 
 Everything here is solver independent: the result is a list of named linear
 constraints plus a linear objective.  Building is a pure function of its
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
-from .network import Horizon, Network, TrainType
+from .network import Horizon, Network
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
 
@@ -38,11 +39,10 @@ class ModelError(ValueError):
 class ModelConfig:
     """Knobs of the formulation.
 
-    capacity_mode selects the single-track / heterogeneity family added on
-    top of the always-present base capacity rows.  k_setup follows the
-    convention where values in (0, 1] make a direction change consume at
-    least (allocated volume / k_setup) of setup time; 1.0 means the setup
-    equals the lower of the two directional volumes.
+    capacity_mode selects the capacity rows (see emit_capacity).  k_setup
+    follows the convention where values in (0, 1] make a direction change
+    consume at least (directional usage / k_setup) of setup time; 1.0 means
+    the setup equals the lower of the two directional volumes.
     """
 
     capacity_mode: str = "basic"
@@ -143,13 +143,11 @@ class TimeExpandedModel:
         self.objective: dict[int, float] = {}
         self.big_m: float = 0.0
         self.single_track_pairs: tuple[tuple[int, int], ...] = ()
-        # Route support, set by build_variables: each route's nodes in order,
-        # the routes (in catalog order) riding each link or visiting each
-        # node, and the train types of a link's routes.  Flow variables and
-        # capacity allocations exist only there.
+        # Route support, set by build_variables: each route's nodes in order
+        # and the routes (in catalog order) riding each link or visiting each
+        # node.  Flow variables exist only there.
         self.nodes_of: dict[int, tuple[int, ...]] = {}
         self.routes_on_link: dict[int, tuple[Route, ...]] = {}
-        self.types_on_link: dict[int, tuple[TrainType, ...]] = {}
         self.routes_at_node: dict[int, tuple[Route, ...]] = {}
         self._index: dict[VariableRef, int] = {}
 
@@ -208,8 +206,7 @@ def build_variables(
 
     Flow variables (direct, next, ni, lag) of a route exist only on that
     route's links and nodes, and lag not at its origin, where it would always
-    be 0; a link's capacity allocations exist only for the train types of its
-    routes.  Every variable is nonnegative (add_variable rejects an infinite
+    be 0.  Every variable is nonnegative (add_variable rejects an infinite
     lower bound, so no variable is free).  The horizon ends are bounds: next
     arcs and node inventories are empty in periods 0 and t_max, and nothing
     is postponed into period 0 or out of the last period, so unplaceable
@@ -239,10 +236,6 @@ def build_variables(
     demands = catalog.demands
     model.nodes_of = {r.id: route_nodes(r, network) for r in routes}
     model.routes_on_link = {l.id: tuple(r for r in routes if l.id in r.links) for l in network.links}
-    model.types_on_link = {
-        l_id: tuple(h for h in network.train_types if any(r.train_type == h.id for r in riding))
-        for l_id, riding in model.routes_on_link.items()
-    }
     model.routes_at_node = {
         n.id: tuple(r for r in routes if n.id in model.nodes_of[r.id]) for n in network.nodes
     }
@@ -287,11 +280,6 @@ def build_variables(
             f"cancel_total({d.name})",
             integer=not config.relax_integrality,
         )
-    for l in network.links:
-        for t in T:
-            for h in model.types_on_link[l.id]:
-                model.add_variable("linkcap", (l.id, t, h.id), f"linkcap({l.name},{t},{h.label})")
-
     pairs = tuple(
         (l.id, network.sigma[l.id])
         for l in network.links
@@ -326,32 +314,56 @@ def build_variables(
 # ---------------------------------------------------------------------------
 
 
-def emit_capacity(model: TimeExpandedModel) -> None:
-    """Base capacity rows plus the family selected by capacity_mode.
+def link_usage(
+    model: TimeExpandedModel, link_id: int, t: int, train_type: Optional[int] = None
+) -> list[tuple[int, float]]:
+    """Terms of a link's capacity charge in period t.
 
-    Capacity1 keeps a link's allocations within its nominal capacity;
-    Capacity4 keeps the flow of each type on the link (direct plus half of
-    each adjacent next arc) within its allocation.  Only the train types of a
-    link's routes get an allocation, and a row that would have no terms is
-    not emitted.  single_track_alt1 makes coupled links share the mean of
-    their nominal capacities; single_track_alt2 adds a setup-time variable w
-    tied, through a binary flag, to the smaller of the two directional
-    allocations; heterogeneous charges extra capacity for every pair of
-    distinct train types sharing a link.
+    Every route on the link (of the given train type, if one is given) counts
+    its direct arc of period t plus half of each adjacent next arc (from t - 1
+    and from t), which cross the period boundary halfway.  A link no route
+    uses has no terms.
+    """
+    terms: list[tuple[int, float]] = []
+    for r in model.routes_on_link[link_id]:
+        if train_type is not None and r.train_type != train_type:
+            continue
+        terms.append((model.var("direct", link_id, t, r.id), 1.0))
+        terms.append((model.var("next", link_id, t - 1, r.id), 0.5))
+        terms.append((model.var("next", link_id, t, r.id), 0.5))
+    return terms
+
+
+def emit_capacity(model: TimeExpandedModel) -> None:
+    """Capacity rows of the mode selected by capacity_mode.
+
+    Each row reads a link's flow through link_usage; a row that would have no
+    terms (a link no route uses) is not emitted.  Capacity1 keeps the usage
+    within the link's nominal capacity.  single_track_alt1 makes coupled links
+    share the mean of their nominal capacities; single_track_alt2 adds a
+    setup-time variable w tied, through a binary flag, to the smaller of the
+    two directional usages.  heterogeneous replaces Capacity1 by Capacity3,
+    which charges the usage 1 + k_het per other train type on the link (and
+    so implies Capacity1, as k_het >= 0).
     """
     network = model.network
     config = model.config
     T = model.horizon.periods
 
-    def allocations(link_id: int, t: int) -> list[tuple[int, float]]:
-        return [(model.var("linkcap", link_id, t, h.id), 1.0) for h in model.types_on_link[link_id]]
-
+    heterogeneous = config.capacity_mode == "heterogeneous"
+    family = "Capacity3" if heterogeneous else "Capacity1"
     for l in network.links:
-        if not model.types_on_link[l.id]:
+        riding = model.routes_on_link[l.id]
+        if not riding:
             continue
+        n_types = len({r.train_type for r in riding})
+        charge = 1.0 + config.k_het * (n_types - 1) if heterogeneous else 1.0
         for t in T:
             model.add_constraint(
-                f"Capacity1[l={l.name},t={t}]", allocations(l.id, t), "<=", network.capacity[(l.id, t)]
+                f"{family}[l={l.name},t={t}]",
+                [(idx, charge * coef) for idx, coef in link_usage(model, l.id, t)],
+                "<=",
+                network.capacity[(l.id, t)],
             )
 
     pairs = model.single_track_pairs
@@ -366,7 +378,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         for rep, other in pairs:
             lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
-                terms = allocations(rep, t) + allocations(other, t)
+                terms = link_usage(model, rep, t) + link_usage(model, other, t)
                 if not terms:
                     continue
                 rhs = 0.5 * (network.capacity[(rep, t)] + network.capacity[(other, t)])
@@ -375,7 +387,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         for rep, other in pairs:
             lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
-                own, opp = allocations(rep, t), allocations(other, t)
+                own, opp = link_usage(model, rep, t), link_usage(model, other, t)
                 w = model.var("setup_w", rep, t)
                 beta = model.var("dirflag_beta", rep, t)
                 model.add_constraint(
@@ -401,42 +413,6 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                     opp + [(w, -config.k_setup), (beta, -model.big_m)],
                     "<=",
                     0.0,
-                )
-    elif config.capacity_mode == "heterogeneous":
-        for l in network.links:
-            active = model.types_on_link[l.id]
-            if not active:
-                continue
-            for t in T:
-                coef: dict[int, float] = {}
-                for h in active:
-                    idx = model.var("linkcap", l.id, t, h.id)
-                    coef[idx] = coef.get(idx, 0.0) + 1.0
-                    for other in active:
-                        if other.id == h.id:
-                            continue
-                        oidx = model.var("linkcap", l.id, t, other.id)
-                        coef[oidx] = coef.get(oidx, 0.0) + config.k_het
-                model.add_constraint(
-                    f"Capacity3[l={l.name},t={t}]",
-                    list(coef.items()),
-                    "<=",
-                    network.capacity[(l.id, t)],
-                )
-
-    for l in network.links:
-        for t in T:
-            for h in model.types_on_link[l.id]:
-                terms: list[tuple[int, float]] = []
-                for r in model.routes_on_link[l.id]:
-                    if r.train_type != h.id:
-                        continue
-                    terms.append((model.var("direct", l.id, t, r.id), 1.0))
-                    terms.append((model.var("next", l.id, t - 1, r.id), 0.5))
-                    terms.append((model.var("next", l.id, t, r.id), 0.5))
-                terms.append((model.var("linkcap", l.id, t, h.id), -1.0))
-                model.add_constraint(
-                    f"Capacity4[l={l.name},t={t},h={h.label}]", terms, "<=", 0.0
                 )
 
 

@@ -26,7 +26,8 @@ from .catalog import (
     demand_total,
     validate_catalog,
 )
-from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, build_model
+from .checks import verify_solution
+from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, build_model, link_usage
 from .network import (
     Horizon,
     Network,
@@ -35,7 +36,7 @@ from .network import (
     TrainType,
     validate_network,
 )
-from .simplex import OPTIMAL, Tolerances
+from .simplex import NUMERICS, OPTIMAL, Tolerances
 
 
 class ScenarioError(ValueError):
@@ -137,6 +138,16 @@ def _array(value, position: str, errors: list[str]) -> Sequence:
         return value
     errors.append(f"{position}: expected an array, got {value!r}")
     return ()
+
+
+def _check_name(name: str, position: str, errors: list[str]) -> None:
+    """Record a finding if name holds whitespace or a comma.
+
+    Names become MPS fields (split at whitespace) and CSV cells (split at
+    commas), so either character would break the exports.
+    """
+    if any(ch.isspace() or ch == "," for ch in name):
+        errors.append(f"{position}: name {name!r} must not contain whitespace or a comma")
 
 
 def _flag(raw: dict, key: str, default: bool, errors: list[str]) -> bool:
@@ -278,6 +289,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         errors.append("train_types: at least one train type is required")
     node_names = tuple(str(x) for x in _array(raw.get("nodes", ()), "nodes", errors))
     node_set = set(node_names)
+    for field, names in (("train_types", type_labels), ("nodes", node_names)):
+        for i, item in enumerate(names):
+            _check_name(item, f"{field}[{i}]", errors)
 
     links: list[LinkSpec] = []
     link_names: set[str] = set()
@@ -297,6 +311,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if lname in link_names:
             errors.append(f"{position}: duplicate link name {lname!r}")
             continue
+        _check_name(lname, position, errors)
         link_names.add(lname)
         links.append(LinkSpec(lname, str(tail), str(head)))
 
@@ -386,6 +401,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if rname in route_names:
             errors.append(f"{position}: duplicate route name {rname!r}")
             continue
+        _check_name(rname, position, errors)
         used = tuple(str(x) for x in _array(item.get("links", ()), f"{position}.links", errors))
         missing = [x for x in used if x not in link_names]
         if missing:
@@ -411,6 +427,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if dname in demand_names:
             errors.append(f"{position}: duplicate demand name {dname!r}")
             continue
+        _check_name(dname, position, errors)
         if origin not in node_set:
             errors.append(f"{position}: unknown origin {origin!r}")
             continue
@@ -734,14 +751,9 @@ def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> Capac
         for t in network.horizon.periods:
             nominal[(link.name, t)] = network.capacity[(link.id, t)]
             for h in network.train_types:
-                usage = 0.0
-                for r in model.routes_on_link[link.id]:
-                    if r.train_type != h.id:
-                        continue
-                    usage += values[model.var("direct", link.id, t, r.id)]
-                    usage += 0.5 * values[model.var("next", link.id, t - 1, r.id)]
-                    usage += 0.5 * values[model.var("next", link.id, t, r.id)]
-                by_type[(link.name, t, h.label)] = usage
+                by_type[(link.name, t, h.label)] = float(
+                    sum(coef * values[idx] for idx, coef in link_usage(model, link.id, t, h.id))
+                )
             total[(link.name, t)] = sum(
                 by_type[(link.name, t, h.label)] for h in network.train_types
             )
@@ -752,7 +764,7 @@ def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> Capac
             rep_name = network.link(rep).name
             setup_pairs.append((rep_name, network.link(other).name))
             for t in network.horizon.periods:
-                setup[(rep_name, t)] = values[model.var("setup_w", rep, t)]
+                setup[(rep_name, t)] = float(values[model.var("setup_w", rep, t)])
     return CapacityUsageReport(
         link_names=tuple(l.name for l in network.links),
         t_max=network.horizon.t_max,
@@ -779,12 +791,12 @@ def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandO
         for rid in rids:
             rname = catalog.route(rid).name
             for t in range(1, t_max + 1):
-                departures[(d.name, rname, t)] = values[model.var("dep", rid, t)]
+                departures[(d.name, rname, t)] = float(values[model.var("dep", rid, t)])
         for t in range(0, t_max + 1):
-            postponed[(d.name, t)] = values[model.var("post", d.id, t)]
+            postponed[(d.name, t)] = float(values[model.var("post", d.id, t)])
         for t in range(1, t_max + 1):
-            cancelled[(d.name, t)] = values[model.var("cancel_t", d.id, t)]
-        cancel_total[d.name] = values[model.var("cancel_total", d.id)]
+            cancelled[(d.name, t)] = float(values[model.var("cancel_t", d.id, t)])
+        cancel_total[d.name] = float(values[model.var("cancel_total", d.id)])
         requested[d.name] = demand_total(d)
     return DemandOutcomeReport(
         demand_names=tuple(d.name for d in catalog.demands),
@@ -858,14 +870,22 @@ def build_scenario_model(doc: ScenarioDocument) -> TimeExpandedModel:
 
 
 def run(doc: ScenarioDocument, tolerances: Tolerances | None = None) -> RunOutput:
-    """Apply inline TCRs, build, solve and derive both reports."""
+    """Apply inline TCRs, build, solve and derive both reports.
+
+    The values to be reported are audited first (checks.verify_solution):
+    a row, bound or integrality breach beyond the tolerances turns the run
+    into status NUMERICS, with no reports.
+    """
+    tol = tolerances or Tolerances()
     model = build_scenario_model(doc)
-    result = solve_mip(model, tolerances)
+    result = solve_mip(model, tol)
     if result.status == OPTIMAL and doc.pace_refinement:
-        result = refine_to_earliest_pace(model, result, tolerances)
+        result = refine_to_earliest_pace(model, result, tol)
     result.tableau = None
     if result.status != OPTIMAL or result.values is None:
         return RunOutput(result, None, None, model)
+    if verify_solution(model, result.values, tol.feasibility, tol.integrality):
+        return RunOutput(replace(result, status=NUMERICS), None, None, model)
     capacity = build_capacity_report(model, result.values)
     demands = build_demand_report(model, result.values)
     return RunOutput(result, capacity, demands, model)

@@ -29,7 +29,7 @@ def test_violation_measures_per_relation():
 
 
 def test_constraint_family_extraction():
-    assert constraint_family("Capacity4[l=E-F,t=4,h=reg]") == "Capacity4"
+    assert constraint_family("Pace[n=C,t=2,r=A-C-r1]") == "Pace"
     assert constraint_family("plain") == "plain"
 
 

@@ -126,31 +126,42 @@ def test_export_is_deterministic_across_processes(scenario_dir, tmp_path):
 # first two ended numerics: the tableau drifted until the final basis was
 # singular or inaccurate.  The others are every wrong run of
 # scripts/line_sweep.py at that time: infeasible, at the iteration cap or
-# numerics.  Single-track lines run with pace refinement on, relaxed and
-# integer; the others relaxed, without it.
+# numerics.  The last two stalled in phase 1 until the capacity allocations
+# left the model: a 10-period integer line at the iteration cap, and a relaxed
+# 24-station line of the scaling family.  Single-track lines run with pace
+# refinement on, relaxed and integer; the others relaxed, without it.
+# Shape: (stations, periods, routes).
 LINES = [
-    (58, 5, 0, True, "line5", 0.617857),
-    (32, 6, 0, True, "line6", 0.893750),
-    (53, 4, 0, True, "line", 0.718333),
-    (61, 5, 0, True, "line", 0.759722),
-    (12, 6, 0, True, "line", 0.554444),
-    (14, 6, 0, True, "line", 0.739216),
-    (23, 6, 0, True, "line", 0.620833),
+    (58, (5, 6, 5), 0, True, "line5", 0.617857),
+    (32, (6, 6, 6), 0, True, "line6", 0.893750),
+    (53, (4, 6, 4), 0, True, "line", 0.718333),
+    (61, (5, 6, 5), 0, True, "line", 0.759722),
+    (12, (6, 6, 6), 0, True, "line", 0.554444),
+    (14, (6, 6, 6), 0, True, "line", 0.739216),
+    (23, (6, 6, 6), 0, True, "line", 0.620833),
 ] + [
-    (seed, 5, 1, relax, "line", highs)
+    (seed, (5, 6, 5), 1, relax, "line", highs)
     for seed, highs in ((21, 0.656140), (22, 0.75), (34, 0.606667))
     for relax in (True, False)
+] + [
+    (215, (5, 10, 10), 1, False, "line", 0.635345),
+    (11, (24, 6, 24), 0, True, "line", 7001.740404),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed, stations, single_track, relax, name, highs",
+    "seed, shape, single_track, relax, name, highs",
     LINES,
-    ids=[f"{n}-{st}-{s}" + ("-st-" + ("lp" if r else "mip") if t else "") for s, st, t, r, n, _ in LINES],
+    ids=[
+        f"{n}-{sh[0]}-{s}" + (f"-{sh[1]}p" if sh[1] != 6 else "")
+        + ("-st-" + ("lp" if r else "mip") if t else "")
+        for s, sh, t, r, n, _ in LINES
+    ],
 )
-def test_generated_line_matches_highs(seed, stations, single_track, relax, name, highs):
+def test_generated_line_matches_highs(seed, shape, single_track, relax, name, highs):
+    stations, periods, routes = shape
     doc = synth.line_scenario(
-        seed, stations, 6, stations, single_track=single_track, relax_integrality=relax,
+        seed, stations, periods, routes, single_track=single_track, relax_integrality=relax,
         pace_refinement=bool(single_track), name=name,
     )
     output = run(load_scenario(doc))
@@ -177,3 +188,29 @@ def test_unverifiable_basis_exits_numerics(scenario_dir, tmp_path, capsys, monke
     assert "status: numerics" in capsys.readouterr().out
     assert json.loads((out_dir / "solution.json").read_text())["status"] == NUMERICS
     assert (out_dir / "model.mps").exists() and not (out_dir / "capacity_usage.csv").exists()
+
+
+def test_run_audits_the_values_it_reports(scenario_dir, tmp_path, capsys, monkeypatch):
+    # A faulty setup rule that drops every setup time to 0 leaves the flagged
+    # direction's setup row short: run must catch it after refinement, report
+    # numerics without reports, and the CLI must exit 4.
+    from railflow import bnb
+    from railflow.checks import verify_solution
+
+    def no_setup(model, values):
+        for rep, _ in model.single_track_pairs:
+            for t in model.horizon.periods:
+                values[model.var("setup_w", rep, t)] = 0.0
+
+    path = scenario_dir / "single_track_shuttle.json"
+    assert run(load_scenario(path)).result.status == OPTIMAL
+    monkeypatch.setattr(bnb, "_reoptimize_setup", no_setup)
+    output = run(load_scenario(path))
+    assert (output.result.status, output.capacity, output.demands) == (NUMERICS, None, None)
+    findings = verify_solution(output.model, output.result.values)
+    assert findings and all(f.startswith("Capacity2alt2setup[") for f in findings)
+
+    out_dir = tmp_path / "out"
+    assert main(["solve", "--scenario", str(path), "--out-dir", str(out_dir)]) == 4
+    assert "status: numerics" in capsys.readouterr().out
+    assert not (out_dir / "capacity_usage.csv").exists()

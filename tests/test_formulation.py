@@ -52,7 +52,7 @@ def test_zero_routes_leaves_demand_layer_only():
     demand = Demand(1, "A-B", 1, 2, 1, (1, 0))
     cat = ServiceCatalog((demand,), (), {1: ()})
     model = build_variables(net, cat, net.horizon, ModelConfig())
-    for kind in ("dep", "arr", "direct", "next", "ni", "lag", "linkcap"):
+    for kind in ("dep", "arr", "direct", "next", "ni", "lag"):
         assert count_kind(model, kind) == 0
     assert count_kind(model, "post") == 3
     assert count_kind(model, "cancel_total") == 1
@@ -92,15 +92,21 @@ def test_capacity_usage_expression_matches_worked_numbers():
     assert usage(model, values, 2, 3) == pytest.approx(0.0)
 
 
-def test_capacity4_rows_bound_usage_by_allocation():
-    model = line_model()
-    row = constraint(model, "Capacity4[l=A-B,t=1,h=reg]")
-    coefs = dict(row.terms)
-    assert coefs[model.var("direct", 1, 1, 1)] == 1.0
-    assert coefs[model.var("next", 1, 0, 1)] == 0.5
-    assert coefs[model.var("next", 1, 1, 1)] == 0.5
-    assert coefs[model.var("linkcap", 1, 1, 1)] == -1.0
-    assert row.relation == "<=" and row.rhs == 0.0
+def test_capacity1_row_of_the_three_station_line_by_hand(three_station_doc):
+    # A-B carries the one route A-C-r1 at capacity 5: its direct arc of
+    # period 1 counts in full, the crossings from period 0 and into period 2
+    # count half each.
+    from railflow.scenario import build_scenario_model
+
+    model = build_scenario_model(three_station_doc)
+    a_b, route = 1, 1
+    row = constraint(model, "Capacity1[l=A-B,t=1]")
+    assert row.terms == (
+        (model.var("direct", a_b, 1, route), 1.0),
+        (model.var("next", a_b, 0, route), 0.5),
+        (model.var("next", a_b, 1, route), 0.5),
+    )
+    assert row.relation == "<=" and row.rhs == 5.0
 
 
 def test_departure_balance_recurrence():
@@ -236,11 +242,25 @@ def test_alt2_rows_and_variables():
     pair_rows = names_of(model, "Capacity2alt2")
     setup_rows = names_of(model, "Capacity2alt2setup")
     assert len(pair_rows) == 6 and len(setup_rows) == 6
-    row = constraint(model, "Capacity2alt2[l=X-Y,t=1]")
-    coefs = dict(row.terms)
-    assert coefs[model.var("setup_w", 1, 1)] == 1.0
-    assert coefs[model.var("linkcap", 1, 1, 1)] == 1.0
-    assert coefs[model.var("linkcap", 2, 1, 1)] == 1.0
+    # both directions' usage plus the setup time share each link's capacity
+    own = {
+        model.var("direct", 1, 1, 1): 1.0,
+        model.var("next", 1, 0, 1): 0.5,
+        model.var("next", 1, 1, 1): 0.5,
+    }
+    opp = {
+        model.var("direct", 2, 1, 2): 1.0,
+        model.var("next", 2, 0, 2): 0.5,
+        model.var("next", 2, 1, 2): 0.5,
+    }
+    w, beta = model.var("setup_w", 1, 1), model.var("dirflag_beta", 1, 1)
+    assert dict(constraint(model, "Capacity2alt2[l=X-Y,t=1]").terms) == {**own, **opp, w: 1.0}
+    setup = constraint(model, "Capacity2alt2setup[l=X-Y,t=1]")
+    assert dict(setup.terms) == {**own, w: -1.0, beta: model.big_m}
+    assert setup.rhs == model.big_m
+    setup = constraint(model, "Capacity2alt2setup[l=Y-X,t=1]")
+    assert dict(setup.terms) == {**opp, w: -1.0, beta: -model.big_m}
+    assert setup.rhs == 0.0
 
 
 def test_single_track_mode_without_pairs_warns():
@@ -252,31 +272,8 @@ def test_single_track_mode_without_pairs_warns():
     assert any("single-track" in str(w.message) for w in caught)
 
 
-def test_heterogeneous_rows_charge_cross_type_capacity():
-    nodes = (StationNode(1, "A"), StationNode(2, "B"))
-    links = (TrackLink(1, 1, 2, "A-B"),)
-    horizon = Horizon(2)
-    net = Network(
-        train_types=(TrainType(1, "reg"), TrainType(2, "gt")),
-        nodes=nodes,
-        links=links,
-        sigma={1: 1},
-        capacity={(1, t): 5.0 for t in horizon.periods},
-        duration={(1, 1): 0.2, (1, 2): 0.4},
-        horizon=horizon,
-    )
-    routes = (Route(1, "r-reg", 1, 2, 1, (1,)), Route(2, "r-gt", 1, 2, 2, (1,)))
-    demands = (Demand(1, "d-reg", 1, 2, 1, (1, 0)), Demand(2, "d-gt", 1, 2, 2, (1, 0)))
-    cat = ServiceCatalog(demands, routes, derive_implements(demands, routes))
-    model = build_model(net, cat, net.horizon, ModelConfig(capacity_mode="heterogeneous", k_het=0.25))
-    row = constraint(model, "Capacity3[l=A-B,t=1]")
-    coefs = dict(row.terms)
-    # own allocation plus k-weighted other-type allocation, for both types
-    assert coefs[model.var("linkcap", 1, 1, 1)] == pytest.approx(1.25)
-    assert coefs[model.var("linkcap", 1, 1, 2)] == pytest.approx(1.25)
-
-
-def test_allocations_only_for_the_train_types_of_a_links_routes():
+def two_type_network():
+    """A-B carries a route of each type, B-C one of type reg, C-A none."""
     nodes = (StationNode(1, "A"), StationNode(2, "B"), StationNode(3, "C"))
     links = (TrackLink(1, 1, 2, "A-B"), TrackLink(2, 2, 3, "B-C"), TrackLink(3, 3, 1, "C-A"))
     horizon = Horizon(2)
@@ -291,24 +288,49 @@ def test_allocations_only_for_the_train_types_of_a_links_routes():
     )
     routes = (Route(1, "r-reg", 1, 3, 1, (1, 2)), Route(2, "r-gt", 1, 2, 2, (1,)))
     demands = (Demand(1, "d-reg", 1, 3, 1, (1, 0)), Demand(2, "d-gt", 1, 2, 2, (1, 0)))
-    cat = ServiceCatalog(demands, routes, derive_implements(demands, routes))
+    return net, ServiceCatalog(demands, routes, derive_implements(demands, routes))
+
+
+def flow_terms(model, link_id, t, route_ids, charge=1.0):
+    """A link's usage terms for the given routes, each times charge."""
+    terms = {}
+    for r in route_ids:
+        terms[model.var("direct", link_id, t, r)] = charge
+        terms[model.var("next", link_id, t - 1, r)] = 0.5 * charge
+        terms[model.var("next", link_id, t, r)] = 0.5 * charge
+    return terms
+
+
+def test_heterogeneous_rows_charge_cross_type_capacity():
+    net, cat = two_type_network()
+    model = build_model(net, cat, net.horizon, ModelConfig(capacity_mode="heterogeneous", k_het=0.25))
+    # two types on A-B: each flow term is charged 1 + 0.25 * (2 - 1)
+    row = constraint(model, "Capacity3[l=A-B,t=1]")
+    assert dict(row.terms) == pytest.approx(flow_terms(model, 1, 1, (1, 2), charge=1.25))
+    assert row.relation == "<=" and row.rhs == 5.0
+    # one type on B-C: the plain usage
+    assert dict(constraint(model, "Capacity3[l=B-C,t=2]").terms) == flow_terms(model, 2, 2, (1,))
+    # Capacity3 implies Capacity1 (k_het >= 0), so it takes its place
+    assert not names_of(model, "Capacity1")
+    assert names_of(model, "Capacity3") == [
+        "Capacity3[l=A-B,t=1]",
+        "Capacity3[l=A-B,t=2]",
+        "Capacity3[l=B-C,t=1]",
+        "Capacity3[l=B-C,t=2]",
+    ]
+
+
+def test_capacity_rows_charge_the_flow_of_every_route_on_the_link():
+    net, cat = two_type_network()
     model = build_model(net, cat, net.horizon, ModelConfig())
-    assert {l: [h.label for h in types] for l, types in model.types_on_link.items()} == {
-        1: ["reg", "gt"],
-        2: ["reg"],
-        3: [],
-    }
-    allocated = {v.ref.key for v in model.variables if v.ref.kind == "linkcap"}
-    assert allocated == {(1, t, 1) for t in (1, 2)} | {(1, t, 2) for t in (1, 2)} | {(2, t, 1) for t in (1, 2)}
-    # B-C allocates to its one type; C-A carries no route and has no capacity row
-    assert dict(constraint(model, "Capacity1[l=B-C,t=1]").terms) == {model.var("linkcap", 2, 1, 1): 1.0}
-    assert names_of(model, "Capacity4") == [
-        "Capacity4[l=A-B,t=1,h=reg]",
-        "Capacity4[l=A-B,t=1,h=gt]",
-        "Capacity4[l=A-B,t=2,h=reg]",
-        "Capacity4[l=A-B,t=2,h=gt]",
-        "Capacity4[l=B-C,t=1,h=reg]",
-        "Capacity4[l=B-C,t=2,h=reg]",
+    assert dict(constraint(model, "Capacity1[l=A-B,t=2]").terms) == flow_terms(model, 1, 2, (1, 2))
+    assert dict(constraint(model, "Capacity1[l=B-C,t=1]").terms) == flow_terms(model, 2, 1, (1,))
+    # C-A carries no route and has no capacity row
+    assert names_of(model, "Capacity1") == [
+        "Capacity1[l=A-B,t=1]",
+        "Capacity1[l=A-B,t=2]",
+        "Capacity1[l=B-C,t=1]",
+        "Capacity1[l=B-C,t=2]",
     ]
     assert not [c.name for c in model.constraints if "l=C-A" in c.name]
     assert all(c.terms for c in model.constraints)
@@ -448,9 +470,6 @@ def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
             node_id, t, route_id = key
             assert node_id in route_nodes(model.catalog.route(route_id), network), var.name
             assert kind != "lag" or t >= 1, var.name
-        elif kind == "linkcap":
-            link_id, _, type_id = key
-            assert type_id in {h.id for h in model.types_on_link[link_id]}, var.name
 
     used = set(model.objective)
     for row in model.constraints:
@@ -474,14 +493,19 @@ def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
             assert (var.lb, var.ub) == (0.0, 0.0), var.name
         else:
             assert var.ub > 0.0, var.name
-    # The only one-term rows left allocate a link to its single train type.
-    singletons = {c.name.split("[")[0] for c in model.constraints if len(c.terms) == 1}
-    assert singletons <= {"Capacity1", "Capacity3"}
     families = {c.name.split("[")[0] for c in model.constraints}
     assert not families & {
         "Demand1", "Demand2", "Bound4", "Bound5", "Bound6", "Aggregate1",
-        "Flow3", "Aggregate2.2", "Aggregate3", "Aggregate4",
+        "Flow3", "Aggregate2.2", "Aggregate3", "Aggregate4", "Capacity4",
     }
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_no_allocations_and_no_one_term_rows(scenario_dir, scenario, mode):
+    model = bundled_model(scenario_dir, scenario, mode)
+    assert not count_kind(model, "linkcap")
+    assert not [c.name for c in model.constraints if len(c.terms) == 1]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -505,6 +529,6 @@ def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario)
 
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
-    assert len(model.variables) == 879
-    assert len(model.constraints) == 584
+    assert len(model.variables) == 774
+    assert len(model.constraints) == 479
     assert not {v.ref.kind for v in model.variables} & {"in", "aggr"}

@@ -405,3 +405,38 @@ def test_demand_volume_too_large_for_a_float_rejected_at_load(scenario_dir, tmp_
     for command in ("validate", "solve"):
         assert main([command, "--scenario", str(path)]) == 1
         assert f"error: {position}: expected a finite number" in capsys.readouterr().err
+
+
+# (position, quoted name in three_station_line.json, replacement): every
+# occurrence is renamed, so only the character itself is wrong.
+BAD_NAMES = [
+    ("train_types[0]", '"reg"', "reg ular"),
+    ("nodes[1]", '"B"', "Stock holm"),
+    ("links[0]", '"A-B"', "A,B"),
+    ("links[1]", '"B-C"', "B\tC"),
+    ("routes[0]", '"A-C-r1"', "A-C r1"),
+    ("demands[0]", '"A-C"', "A,C"),
+]
+
+
+@pytest.mark.parametrize("position, old, new", BAD_NAMES, ids=[p for p, _, _ in BAD_NAMES])
+def test_names_that_break_the_exports_rejected_at_load(scenario_dir, tmp_path, capsys, position, old, new):
+    # A space splits an MPS field and a comma a CSV cell.
+    text = (scenario_dir / "three_station_line.json").read_text().replace(old, json.dumps(new))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(text)
+    assert err.value.errors == [f"{position}: name {new!r} must not contain whitespace or a comma"]
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"error: {position}: name {new!r}" in capsys.readouterr().err
+
+
+def test_reports_hold_plain_floats(shuttle_run):
+    output, _ = shuttle_run
+    capacity, demands = output.capacity, output.demands
+    tables = [capacity.total, capacity.by_type, capacity.nominal, capacity.setup]
+    tables += [demands.departures, demands.postponed, demands.cancelled, demands.cancel_total]
+    assert all(type(v) is float for table in tables for v in table.values())
+    assert capacity.setup

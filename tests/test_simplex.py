@@ -696,7 +696,7 @@ def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
 
 
 def test_crash_covers_the_small_network_balances_without_growth(small_doc):
-    # 395 of the 591 rows start on an artificial, 370 of them with a
+    # 395 of the 486 rows start on an artificial, 370 of them with a
     # right-hand side of 0; the crash covers 360 of those, and its pivots
     # leave every entry of the constraint rows at or below 1 in magnitude.
     from railflow.scenario import build_scenario_model
@@ -797,7 +797,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
     config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert sf.n_rows == 605
+    assert sf.n_rows == 479
     n_logical = sum(relation != "=" for relation in sf.relations)
     tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
     tracemalloc.start()
@@ -891,7 +891,7 @@ def test_sparse_basis_matches_dense_solve_property(seed):
 
 
 def test_small_network_lp_matches_highs(small_doc):
-    # A real-size basis (591 rows), far past the tiny random LPs above; its
+    # A real-size basis (486 rows), far past the tiny random LPs above; its
     # singleton peel leaves no bump.
     from scipy.optimize import linprog
 
@@ -899,7 +899,7 @@ def test_small_network_lp_matches_highs(small_doc):
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (591, 783)
+    assert (sf.n_rows, sf.n_cols) == (486, 678)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
