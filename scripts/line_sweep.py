@@ -1,4 +1,4 @@
-"""Sweep 152 generated lines against HiGHS and print every wrong run.
+"""Sweep 232 generated lines against HiGHS and print every wrong run.
 
 The runs are perfbench.synth.line_scenario lines named "line", with 6
 periods and as many routes as stations:
@@ -7,7 +7,10 @@ periods and as many routes as stations:
   ..., 71-74, and 6 stations with seeds 11-14, ..., 41-44;
 - one single-track segment, pace refinement on, relaxed and integer:
   4 stations with seeds 11-14, ..., 71-74, and 5 stations with seeds
-  11-14, ..., 31-34.
+  11-14, ..., 31-34;
+- integer, capacity mode single_track_alt2, pace refinement on: 4 and 5
+  stations with seeds 11-30, each with one and with two single-track
+  segments.
 
 Each run is solved with a cap of 20,000 simplex iterations per LP and
 checked against scipy's HiGHS on its MPS export (tests/mps_reader.py).  A run
@@ -39,7 +42,7 @@ def seeds(tens: int) -> list[int]:
 
 
 def runs():
-    """(label, scenario document) for each of the 152 runs."""
+    """(label, scenario document) for each of the 232 runs."""
     for stations, tens in ((4, 7), (5, 7), (6, 4)):
         for seed in seeds(tens):
             doc = synth.line_scenario(seed, stations, 6, stations, relax_integrality=True, pace_refinement=False)
@@ -50,6 +53,12 @@ def runs():
                 doc = synth.line_scenario(seed, stations, 6, stations, single_track=1, relax_integrality=relax)
                 kind = "relaxed" if relax else "integer"
                 yield f"single-track {stations} stations seed {seed} {kind}", doc
+    for stations in (4, 5):
+        for seed in range(11, 31):
+            for single_track in (1, 2):
+                doc = synth.line_scenario(seed, stations, 6, stations, single_track=single_track)
+                doc["config"]["capacity_mode"] = "single_track_alt2"
+                yield f"alt2 {stations} stations {single_track} single-track seed {seed}", doc
 
 
 def main() -> int:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LinearConstraint, TimeExpandedModel, link_usage
+from .model import LinearConstraint, TimeExpandedModel
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -112,9 +112,9 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
             return
         del tableau  # a fractional node's tableau goes before the completion LP builds one
         # Fix-and-solve completion: re-solve the continuous problem with
-        # every integer pinned at its rounded value.  Zero-cost variables
-        # (like single-track setup times) get lifted to whatever the
-        # rounding requires, which plain value rounding cannot do.
+        # every integer pinned at its rounded value, so the continuous
+        # variables move to whatever the rounding requires, which plain
+        # value rounding cannot do.
         fixes = {idx: float(round(values[idx])) for idx in int_vars}
         fix_solution, fix_values = solve_model_lp(model, tol, extra_fixes=fixes)
         iterations += fix_solution.iterations
@@ -192,17 +192,11 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
     """
     delay = {"dep": 0, "direct": 0, "next": 1}
     t_max = model.horizon.t_max
-    pace = {
+    return {
         idx: float(var.ref.key[1] + delay[var.ref.kind])
         for idx, var in enumerate(model.variables)
         if var.ref.kind in delay and var.ref.key[1] + delay[var.ref.kind] <= t_max
     }
-    # Setup times carry no primary cost and would otherwise float anywhere
-    # between their bounds; a tiny weight keeps them low.
-    for idx, var in enumerate(model.variables):
-        if var.ref.kind == "setup_w":
-            pace[idx] = 1e-6
-    return pace
 
 
 def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
@@ -254,7 +248,6 @@ def refine_to_earliest_pace(
         if solution.status != OPTIMAL:
             status = ITERATION_LIMIT if solution.status == ITERATION_LIMIT else NUMERICS
             return replace(result, status=status, iterations=iterations)
-    _reoptimize_setup(model, values)
     return SolveResult(
         OPTIMAL,
         model.objective_value(values),
@@ -265,32 +258,3 @@ def refine_to_earliest_pace(
         bound=result.bound,
     )
 
-
-def _reoptimize_setup(model: TimeExpandedModel, values: np.ndarray) -> None:
-    """Shrink each setup time to the smaller directional requirement, in place.
-
-    A (setup, direction-flag) pair appears in exactly four rows: the two pair
-    capacity rows (setup enters with +1, so shrinking it keeps them feasible)
-    and the two flag-guarded usage bounds (satisfied by construction for the
-    direction chosen here).  Everything else is untouched, so the result
-    stays feasible with an identical objective.
-    """
-    if model.config.capacity_mode != "single_track_alt2":
-        return
-    for rep, other in model.single_track_pairs:
-        for t in model.horizon.periods:
-            own = sum(coef * values[idx] for idx, coef in link_usage(model, rep, t))
-            opp = sum(coef * values[idx] for idx, coef in link_usage(model, other, t))
-            need_when_flagged = own / model.config.k_setup
-            need_when_clear = opp / model.config.k_setup
-            w_idx = model.var("setup_w", rep, t)
-            beta_idx = model.var("dirflag_beta", rep, t)
-            if need_when_flagged <= need_when_clear + 1e-12:
-                required = need_when_flagged
-                flag = 1.0
-            else:
-                required = need_when_clear
-                flag = 0.0
-            if required < values[w_idx]:
-                values[w_idx] = max(required, 0.0)
-                values[beta_idx] = flag

@@ -39,10 +39,11 @@ class ModelError(ValueError):
 class ModelConfig:
     """Knobs of the formulation.
 
-    capacity_mode selects the capacity rows (see emit_capacity).  k_setup
-    follows the convention where values in (0, 1] make a direction change
-    consume at least (directional usage / k_setup) of setup time; 1.0 means
-    the setup equals the lower of the two directional volumes.
+    capacity_mode selects the capacity rows (see emit_capacity).  k_setup,
+    in (0, 1], prices a direction change on a single-track pair in
+    single_track_alt2: it takes min(own, opp) / k_setup of setup time, where
+    own and opp are the two directional usages; 1.0 makes the setup equal
+    the lower of the two.
     """
 
     capacity_mode: str = "basic"
@@ -290,10 +291,6 @@ def build_variables(
         for rep, _ in pairs:
             lname = network.link(rep).name
             for t in T:
-                model.add_variable("setup_w", (rep, t), f"setup_w({lname},{t})")
-        for rep, _ in pairs:
-            lname = network.link(rep).name
-            for t in T:
                 model.add_variable(
                     "dirflag_beta",
                     (rep, t),
@@ -339,12 +336,18 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 
     Each row reads a link's flow through link_usage; a row that would have no
     terms (a link no route uses) is not emitted.  Capacity1 keeps the usage
-    within the link's nominal capacity.  single_track_alt1 makes coupled links
-    share the mean of their nominal capacities; single_track_alt2 adds a
-    setup-time variable w tied, through a binary flag, to the smaller of the
-    two directional usages.  heterogeneous replaces Capacity1 by Capacity3,
-    which charges the usage 1 + k_het per other train type on the link (and
-    so implies Capacity1, as k_het >= 0).
+    within the link's nominal capacity.  heterogeneous replaces Capacity1 by
+    Capacity3, which charges the usage 1 + k_het per other train type on the
+    link (and so implies Capacity1, as k_het >= 0).  single_track_alt1 makes
+    coupled links share the mean of their nominal capacities.
+
+    single_track_alt2 makes both directional usages plus the setup time
+    min(own, opp) / k_setup fit in the smaller capacity c of the pair.  The
+    setup time w has no variable: Fourier-Motzkin elimination of w from
+    w >= (own - M (1 - beta)) / k, w >= (opp - M beta) / k, w >= 0 and
+    own + opp + w <= c leaves, exactly, the pair row own + opp <= c and one
+    setup row per direction, which the binary flag beta switches off through
+    big M.  The capacity report derives the setup time from the flows.
     """
     network = model.network
     config = model.config
@@ -384,35 +387,29 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 rhs = 0.5 * (network.capacity[(rep, t)] + network.capacity[(other, t)])
                 model.add_constraint(f"Capacity2alt1[l={lname}/{oname},t={t}]", terms, "<=", rhs)
     elif config.capacity_mode == "single_track_alt2":
+        k, big_m = config.k_setup, model.big_m
         for rep, other in pairs:
             lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
                 own, opp = link_usage(model, rep, t), link_usage(model, other, t)
-                w = model.var("setup_w", rep, t)
+                both = own + opp
+                if not both:
+                    continue
+                cap = min(network.capacity[(rep, t)], network.capacity[(other, t)])
                 beta = model.var("dirflag_beta", rep, t)
-                model.add_constraint(
-                    f"Capacity2alt2[l={lname},t={t}]",
-                    own + opp + [(w, 1.0)],
-                    "<=",
-                    network.capacity[(rep, t)],
-                )
-                model.add_constraint(
-                    f"Capacity2alt2[l={oname},t={t}]",
-                    own + opp + [(w, 1.0)],
-                    "<=",
-                    network.capacity[(other, t)],
-                )
+                model.add_constraint(f"Capacity2alt2[l={lname}/{oname},t={t}]", both, "<=", cap)
+                scaled = [(idx, k * coef) for idx, coef in both]
                 model.add_constraint(
                     f"Capacity2alt2setup[l={lname},t={t}]",
-                    own + [(w, -config.k_setup), (beta, model.big_m)],
+                    scaled + own + [(beta, big_m)],
                     "<=",
-                    model.big_m,
+                    k * cap + big_m,
                 )
                 model.add_constraint(
                     f"Capacity2alt2setup[l={oname},t={t}]",
-                    opp + [(w, -config.k_setup), (beta, -model.big_m)],
+                    scaled + opp + [(beta, -big_m)],
                     "<=",
-                    0.0,
+                    k * cap,
                 )
 
 

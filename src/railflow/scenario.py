@@ -716,7 +716,8 @@ class CapacityUsageReport:
 
     Usage counts each route's direct flow plus half of each adjacent
     crossing flow; setup rows (single_track_alt2 only) show the capacity
-    consumed by direction changes on each coupled pair.
+    consumed by direction changes on each coupled pair, derived from the
+    flows as min(own, opp) / k_setup of the pair's two directional usages.
     """
 
     link_names: tuple[str, ...]
@@ -764,7 +765,11 @@ def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> Capac
             rep_name = network.link(rep).name
             setup_pairs.append((rep_name, network.link(other).name))
             for t in network.horizon.periods:
-                setup[(rep_name, t)] = float(values[model.var("setup_w", rep, t)])
+                own, opp = (
+                    sum(coef * values[idx] for idx, coef in link_usage(model, link_id, t))
+                    for link_id in (rep, other)
+                )
+                setup[(rep_name, t)] = float(min(own, opp)) / model.config.k_setup
     return CapacityUsageReport(
         link_names=tuple(l.name for l in network.links),
         t_max=network.horizon.t_max,

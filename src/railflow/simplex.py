@@ -542,13 +542,8 @@ class Tableau:
         face.  The new row is c minus c_B times the constraint rows, formed
         by one product over a view of T.
         """
-        m, n, T, sf = self.m, self.n, self.T, self.sf
-        reduced = np.empty(self.ncols)
-        reduced[:n] = self.c - np.bincount(
-            sf.cols, weights=sf.vals * self.sign[sf.rows] * self.y[sf.rows], minlength=n
-        )
-        reduced[n:] = self.y[self.logical_rows] * np.repeat([-1.0, 1.0], [self.n_slack, self.n_surplus])
-        positive = reduced > tol.pivot
+        m, n, T = self.m, self.n, self.T
+        positive = self.reduced_costs(self.c, self.y) > tol.pivot
         self.shut = positive if self.shut is None else self.shut | positive
         basic_costs = np.zeros(m)
         structural = (self.basis >= 0) & (self.basis < n)
@@ -557,8 +552,28 @@ class Tableau:
         costs[:n] = c
         T[m] = costs - basic_costs @ T[:m]
 
+    def reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """c - A^T y for every column (structural, then logical) under duals y of the oriented rows."""
+        sf, n = self.sf, self.n
+        reduced = np.empty(self.ncols)
+        reduced[:n] = c - np.bincount(
+            sf.cols, weights=sf.vals * self.sign[sf.rows] * y[sf.rows], minlength=n
+        )
+        reduced[n:] = y[self.logical_rows] * np.repeat([-1.0, 1.0], [self.n_slack, self.n_surplus])
+        return reduced
+
     def finish(self, sf: StandardFormLP, tol: Tolerances) -> LpSolution:
-        """Phase 2 on cost row m, then the verified basis re-solve."""
+        """Phase 2 on cost row m, then the verified basis re-solve.
+
+        The re-solved basis carries its own certificate of optimality, or the
+        solve ends NUMERICS:
+
+        - primal: B x = b to 1e-6, x_B >= -1e-6, and every row held at zero
+          (an artificial or held row) within 1e-6 of it;
+        - dual: every column that may enter (not shut) has a reduced cost
+          c - A^T y of at least -1e-6;
+        - gap: c.x lies within 1e-6 * max(1, |c.x|) of the dual objective.
+        """
         outcome = self.run_phase(self.m, False, tol)
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
@@ -603,7 +618,15 @@ class Tableau:
         except np.linalg.LinAlgError:
             return LpSolution(NUMERICS, None, None, self.iterations)
         residual = np.bincount(rows, weights=vals * x_basic[slots], minlength=m) - b
-        if float(np.abs(residual).max(initial=0.0)) > 1e-6:
+        if (
+            float(np.abs(residual).max(initial=0.0)) > 1e-6
+            or float(x_basic.min(initial=0.0)) < -1e-6
+            or float(np.abs(x_basic[artificial]).max(initial=0.0)) > 1e-6
+        ):
+            return LpSolution(NUMERICS, None, None, self.iterations)
+        reduced = self.reduced_costs(sf.c, y)
+        open_reduced = reduced if self.shut is None else reduced[~self.shut]
+        if float(open_reduced.min(initial=0.0)) < -1e-6:
             return LpSolution(NUMERICS, None, None, self.iterations)
         x_full = np.zeros(ncols, dtype=float)
         x_full[basis[~artificial]] = x_basic[~artificial]
@@ -615,6 +638,8 @@ class Tableau:
         np.clip(x_full, 0.0, None, out=x_full)
         x = x_full[:n]
         objective = float(sf.c @ x) + sf.objective_constant
+        if abs(objective - dual_objective) > 1e-6 * max(1.0, abs(objective)):
+            return LpSolution(NUMERICS, None, None, self.iterations)
         self.c, self.y = sf.c, y
         return LpSolution(OPTIMAL, objective, x, self.iterations, dual_objective, self)
 
@@ -640,8 +665,9 @@ def solve_lp(
     columns with one singleton-peel ordering plus a dense solve of the bump
     (_solve_sparse_basis).  That re-solve is the only source of an OPTIMAL
     solution, so an OPTIMAL result always carries a dual objective, and it
-    carries its final tableau.  When the basis proves singular, or x leaves
-    a residual above 1e-6, the result is NUMERICS with no values.
+    carries its final tableau.  When the basis proves singular or the
+    re-solved x and y fail their certificate (Tableau.finish), the result is
+    NUMERICS with no values.
 
     With warm, the final tableau of an earlier OPTIMAL solve over the same
     rows and columns, no phase 1 runs: the tableau is restricted in place to

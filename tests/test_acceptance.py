@@ -84,17 +84,17 @@ def test_criterion_2_fixture_base_and_tcr(base_run, tcr_run):
         assert base_wall < 10.0 and tcr_wall < 10.0
 
 
-def _setup_invariant(model, values, feas=1e-6):
+def _setup_invariant(output, feas=1e-6):
+    model, values = output.model, output.result.values
     for rep, other in model.single_track_pairs:
         for t in model.horizon.periods:
-            w = values[model.var("setup_w", rep, t)]
+            w = output.capacity.setup[(model.network.link(rep).name, t)]
             own = usage(model, values, rep, t)
             opp = usage(model, values, other, t)
             assert w >= min(own, opp) - feas
             for link_id in (rep, other):
-                used = usage(model, values, link_id, t)
                 cap = model.network.capacity[(link_id, t)]
-                assert own + opp + w <= cap + 1e-9 or used == 0.0
+                assert own + opp + w <= cap + 1e-9
 
 
 def test_criterion_3_setup_time_invariant(base_run, tcr_run, shuttle_run):
@@ -103,7 +103,7 @@ def test_criterion_3_setup_time_invariant(base_run, tcr_run, shuttle_run):
             model = output.model
             assert model.config.capacity_mode == "single_track_alt2"
             assert model.config.k_setup == 1.0
-            _setup_invariant(model, output.result.values)
+            _setup_invariant(output)
 
 
 def test_criterion_4_feasibility_invariants(base_run, tcr_run, shuttle_run, three_station_run):

@@ -27,7 +27,6 @@ from scipy.optimize import linprog
 from mps_reader import solve_with_scipy
 from railflow.bnb import (
     _pace_objective,
-    _reoptimize_setup,
     _tie_break_objective,
     refine_to_earliest_pace,
     solve_mip,
@@ -61,7 +60,7 @@ def reports(model, values) -> bytes:
 
 
 def highs_stages(model, integer_values) -> np.ndarray:
-    """The three refinement stages through HiGHS; values after _reoptimize_setup."""
+    """The three refinement stages through HiGHS, with no post-processing."""
     system = ConstraintSystem.from_model(model)
     n = len(model.variables)
     row_of = np.repeat(np.arange(system.rhs.size), np.diff(system.starts))
@@ -85,7 +84,6 @@ def highs_stages(model, integer_values) -> np.ndarray:
         b_ub = np.append(b_ub, stage.fun)
     values = stage.x.copy()
     values[np.abs(values) < 1e-9] = 0.0
-    _reoptimize_setup(model, values)
     return values
 
 
@@ -129,6 +127,22 @@ LINES = sorted(
 )
 def test_generated_line_refinement_matches_highs_stages(seed, stations, relax):
     doc = synth.line_scenario(seed, stations, 6, stations, single_track=1, relax_integrality=relax)
+    assert_canonical(build_scenario_model(load_scenario(doc)))
+
+
+ALT2_LINES = [
+    (seed, stations, segments) for seed in (11, 12, 13, 14) for stations in (4, 5) for segments in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, stations, segments", ALT2_LINES, ids=[f"{s}-{n}-alt2-{k}" for s, n, k in ALT2_LINES]
+)
+def test_generated_alt2_line_refinement_matches_highs_stages(seed, stations, segments):
+    # Integer lines in single_track_alt2 with one or two single-track
+    # segments: the setup rows and direction flags go through both solvers.
+    doc = synth.line_scenario(seed, stations, 6, stations, single_track=segments)
+    doc["config"]["capacity_mode"] = "single_track_alt2"
     assert_canonical(build_scenario_model(load_scenario(doc)))
 
 

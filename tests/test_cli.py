@@ -191,24 +191,28 @@ def test_unverifiable_basis_exits_numerics(scenario_dir, tmp_path, capsys, monke
 
 
 def test_run_audits_the_values_it_reports(scenario_dir, tmp_path, capsys, monkeypatch):
-    # A faulty setup rule that drops every setup time to 0 leaves the flagged
-    # direction's setup row short: run must catch it after refinement, report
-    # numerics without reports, and the CLI must exit 4.
-    from railflow import bnb
+    # A faulty refinement that leaves one pacing lag of the last period 1 too
+    # high breaks the one Pace row that lag enters: run must catch it after
+    # refinement, report numerics without reports, and the CLI must exit 4.
+    from railflow import scenario
     from railflow.checks import verify_solution
 
-    def no_setup(model, values):
-        for rep, _ in model.single_track_pairs:
-            for t in model.horizon.periods:
-                values[model.var("setup_w", rep, t)] = 0.0
+    refine = scenario.refine_to_earliest_pace
+
+    def lagging(model, result, tol=None):
+        refined = refine(model, result, tol)
+        t_max = model.horizon.t_max
+        lag = next(i for i, v in enumerate(model.variables) if v.ref.kind == "lag" and v.ref.key[1] == t_max)
+        refined.values[lag] += 1.0
+        return refined
 
     path = scenario_dir / "single_track_shuttle.json"
     assert run(load_scenario(path)).result.status == OPTIMAL
-    monkeypatch.setattr(bnb, "_reoptimize_setup", no_setup)
+    monkeypatch.setattr(scenario, "refine_to_earliest_pace", lagging)
     output = run(load_scenario(path))
     assert (output.result.status, output.capacity, output.demands) == (NUMERICS, None, None)
     findings = verify_solution(output.model, output.result.values)
-    assert findings and all(f.startswith("Capacity2alt2setup[") for f in findings)
+    assert len(findings) == 1 and findings[0].startswith("Pace[")
 
     out_dir = tmp_path / "out"
     assert main(["solve", "--scenario", str(path), "--out-dir", str(out_dir)]) == 4

@@ -229,20 +229,19 @@ def test_alt1_shares_the_mean_of_both_directions():
     assert len(rows) == 3  # one per period for the single pair
     row = constraint(model, "Capacity2alt1[l=X-Y/Y-X,t=1]")
     assert row.rhs == pytest.approx(0.5 * (6.0 + 4.0))
-    assert count_kind(model, "setup_w") == 0
+    assert count_kind(model, "dirflag_beta") == 0
 
 
 def test_alt2_rows_and_variables():
-    net = coupled_pair_network()
-    model = build_model(net, coupled_pair_catalog(), net.horizon, ModelConfig(capacity_mode="single_track_alt2"))
-    assert count_kind(model, "setup_w") == 3
+    net = coupled_pair_network(cap_back=4.0)
+    config = ModelConfig(capacity_mode="single_track_alt2", k_setup=0.5)
+    model = build_model(net, coupled_pair_catalog(), net.horizon, config)
     assert count_kind(model, "dirflag_beta") == 3
     beta = next(v for v in model.variables if v.ref.kind == "dirflag_beta")
     assert beta.integer and beta.ub == 1.0
     pair_rows = names_of(model, "Capacity2alt2")
     setup_rows = names_of(model, "Capacity2alt2setup")
-    assert len(pair_rows) == 6 and len(setup_rows) == 6
-    # both directions' usage plus the setup time share each link's capacity
+    assert len(pair_rows) == 3 and len(setup_rows) == 6
     own = {
         model.var("direct", 1, 1, 1): 1.0,
         model.var("next", 1, 0, 1): 0.5,
@@ -253,14 +252,55 @@ def test_alt2_rows_and_variables():
         model.var("next", 2, 0, 2): 0.5,
         model.var("next", 2, 1, 2): 0.5,
     }
-    w, beta = model.var("setup_w", 1, 1), model.var("dirflag_beta", 1, 1)
-    assert dict(constraint(model, "Capacity2alt2[l=X-Y,t=1]").terms) == {**own, **opp, w: 1.0}
+    beta, k, m = model.var("dirflag_beta", 1, 1), 0.5, model.big_m
+    # both directions share the smaller capacity of the pair, 4
+    pair = constraint(model, "Capacity2alt2[l=X-Y/Y-X,t=1]")
+    assert (dict(pair.terms), pair.relation, pair.rhs) == ({**own, **opp}, "<=", 4.0)
+    # k (own + opp) + own + M beta <= k cap + M: with beta = 1 the setup time
+    # own / k fits next to both usages
     setup = constraint(model, "Capacity2alt2setup[l=X-Y,t=1]")
-    assert dict(setup.terms) == {**own, w: -1.0, beta: model.big_m}
-    assert setup.rhs == model.big_m
+    both = {idx: k * coef for idx, coef in {**own, **opp}.items()}
+    assert dict(setup.terms) == {**both, **{i: k * c + c for i, c in own.items()}, beta: m}
+    assert setup.rhs == k * 4.0 + m
+    # k (own + opp) + opp - M beta <= k cap: with beta = 0, opp / k fits
     setup = constraint(model, "Capacity2alt2setup[l=Y-X,t=1]")
-    assert dict(setup.terms) == {**opp, w: -1.0, beta: -model.big_m}
-    assert setup.rhs == 0.0
+    assert dict(setup.terms) == {**both, **{i: k * c + c for i, c in opp.items()}, beta: -m}
+    assert setup.rhs == k * 4.0
+
+
+def test_alt2_skips_a_pair_no_route_uses():
+    net = coupled_pair_network()
+    demand = Demand(1, "X-Y", 1, 2, 1, (1, 0, 0))
+    model = build_model(
+        net, ServiceCatalog((demand,), (), {1: ()}), net.horizon, ModelConfig(capacity_mode="single_track_alt2")
+    )
+    assert names_of(model, "Capacity2alt2") == names_of(model, "Capacity2alt2setup") == []
+
+
+@pytest.mark.parametrize("k_setup", [0.5, 1.0])
+def test_alt2_rows_admit_exactly_the_setup_rule(k_setup):
+    # With the flag free in {0, 1}, the pair's rows admit a usage exactly when
+    # own + opp + min(own, opp) / k_setup fits in the smaller capacity.  The
+    # grid is dyadic, so the rows evaluate exactly, boundary cases included.
+    net = coupled_pair_network(capacity=6.0, cap_back=4.5)
+    config = ModelConfig(capacity_mode="single_track_alt2", k_setup=k_setup)
+    model = build_model(net, coupled_pair_catalog(), net.horizon, config)
+    rows = ConstraintSystem.from_rows([c for c in model.constraints if c.name.startswith("Capacity2alt2")])
+    grid = np.arange(0.0, 5.0, 0.25)
+    admitted_somewhere = rejected_somewhere = 0
+    for own in grid:
+        for opp in grid:
+            values = np.zeros(len(model.variables))
+            values[model.var("direct", 1, 1, 1)] = own
+            values[model.var("direct", 2, 1, 2)] = opp
+            admitted = False
+            for flag in (0.0, 1.0):
+                values[model.var("dirflag_beta", 1, 1)] = flag
+                admitted |= not rows.violations(values).any()
+            assert admitted == (own + opp + min(own, opp) / k_setup <= 4.5), (own, opp)
+            admitted_somewhere += admitted
+            rejected_somewhere += not admitted
+    assert admitted_somewhere and rejected_somewhere
 
 
 def test_single_track_mode_without_pairs_warns():

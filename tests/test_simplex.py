@@ -736,6 +736,85 @@ def test_unverified_basis_is_numerics(monkeypatch, shift, status):
         assert (got.objective, got.x, got.dual_objective) == (None, None, None)
 
 
+# min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 >= 6 ends with x0 = 4 and the
+# second row's surplus (6) basic, and duals y = (-1, 0).
+CERTIFIED_LP = ([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0], ["<=", ">="])
+
+
+def fault_the_resolve(monkeypatch, rhs=None, duals=None):
+    """Wrap the basis re-solve: move the right-hand side it is given by rhs,
+    in place (so the residual check reads the same b and passes), or map the
+    duals it returns through duals."""
+    resolve = simplex._solve_sparse_basis
+
+    def faulty(rows, slots, vals, b, c_basic):
+        if rhs is not None:
+            b += rhs
+        x, y = resolve(rows, slots, vals, b, c_basic)
+        return x, y if duals is None else duals(y)
+
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", faulty)
+
+
+def certified(lp):
+    got = solve_lp(lp)
+    assert got.status in (OPTIMAL, NUMERICS)
+    if got.status == NUMERICS:
+        assert (got.objective, got.x, got.dual_objective, got.tableau) == (None, None, None, None)
+    return got.status
+
+
+@pytest.mark.parametrize("move, status", [(7.0, NUMERICS), (6.0 + 5e-7, OPTIMAL)], ids=["-1", "-5e-7"])
+def test_negative_basic_value_is_numerics(monkeypatch, move, status):
+    # Raising the second right-hand side to 6 + move leaves the surplus
+    # basic at 6 - move: a basis that no longer covers b is primal infeasible
+    # with no residual at all.
+    lp = raw_lp(*CERTIFIED_LP)
+    assert certified(lp) == OPTIMAL
+    fault_the_resolve(monkeypatch, rhs=np.array([0.0, move]))
+    assert certified(lp) == status
+
+
+def test_artificial_off_zero_is_numerics(monkeypatch):
+    # The second row repeats the first, so one artificial stays basic at 0;
+    # moving that row's right-hand side puts the artificial at 1, which the
+    # residual check alone accepts.
+    lp = raw_lp([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0], ["=", "="])
+    want = solve_lp(lp)
+    assert want.status == OPTIMAL
+    held = np.flatnonzero(want.tableau.basic_artificial)
+    assert held.size == 1
+    fault_the_resolve(monkeypatch, rhs=np.where(np.arange(2) == held[0], 1.0, 0.0))
+    assert certified(lp) == NUMERICS
+
+
+def test_dual_infeasible_basis_is_numerics(monkeypatch):
+    # y = (-2.5, 1) keeps the dual objective at -4 but prices x0 at -1.5.
+    lp = raw_lp(*CERTIFIED_LP)
+    fault_the_resolve(monkeypatch, duals=lambda y: y + np.array([-1.5, 1.0]))
+    assert certified(lp) == NUMERICS
+
+
+def test_shut_columns_may_price_below_zero():
+    # On a face, a shut column's reduced cost under the new objective does
+    # not matter: x1 (reduced cost 3 under the first objective) is shut, and
+    # a cost of -10 on it leaves the face optimum at x0 = 4.
+    model = synthetic_model([-1.0, -1.0], [([1.0, 2.0], "<=", 4.0), ([3.0, 1.0], ">=", 6.0)])
+    primary, _ = solve_model_lp(model)
+    assert primary.status == OPTIMAL
+    face, values = solve_face_lp(primary.tableau, {1: -10.0})
+    assert face.status == OPTIMAL
+    np.testing.assert_array_equal(values, [4.0, 0.0])
+    assert face.tableau.reduced_costs(face.tableau.c, face.tableau.y)[1] < -1e-6
+
+
+def test_duality_gap_is_numerics(monkeypatch):
+    # y = (-2, 0) is dual feasible, but its objective -8 misses c.x = -4.
+    lp = raw_lp(*CERTIFIED_LP)
+    fault_the_resolve(monkeypatch, duals=lambda y: 2.0 * y)
+    assert certified(lp) == NUMERICS
+
+
 @pytest.mark.parametrize("weights, expected", [((1.0, 2.0), [3.0, 0.0, 2.0, 0.0]), ((2.0, 1.0), [3.0, 0.0, 0.0, 2.0])])
 def test_face_lp_holds_a_basic_column_and_breaks_ties(weights, expected):
     # min -x0 s.t. x0 + x2 + x3 = 5, x0 + x1 <= 3 ends with x0 basic at 3 and
