@@ -16,12 +16,15 @@ def main():
     output = run(load_scenario(SCENARIO))
     model, values = output.model, output.result.values
     route = model.catalog.route_named("A-C-r1")
+    last = model.network.link_named("B-C").id
 
     print("objective:", round(output.result.objective, 6))
     for t in (1, 2):
         dep = values[model.var("dep", route.id, t)]
-        arr = values[model.var("arr", route.id, t)]
-        print(f"period {t}: departures {dep:.2f}, arrivals {arr:.2f}")
+        # arrivals at C are the inflow over B-C: within period t, or crossing from t - 1
+        inflow = [model.var("direct", last, t, route.id), model.var("next", last, t - 1, route.id)]
+        arrivals = values[inflow].sum()
+        print(f"period {t}: departures {dep:.2f}, arrivals {arrivals:.2f}")
     print()
     print(report_capacity_csv(output.capacity).decode(), end="")
 

@@ -31,7 +31,6 @@ from .model import (
     build_variables,
     departure_spread,
     emit_aggregates,
-    emit_arrival,
     emit_capacity,
     emit_demand_layer,
     emit_flow_layer,

@@ -2,10 +2,10 @@
 
 Only the direction-change flags (binary) and the per-demand cancellation
 totals (general integer) are ever marked, so trees stay small.  Each node is
-the base LP plus simple bound rows; nodes are explored best bound first with
-most-fractional branching and deterministic tie-breaking.  A fractional node
-is completed by a fix-and-solve LP (every integer pinned at its rounded
-value), which usually closes the root node outright.  Every incumbent is the
+the base LP with tightened variable bounds; nodes are explored best bound
+first with most-fractional branching and deterministic tie-breaking.  A
+fractional node is completed by a fix-and-solve LP (every integer pinned at
+its rounded value), which usually closes the root node outright.  Every incumbent is the
 optimal vertex of an LP, and the result carries that LP's final tableau, on
 which refine_to_earliest_pace continues warm.
 """
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LinearConstraint, TimeExpandedModel
+from .model import TimeExpandedModel
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -55,11 +55,6 @@ class SolveResult:
         return float(self.values[model.var(kind, *key)])
 
 
-def _bound_row(model: TimeExpandedModel, var_idx: int, relation: str, bound: float) -> LinearConstraint:
-    name = f"__branch[{model.variables[var_idx].name}{relation}{bound:g}]"
-    return LinearConstraint(name, ((var_idx, 1.0),), relation, bound)
-
-
 def _relative_gap(incumbent: float, bound: float) -> float:
     return max(0.0, incumbent - bound) / max(1.0, abs(incumbent))
 
@@ -90,10 +85,10 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     if root_solution.status != OPTIMAL:
         return SolveResult(root_solution.status, None, None, iterations, nodes)
 
-    # heap of (lp bound, tie-break counter, branch rows)
-    heap: list[tuple[float, int, tuple[LinearConstraint, ...]]] = []
+    # heap of (lp bound, tie-break counter, branch bounds: variable -> (lower, upper))
+    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = []
 
-    def process(solution, values, branch_rows: tuple[LinearConstraint, ...]) -> None:
+    def process(solution, values, branch: dict[int, tuple[float, float]]) -> None:
         """Prune this optimal node, take it as the incumbent or queue its children.
 
         The node's tableau is taken off the solution here, so that only an
@@ -115,8 +110,8 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         # every integer pinned at its rounded value, so the continuous
         # variables move to whatever the rounding requires, which plain
         # value rounding cannot do.
-        fixes = {idx: float(round(values[idx])) for idx in int_vars}
-        fix_solution, fix_values = solve_model_lp(model, tol, extra_fixes=fixes)
+        fixes = {idx: (float(round(values[idx])),) * 2 for idx in int_vars}
+        fix_solution, fix_values = solve_model_lp(model, tol, bounds=fixes)
         iterations += fix_solution.iterations
         if fix_solution.status == OPTIMAL:
             repaired_obj = objective_of(fix_values)
@@ -130,17 +125,18 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         ]
         best_score = max(s for s, _ in scores)
         branch_idx = min(idx for s, idx in scores if s >= best_score - 1e-12)
-        down = branch_rows + (_bound_row(model, branch_idx, "<=", math.floor(values[branch_idx])),)
-        up = branch_rows + (_bound_row(model, branch_idx, ">=", math.ceil(values[branch_idx])),)
+        lower, upper = branch.get(branch_idx, (-math.inf, math.inf))
+        down = {**branch, branch_idx: (lower, min(upper, math.floor(values[branch_idx])))}
+        up = {**branch, branch_idx: (max(lower, math.ceil(values[branch_idx])), upper)}
         for child in (down, up):
             counter += 1
             heapq.heappush(heap, (solution.objective, counter, child))
 
-    process(root_solution, root_values, ())
+    process(root_solution, root_values, {})
 
     best_bound = root_solution.objective
     while heap:
-        bound, _, branch_rows = heap[0]
+        bound, _, branch = heap[0]
         best_bound = bound
         if incumbent is not None and _relative_gap(incumbent_obj, bound) <= tol.mip_gap:
             break
@@ -148,7 +144,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         if nodes >= tol.max_nodes:
             stopped = ITERATION_LIMIT
             break
-        solution, values = solve_model_lp(model, tol, extra_rows=branch_rows)
+        solution, values = solve_model_lp(model, tol, bounds=branch)
         iterations += solution.iterations
         nodes += 1
         if solution.status in (ITERATION_LIMIT, NUMERICS):
@@ -158,7 +154,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
             continue
         if solution.status == UNBOUNDED:
             return SolveResult(UNBOUNDED, None, None, iterations, nodes)
-        process(solution, values, branch_rows)
+        process(solution, values, branch)
 
     if incumbent is None:
         return SolveResult(stopped or INFEASIBLE, None, None, iterations, nodes)

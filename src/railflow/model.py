@@ -1,16 +1,18 @@
 """Time-expanded linear(-integer) model of the three-layer train flow problem.
 
 The model schedules *volumes* of trains, never individual trains.  Per route
-(commodity) and period it balances departures at the origin, arrivals at the
-destination, link traversals inside one period (direct arcs), traversals
-crossing into the next period (next arcs, counted half in each adjacent
-period for capacity) and volumes standing at stations (node inventory arcs).
-A route's flow variables exist only on its own links and stations; off-route
-flow is not declared at all.  The demand layer converts requested volumes
-into departures, postponements and cancellations.  Pacing keeps volumes from
-outrunning their train type: at every route node after the origin, a lag
-variable holds the volume that could have arrived by the end of a period but
-has not yet, and cannot go negative.  Capacity rows charge a link's flow
+(commodity) and period it balances departures at the origin, link
+traversals inside one period (direct arcs), traversals crossing into the
+next period (next arcs, counted half in each adjacent period for capacity)
+and volumes standing at stations short of the destination (node inventory
+arcs).  A route's arrivals are the inflow over its last link; they have no
+variable of their own.  A route's flow variables exist only on its own links
+and stations; off-route flow is not declared at all.  The demand layer
+converts requested volumes into departures, postponements and
+cancellations.  Pacing keeps volumes from outrunning their train type: at
+every route node after the origin, a lag variable holds the volume that
+could have arrived by the end of a period but has not yet, and cannot go
+negative.  Capacity rows charge a link's flow
 straight against its capacity (link_usage).
 
 Everything here is solver independent: the result is a list of named linear
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
 from .network import Horizon, Network
@@ -39,49 +41,37 @@ class ModelError(ValueError):
 class ModelConfig:
     """Knobs of the formulation.
 
-    capacity_mode selects the capacity rows (see emit_capacity).  k_setup,
+    capacity_mode selects the capacity rows (see emit_capacity).  k_het
+    charges each other train type on a link in heterogeneous mode.  k_setup,
     in (0, 1], prices a direction change on a single-track pair in
     single_track_alt2: it takes min(own, opp) / k_setup of setup time, where
     own and opp are the two directional usages; 1.0 makes the setup equal
-    the lower of the two.
+    the lower of the two.  big_m is the constant by which the direction flag
+    switches off a setup row there (default 10 x the largest capacity).
+    cost_cancel and cost_post price a cancelled and a postponed volume
+    against the mean travel time (see build_objective); relax_integrality
+    solves the LP relaxation.
     """
 
     capacity_mode: str = "basic"
     k_het: float = 0.25
     k_setup: float = 1.0
     big_m: Optional[float] = None
-    arrival_slack: float = 0.0
-    arrival_slack_overrides: Mapping[int, float] | None = None
     cost_cancel: float = 1000.0
     cost_post: float = 20.0
     relax_integrality: bool = False
-    include_arrival_accounting: bool = False
 
     def __post_init__(self) -> None:
         if self.capacity_mode not in CAPACITY_MODES:
             raise ModelError(f"unknown capacity mode {self.capacity_mode!r}")
-        numbers = [
-            (name, getattr(self, name))
-            for name in ("k_het", "k_setup", "big_m", "arrival_slack", "cost_cancel", "cost_post")
-        ]
-        numbers += [
-            (f"arrival_slack_overrides[{key}]", v)
-            for key, v in (self.arrival_slack_overrides or {}).items()
-        ]
-        for name, value in numbers:
+        for name in ("k_het", "k_setup", "big_m", "cost_cancel", "cost_post"):
+            value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ModelError(f"{name} must be finite, got {value}")
         if self.k_het < 0:
             raise ModelError("k_het must be >= 0")
         if not 0 < self.k_setup <= 1:
             raise ModelError("k_setup must lie in (0, 1]")
-        if self.arrival_slack < 0:
-            raise ModelError("arrival slack must be >= 0")
-
-    def slack_for_route(self, route_id: int) -> float:
-        if self.arrival_slack_overrides:
-            return self.arrival_slack_overrides.get(route_id, self.arrival_slack)
-        return self.arrival_slack
 
 
 @dataclass(frozen=True)
@@ -206,12 +196,14 @@ def build_variables(
     """Declare every decision variable; no constraints yet.
 
     Flow variables (direct, next, ni, lag) of a route exist only on that
-    route's links and nodes, and lag not at its origin, where it would always
-    be 0.  Every variable is nonnegative (add_variable rejects an infinite
-    lower bound, so no variable is free).  The horizon ends are bounds: next
-    arcs and node inventories are empty in periods 0 and t_max, and nothing
-    is postponed into period 0 or out of the last period, so unplaceable
-    volume has to be cancelled.
+    route's links and nodes; lag not at its origin, where it would always be
+    0, and ni not at its destination, where volume arrives and leaves the
+    route (holding it there would only delay the arrival).  Every variable
+    is nonnegative (add_variable rejects an infinite lower bound, so no
+    variable is free).  The horizon ends are bounds: next arcs and node
+    inventories are empty in periods 0 and t_max, and nothing is postponed
+    into period 0 or out of the last period, so unplaceable volume has to be
+    cancelled.
     """
     for route in catalog.routes:
         for link_id in route.links:
@@ -246,9 +238,6 @@ def build_variables(
     for r in routes:
         for t in T:
             model.add_variable("dep", (r.id, t), f"dep({r.name},{t})")
-    for r in routes:
-        for t in T:
-            model.add_variable("arr", (r.id, t), f"arr({r.name},{t})")
     for l in network.links:
         for t in T:
             for r in on_link[l.id]:
@@ -261,8 +250,9 @@ def build_variables(
     for n in network.nodes:
         for t in T0:
             for r in at_node[n.id]:
-                ub = ends.get(t, math.inf)
-                model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})", ub=ub)
+                if n.id != r.destination:
+                    ub = ends.get(t, math.inf)
+                    model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})", ub=ub)
     for n in network.nodes:
         for t in T:
             for r in at_node[n.id]:
@@ -417,7 +407,8 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
     """Demand balance: departures, postponements and cancellations.
 
     Postponed volume carried out of period t is post[d,t]; its bounds (see
-    build_variables) keep periods 0 and t_max empty.
+    build_variables) keep periods 0 and t_max empty, so the Departure3 rows
+    of a demand add up to its whole volume being departed or cancelled.
     """
     catalog = model.catalog
 
@@ -433,25 +424,6 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
         terms = [(model.var("cancel_t", d.id, t), 1.0) for t in model.horizon.periods]
         terms.append((model.var("cancel_total", d.id), -1.0))
         model.add_constraint(f"Cancel1[d={d.name}]", terms, "=", 0.0)
-    for d in catalog.demands:
-        route_ids = catalog.implements.get(d.id, ())
-        terms = [
-            (model.var("dep", rid, t), 1.0)
-            for t in model.horizon.periods
-            for rid in route_ids
-        ]
-        terms.append((model.var("cancel_total", d.id), 1.0))
-        model.add_constraint(f"Cancel2[d={d.name}]", terms, "=", float(demand_total(d)))
-    if model.config.include_arrival_accounting:
-        for d in catalog.demands:
-            route_ids = catalog.implements.get(d.id, ())
-            terms = [
-                (model.var("arr", rid, t), 1.0)
-                for t in model.horizon.periods
-                for rid in route_ids
-            ]
-            terms.append((model.var("cancel_total", d.id), 1.0))
-            model.add_constraint(f"Cancel3[d={d.name}]", terms, "=", float(demand_total(d)))
 
 
 def emit_flow_layer(model: TimeExpandedModel) -> None:
@@ -459,9 +431,10 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
 
     Only the route's own links and nodes carry its flow (see build_variables).
     Next arcs and node inventories are bounded to zero at both ends of the
-    horizon, so every departed volume must reach its sink within the horizon.
-    Flow2 balances each timed node: departures enter the route's network at
-    its origin and arrivals leave it at its destination.
+    horizon, so every departed volume must reach its destination within the
+    horizon.  Flow2 balances each timed node short of the destination:
+    departures enter the route's network at its origin.  The destination has
+    no row: what flows into it arrives.
     """
     network = model.network
     catalog = model.catalog
@@ -474,7 +447,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
             link = network.link(link_id)
             incoming.setdefault(link.head, []).append(link_id)
             outgoing.setdefault(link.tail, []).append(link_id)
-        for n_id in model.nodes_of[r.id]:
+        for n_id in model.nodes_of[r.id][:-1]:
             nname = network.node(n_id).name
             for t in T:
                 terms = [
@@ -483,8 +456,6 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
                 ]
                 if n_id == r.origin:
                     terms.append((model.var("dep", r.id, t), 1.0))
-                elif n_id == r.destination:
-                    terms.append((model.var("arr", r.id, t), -1.0))
                 for link_id in incoming.get(n_id, ()):
                     terms.append((model.var("direct", link_id, t, r.id), 1.0))
                     terms.append((model.var("next", link_id, t - 1, r.id), 1.0))
@@ -545,35 +516,14 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
                 model.add_constraint(f"Pace[n={nname},t={t},r={r.name}]", terms, "=", 0.0)
 
 
-def emit_arrival(model: TimeExpandedModel) -> None:
-    """Arrivals must keep up with what reaches the destination each period.
-
-    Volume flowing into the destination node in period t (over the route's
-    last link: its direct arc of period t and its next arc from t-1) has to
-    register as an arrival in that period up to the route's slack allowance,
-    so it cannot idle at the sink and distort the travel-time accounting.
-    """
-    for r in model.catalog.routes:
-        slack = model.config.slack_for_route(r.id)
-        last = r.links[-1]
-        for t in model.horizon.periods:
-            model.add_constraint(
-                f"Arrival1[r={r.name},t={t}]",
-                [
-                    (model.var("arr", r.id, t), 1.0),
-                    (model.var("direct", last, t, r.id), -1.0),
-                    (model.var("next", last, t - 1, r.id), -1.0),
-                ],
-                ">=",
-                -slack,
-            )
-
-
 def build_objective(model: TimeExpandedModel) -> None:
     """Cancellation and postponement penalties plus mean travel time.
 
-    The travel-time term is (sum_t t*arr - sum_t t*dep) scaled by the total
-    demanded volume; with no demanded volume it is dropped.
+    The travel-time term is the arrival periods minus the departure periods,
+    weighted by volume and divided by the total demanded volume V; with no
+    demanded volume it is dropped.  A route's arrivals in period t are its
+    inflow over its last link (the direct arc of period t and the next arc
+    from t-1), so both carry the weight t/V, and dep[r,t] carries -t/V.
     """
     catalog = model.catalog
     config = model.config
@@ -591,8 +541,10 @@ def build_objective(model: TimeExpandedModel) -> None:
     if total_volume > 0:
         for d in catalog.demands:
             for rid in catalog.implements.get(d.id, ()):
+                last = catalog.route(rid).links[-1]
                 for t in model.horizon.periods:
-                    add(model.var("arr", rid, t), t / total_volume)
+                    add(model.var("direct", last, t, rid), t / total_volume)
+                    add(model.var("next", last, t - 1, rid), t / total_volume)
                     add(model.var("dep", rid, t), -t / total_volume)
 
     model.objective = {idx: coef for idx, coef in obj.items() if coef != 0.0}
@@ -617,6 +569,5 @@ def build_model(
     emit_demand_layer(model)
     emit_flow_layer(model)
     emit_aggregates(model)
-    emit_arrival(model)
     build_objective(model)
     return model

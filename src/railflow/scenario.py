@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -159,27 +159,32 @@ def _flag(raw: dict, key: str, default: bool, errors: list[str]) -> bool:
     return default
 
 
-def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> tuple[ModelConfig, bool]:
+def _unknown_keys(raw: dict, known: Sequence[str], prefix: str, errors: list[str]) -> None:
+    """Record a finding for every key of raw outside known.
+
+    A misspelt key would otherwise be ignored and its default used in
+    silence.
+    """
+    for key in raw:
+        if key not in known:
+            errors.append(f"{prefix}{key}: unknown field (expected one of {', '.join(known)})")
+
+
+_DOCUMENT_KEYS = (
+    "name", "notes", "period_length_minutes", "horizon", "train_types", "nodes", "links",
+    "single_track_pairs", "capacities", "durations", "durations_minutes", "routes", "demands",
+    "implements", "config", "tcr_overrides",
+)
+_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig)) + ("pace_refinement",)
+
+
+def _parse_config(raw: dict, errors: list[str]) -> tuple[ModelConfig, bool]:
+    _unknown_keys(raw, _CONFIG_KEYS, "config.", errors)
     pace = _flag(raw, "pace_refinement", True, errors)
     mode = raw.get("capacity_mode", "basic")
     if mode not in CAPACITY_MODES:
         errors.append(f"config: unknown capacity_mode {mode!r}")
         mode = "basic"
-    slack_raw = raw.get("arrival_slack", 0.0)
-    slack_overrides: dict[int, float] | None = None
-    if isinstance(slack_raw, dict):
-        slack_default = _number(slack_raw.get("default", 0.0), "config.arrival_slack.default", errors)
-        per_route = _object(slack_raw.get("routes", {}), "config.arrival_slack.routes", errors)
-        route_ids = {spec.name: i + 1 for i, spec in enumerate(routes)}
-        overrides = {}
-        for name, value in per_route.items():
-            if name not in route_ids:
-                errors.append(f"config.arrival_slack: unknown route {name!r}")
-                continue
-            overrides[route_ids[name]] = _number(value, f"config.arrival_slack.routes[{name!r}]", errors)
-        slack_overrides = overrides or None
-    else:
-        slack_default = _number(slack_raw, "config.arrival_slack", errors)
 
     def number(key: str, default: float) -> float:
         return _number(raw.get(key, default), f"config.{key}", errors, default)
@@ -190,12 +195,9 @@ def _parse_config(raw: dict, routes: Sequence[RouteSpec], errors: list[str]) -> 
             k_het=number("k_het", 0.25),
             k_setup=number("k_setup", 1.0),
             big_m=(number("big_m", 0.0) if raw.get("big_m") is not None else None),
-            arrival_slack=slack_default,
-            arrival_slack_overrides=slack_overrides,
             cost_cancel=number("cost_cancel", 1000.0),
             cost_post=number("cost_post", 20.0),
             relax_integrality=_flag(raw, "relax_integrality", False, errors),
-            include_arrival_accounting=_flag(raw, "include_arrival_accounting", False, errors),
         )
     except ValueError as exc:
         errors.append(f"config: {exc}")
@@ -262,6 +264,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         raise ScenarioError(["document: top level must be an object"])
 
     errors: list[str] = []
+    _unknown_keys(raw, _DOCUMENT_KEYS, "", errors)
 
     def need(key: str, kind, default=None):
         value = raw.get(key, default)
@@ -472,7 +475,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     config_raw = raw.get("config")
     config_raw = {} if config_raw is None else _object(config_raw, "config", errors)
-    config, pace = _parse_config(config_raw, routes, errors)
+    config, pace = _parse_config(config_raw, errors)
 
     tcrs: list[TcrOverride] = []
     for i, item in enumerate(_array(raw.get("tcr_overrides", ()), "tcr_overrides", errors)):
@@ -538,15 +541,6 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 def serialize_scenario(doc: ScenarioDocument) -> bytes:
     """Canonical JSON for the document; load(serialize(doc)) == doc."""
     config = doc.config
-    slack: object = config.arrival_slack
-    if config.arrival_slack_overrides:
-        slack = {
-            "default": config.arrival_slack,
-            "routes": {
-                doc.routes[rid - 1].name: value
-                for rid, value in sorted(config.arrival_slack_overrides.items())
-            },
-        }
     payload = {
         "name": doc.name,
         "notes": doc.notes,
@@ -584,11 +578,9 @@ def serialize_scenario(doc: ScenarioDocument) -> bytes:
             "k_het": config.k_het,
             "k_setup": config.k_setup,
             "big_m": config.big_m,
-            "arrival_slack": slack,
             "cost_cancel": config.cost_cancel,
             "cost_post": config.cost_post,
             "relax_integrality": config.relax_integrality,
-            "include_arrival_accounting": config.include_arrival_accounting,
             "pace_refinement": doc.pace_refinement,
         },
         "tcr_overrides": [

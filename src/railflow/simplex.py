@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .checks import ConstraintSystem
-from .model import LinearConstraint, TimeExpandedModel
+from .model import TimeExpandedModel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -108,27 +108,28 @@ class StandardFormLP:
 
 def build_standard_form(
     model: TimeExpandedModel,
-    extra_rows: Sequence[LinearConstraint] = (),
-    extra_fixes: Mapping[int, float] | None = None,
+    bounds: Mapping[int, tuple[float, float]] | None = None,
 ) -> StandardFormLP:
-    """Convert a model (plus branching rows/fixings) to nonnegative standard form.
+    """Convert a model to nonnegative standard form.
 
-    Singleton rows become bounds.  Every other row keeps its place; its fixed
-    and shifted terms move to the right-hand side, and it is dropped when no
-    live column is left.  The upper bounds of the live columns follow as
+    bounds maps a model variable to a (lower, upper) pair that tightens its
+    own bounds (a branch of branch and bound, or a fixing); either side may
+    be infinite.  Singleton rows become bounds too.  Every other row keeps
+    its place; its fixed and shifted terms move to the right-hand side, and
+    it is dropped when no live column is left.  The upper bounds of the live columns follow as
     __ub rows in variable order.  Raises InfeasibleModel when bound folding
     alone proves infeasibility.
     """
-    rows = list(model.constraints) + list(extra_rows)
+    rows = model.constraints
     system = ConstraintSystem.from_rows(rows)
     n_vars = len(model.variables)
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
-    if extra_fixes:
-        fix_idx = np.fromiter(extra_fixes.keys(), dtype=int, count=len(extra_fixes))
-        fix_val = np.fromiter(extra_fixes.values(), dtype=float, count=len(extra_fixes))
-        np.maximum.at(lo, fix_idx, fix_val)
-        np.minimum.at(hi, fix_idx, fix_val)
+    if bounds:
+        idx = np.fromiter(bounds.keys(), dtype=int, count=len(bounds))
+        pairs = np.array(list(bounds.values()), dtype=float)
+        np.maximum.at(lo, idx, pairs[:, 0])
+        np.minimum.at(hi, idx, pairs[:, 1])
 
     # A singleton row bounds its variable; a negative coefficient flips the
     # relation (sense -1 is <=, 0 is =, +1 is >=).
@@ -712,12 +713,14 @@ def _model_values(sf: StandardFormLP, solution: LpSolution) -> tuple[LpSolution,
 def solve_model_lp(
     model: TimeExpandedModel,
     tol: Tolerances | None = None,
-    extra_rows: Sequence[LinearConstraint] = (),
-    extra_fixes: Mapping[int, float] | None = None,
+    bounds: Mapping[int, tuple[float, float]] | None = None,
 ) -> tuple[LpSolution, Optional[np.ndarray]]:
-    """Convert, solve and map the solution back onto the model variables."""
+    """Convert, solve and map the solution back onto the model variables.
+
+    bounds tightens variable bounds as in build_standard_form.
+    """
     try:
-        sf = build_standard_form(model, extra_rows, extra_fixes)
+        sf = build_standard_form(model, bounds)
     except InfeasibleModel:
         return LpSolution(INFEASIBLE, None, None, 0), None
     return _model_values(sf, solve_lp(sf, tol))

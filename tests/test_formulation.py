@@ -40,7 +40,7 @@ def test_variable_counts_single_link():
     model = build_variables(net, cat, net.horizon, ModelConfig())
     assert count_kind(model, "direct") == 2  # |L| * |T| * |R|
     assert count_kind(model, "next") == 3  # periods 0..2
-    assert count_kind(model, "ni") == 2 * 3
+    assert count_kind(model, "ni") == 3  # at A only: periods 0..2; B is the destination
     assert count_kind(model, "dep") == 2
     assert count_kind(model, "post") == 3
     assert count_kind(model, "cancel_t") == 2
@@ -52,7 +52,7 @@ def test_zero_routes_leaves_demand_layer_only():
     demand = Demand(1, "A-B", 1, 2, 1, (1, 0))
     cat = ServiceCatalog((demand,), (), {1: ()})
     model = build_variables(net, cat, net.horizon, ModelConfig())
-    for kind in ("dep", "arr", "direct", "next", "ni", "lag"):
+    for kind in ("dep", "direct", "next", "ni", "lag"):
         assert count_kind(model, kind) == 0
     assert count_kind(model, "post") == 3
     assert count_kind(model, "cancel_total") == 1
@@ -179,10 +179,14 @@ def test_pace_row_of_the_three_station_line_by_hand(three_station_doc):
 
 def test_objective_examples():
     model = line_model(volumes=(1, 0, 0))
+    b_c = 2  # the route's last link: what flows over it in period t arrives in t
     values = np.zeros(len(model.variables))
     values[model.var("dep", 1, 1)] = 1.0
-    values[model.var("arr", 1, 2)] = 1.0
+    values[model.var("direct", b_c, 2, 1)] = 1.0
     assert model.objective_value(values) == pytest.approx(1.0)  # (2 - 1) / 1
+    values[model.var("direct", b_c, 2, 1)] = 0.0
+    values[model.var("next", b_c, 2, 1)] = 1.0  # crosses into period 3
+    assert model.objective_value(values) == pytest.approx(2.0)  # (3 - 1) / 1
     values[:] = 0.0
     values[model.var("cancel_total", 1)] = 1.0
     assert model.objective_value(values) == pytest.approx(1000.0)
@@ -386,13 +390,6 @@ def test_build_is_deterministic():
     assert first.objective == second.objective
 
 
-def test_cancel3_only_on_request():
-    base = line_model()
-    assert not names_of(base, "Cancel3")
-    with_it = line_model(config=ModelConfig(include_arrival_accounting=True))
-    assert len(names_of(with_it, "Cancel3")) == 1
-
-
 def test_pace_rows_start_after_the_origin():
     model = line_model()
     # the origin has neither a lag nor a Pace row: departures are its inflow
@@ -419,28 +416,13 @@ def test_flow2_departures_enter_at_origin_and_arrivals_leave_at_destination():
         model.var("direct", 1, 2, 1): -1.0,
         model.var("next", 1, 2, 1): -1.0,
     }
-    assert dict(constraint(model, "Flow2[n=C,t=2,r=A-C-r1]").terms) == {
-        model.var("arr", 1, 2): -1.0,
-        model.var("ni", 3, 1, 1): 1.0,
-        model.var("ni", 3, 2, 1): -1.0,
-        model.var("direct", 2, 2, 1): 1.0,
-        model.var("next", 2, 1, 1): 1.0,
-    }
+    # what flows into the destination C leaves the route there: no inventory
+    # and no balance row
+    assert not [name for name in names_of(model, "Flow2") if name.startswith("Flow2[n=C,")]
+    assert not [v.name for v in model.variables if v.ref.kind == "ni" and v.ref.key[0] == 3]
     through = dict(constraint(model, "Flow2[n=B,t=2,r=A-C-r1]").terms)
-    assert not {model.var("dep", 1, 2), model.var("arr", 1, 2)} & through.keys()
+    assert model.var("dep", 1, 2) not in through
     assert not names_of(model, "Flow1")
-
-
-def test_arrival_slack_reaches_the_rhs():
-    model = line_model(config=ModelConfig(arrival_slack=2.0))
-    row = constraint(model, "Arrival1[r=A-C-r1,t=1]")
-    assert row.relation == ">=" and row.rhs == -2.0
-    # what reaches C in period 1 comes over B-C: direct, or crossing from period 0
-    assert dict(row.terms) == {
-        model.var("arr", 1, 1): 1.0,
-        model.var("direct", 2, 1, 1): -1.0,
-        model.var("next", 2, 0, 1): -1.0,
-    }
 
 
 def test_heterogeneous_mode_solves():
@@ -569,6 +551,20 @@ def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario)
 
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
-    assert len(model.variables) == 774
-    assert len(model.constraints) == 479
-    assert not {v.ref.kind for v in model.variables} & {"in", "aggr"}
+    assert len(model.variables) == 669
+    assert len(model.constraints) == 376
+    assert not {v.ref.kind for v in model.variables} & {"in", "aggr", "arr"}
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_equality_rows_have_full_row_rank(scenario_dir, scenario, mode):
+    # No equality row of the standard form is a combination of the others
+    # (each demand once had one: the sum of its Departure3 rows and Cancel1).
+    from railflow.simplex import build_standard_form
+
+    sf = build_standard_form(bundled_model(scenario_dir, scenario, mode))
+    A = np.zeros((sf.n_rows, sf.n_cols))
+    A[sf.rows, sf.cols] = sf.vals
+    equal = np.flatnonzero(np.array(sf.relations) == "=")
+    assert equal.size and np.linalg.matrix_rank(A[equal]) == equal.size

@@ -240,9 +240,6 @@ NUMERIC_FIELDS = {
     "config.big_m": _set("config", "big_m"),
     "config.cost_cancel": _set("config", "cost_cancel"),
     "config.cost_post": _set("config", "cost_post"),
-    "config.arrival_slack": _set("config", "arrival_slack"),
-    "config.arrival_slack.default": _set("config", "arrival_slack", "default"),
-    "config.arrival_slack.routes['A-C-r1']": _set("config", "arrival_slack", "routes", "A-C-r1"),
 }
 
 
@@ -261,7 +258,7 @@ def test_non_finite_or_non_numeric_input_rejected_at_load(scenario_dir, tmp_path
     assert f"error: {position}: expected a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["k_het", "k_setup", "big_m", "arrival_slack", "cost_cancel", "cost_post"])
+@pytest.mark.parametrize("field", ["k_het", "k_setup", "big_m", "cost_cancel", "cost_post"])
 def test_model_config_rejects_non_finite(field):
     for value in (math.nan, math.inf):
         with pytest.raises(ModelError, match=f"{field} must be finite"):
@@ -269,7 +266,7 @@ def test_model_config_rejects_non_finite(field):
 
 
 @pytest.mark.parametrize("value", ["false", 0, "yes"], ids=["str-false", "zero", "str-yes"])
-@pytest.mark.parametrize("field", ["relax_integrality", "include_arrival_accounting", "pace_refinement"])
+@pytest.mark.parametrize("field", ["relax_integrality", "pace_refinement"])
 def test_config_flags_must_be_json_booleans(scenario_dir, tmp_path, capsys, field, value):
     raw = json.loads((scenario_dir / "three_station_line.json").read_text())
     raw["config"][field] = value
@@ -300,7 +297,6 @@ MALFORMED_CONTAINERS = {
     "capacities.links": _put(("capacities", "links"), []),
     "capacities.cells": _put(("capacities", "cells"), 5),
     "config": _put(("config",), ["relax_integrality"]),
-    "config.arrival_slack.routes": _put(("config", "arrival_slack"), {"routes": []}),
     "train_types": _put(("train_types",), 5),
     "nodes": _put(("nodes",), 5),
     "links": _put(("links",), 5),
@@ -326,6 +322,32 @@ def test_malformed_containers_rejected_at_load(scenario_dir, tmp_path, capsys, p
     path.write_text(json.dumps(raw))
     assert main(["solve", "--scenario", str(path)]) == 1
     assert f"error: {position}: expected an" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        # typos: the first ran the file's own capacity mode, the second dropped the closure
+        (("config", "capacity_mdoe"), "single_track_alt1"),
+        (("tcr_override",), [{"link": "A-B", "capacity": 0}]),
+        # fields that no longer exist
+        (("config", "arrival_slack"), 1.0),
+        (("config", "include_arrival_accounting"), True),
+    ],
+    ids=["config.capacity_mdoe", "tcr_override", "config.arrival_slack", "config.include_arrival_accounting"],
+)
+def test_unknown_fields_rejected_at_load(scenario_dir, tmp_path, capsys, keys, value):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    _put(keys, value)(raw)
+    position = ".".join(keys)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert [line for line in err.value.errors if line.startswith(f"{position}: unknown field")]
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert f"error: {position}: unknown field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ def dense(sf):
     return A
 
 
-def reference_standard_form(model, extra_rows=(), extra_fixes=None):
+def reference_standard_form(model, bounds=None):
     """Row-by-row conversion with a dense A: the reference build_standard_form must match.
 
     Returns (c, A, relations, b, row_names, constant, offset, pos_col).
@@ -67,10 +67,10 @@ def reference_standard_form(model, extra_rows=(), extra_fixes=None):
     n_vars = len(model.variables)
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
-    for idx, value in (extra_fixes or {}).items():
-        lo[idx], hi[idx] = max(lo[idx], value), min(hi[idx], value)
+    for idx, (lower, upper) in (bounds or {}).items():
+        lo[idx], hi[idx] = max(lo[idx], lower), min(hi[idx], upper)
     multi_rows = []
-    for row in list(model.constraints) + list(extra_rows):
+    for row in model.constraints:
         if len(row.terms) != 1:
             multi_rows.append(row)
             continue
@@ -119,14 +119,14 @@ def reference_standard_form(model, extra_rows=(), extra_fixes=None):
     return np.array(c, dtype=float), A, relations, b, names, constant, offset, pos_col
 
 
-def assert_matches_reference(model, extra_rows=(), extra_fixes=None):
+def assert_matches_reference(model, bounds=None):
     try:
-        expected = reference_standard_form(model, extra_rows, extra_fixes)
+        expected = reference_standard_form(model, bounds)
     except InfeasibleModel:
         with pytest.raises(InfeasibleModel):
-            build_standard_form(model, extra_rows, extra_fixes)
+            build_standard_form(model, bounds)
         return
-    sf = build_standard_form(model, extra_rows, extra_fixes)
+    sf = build_standard_form(model, bounds)
     c, A, relations, b, names, constant, offset, pos_col = expected
     assert (sf.relations, sf.row_names) == (relations, names)
     assert np.array_equal(sf.rows, np.nonzero(A)[0]) and np.array_equal(sf.cols, np.nonzero(A)[1])
@@ -551,7 +551,7 @@ def test_general_form_agreement_with_reference():
 def test_standard_form_matches_reference(seed):
     # Boxed, shifted (also below zero) and fixed variables; empty,
     # singleton (either sign) and multi-term rows, all satisfied by one point
-    # within the bounds; branching rows and fixings on top, which may
+    # within the bounds; branch bounds (one or both sides) on top, which may
     # conflict.
     from support import bare_model
 
@@ -570,12 +570,12 @@ def test_standard_form_matches_reference(seed):
         relation = str(rng.choice(["<=", "=", ">="]))
         slack = {"<=": 1.0, "=": 0.0, ">=": -1.0}[relation] * round(float(rng.uniform(0, 2)), 3)
         model.add_constraint(f"row[{k}]", terms, relation, sum(a * point[j] for j, a in terms) + slack)
-    extra_rows = [
-        LinearConstraint(f"__branch[{k}]", ((int(j), 1.0),), str(rng.choice(["<=", ">="])), float(rng.integers(-1, 3)))
-        for k, j in enumerate(rng.integers(0, n, size=int(rng.integers(0, 3))))
-    ]
-    fixes = {int(j): float(rng.integers(0, 3)) for j in rng.choice(n, size=int(rng.integers(0, 3)))}
-    assert_matches_reference(model, extra_rows, fixes)
+    sides = ((-np.inf, 1.0), (1.0, np.inf), (0.0, 2.0), (2.0, 2.0), (-1.0, -1.0))
+    bounds = {
+        int(j): tuple(float(v) for v in sides[rng.integers(len(sides))])
+        for j in rng.choice(n, size=int(rng.integers(0, 3)))
+    }
+    assert_matches_reference(model, bounds)
 
 
 def test_bundled_standard_forms_match_reference(scenario_dir):
@@ -591,8 +591,30 @@ def test_bundled_standard_forms_match_reference(scenario_dir):
             model = build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode=mode)))
         integers = [i for i, v in enumerate(model.variables) if v.integer]
         assert_matches_reference(model)
-        branch = LinearConstraint("__branch", ((integers[0], 1.0),), ">=", 1.0)
-        assert_matches_reference(model, [branch], {i: 1.0 for i in integers[1:]})
+        branch = {integers[0]: (1.0, np.inf)}
+        assert_matches_reference(model, {**branch, **{i: (1.0, 1.0) for i in integers[1:]}})
+
+
+def test_branch_bounds_fold_like_one_term_rows(scenario_dir):
+    # A branch bound gives, bit for bit, the standard form of the one-term
+    # row it stands for, so branch and bound takes the same pivots either way.
+    import copy
+
+    from railflow.scenario import build_scenario_model, load_scenario
+
+    doc = load_scenario(scenario_dir / "single_track_shuttle.json")
+    model = build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2")))
+    first, second = [i for i, v in enumerate(model.variables) if v.integer][:2]
+    with_rows = copy.copy(model)
+    with_rows.constraints = model.constraints + [
+        LinearConstraint("down", ((first, 1.0),), "<=", 0.0),
+        LinearConstraint("up", ((second, 1.0),), ">=", 1.0),
+    ]
+    folded = build_standard_form(with_rows)
+    bounded = build_standard_form(model, {first: (-np.inf, 0.0), second: (1.0, np.inf)})
+    for field in fields(folded):
+        got, want = getattr(bounded, field.name), getattr(folded, field.name)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
 
 
 def test_degenerate_lp_terminates():
@@ -696,8 +718,8 @@ def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
 
 
 def test_crash_covers_the_small_network_balances_without_growth(small_doc):
-    # 395 of the 486 rows start on an artificial, 370 of them with a
-    # right-hand side of 0; the crash covers 360 of those, and its pivots
+    # 292 of the 383 rows start on an artificial, 272 of them with a
+    # right-hand side of 0; the crash covers 263 of those, and its pivots
     # leave every entry of the constraint rows at or below 1 in magnitude.
     from railflow.scenario import build_scenario_model
 
@@ -705,8 +727,8 @@ def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     tableau = simplex.Tableau(sf)
     tableau.crash(Tolerances())
-    assert tableau.iterations == 360
-    assert np.count_nonzero(tableau.basic_artificial) == 395 - 360
+    assert tableau.iterations == 263
+    assert np.count_nonzero(tableau.basic_artificial) == 292 - 263
     assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
 
 
@@ -876,7 +898,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
     config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert sf.n_rows == 479
+    assert sf.n_rows == 376
     n_logical = sum(relation != "=" for relation in sf.relations)
     tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
     tracemalloc.start()
@@ -970,15 +992,15 @@ def test_sparse_basis_matches_dense_solve_property(seed):
 
 
 def test_small_network_lp_matches_highs(small_doc):
-    # A real-size basis (486 rows), far past the tiny random LPs above; its
-    # singleton peel leaves no bump.
+    # A real-size basis (383 rows), far past the tiny random LPs above; its
+    # singleton peel leaves a 9 x 9 bump.
     from scipy.optimize import linprog
 
     from railflow.scenario import build_scenario_model
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (486, 678)
+    assert (sf.n_rows, sf.n_cols) == (383, 587)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
