@@ -15,7 +15,9 @@ periods and as many routes as stations:
 Each run is solved with a cap of 20,000 simplex iterations per LP and
 checked against scipy's HiGHS on its MPS export (tests/mps_reader.py).  A run
 is wrong when its status differs from HiGHS's or its objective is more than
-1e-6 away.  scipy is needed.
+1e-6 away.  The last line also gives the total simplex iterations and branch
+and bound nodes over all runs, which move with any change of pivot order.
+scipy is needed.
 
     PYTHONPATH=src python scripts/line_sweep.py
 """
@@ -64,11 +66,13 @@ def runs():
 def main() -> int:
     start = time.perf_counter()
     tol = Tolerances(max_iterations=MAX_ITERATIONS)
-    wrong = total = 0
+    wrong = total = iterations = nodes = 0
     for label, doc in runs():
         total += 1
         output = run(load_scenario(doc), tol)
         result = output.result
+        iterations += result.iterations
+        nodes += result.nodes
         highs = solve_with_scipy(export_model_text(output.model))
         expected = HIGHS_STATUS.get(highs.status, f"HiGHS status {highs.status}")
         agree = result.status == expected and (
@@ -79,7 +83,10 @@ def main() -> int:
             got = result.status if result.objective is None else f"{result.status} {result.objective:.6g}"
             want = expected if expected != OPTIMAL else f"{expected} {highs.fun:.6g}"
             print(f"{label}: {got} after {result.iterations} iterations; HiGHS {want}")
-    print(f"{wrong} of {total} runs wrong in {time.perf_counter() - start:.0f} s")
+    print(
+        f"{wrong} of {total} runs wrong in {time.perf_counter() - start:.0f} s;"
+        f" {iterations} simplex iterations, {nodes} B&B nodes"
+    )
     return 1 if wrong else 0
 
 

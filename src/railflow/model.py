@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
 from .network import Horizon, Network
@@ -74,16 +74,14 @@ class ModelConfig:
             raise ModelError("k_setup must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class VariableRef:
+class VariableRef(NamedTuple):
     """Identity of one decision variable: a kind plus its index tuple."""
 
     kind: str
     key: tuple
 
 
-@dataclass(frozen=True)
-class ModelVariable:
+class ModelVariable(NamedTuple):
     ref: VariableRef
     name: str
     lb: float = 0.0
@@ -91,8 +89,7 @@ class ModelVariable:
     integer: bool = False
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """name: family[index,...]; terms: (variable index, coefficient) pairs."""
 
     name: str
@@ -165,7 +162,8 @@ class TimeExpandedModel:
 
     def var(self, kind: str, *key) -> int:
         """Index of a declared variable; raises KeyError when absent."""
-        return self._index[VariableRef(kind, tuple(key))]
+        # A VariableRef hashes and compares as the plain tuple (kind, key).
+        return self._index[(kind, key)]
 
     def add_constraint(
         self,

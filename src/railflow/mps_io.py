@@ -30,12 +30,15 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     for row in model.constraints:
         lines.append(f" {sense_tag[row.relation]}  {row.name}")
 
+    # Each row and column name is padded once, not once per cell.
+    row_fields = [f"{row.name:<{_NAME_WIDTH}}" for row in model.constraints]
+    obj_field = f"{_OBJ_ROW:<{_NAME_WIDTH}}"
     entries: list[list[tuple[str, float]]] = [[] for _ in model.variables]
     for idx, coef in model.objective.items():
-        entries[idx].append((_OBJ_ROW, coef))
-    for row in model.constraints:
+        entries[idx].append((obj_field, coef))
+    for row, field in zip(model.constraints, row_fields):
         for idx, coef in row.terms:
-            entries[idx].append((row.name, coef))
+            entries[idx].append((field, coef))
 
     lines.append("COLUMNS")
     integer_open = False
@@ -50,16 +53,17 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
             marker += 1
             integer_open = False
         if not cells:
-            cells = [(_OBJ_ROW, 0.0)]
-        for row_name, coef in cells:
-            lines.append(f"    {var.name:<{_NAME_WIDTH}} {row_name:<{_NAME_WIDTH}} {_fmt(coef)}")
+            cells = [(obj_field, 0.0)]
+        prefix = f"    {var.name:<{_NAME_WIDTH}} "
+        for field, coef in cells:
+            lines.append(f"{prefix}{field} {_fmt(coef)}")
     if integer_open:
         lines.append(f"    M{marker:<7} 'MARKER' 'INTEND'")
 
     lines.append("RHS")
-    for row in model.constraints:
+    for row, field in zip(model.constraints, row_fields):
         if row.rhs != 0.0:
-            lines.append(f"    RHS {row.name:<{_NAME_WIDTH}} {_fmt(row.rhs)}")
+            lines.append(f"    RHS {field} {_fmt(row.rhs)}")
 
     lines.append("BOUNDS")
     for var in model.variables:

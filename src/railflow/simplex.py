@@ -9,17 +9,21 @@ and Bland's rule as the anti-cycling fallback; each iteration's work is in
 the nonzeros of the entering column and pivot row.  A cold solve starts from
 a triangular crash basis: the = and >= rows with a zero right-hand side
 (flow balances, and the Pace rows that carry each pacing lag from one period
-to the next) get a structural column before phase 1,
-by degenerate pivots whose multipliers stay at or below 1, so phase 1 does
-not spend most of its iterations swapping out zero artificials.  The final primal and dual
-values are recomputed from the original data so that residuals are at
-machine precision rather than accumulated tableau error: the optimal basis
-is nearly triangular, so peeling its row and column singletons leaves a
-small dense bump, and only that bump goes through a dense solve.  A basis
-that this re-solve cannot verify ends the solve as NUMERICS; tableau values
-never leave the solver.  An optimal solve keeps its final tableau (Tableau),
-and solve_face_lp continues on it warm: it minimises another objective over
-the optimal face of the last one, without a phase 1.
+to the next) get a structural column before phase 1, with elimination
+multipliers at or below 1, so phase 1 does not spend most of its iterations
+swapping out zero artificials.  The crash picks are grouped into dependency
+levels, as in level scheduling of a sparse triangular solve (Anderson and
+Saad, 1989), and each level enters as one batch of independent pivots: 14
+batches for the 263 picks of the 383-row small_network LP.  The final
+primal and dual values are recomputed from the original data so that
+residuals are at machine precision rather than accumulated tableau error:
+the optimal basis is nearly triangular, so peeling its row and column
+singletons leaves a small dense bump, and only that bump goes through a
+dense solve.  A basis that this re-solve cannot verify ends the solve as
+NUMERICS; tableau values never leave the solver.  An optimal solve keeps its
+final tableau (Tableau), and solve_face_lp continues on it warm: it
+minimises another objective over the optimal face of the last one, without
+a phase 1.
 """
 
 from __future__ import annotations
@@ -63,9 +67,9 @@ class StandardFormLP:
     """min c.x + constant s.t. A x (rel) b, x >= 0, with model-variable mapping.
 
     A is sparse: vals[k] sits at (rows[k], cols[k]), sorted by row and then
-    column.  Each live model variable maps to one column: its value is offset
-    plus the column value.  Fixed variables carry their value in offset with no
-    column.
+    column, with each (row, column) once and every value nonzero.  Each live
+    model variable maps to one column: its value is offset plus the column
+    value.  Fixed variables carry their value in offset with no column.
     """
 
     c: np.ndarray
@@ -289,8 +293,8 @@ def _solve_sparse_basis(
     return np.array(x), np.array(y)
 
 
-def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
-    """The (row, column) pivots of the triangular crash, in pivot order.
+def _crash_levels(sf: StandardFormLP) -> list[list[tuple[int, int]]]:
+    """The (row, column) picks of the triangular crash, grouped into levels.
 
     Candidates are the rows that start on an artificial with a right-hand
     side of 0: = and >= rows with b == 0.  The live candidate row with the
@@ -304,7 +308,10 @@ def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
     Retiring the columns makes the basis triangular: a pick's column has no
     entry in an earlier pick's row, so it is still its column of A when it
     is pivoted on, and the column-max rule keeps every elimination
-    multiplier at or below 1.
+    multiplier at or below 1.  A pick's level is 1 plus the highest level
+    among the earlier picks whose column has an entry in its row; each level
+    keeps the picks in selection order.  No pick of a level has an entry in
+    another's row or column, so a level can be pivoted in as one batch.
     """
     m, n = sf.n_rows, sf.n_cols
     mags = np.abs(sf.vals)
@@ -324,7 +331,8 @@ def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
     col_live = [True] * n
     heap = [(live_count[i], i) for i in range(m) if row_live[i]]
     heapq.heapify(heap)
-    picks = []
+    levels: list[list[tuple[int, int]]] = []
+    level_of_col = [-1] * n
     while heap:
         count, r = heapq.heappop(heap)
         if not row_live[r] or count != live_count[r]:
@@ -337,7 +345,12 @@ def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
         eligible = [cols[k] for k in entries if tops[k] and mags[k] >= half]
         if not eligible:
             continue
-        picks.append((r, min(eligible, key=lambda j: (col_nnz[j], j))))
+        q = min(eligible, key=lambda j: (col_nnz[j], j))
+        level = 1 + max(map(level_of_col.__getitem__, cols[starts[r] : starts[r + 1]]))
+        level_of_col[q] = level
+        if level == len(levels):
+            levels.append([])
+        levels[level].append((r, q))
         for k in entries:
             j = cols[k]
             col_live[j] = False
@@ -345,7 +358,21 @@ def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
                 if row_live[i]:
                     live_count[i] -= 1
                     heapq.heappush(heap, (live_count[i], i))
-    return picks
+    return levels
+
+
+def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
+    """The (row, column) picks of the triangular crash (_crash_levels), level by level.
+
+    Pivoting them in one at a time in this order gives, bit for bit, the
+    tableau that Tableau.crash forms one level at a time.
+    """
+    return [pick for level in _crash_levels(sf) for pick in level]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(s, s + c) for each start s and count c, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 class Tableau:
@@ -391,7 +418,10 @@ class Tableau:
         # solves would exceed their live memory by a tableau.
         shape = (m + 2, self.ncols + 1)
         T = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
-        np.add.at(T, (sf.rows, sf.cols), sf.vals * self.sign[sf.rows])
+        # Each (row, column) of A appears once (StandardFormLP), so one
+        # assignment writes A.
+        a_vals = sf.vals * self.sign[sf.rows]
+        T[sf.rows, sf.cols] = a_vals
         T[:m, -1] = self.b
         T[self.logical_rows, logical_cols] = np.repeat([1.0, -1.0], [self.n_slack, self.n_surplus])
         self.basis = np.full(m, -1)
@@ -400,14 +430,18 @@ class Tableau:
         T[m, :n] = sf.c
         self.has_artificial = bool(self.basic_artificial.any())
         if self.has_artificial:
-            # The phase-1 row is minus the sum of the artificial rows, added
-            # up in row order in place (the order and bits of a sum over
-            # axis 0) without a copy of those rows.
-            art_rows = np.nonzero(self.basic_artificial)[0].tolist()
+            # The phase-1 row is minus the sum of the artificial rows (every
+            # surplus row is one).  bincount adds each column's entries in
+            # row order from 0.0, so it has the bits of their sum over axis 0.
+            art_rows = np.flatnonzero(self.basic_artificial)
+            in_art = self.basic_artificial[sf.rows]
             phase_one = T[m + 1]
-            phase_one[:] = T[art_rows[0]]
-            for r in art_rows[1:]:
-                phase_one += T[r]
+            rhs_col = np.full(art_rows.size, self.ncols)
+            phase_one[:] = np.bincount(
+                np.concatenate([sf.cols[in_art], logical_cols[self.n_slack :], rhs_col]),
+                weights=np.concatenate([a_vals[in_art], np.full(self.n_surplus, -1.0), self.b[art_rows]]),
+                minlength=self.ncols + 1,
+            )
             np.negative(phase_one, out=phase_one)
         self.T = T
         # Leaving-variable order for Bland's rule: artificials rank before
@@ -429,17 +463,71 @@ class Tableau:
         self.iterations += 1
 
     def crash(self, tol: Tolerances) -> None:
-        """Pivot the crash picks (_crash_picks) in, before phase 1.
+        """Pivot the crash picks in before phase 1, one level (_crash_levels) per batch.
 
         Each pick replaces the artificial of a row with a right-hand side of
-        0, so every pivot is degenerate and the start stays feasible.  The
-        picks stop at the iteration cap, where phase 1 then returns.
+        0, so the start stays feasible; each counts as one iteration, and the
+        picks stop at the iteration cap, where phase 1 then returns.  Within a
+        level no pick touches another's row or column, and a picked column is
+        still its column of A (with its cost entries), read on A's pattern.
+        So a batch divides the level's rows on their nonzeros, subtracts every
+        rank-1 update with one np.subtract.at in pick order, and gives bit for
+        bit what pivoting its picks one at a time (Tableau.enter) gives.
         """
-        for p, q in _crash_picks(self.sf):
-            if self.iterations >= tol.max_iterations:
+        sf, T, m = self.sf, self.T, self.m
+        width = T.shape[1]
+        by_col = np.argsort(sf.cols, kind="stable")
+        col_starts = np.searchsorted(sf.cols[by_col], np.arange(self.n + 1))
+        rows_by_col = sf.rows[by_col]
+        budget = tol.max_iterations - self.iterations
+        for level in _crash_levels(sf):
+            level = level[: max(budget, 0)]
+            if not level:
                 return
-            column = self.T[:, q].copy()
-            self.enter(p, q, column, np.nonzero(column)[0])
+            budget -= len(level)
+            picks = np.arange(len(level))
+            p, q = np.array(level).T
+
+            # Divide each pick row on its nonzeros and snap; row_pick, row_col
+            # and row_val are the nonzeros left, by pick.
+            nonzeros = [T[r].nonzero()[0] for r in p.tolist()]
+            counts = [nz.size for nz in nonzeros]
+            row_pick = np.repeat(picks, counts)
+            row_col = np.concatenate(nonzeros)
+            row_val = T[p[row_pick], row_col] / np.repeat(T[p, q], counts)
+            row_val[np.abs(row_val) < 1e-13] = 0.0
+            T[p[row_pick], row_col] = row_val
+            kept = row_val != 0.0
+            row_pick, row_col, row_val = row_pick[kept], row_col[kept], row_val[kept]
+            row_count = np.bincount(row_pick, minlength=picks.size)
+
+            # Each picked column's other nonzeros: A's rows of it, then the
+            # two cost rows.  Every row lists its picks in pick order.
+            a_count = col_starts[q + 1] - col_starts[q]
+            col_pick = np.concatenate([np.repeat(picks, a_count), picks, picks])
+            col_row = np.concatenate(
+                [rows_by_col[_ranges(col_starts[q], a_count)], np.full(picks.size, m), np.full(picks.size, m + 1)]
+            )
+            col_val = T[col_row, q[col_pick]]
+            kept = (col_val != 0.0) & (col_row != p[col_pick])
+            col_pick, col_row, col_val = col_pick[kept], col_row[kept], col_val[kept]
+
+            # Each column entry times each row entry of its pick; a cell that
+            # several picks update gets their updates in pick order.
+            span = row_count[col_pick]
+            cell_col = np.repeat(np.arange(col_pick.size), span)
+            cell_row = _ranges((np.cumsum(row_count) - row_count)[col_pick], span)
+            np.subtract.at(
+                T.reshape(-1),
+                col_row[cell_col] * width + row_col[cell_row],
+                col_val[cell_col] * row_val[cell_row],
+            )
+            T[col_row, q[col_pick]] = 0.0
+            T[p, q] = 1.0
+            self.basic_artificial[p] = False
+            self.basis[p] = q
+            self.leave_rank[p] = q
+            self.iterations += picks.size
 
     def pivot(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
@@ -652,15 +740,15 @@ def solve_lp(
 
     The tableau (Tableau) keeps artificial variables logical, which keeps it
     a quarter slimmer and free of artificial fill-in.  Before phase 1, the
-    crash (Tableau.crash) pivots a structural column into each row that
-    _crash_picks chooses among those starting on an artificial with a
-    right-hand side of 0.  These pivots are degenerate, so the start stays
-    feasible for phase 1; they count as iterations and against
-    max_iterations.  Each iteration works
-    in the nonzeros of the entering column and pivot row: the column is read
-    once, the artificial guard and the ratio test scan its nonzeros, and the
-    pivot divides the row and applies the rank-1 correction on those
-    nonzeros only.
+    crash (Tableau.crash) makes a structural column basic in each row that
+    _crash_levels picks among those starting on an artificial with a
+    right-hand side of 0, one dependency level of picks per batch.  The
+    right-hand sides stay as they were, so the start stays feasible for
+    phase 1; each pick counts as an iteration and against max_iterations.
+    Each simplex iteration works in the nonzeros of the entering column and
+    pivot row: the column is read once, the artificial guard and the ratio
+    test scan its nonzeros, and the pivot divides the row and applies the
+    rank-1 correction on those nonzeros only.
 
     At the optimum, x and the duals y are re-solved from the sparse basis
     columns with one singleton-peel ordering plus a dense solve of the bump

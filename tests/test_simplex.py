@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -142,7 +143,8 @@ def reference_solve_lp(sf, tol=None):
 
     Every iteration makes whole-column and whole-row passes over the tableau;
     solve_lp must take the same pivots and return the same bits.  The crash
-    picks (simplex._crash_picks) are replayed through this pivot.
+    picks (simplex._crash_picks) are replayed through this pivot one at a
+    time, in their returned order, which Tableau.crash applies level by level.
     """
     if tol is None:
         tol = Tolerances()
@@ -730,6 +732,144 @@ def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     assert tableau.iterations == 263
     assert np.count_nonzero(tableau.basic_artificial) == 292 - 263
     assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
+
+
+BUNDLED_LPS = list(
+    itertools.product(
+        ("three_station_line", "single_track_shuttle", "small_network", "small_network_tcr"), CAPACITY_MODES
+    )
+)
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_lp(scenario, mode):
+    """The standard form of a bundled scenario in a capacity mode, relaxed."""
+    import warnings
+
+    from railflow.scenario import build_scenario_model, load_scenario
+
+    doc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{scenario}.json")
+    config = replace(doc.config, capacity_mode=mode, relax_integrality=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_standard_form(build_scenario_model(replace(doc, config=config)))
+
+
+def assert_crash_matches_replay(sf, cuts):
+    """Tableau.crash equals pivoting the picks in one at a time (Tableau.enter), bit for bit.
+
+    Checked uncut and cut at each max_iterations in cuts; the replay
+    advances one tableau pick by pick and is compared at every cut.
+    """
+    picks = simplex._crash_picks(sf)
+    replay = simplex.Tableau(sf)
+    for cut in sorted(set(cuts) | {len(picks)}):
+        for p, q in picks[replay.iterations : cut]:
+            column = replay.T[:, q].copy()
+            replay.enter(p, q, column, np.nonzero(column)[0])
+        tableau = simplex.Tableau(sf)
+        tableau.crash(Tolerances() if cut == len(picks) else Tolerances(max_iterations=cut))
+        assert tableau.T.tobytes() == replay.T.tobytes()
+        for name in ("basis", "leave_rank", "basic_artificial"):
+            assert np.array_equal(getattr(tableau, name), getattr(replay, name)), name
+        assert tableau.iterations == replay.iterations
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_crash_matches_one_pick_at_a_time_property(seed):
+    rng = np.random.default_rng(seed)
+    lp = random_standard_form(rng, dense=rng.random() < 0.3)
+    assert_crash_matches_replay(lp, range(len(simplex._crash_picks(lp)) + 1))
+
+
+@pytest.mark.parametrize("scenario, mode", BUNDLED_LPS)
+def test_crash_matches_one_pick_at_a_time_on_bundled_lps(scenario, mode):
+    # Cut at every level boundary and inside every level, where a cut ends a
+    # batch early.
+    sf = bundled_lp(scenario, mode)
+    sizes = [len(level) for level in simplex._crash_levels(sf)]
+    bounds = np.cumsum([0] + sizes)
+    assert_crash_matches_replay(sf, bounds.tolist() + (bounds[:-1] + np.array(sizes) // 2).tolist())
+
+
+def test_crash_snaps_tiny_entries_like_a_pivot():
+    # Row 0 picks x0 (the largest entry of its column); its 1e-14 on x1
+    # divides below 1e-13 and is snapped to 0 before row 1 is updated.
+    lp = raw_lp([1.0, 1.0, 1.0], [[2.0, 2e-14, 0.0], [1.0, 1.0, 1.0]], [0.0, 2.0], ["=", "="])
+    assert simplex._crash_picks(lp) == [(0, 0)]
+    assert_crash_matches_replay(lp, [0, 1])
+    tableau = simplex.Tableau(lp)
+    tableau.crash(Tolerances())
+    assert tableau.T[0, 1] == 0.0 and tableau.T[1, 1] == 1.0
+
+
+def assert_picks_in_level_order(sf):
+    levels = simplex._crash_levels(sf)
+    picks = simplex._crash_picks(sf)
+    assert picks == [pick for level in levels for pick in level]
+    A = dense(sf)
+    level_of = {q: i for i, level in enumerate(levels) for _, q in level}
+    for k, (p, q) in enumerate(picks):
+        # Every pick comes after each pick whose column has an entry in its
+        # row, and sits one level above the highest of them.
+        depends = [j for j, (_, col) in enumerate(picks) if col != q and A[p, col] != 0.0]
+        assert all(j < k for j in depends)
+        assert level_of[q] == 1 + max((level_of[picks[j][1]] for j in depends), default=-1)
+    for level in levels:
+        # No pick of a level has an entry in another pick's row or column.
+        rows, cols = [p for p, _ in level], [q for _, q in level]
+        B = A[np.ix_(rows, cols)]
+        assert np.array_equal(B, np.diag(np.diag(B)))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_crash_picks_come_in_dependency_level_order(seed):
+    rng = np.random.default_rng(seed)
+    assert_picks_in_level_order(random_standard_form(rng, dense=rng.random() < 0.3))
+
+
+def test_crash_picks_come_in_dependency_level_order_on_bundled_lps():
+    for scenario, mode in BUNDLED_LPS:
+        assert_picks_in_level_order(bundled_lp(scenario, mode))
+
+
+def test_crash_batches_the_small_network_lp_in_14_levels():
+    levels = simplex._crash_levels(bundled_lp("small_network", "single_track_alt1"))
+    assert [len(level) for level in levels] == [84, 42, 34, 30, 21, 11, 8, 11, 9, 5, 2, 2, 2, 2]
+
+
+def assert_phase_one_row_is_the_row_sum(sf):
+    # The phase-1 row has the bits of minus the sum of the artificial rows
+    # over axis 0, as the reference solve forms it.
+    tableau = simplex.Tableau(sf)
+    m = sf.n_rows
+    if tableau.has_artificial:
+        want = -tableau.T[:m][tableau.basic_artificial].sum(axis=0)
+        assert tableau.T[m + 1].tobytes() == want.tobytes()
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_phase_one_row_is_the_row_sum_property(seed):
+    rng = np.random.default_rng(seed)
+    assert_phase_one_row_is_the_row_sum(random_standard_form(rng, dense=rng.random() < 0.3))
+
+
+def test_phase_one_row_is_the_row_sum_on_bundled_lps():
+    for scenario, mode in BUNDLED_LPS:
+        assert_phase_one_row_is_the_row_sum(bundled_lp(scenario, mode))
+
+
+def test_standard_form_entries_are_unique_and_nonzero():
+    # The tableau writes A with one assignment, which needs each (row,
+    # column) once; terms of one variable merge, and cancelling ones vanish.
+    model = synthetic_model([1.0, 1.0, 1.0], [([1.0, 1.0, 0.0], "<=", 4.0), ([1.0, 0.0, 1.0], ">=", 1.0)])
+    model.add_constraint("repeats", [(0, 1.0), (1, 2.0), (0, 3.0), (1, -2.0), (2, 1.0)], "=", 2.0)
+    lps = [build_standard_form(model)]
+    lps += [bundled_lp(scenario, mode) for scenario, mode in BUNDLED_LPS]
+    for sf in lps:
+        assert np.all(np.diff(sf.rows * sf.n_cols + sf.cols) > 0)
+        assert np.all(sf.vals != 0.0)
+    assert dense(lps[0])[2].tolist() == [4.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize(
