@@ -16,8 +16,6 @@ from .catalog import (
     demand_total,
     derive_implements,
     route_nodes,
-    validate_catalog,
-    validate_route,
 )
 from .checks import max_violation_by_family, verify_solution
 from .model import (
@@ -42,10 +40,7 @@ from .network import (
     StationNode,
     TrackLink,
     TrainType,
-    ValidationReport,
-    Violation,
     is_single_track,
-    validate_network,
 )
 from .scenario import (
     CapacityUsageReport,
@@ -64,7 +59,6 @@ from .scenario import (
     run,
     scenario_catalog,
     scenario_network,
-    serialize_scenario,
 )
 from .simplex import (
     INFEASIBLE,

@@ -6,6 +6,12 @@ map (an involution), while double track links are coupled with themselves.
 Nominal capacities are stored per (link, period) so that temporary capacity
 restrictions are plain data edits, and traversal durations are stored as
 fractions of one time period.
+
+Nothing here validates: ``scenario.load_scenario`` checks a document by
+name, and ``scenario_network`` then numbers its nodes, links and train types
+1..n and builds ``sigma`` from its single-track pairs.  ``model.build_model``
+still refuses a missing or over-long duration on a route, for networks built
+by hand.
 """
 
 from __future__ import annotations
@@ -61,30 +67,6 @@ class Horizon:
 
 
 @dataclass(frozen=True)
-class Violation:
-    code: str
-    subject: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> list[str]:
-        return [v.code for v in self.violations]
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(f"[{v.code}] {v.subject}: {v.detail}" for v in self.violations)
-
-
-@dataclass(frozen=True)
 class Network:
     """Immutable railway network with capacities and traversal durations.
 
@@ -134,99 +116,3 @@ def is_single_track(network: Network, link_id: int) -> bool:
     """True iff the link shares its physical track with its reverse link."""
     network.link(link_id)
     return network.sigma[link_id] != link_id
-
-
-def _check_enumeration(kind: str, ids: list[int], out: list[Violation]) -> None:
-    if not ids:
-        return
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        out.append(
-            Violation(
-                "enumeration-density",
-                kind,
-                f"ids must be exactly 1..{len(ids)}, got {sorted(ids)}",
-            )
-        )
-
-
-def validate_network(network: Network) -> ValidationReport:
-    """Collect every invariant violation; an empty report means well formed.
-
-    Deterministic and order independent: findings are sorted by (code, subject).
-    """
-    out: list[Violation] = []
-
-    _check_enumeration("train_types", [h.id for h in network.train_types], out)
-    _check_enumeration("nodes", [n.id for n in network.nodes], out)
-    _check_enumeration("links", [l.id for l in network.links], out)
-
-    for seq, kind in (
-        ([h.label for h in network.train_types], "train type label"),
-        ([n.name for n in network.nodes], "node name"),
-        ([l.name for l in network.links], "link name"),
-    ):
-        seen: set[str] = set()
-        for name in seq:
-            if name in seen:
-                out.append(Violation("duplicate-name", name, f"{kind} used more than once"))
-            seen.add(name)
-
-    node_ids = {n.id for n in network.nodes}
-    seen_pairs: set[tuple[int, int]] = set()
-    for l in network.links:
-        if l.tail == l.head:
-            out.append(Violation("self-loop", l.name, f"link tail equals head ({l.tail})"))
-        for endpoint in (l.tail, l.head):
-            if endpoint not in node_ids:
-                out.append(Violation("unknown-node", l.name, f"endpoint {endpoint} is not a node"))
-        if (l.tail, l.head) in seen_pairs:
-            out.append(
-                Violation("duplicate-link-pair", l.name, f"second link for node pair {(l.tail, l.head)}")
-            )
-        seen_pairs.add((l.tail, l.head))
-
-    link_ids = {l.id for l in network.links}
-    for l in network.links:
-        image = network.sigma.get(l.id)
-        if image is None or image not in link_ids:
-            out.append(Violation("sigma-total", l.name, f"sigma({l.id}) missing or unknown"))
-            continue
-        if network.sigma.get(image) != l.id:
-            out.append(Violation("sigma-involution", l.name, f"sigma(sigma({l.id})) != {l.id}"))
-        if image != l.id:
-            other = network.link(image)
-            if (other.tail, other.head) != (l.head, l.tail):
-                out.append(
-                    Violation(
-                        "sigma-endpoints",
-                        l.name,
-                        f"coupled link {other.name} does not reverse {l.name}",
-                    )
-                )
-
-    for l in network.links:
-        for t in network.horizon.periods:
-            value = network.capacity.get((l.id, t))
-            if value is None:
-                out.append(Violation("capacity-missing", l.name, f"no nominal capacity for period {t}"))
-            elif value < 0:
-                out.append(Violation("negative-capacity", l.name, f"capacity {value} in period {t}"))
-
-    for (link_id, type_id), value in network.duration.items():
-        if link_id not in link_ids:
-            out.append(Violation("unknown-link", str(link_id), "duration entry for unknown link"))
-            continue
-        name = network.link(link_id).name
-        if value < 0:
-            out.append(Violation("negative-duration", name, f"duration {value} for type {type_id}"))
-        elif value > 1.0 + 1e-12:
-            out.append(
-                Violation(
-                    "duration-exceeds-period",
-                    name,
-                    f"duration {value} periods for type {type_id}; traversal must fit in one period",
-                )
-            )
-
-    out.sort(key=lambda v: (v.code, v.subject, v.detail))
-    return ValidationReport(tuple(out))

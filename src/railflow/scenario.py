@@ -13,29 +13,15 @@ import math
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bnb import SolveResult, refine_to_earliest_pace, solve_mip
-from .catalog import (
-    Demand,
-    Route,
-    ServiceCatalog,
-    derive_implements,
-    demand_total,
-    validate_catalog,
-)
+from .catalog import Demand, Route, ServiceCatalog, demand_total
 from .checks import verify_solution
 from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, build_model, link_usage
-from .network import (
-    Horizon,
-    Network,
-    StationNode,
-    TrackLink,
-    TrainType,
-    validate_network,
-)
+from .network import Horizon, Network, StationNode, TrackLink, TrainType
 from .simplex import NUMERICS, OPTIMAL, Tolerances
 
 
@@ -140,14 +126,54 @@ def _array(value, position: str, errors: list[str]) -> Sequence:
     return ()
 
 
-def _check_name(name: str, position: str, errors: list[str]) -> None:
-    """Record a finding if name holds whitespace or a comma.
+def _name(value, position: str, errors: list[str]) -> Optional[str]:
+    """value as a declared name; otherwise record the finding and return None.
 
-    Names become MPS fields (split at whitespace) and CSV cells (split at
-    commas), so either character would break the exports.
+    A name is a non-empty string.  Names become MPS fields (split at
+    whitespace) and CSV cells (split at commas), so either character is a
+    finding too; such a name is still returned, so that each reference to it
+    does not add a finding of its own.
     """
-    if any(ch.isspace() or ch == "," for ch in name):
-        errors.append(f"{position}: name {name!r} must not contain whitespace or a comma")
+    if not isinstance(value, str) or not value:
+        errors.append(f"{position}: expected a name, got {value!r}")
+        return None
+    if any(ch.isspace() or ch == "," for ch in value):
+        errors.append(f"{position}: name {value!r} must not contain whitespace or a comma")
+    return value
+
+
+def _known(value, names) -> bool:
+    """True iff value is one of names; a non-string, even an unhashable one, is not."""
+    return isinstance(value, str) and value in names
+
+
+def _capacity(value, position: str, subject: str, errors: list[str]) -> float:
+    """value as the capacity of subject: a finite number >= 0, else a finding."""
+    value = _number(value, position, errors)
+    if value < 0:
+        errors.append(f"{position}: capacity {value} of {subject} must be >= 0")
+    return value
+
+
+def _route_findings(spec: RouteSpec, links: Mapping[str, LinkSpec], durations) -> list[str]:
+    """What is wrong with a route whose links and train type are all known."""
+    out = []
+    for before, after in zip(spec.links, spec.links[1:]):
+        if links[before].head != links[after].tail:
+            out.append(f"link {before!r} does not join link {after!r}")
+    for verb, names in (
+        ("rides link", spec.links),
+        ("visits node", [links[x].tail for x in spec.links] + [links[spec.links[-1]].head]),
+    ):
+        seen: set[str] = set()
+        for x in names:
+            if x in seen:
+                out.append(f"{verb} {x!r} twice")
+            seen.add(x)
+    for x in spec.links:
+        if (x, spec.train_type) not in durations:
+            out.append(f"link {x!r} has no duration for train type {spec.train_type!r}")
+    return out
 
 
 def _flag(raw: dict, key: str, default: bool, errors: list[str]) -> bool:
@@ -205,7 +231,9 @@ def _parse_config(raw: dict, errors: list[str]) -> tuple[ModelConfig, bool]:
     return config, pace
 
 
-def _parse_tcr(raw, position: str, t_max: int, link_names: set[str], errors: list[str]) -> Optional[TcrOverride]:
+def _parse_tcr(
+    raw, position: str, t_max: int, link_names: Container[str], errors: list[str]
+) -> Optional[TcrOverride]:
     if not isinstance(raw, dict):
         errors.append(f"{position}: expected an object")
         return None
@@ -214,7 +242,7 @@ def _parse_tcr(raw, position: str, t_max: int, link_names: set[str], errors: lis
 
 
 def _checked_tcr(
-    o: TcrOverride, position: str, t_max: int, link_names: set[str], errors: list[str]
+    o: TcrOverride, position: str, t_max: int, link_names: Container[str], errors: list[str]
 ) -> Optional[TcrOverride]:
     """o with a float value if it is valid; otherwise record the finding and return None.
 
@@ -246,11 +274,23 @@ def _checked_tcr(
 
 
 def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
-    """Parse and fully validate a scenario document.
+    """Parse and fully validate a scenario document; nothing downstream checks it again.
 
     A Path is read from disk; str and bytes are JSON text; a dict is the
     parsed document itself.  Raises ScenarioError listing every problem
-    found, each tagged with the position in the document.
+    found, each tagged with its position in the document and naming the
+    node, link, pair, route or demand at fault.  Besides malformed values and
+    unknown names, the findings are: duplicate names; a link from a node to
+    itself or with another link's tail and head; a single-track pair whose
+    links do not run opposite, or that holds a link of another pair; a
+    negative capacity or duration, or a duration over one period; a route
+    whose links do not join, that rides a link or visits a node twice, or
+    that rides a link with no duration for its train type; a demand from a
+    node to itself or with another demand's origin, destination and train
+    type; and a stated implements map that disagrees with the match below.
+
+    A demand is implemented by every route from its origin to its
+    destination with its train type; a stated map may only reorder them.
     """
     if isinstance(source, Path):
         raw = json.loads(source.read_text())
@@ -276,96 +316,85 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             return default
         return value
 
+    def declared(key: str, kind: str) -> dict[str, None]:
+        names: dict[str, None] = {}  # ordered, with set lookups
+        for i, item in enumerate(_array(raw.get(key, ()), key, errors)):
+            item = _name(item, f"{key}[{i}]", errors)
+            if item in names:
+                errors.append(f"{key}[{i}]: duplicate {kind} {item!r}")
+            elif item is not None:
+                names[item] = None
+        return names
+
     name = str(raw.get("name", "scenario"))
     notes = str(raw.get("notes", ""))
     period_length = need("period_length_minutes", int, 0) or 0
     if period_length <= 0:
         errors.append("period_length_minutes: must be a positive integer")
         period_length = 60
+    elif not _number(period_length, "period_length_minutes", errors):
+        period_length = 60  # past float range: no duration in minutes could be divided by it
     t_max = need("horizon", int, 0) or 0
     if t_max < 1:
         errors.append("horizon: must be >= 1")
         t_max = 1
 
-    type_labels = tuple(str(x) for x in _array(raw.get("train_types", ()), "train_types", errors))
+    type_labels = declared("train_types", "train type")
     if not type_labels:
         errors.append("train_types: at least one train type is required")
-    node_names = tuple(str(x) for x in _array(raw.get("nodes", ()), "nodes", errors))
-    node_set = set(node_names)
-    for field, names in (("train_types", type_labels), ("nodes", node_names)):
-        for i, item in enumerate(names):
-            _check_name(item, f"{field}[{i}]", errors)
+    node_names = declared("nodes", "node")
 
-    links: list[LinkSpec] = []
-    link_names: set[str] = set()
+    links: dict[str, LinkSpec] = {}
+    link_of_ends: dict[tuple[str, str], str] = {}
     for i, item in enumerate(_array(raw.get("links", ()), "links", errors)):
         position = f"links[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
         tail, head = item.get("tail"), item.get("head")
-        lname = str(item.get("name") or f"{tail}-{head}")
-        if tail not in node_set:
-            errors.append(f"{position}: tail {tail!r} is not a node")
+        if not _known(tail, node_names):
+            errors.append(f"{position}.tail: unknown node {tail!r}")
             continue
-        if head not in node_set:
-            errors.append(f"{position}: head {head!r} is not a node")
+        if not _known(head, node_names):
+            errors.append(f"{position}.head: unknown node {head!r}")
             continue
-        if lname in link_names:
+        lname = _name(item.get("name", f"{tail}-{head}"), position, errors)
+        if lname is None:
+            continue
+        if lname in links:
             errors.append(f"{position}: duplicate link name {lname!r}")
             continue
-        _check_name(lname, position, errors)
-        link_names.add(lname)
-        links.append(LinkSpec(lname, str(tail), str(head)))
+        if tail == head:
+            errors.append(f"{position}: link {lname!r} runs from node {tail!r} to itself")
+        elif (tail, head) in link_of_ends:
+            twin = link_of_ends[(tail, head)]
+            errors.append(f"{position}: link {lname!r} has the tail and head of link {twin!r}")
+        link_of_ends.setdefault((tail, head), lname)
+        links[lname] = LinkSpec(lname, tail, head)
 
     pairs: list[tuple[str, str]] = []
-    for i, item in enumerate(_array(raw.get("single_track_pairs", ()), "single_track_pairs", errors)):
+    pair_of: dict[str, int] = {}
+    pairs_raw = _array(raw.get("single_track_pairs", ()), "single_track_pairs", errors)
+    for i, item in enumerate(pairs_raw):
         position = f"single_track_pairs[{i}]"
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             errors.append(f"{position}: expected a pair of link names")
             continue
-        a, b = str(item[0]), str(item[1])
-        if a not in link_names or b not in link_names:
+        if not all(_known(x, links) for x in item):
             errors.append(f"{position}: unknown link in pair {item}")
             continue
+        a, b = (links[x] for x in item)
+        taken = [x for x in item if x in pair_of]
         if a == b:
             errors.append(f"{position}: a link cannot pair with itself")
-            continue
-        pairs.append((a, b))
-
-    caps_raw = _object(raw.get("capacities", {}), "capacities", errors)
-    default_cap = caps_raw.get("default")
-    if default_cap is not None:
-        default_cap = _number(default_cap, "capacities.default", errors)
-    per_link = {
-        lname: _number(value, f"capacities.links[{lname!r}]", errors)
-        for lname, value in _object(caps_raw.get("links", {}), "capacities.links", errors).items()
-    }
-    capacity: dict[tuple[str, int], float] = {}
-    for lname in (l.name for l in links):
-        base = per_link.get(lname, default_cap)
-        if base is None:
-            continue  # cells may still cover this link completely
-        for t in range(1, t_max + 1):
-            capacity[(lname, t)] = base
-    for i, cell in enumerate(_array(caps_raw.get("cells", ()), "capacities.cells", errors)):
-        position = f"capacities.cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{position}: expected an object")
-            continue
-        lname = cell.get("link")
-        t = cell.get("period")
-        if lname not in link_names:
-            errors.append(f"{position}: unknown link {lname!r}")
-            continue
-        if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= t_max:
-            errors.append(f"{position}: period {t!r} outside horizon 1..{t_max}")
-            continue
-        capacity[(lname, t)] = _number(cell.get("value", 0.0), f"{position}.value", errors)
-    for link in links:
-        missing = [t for t in range(1, t_max + 1) if (link.name, t) not in capacity]
-        if missing:
-            errors.append(f"capacities: no value for link {link.name!r} in periods {missing}")
+        elif taken:
+            first = f"single_track_pairs[{pair_of[taken[0]]}]"
+            errors.append(f"{position}: link {taken[0]!r} is already in {first}")
+        elif (b.tail, b.head) != (a.head, a.tail):
+            errors.append(f"{position}: link {b.name!r} does not run opposite to link {a.name!r}")
+        else:
+            pair_of[a.name] = pair_of[b.name] = i
+            pairs.append((a.name, b.name))
 
     durations: dict[tuple[str, str], float] = {}
     in_minutes = "durations_minutes" in raw
@@ -376,72 +405,84 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         errors.append("durations: expected an object keyed by link name")
         table = {}
     for lname, per_type in table.items():
-        if lname not in link_names:
+        if lname not in links:
             errors.append(f"durations[{lname!r}]: unknown link")
             continue
         if not isinstance(per_type, dict):
             errors.append(f"durations[{lname!r}]: expected an object keyed by train type")
             continue
         for label, value in per_type.items():
+            position = f"durations[{lname!r}][{label!r}]"
             if label not in type_labels:
-                errors.append(f"durations[{lname!r}][{label!r}]: unknown train type")
+                errors.append(f"{position}: unknown train type")
                 continue
-            value = _number(value, f"durations[{lname!r}][{label!r}]", errors)
-            durations[(lname, str(label))] = value / period_length if in_minutes else value
+            value = _number(value, position, errors)
+            if value < 0:
+                errors.append(f"{position}: duration {value} must be >= 0")
+            periods = value / period_length if in_minutes else value
+            if periods > 1.0 + 1e-12:
+                errors.append(
+                    f"{position}: takes {periods} periods; a traversal must fit in one period"
+                )
+            durations[(lname, label)] = periods
 
-    routes: list[RouteSpec] = []
-    route_names: set[str] = set()
+    routes: dict[str, RouteSpec] = {}
     for i, item in enumerate(_array(raw.get("routes", ()), "routes", errors)):
         position = f"routes[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
-        rname = str(item.get("name", f"route-{i}"))
         label = item.get("train_type")
-        if label not in type_labels:
-            errors.append(f"{position}: unknown train type {label!r}")
+        if not _known(label, type_labels):
+            errors.append(f"{position}.train_type: unknown train type {label!r}")
             continue
-        if rname in route_names:
+        rname = _name(item.get("name", f"route-{i}"), position, errors)
+        if rname is None:
+            continue
+        if rname in routes:
             errors.append(f"{position}: duplicate route name {rname!r}")
             continue
-        _check_name(rname, position, errors)
-        used = tuple(str(x) for x in _array(item.get("links", ()), f"{position}.links", errors))
-        missing = [x for x in used if x not in link_names]
+        used = tuple(_array(item.get("links", ()), f"{position}.links", errors))
+        missing = [x for x in used if not _known(x, links)]
         if missing:
-            errors.append(f"{position}: route {rname} references unknown links {missing}")
+            errors.append(f"{position}: route {rname!r} references unknown links {missing}")
             continue
         if not used:
-            errors.append(f"{position}: route {rname} has no links")
+            errors.append(f"{position}: route {rname!r} has no links")
             continue
-        route_names.add(rname)
-        routes.append(RouteSpec(rname, str(label), used))
+        routes[rname] = RouteSpec(rname, label, used)
+        for finding in _route_findings(routes[rname], links, durations):
+            errors.append(f"{position}: route {rname!r}: {finding}")
 
-    demands: list[DemandSpec] = []
-    demand_names: set[str] = set()
+    demands: dict[str, DemandSpec] = {}
+    demand_of_triple: dict[tuple[str, str, str], str] = {}
+    counts_agree = True
     for i, item in enumerate(_array(raw.get("demands", ()), "demands", errors)):
         position = f"demands[{i}]"
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
-        dname = str(item.get("name", f"demand-{i}"))
-        origin, destination = item.get("origin"), item.get("destination")
-        label = item.get("train_type")
         volumes = _array(item.get("volumes", ()), f"{position}.volumes", errors)
-        if dname in demand_names:
+        if len(volumes) != t_max:
+            counts_agree = False
+            errors.append(f"{position}: expected {t_max} per-period volumes, got {len(volumes)}")
+            continue
+        dname = _name(item.get("name", f"demand-{i}"), position, errors)
+        if dname is None:
+            continue
+        if dname in demands:
             errors.append(f"{position}: duplicate demand name {dname!r}")
             continue
-        _check_name(dname, position, errors)
-        if origin not in node_set:
-            errors.append(f"{position}: unknown origin {origin!r}")
+        triple = (item.get("origin"), item.get("destination"), item.get("train_type"))
+        origin, destination, label = triple
+        if not _known(origin, node_names):
+            errors.append(f"{position}.origin: unknown node {origin!r}")
             continue
-        if destination not in node_set:
-            errors.append(f"{position}: unknown destination {destination!r}")
+        if not _known(destination, node_names):
+            errors.append(f"{position}.destination: unknown node {destination!r}")
             continue
-        if label not in type_labels:
-            errors.append(f"{position}: unknown train type {label!r}")
-            continue
-        if len(volumes) != t_max:
-            errors.append(f"{position}: expected {t_max} per-period volumes, got {len(volumes)}")
+        if not _known(label, type_labels):
+            errors.append(f"{position}.train_type: unknown train type {label!r}")
             continue
         if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in volumes):
             errors.append(f"{position}: volumes must be nonnegative integers")
@@ -453,25 +494,92 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             _number(sum(volumes), f"{position}.volumes (total)", errors)
         if len(errors) > found:
             continue
-        demand_names.add(dname)
-        demands.append(DemandSpec(dname, str(origin), str(destination), str(label), tuple(volumes)))
+        if origin == destination:
+            errors.append(f"{position}: demand {dname!r} runs from node {origin!r} to itself")
+        elif triple in demand_of_triple:
+            errors.append(
+                f"{position}: demand {dname!r} has the origin, destination and train type of"
+                f" demand {demand_of_triple[triple]!r}; they would share every implementing route"
+            )
+        demand_of_triple.setdefault(triple, dname)
+        demands[dname] = DemandSpec(dname, origin, destination, label, tuple(volumes))
 
+    caps_raw = _object(raw.get("capacities", {}), "capacities", errors)
+    per_link: dict[str, float] = {}
+    for lname, value in _object(caps_raw.get("links", {}), "capacities.links", errors).items():
+        position = f"capacities.links[{lname!r}]"
+        if lname not in links:
+            errors.append(f"{position}: unknown link")
+            continue
+        per_link[lname] = _capacity(value, position, f"link {lname!r}", errors)
+    default_cap = caps_raw.get("default")
+    if default_cap is not None:
+        users = [x for x in links if x not in per_link]
+        default_cap = _capacity(default_cap, "capacities.default", f"links {users}", errors)
+    cells: list[tuple[str, int, float]] = []
+    for i, cell in enumerate(_array(caps_raw.get("cells", ()), "capacities.cells", errors)):
+        position = f"capacities.cells[{i}]"
+        if not isinstance(cell, dict):
+            errors.append(f"{position}: expected an object")
+            continue
+        lname = cell.get("link")
+        t = cell.get("period")
+        if not _known(lname, links):
+            errors.append(f"{position}.link: unknown link {lname!r}")
+            continue
+        if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= t_max:
+            errors.append(f"{position}: period {t!r} outside horizon 1..{t_max}")
+            continue
+        subject = f"link {lname!r} in period {t}"
+        cells.append((lname, t, _capacity(cell.get("value", 0.0), f"{position}.value", subject, errors)))
+    capacity: dict[tuple[str, int], float] = {}
+    # A horizon that disagrees with the volume counts may be absurd; filling
+    # the table for it could take any amount of time and memory.
+    if counts_agree:
+        for lname in links:
+            base = per_link.get(lname, default_cap)
+            if base is None:
+                continue  # cells may still cover this link completely
+            for t in range(1, t_max + 1):
+                capacity[(lname, t)] = base
+        for lname, t, value in cells:
+            capacity[(lname, t)] = value
+        for lname in links:
+            missing = [t for t in range(1, t_max + 1) if (lname, t) not in capacity]
+            if missing:
+                errors.append(f"capacities: no value for link {lname!r} in periods {missing}")
+
+    routes_of: dict[tuple[str, str, str], tuple[str, ...]] = {}
+    for r in routes.values():
+        ends = (links[r.links[0]].tail, links[r.links[-1]].head, r.train_type)
+        routes_of[ends] = routes_of.get(ends, ()) + (r.name,)
+    matching = {
+        d.name: routes_of.get((d.origin, d.destination, d.train_type), ()) for d in demands.values()
+    }
     implements_raw = raw.get("implements")
-    implements: dict[str, tuple[str, ...]] = {}
+    stated: dict[str, tuple[str, ...]] = {}
     if implements_raw is not None:
         if not isinstance(implements_raw, dict):
             errors.append("implements: expected an object keyed by demand name")
         else:
+            found = len(errors)
             for dname, rnames in implements_raw.items():
-                if dname not in demand_names:
+                if dname not in demands:
                     errors.append(f"implements[{dname!r}]: unknown demand")
                     continue
-                rnames = _array(rnames, f"implements[{dname!r}]", errors)
-                bad = [x for x in rnames if x not in route_names]
-                if bad:
-                    errors.append(f"implements[{dname!r}]: unknown routes {bad}")
-                    continue
-                implements[dname] = tuple(str(x) for x in rnames)
+                stated[dname] = tuple(_array(rnames, f"implements[{dname!r}]", errors))
+                for k, x in enumerate(stated[dname]):
+                    if not _known(x, routes):
+                        errors.append(f"implements[{dname!r}][{k}]: unknown route {x!r}")
+            if stated and len(errors) == found:
+                for dname, rnames in matching.items():
+                    given = stated.get(dname, ())
+                    if sorted(given) != sorted(rnames):
+                        errors.append(
+                            f"implements[{dname!r}]: states routes {list(given)}, but routes"
+                            f" {list(rnames)} match demand {dname!r} by origin, destination"
+                            " and train type"
+                        )
 
     config_raw = raw.get("config")
     config_raw = {} if config_raw is None else _object(config_raw, "config", errors)
@@ -479,7 +587,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     tcrs: list[TcrOverride] = []
     for i, item in enumerate(_array(raw.get("tcr_overrides", ()), "tcr_overrides", errors)):
-        parsed = _parse_tcr(item, f"tcr_overrides[{i}]", t_max, link_names, errors)
+        parsed = _parse_tcr(item, f"tcr_overrides[{i}]", t_max, links, errors)
         if parsed is not None:
             tcrs.append(parsed)
 
@@ -490,15 +598,15 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         name=name,
         period_length_minutes=period_length,
         t_max=t_max,
-        train_types=type_labels,
-        nodes=node_names,
-        links=tuple(links),
+        train_types=tuple(type_labels),
+        nodes=tuple(node_names),
+        links=tuple(links.values()),
         single_track_pairs=tuple(pairs),
         capacity=capacity,
         durations=durations,
-        routes=tuple(routes),
-        demands=tuple(demands),
-        implements=implements,
+        routes=tuple(routes.values()),
+        demands=tuple(demands.values()),
+        implements={dname: stated.get(dname, rnames) for dname, rnames in matching.items()},
         config=config,
         pace_refinement=pace,
         tcr_overrides=tuple(tcrs),
@@ -518,88 +626,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             f"capacities: the default big M, 10 x the largest capacity {largest},"
             " is too large for a float; set config.big_m"
         )
-
-    network = scenario_network(doc)
-    catalog = scenario_catalog(doc, network)
-    report = validate_network(network)
-    errors.extend(f"network: [{v.code}] {v.subject}: {v.detail}" for v in report.violations)
-    report = validate_catalog(catalog, network)
-    errors.extend(f"catalog: [{v.code}] {v.subject}: {v.detail}" for v in report.violations)
     if errors:
         raise ScenarioError(errors)
-
-    if not implements:
-        derived = derive_implements(catalog.demands, catalog.routes)
-        named = {
-            catalog.demand(d).name: tuple(catalog.route(r).name for r in rids)
-            for d, rids in derived.items()
-        }
-        doc = replace(doc, implements=named)
     return doc
-
-
-def serialize_scenario(doc: ScenarioDocument) -> bytes:
-    """Canonical JSON for the document; load(serialize(doc)) == doc."""
-    config = doc.config
-    payload = {
-        "name": doc.name,
-        "notes": doc.notes,
-        "period_length_minutes": doc.period_length_minutes,
-        "horizon": doc.t_max,
-        "train_types": list(doc.train_types),
-        "nodes": list(doc.nodes),
-        "links": [{"name": l.name, "tail": l.tail, "head": l.head} for l in doc.links],
-        "single_track_pairs": [list(p) for p in doc.single_track_pairs],
-        "capacities": {
-            "cells": [
-                {"link": l.name, "period": t, "value": doc.capacity[(l.name, t)]}
-                for l in doc.links
-                for t in range(1, doc.t_max + 1)
-            ]
-        },
-        "durations": _duration_tree(doc),
-        "routes": [
-            {"name": r.name, "train_type": r.train_type, "links": list(r.links)}
-            for r in doc.routes
-        ],
-        "demands": [
-            {
-                "name": d.name,
-                "origin": d.origin,
-                "destination": d.destination,
-                "train_type": d.train_type,
-                "volumes": list(d.volumes),
-            }
-            for d in doc.demands
-        ],
-        "implements": {d: list(rs) for d, rs in doc.implements.items()},
-        "config": {
-            "capacity_mode": config.capacity_mode,
-            "k_het": config.k_het,
-            "k_setup": config.k_setup,
-            "big_m": config.big_m,
-            "cost_cancel": config.cost_cancel,
-            "cost_post": config.cost_post,
-            "relax_integrality": config.relax_integrality,
-            "pace_refinement": doc.pace_refinement,
-        },
-        "tcr_overrides": [
-            {
-                "link": o.link,
-                "period": o.period,
-                **({"capacity": o.capacity} if o.capacity is not None else {"scale": o.scale}),
-            }
-            for o in doc.tcr_overrides
-        ],
-    }
-    return json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-
-
-def _duration_tree(doc: ScenarioDocument) -> dict:
-    tree: dict[str, dict[str, float]] = {}
-    for (lname, label), value in doc.durations.items():
-        tree.setdefault(lname, {})[label] = value
-    return {lname: dict(sorted(per.items())) for lname, per in sorted(tree.items())}
 
 
 def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> ScenarioDocument:
@@ -682,19 +711,11 @@ def scenario_catalog(doc: ScenarioDocument, network: Network) -> ServiceCatalog:
         )
         for i, spec in enumerate(doc.demands)
     )
-    routes = tuple(routes)
-    if doc.implements:
-        route_id = {r.name: r.id for r in routes}
-        demand_id = {d.name: d.id for d in demands}
-        implements = {
-            demand_id[dname]: tuple(route_id[r] for r in rnames)
-            for dname, rnames in doc.implements.items()
-        }
-        for d in demands:
-            implements.setdefault(d.id, ())
-    else:
-        implements = derive_implements(demands, routes)
-    return ServiceCatalog(demands=demands, routes=routes, implements=implements)
+    route_id = {spec.name: i + 1 for i, spec in enumerate(doc.routes)}
+    implements = {
+        d.id: tuple(route_id[r] for r in doc.implements.get(d.name, ())) for d in demands
+    }
+    return ServiceCatalog(demands=demands, routes=tuple(routes), implements=implements)
 
 
 # ---------------------------------------------------------------------------

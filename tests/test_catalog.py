@@ -9,8 +9,6 @@ from railflow.catalog import (
     demand_total,
     derive_implements,
     route_nodes,
-    validate_catalog,
-    validate_route,
 )
 from railflow.scenario import scenario_catalog, scenario_network
 from support import line_network
@@ -26,31 +24,10 @@ def small_cat(small_doc, small_net):
     return scenario_catalog(small_doc, small_net)
 
 
-def test_fixture_routes_validate(small_net, small_cat):
-    assert validate_catalog(small_cat, small_net).ok
+def test_fixture_route_nodes(small_net, small_cat):
     route = small_cat.route_named("A-H-f1")
-    assert validate_route(route, small_net).ok
     names = [small_net.node(n).name for n in route_nodes(route, small_net)]
     assert names == ["A", "C", "E", "H"]
-
-
-def test_gap_in_route_reported(small_net, small_cat):
-    a_c = small_net.link_named("A-C").id
-    e_h = small_net.link_named("E-H").id
-    broken = Route(1, "gappy", small_net.node_named("A").id, small_net.node_named("H").id, 2, (a_c, e_h))
-    assert "not-contiguous" in validate_route(broken, small_net).codes()
-
-
-def test_repeated_link_is_a_cycle(small_net):
-    a_c = small_net.link_named("A-C").id
-    looped = Route(1, "looped", small_net.node_named("A").id, small_net.node_named("C").id, 2, (a_c, a_c))
-    assert "cycle" in validate_route(looped, small_net).codes()
-
-
-def test_endpoint_mismatch(small_net):
-    a_c = small_net.link_named("A-C").id
-    wrong = Route(1, "wrong-ends", small_net.node_named("B").id, small_net.node_named("C").id, 2, (a_c,))
-    assert "endpoint-mismatch" in validate_route(wrong, small_net).codes()
 
 
 def test_implementing_routes(small_cat):
@@ -135,25 +112,3 @@ def test_aggregate_durations_prefix_additive(durations):
     for k, link in enumerate(net.links):
         step = reach[nodes[k + 1]] - reach[nodes[k]]
         assert step == pytest.approx(durations[k], abs=1e-12)
-
-
-def test_implements_must_match_properties(small_net, small_cat):
-    stated = dict(small_cat.implements)
-    ahf = small_cat.demand_named("A-H-f")
-    stated[ahf.id] = stated[ahf.id][:1]  # drop a route that matches by properties
-    tampered = ServiceCatalog(small_cat.demands, small_cat.routes, stated)
-    assert "implements-mismatch" in validate_catalog(tampered, small_net).codes()
-
-
-def test_duplicate_demand_triple_rejected(small_net, small_cat):
-    twin = Demand(
-        len(small_cat.demands) + 1,
-        "E-F-p-bis",
-        small_cat.demand_named("E-F-p").origin,
-        small_cat.demand_named("E-F-p").destination,
-        small_cat.demand_named("E-F-p").train_type,
-        (0,) * 7,
-    )
-    demands = small_cat.demands + (twin,)
-    catalog = ServiceCatalog(demands, small_cat.routes, derive_implements(demands, small_cat.routes))
-    assert "duplicate-demand-triple" in validate_catalog(catalog, small_net).codes()
