@@ -1,9 +1,10 @@
 """Same results on every bundled scenario x capacity mode.
 
 ``golden_bundled.json`` records, per case, the status, the objective, the
-total simplex iterations, the branch-and-bound nodes and the sha256 of both
-CSV reports; equal iterations and nodes mean the solver took the same
-pivots.  A refactor must reproduce it unchanged; a change that is meant to
+total simplex iterations, the branch-and-bound nodes, the sha256 of both
+CSV reports and the sha256 of the model's MPS text; equal iterations and
+nodes mean the solver took the same pivots, and an equal MPS hash means the
+model has the same variable names, order, bounds and coefficients.  A refactor must reproduce it unchanged; a change that is meant to
 alter results rewrites it with ``PYTHONPATH=src python tests/test_golden.py``
 and says why in CHANGES.md.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from railflow.model import CAPACITY_MODES
+from railflow.mps_io import export_model_text
 from railflow.scenario import load_scenario, report_capacity_csv, report_demand_csv, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +40,9 @@ def record(case: str) -> dict:
         "objective": output.result.objective,
         "iterations": output.result.iterations,
         "nodes": output.result.nodes,
+        "model_mps_sha256": hashlib.sha256(
+            export_model_text(output.model, name=doc.name).encode("utf-8")
+        ).hexdigest(),
     }
     if output.capacity is not None:
         entry["capacity_usage_sha256"] = hashlib.sha256(report_capacity_csv(output.capacity)).hexdigest()
@@ -55,7 +60,7 @@ def test_bundled_results_match_golden(case):
     else:
         assert got["objective"] == pytest.approx(expected["objective"], rel=1e-9, abs=0.0)
     assert (got["iterations"], got["nodes"]) == (expected["iterations"], expected["nodes"])
-    for key in ("capacity_usage_sha256", "demand_outcomes_sha256"):
+    for key in ("capacity_usage_sha256", "demand_outcomes_sha256", "model_mps_sha256"):
         assert got.get(key) == expected.get(key)
 
 
