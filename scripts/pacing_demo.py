@@ -15,14 +15,12 @@ SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "three_station
 def main():
     output = run(load_scenario(SCENARIO))
     model, values = output.model, output.result.values
-    route = model.catalog.route_named("A-C-r1")
-    last = model.network.link_named("B-C").id
 
     print("objective:", round(output.result.objective, 6))
     for t in (1, 2):
-        dep = values[model.var("dep", route.id, t)]
+        dep = values[model.var("dep", "A-C-r1", t)]
         # arrivals at C are the inflow over B-C: within period t, or crossing from t - 1
-        inflow = [model.var("direct", last, t, route.id), model.var("next", last, t - 1, route.id)]
+        inflow = [model.var("direct", "B-C", t, "A-C-r1"), model.var("next", "B-C", t - 1, "A-C-r1")]
         arrivals = values[inflow].sum()
         print(f"period {t}: departures {dep:.2f}, arrivals {arrivals:.2f}")
     print()

@@ -8,15 +8,6 @@ a scenario front end for studying temporary capacity restrictions.
 """
 
 from .bnb import SolveResult, refine_to_earliest_pace, solve_mip
-from .catalog import (
-    Demand,
-    Route,
-    ServiceCatalog,
-    aggregate_durations,
-    demand_total,
-    derive_implements,
-    route_nodes,
-)
 from .checks import max_violation_by_family, verify_solution
 from .model import (
     LinearConstraint,
@@ -34,14 +25,6 @@ from .model import (
     emit_flow_layer,
 )
 from .mps_io import export_model_text
-from .network import (
-    Horizon,
-    Network,
-    StationNode,
-    TrackLink,
-    TrainType,
-    is_single_track,
-)
 from .scenario import (
     CapacityUsageReport,
     DemandOutcomeReport,
@@ -57,8 +40,6 @@ from .scenario import (
     report_capacity_csv,
     report_demand_csv,
     run,
-    scenario_catalog,
-    scenario_network,
 )
 from .simplex import (
     INFEASIBLE,

@@ -187,7 +187,7 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
     period t + 1 (a next arc out of t_max is empty).
     """
     delay = {"dep": 0, "direct": 0, "next": 1}
-    t_max = model.horizon.t_max
+    t_max = model.doc.t_max
     return {
         idx: float(var.ref.key[1] + delay[var.ref.kind])
         for idx, var in enumerate(model.variables)

@@ -15,9 +15,14 @@ could have arrived by the end of a period but has not yet, and cannot go
 negative.  Capacity rows charge a link's flow
 straight against its capacity (link_usage).
 
-Everything here is solver independent: the result is a list of named linear
-constraints plus a linear objective.  Building is a pure function of its
-inputs, so identical inputs give an identical model, constraint by constraint.
+The model is built from a loaded scenario document (scenario.load_scenario,
+with its TCR overrides applied), which has already been checked: every
+variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
+1, "A-C-r1")``, and links, nodes, routes, demands and train types are taken
+in document order.  Everything here is solver independent: the result is a
+list of named linear constraints plus a linear objective.  Building is a pure
+function of the document, so identical documents give an identical model,
+constraint by constraint.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .catalog import Route, ServiceCatalog, aggregate_durations, demand_total, route_nodes
-from .network import Horizon, Network
+if TYPE_CHECKING:
+    from .scenario import RouteSpec, ScenarioDocument
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
 
@@ -112,32 +117,29 @@ class TimeExpandedModel:
 
     Treat instances as immutable once build_model returns: the solver and the
     reports only read them, and several models may be built and solved
-    concurrently.
+    concurrently.  doc is None for a bare model of hand-written rows.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        catalog: ServiceCatalog,
-        horizon: Horizon,
-        config: ModelConfig,
-    ) -> None:
-        self.network = network
-        self.catalog = catalog
-        self.horizon = horizon
-        self.config = config
+    def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
+        self.doc = doc
         self.variables: list[ModelVariable] = []
         self.constraints: list[LinearConstraint] = []
         self.objective: dict[int, float] = {}
         self.big_m: float = 0.0
-        self.single_track_pairs: tuple[tuple[int, int], ...] = ()
+        # (earlier link, later link) of each single-track pair, ordered by
+        # the earlier link's place in doc.links
+        self.single_track_pairs: tuple[tuple[str, str], ...] = ()
         # Route support, set by build_variables: each route's nodes in order
-        # and the routes (in catalog order) riding each link or visiting each
-        # node.  Flow variables exist only there.
-        self.nodes_of: dict[int, tuple[int, ...]] = {}
-        self.routes_on_link: dict[int, tuple[Route, ...]] = {}
-        self.routes_at_node: dict[int, tuple[Route, ...]] = {}
+        # and the routes (in document order) riding each link or visiting
+        # each node.  Flow variables exist only there.
+        self.nodes_of: dict[str, tuple[str, ...]] = {}
+        self.routes_on_link: dict[str, tuple[RouteSpec, ...]] = {}
+        self.routes_at_node: dict[str, tuple[RouteSpec, ...]] = {}
         self._index: dict[VariableRef, int] = {}
+
+    @property
+    def config(self) -> ModelConfig:
+        return self.doc.config
 
     # -- variables ---------------------------------------------------------
 
@@ -185,12 +187,7 @@ class TimeExpandedModel:
 # ---------------------------------------------------------------------------
 
 
-def build_variables(
-    network: Network,
-    catalog: ServiceCatalog,
-    horizon: Horizon,
-    config: ModelConfig,
-) -> TimeExpandedModel:
+def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     """Declare every decision variable; no constraints yet.
 
     Flow variables (direct, next, ni, lag) of a route exist only on that
@@ -203,91 +200,76 @@ def build_variables(
     into period 0 or out of the last period, so unplaceable volume has to be
     cancelled.
     """
-    for route in catalog.routes:
-        for link_id in route.links:
-            key = (link_id, route.train_type)
-            value = network.duration.get(key)
-            if value is None:
-                raise ModelError(
-                    f"no traversal duration for link {network.link(link_id).name}"
-                    f" and train type {network.train_type(route.train_type).label}"
-                )
-            if value > 1.0 + 1e-12:
-                raise ModelError(
-                    f"link {network.link(link_id).name} takes {value} periods for type"
-                    f" {network.train_type(route.train_type).label}; routes must reach"
-                    " the next node within one period"
-                )
-
-    model = TimeExpandedModel(network, catalog, horizon, config)
-    T = horizon.periods
-    T0 = horizon.extended_periods
-    ends = {0: 0.0, horizon.t_max: 0.0}  # upper bound of next, ni and post at the horizon ends
-    routes = catalog.routes
-    demands = catalog.demands
-    model.nodes_of = {r.id: route_nodes(r, network) for r in routes}
-    model.routes_on_link = {l.id: tuple(r for r in routes if l.id in r.links) for l in network.links}
+    model = TimeExpandedModel(doc)
+    config = doc.config
+    T = range(1, doc.t_max + 1)
+    T0 = range(0, doc.t_max + 1)
+    ends = {0: 0.0, doc.t_max: 0.0}  # upper bound of next, ni and post at the horizon ends
+    routes = doc.routes
+    link = {l.name: l for l in doc.links}
+    model.nodes_of = {
+        r.name: tuple(link[x].tail for x in r.links) + (link[r.links[-1]].head,) for r in routes
+    }
+    model.routes_on_link = {l.name: tuple(r for r in routes if l.name in r.links) for l in doc.links}
     model.routes_at_node = {
-        n.id: tuple(r for r in routes if n.id in model.nodes_of[r.id]) for n in network.nodes
+        n: tuple(r for r in routes if n in model.nodes_of[r.name]) for n in doc.nodes
     }
     on_link = model.routes_on_link
     at_node = model.routes_at_node
+    nodes_of = model.nodes_of
 
     for r in routes:
         for t in T:
-            model.add_variable("dep", (r.id, t), f"dep({r.name},{t})")
-    for l in network.links:
+            model.add_variable("dep", (r.name, t), f"dep({r.name},{t})")
+    for l in doc.links:
         for t in T:
-            for r in on_link[l.id]:
-                model.add_variable("direct", (l.id, t, r.id), f"direct({l.name},{t},{r.name})")
-    for l in network.links:
+            for r in on_link[l.name]:
+                model.add_variable("direct", (l.name, t, r.name), f"direct({l.name},{t},{r.name})")
+    for l in doc.links:
         for t in T0:
-            for r in on_link[l.id]:
+            for r in on_link[l.name]:
                 ub = ends.get(t, math.inf)
-                model.add_variable("next", (l.id, t, r.id), f"next({l.name},{t},{r.name})", ub=ub)
-    for n in network.nodes:
+                model.add_variable("next", (l.name, t, r.name), f"next({l.name},{t},{r.name})", ub=ub)
+    for n in doc.nodes:
         for t in T0:
-            for r in at_node[n.id]:
-                if n.id != r.destination:
+            for r in at_node[n]:
+                if n != nodes_of[r.name][-1]:
                     ub = ends.get(t, math.inf)
-                    model.add_variable("ni", (n.id, t, r.id), f"ni({n.name},{t},{r.name})", ub=ub)
-    for n in network.nodes:
+                    model.add_variable("ni", (n, t, r.name), f"ni({n},{t},{r.name})", ub=ub)
+    for n in doc.nodes:
         for t in T:
-            for r in at_node[n.id]:
-                if n.id != r.origin:
-                    model.add_variable("lag", (n.id, t, r.id), f"lag({n.name},{t},{r.name})")
-    for d in demands:
+            for r in at_node[n]:
+                if n != nodes_of[r.name][0]:
+                    model.add_variable("lag", (n, t, r.name), f"lag({n},{t},{r.name})")
+    for d in doc.demands:
         for t in T0:
-            model.add_variable("post", (d.id, t), f"post({d.name},{t})", ub=ends.get(t, math.inf))
-    for d in demands:
+            model.add_variable("post", (d.name, t), f"post({d.name},{t})", ub=ends.get(t, math.inf))
+    for d in doc.demands:
         for t in T:
-            model.add_variable("cancel_t", (d.id, t), f"cancel({d.name},{t})")
-    for d in demands:
+            model.add_variable("cancel_t", (d.name, t), f"cancel({d.name},{t})")
+    for d in doc.demands:
         model.add_variable(
             "cancel_total",
-            (d.id,),
+            (d.name,),
             f"cancel_total({d.name})",
             integer=not config.relax_integrality,
         )
-    pairs = tuple(
-        (l.id, network.sigma[l.id])
-        for l in network.links
-        if network.sigma[l.id] > l.id
-    )
-    model.single_track_pairs = pairs
+    # A pair is stated in either order; its earlier link in doc.links stands for it.
+    place = {l.name: i for i, l in enumerate(doc.links)}
+    pairs = [tuple(sorted(pair, key=place.get)) for pair in doc.single_track_pairs]
+    model.single_track_pairs = tuple(sorted(pairs, key=lambda pair: place[pair[0]]))
     if config.capacity_mode == "single_track_alt2":
-        for rep, _ in pairs:
-            lname = network.link(rep).name
+        for rep, _ in model.single_track_pairs:
             for t in T:
                 model.add_variable(
                     "dirflag_beta",
                     (rep, t),
-                    f"beta({lname},{t})",
+                    f"beta({rep},{t})",
                     ub=1.0,
                     integer=True,
                 )
 
-    max_cap = max(network.capacity.values(), default=0.0)
+    max_cap = max(doc.capacity.values(), default=0.0)
     model.big_m = config.big_m if config.big_m is not None else 10.0 * max(max_cap, 1.0)
     if model.big_m <= max_cap:
         raise ModelError(f"big M {model.big_m} must exceed the largest nominal capacity {max_cap}")
@@ -300,7 +282,7 @@ def build_variables(
 
 
 def link_usage(
-    model: TimeExpandedModel, link_id: int, t: int, train_type: Optional[int] = None
+    model: TimeExpandedModel, link: str, t: int, train_type: Optional[str] = None
 ) -> list[tuple[int, float]]:
     """Terms of a link's capacity charge in period t.
 
@@ -310,12 +292,12 @@ def link_usage(
     uses has no terms.
     """
     terms: list[tuple[int, float]] = []
-    for r in model.routes_on_link[link_id]:
+    for r in model.routes_on_link[link]:
         if train_type is not None and r.train_type != train_type:
             continue
-        terms.append((model.var("direct", link_id, t, r.id), 1.0))
-        terms.append((model.var("next", link_id, t - 1, r.id), 0.5))
-        terms.append((model.var("next", link_id, t, r.id), 0.5))
+        terms.append((model.var("direct", link, t, r.name), 1.0))
+        terms.append((model.var("next", link, t - 1, r.name), 0.5))
+        terms.append((model.var("next", link, t, r.name), 0.5))
     return terms
 
 
@@ -337,14 +319,15 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     setup row per direction, which the binary flag beta switches off through
     big M.  The capacity report derives the setup time from the flows.
     """
-    network = model.network
+    doc = model.doc
     config = model.config
-    T = model.horizon.periods
+    capacity = doc.capacity
+    T = range(1, doc.t_max + 1)
 
     heterogeneous = config.capacity_mode == "heterogeneous"
     family = "Capacity3" if heterogeneous else "Capacity1"
-    for l in network.links:
-        riding = model.routes_on_link[l.id]
+    for l in doc.links:
+        riding = model.routes_on_link[l.name]
         if not riding:
             continue
         n_types = len({r.train_type for r in riding})
@@ -352,9 +335,9 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         for t in T:
             model.add_constraint(
                 f"{family}[l={l.name},t={t}]",
-                [(idx, charge * coef) for idx, coef in link_usage(model, l.id, t)],
+                [(idx, charge * coef) for idx, coef in link_usage(model, l.name, t)],
                 "<=",
-                network.capacity[(l.id, t)],
+                capacity[(l.name, t)],
             )
 
     pairs = model.single_track_pairs
@@ -367,34 +350,32 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 
     if config.capacity_mode == "single_track_alt1":
         for rep, other in pairs:
-            lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
                 terms = link_usage(model, rep, t) + link_usage(model, other, t)
                 if not terms:
                     continue
-                rhs = 0.5 * (network.capacity[(rep, t)] + network.capacity[(other, t)])
-                model.add_constraint(f"Capacity2alt1[l={lname}/{oname},t={t}]", terms, "<=", rhs)
+                rhs = 0.5 * (capacity[(rep, t)] + capacity[(other, t)])
+                model.add_constraint(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, "<=", rhs)
     elif config.capacity_mode == "single_track_alt2":
         k, big_m = config.k_setup, model.big_m
         for rep, other in pairs:
-            lname, oname = network.link(rep).name, network.link(other).name
             for t in T:
                 own, opp = link_usage(model, rep, t), link_usage(model, other, t)
                 both = own + opp
                 if not both:
                     continue
-                cap = min(network.capacity[(rep, t)], network.capacity[(other, t)])
+                cap = min(capacity[(rep, t)], capacity[(other, t)])
                 beta = model.var("dirflag_beta", rep, t)
-                model.add_constraint(f"Capacity2alt2[l={lname}/{oname},t={t}]", both, "<=", cap)
+                model.add_constraint(f"Capacity2alt2[l={rep}/{other},t={t}]", both, "<=", cap)
                 scaled = [(idx, k * coef) for idx, coef in both]
                 model.add_constraint(
-                    f"Capacity2alt2setup[l={lname},t={t}]",
+                    f"Capacity2alt2setup[l={rep},t={t}]",
                     scaled + own + [(beta, big_m)],
                     "<=",
                     k * cap + big_m,
                 )
                 model.add_constraint(
-                    f"Capacity2alt2setup[l={oname},t={t}]",
+                    f"Capacity2alt2setup[l={other},t={t}]",
                     scaled + opp + [(beta, -big_m)],
                     "<=",
                     k * cap,
@@ -408,19 +389,20 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
     build_variables) keep periods 0 and t_max empty, so the Departure3 rows
     of a demand add up to its whole volume being departed or cancelled.
     """
-    catalog = model.catalog
+    doc = model.doc
+    T = range(1, doc.t_max + 1)
 
-    for d in catalog.demands:
-        route_ids = catalog.implements.get(d.id, ())
-        for t in model.horizon.periods:
-            terms = [(model.var("dep", rid, t), 1.0) for rid in route_ids]
-            terms.append((model.var("post", d.id, t), 1.0))
-            terms.append((model.var("post", d.id, t - 1), -1.0))
-            terms.append((model.var("cancel_t", d.id, t), 1.0))
+    for d in doc.demands:
+        routes = doc.implements.get(d.name, ())
+        for t in T:
+            terms = [(model.var("dep", r, t), 1.0) for r in routes]
+            terms.append((model.var("post", d.name, t), 1.0))
+            terms.append((model.var("post", d.name, t - 1), -1.0))
+            terms.append((model.var("cancel_t", d.name, t), 1.0))
             model.add_constraint(f"Departure3[d={d.name},t={t}]", terms, "=", d.volumes[t - 1])
-    for d in catalog.demands:
-        terms = [(model.var("cancel_t", d.id, t), 1.0) for t in model.horizon.periods]
-        terms.append((model.var("cancel_total", d.id), -1.0))
+    for d in doc.demands:
+        terms = [(model.var("cancel_t", d.name, t), 1.0) for t in T]
+        terms.append((model.var("cancel_total", d.name), -1.0))
         model.add_constraint(f"Cancel1[d={d.name}]", terms, "=", 0.0)
 
 
@@ -431,36 +413,28 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     Next arcs and node inventories are bounded to zero at both ends of the
     horizon, so every departed volume must reach its destination within the
     horizon.  Flow2 balances each timed node short of the destination:
-    departures enter the route's network at its origin.  The destination has
-    no row: what flows into it arrives.
+    departures enter the route's network at its origin, and every later node
+    is entered over the route's link before it and left over the link after
+    it (a route visits no node twice).  The destination has no row: what
+    flows into it arrives.
     """
-    network = model.network
-    catalog = model.catalog
-    T = model.horizon.periods
+    T = range(1, model.doc.t_max + 1)
 
-    for r in catalog.routes:
-        incoming: dict[int, list[int]] = {}
-        outgoing: dict[int, list[int]] = {}
-        for link_id in r.links:
-            link = network.link(link_id)
-            incoming.setdefault(link.head, []).append(link_id)
-            outgoing.setdefault(link.tail, []).append(link_id)
-        for n_id in model.nodes_of[r.id][:-1]:
-            nname = network.node(n_id).name
+    for r in model.doc.routes:
+        for k, n in enumerate(model.nodes_of[r.name][:-1]):
             for t in T:
                 terms = [
-                    (model.var("ni", n_id, t - 1, r.id), 1.0),
-                    (model.var("ni", n_id, t, r.id), -1.0),
+                    (model.var("ni", n, t - 1, r.name), 1.0),
+                    (model.var("ni", n, t, r.name), -1.0),
                 ]
-                if n_id == r.origin:
-                    terms.append((model.var("dep", r.id, t), 1.0))
-                for link_id in incoming.get(n_id, ()):
-                    terms.append((model.var("direct", link_id, t, r.id), 1.0))
-                    terms.append((model.var("next", link_id, t - 1, r.id), 1.0))
-                for link_id in outgoing.get(n_id, ()):
-                    terms.append((model.var("direct", link_id, t, r.id), -1.0))
-                    terms.append((model.var("next", link_id, t, r.id), -1.0))
-                model.add_constraint(f"Flow2[n={nname},t={t},r={r.name}]", terms, "=", 0.0)
+                if k == 0:
+                    terms.append((model.var("dep", r.name, t), 1.0))
+                else:
+                    terms.append((model.var("direct", r.links[k - 1], t, r.name), 1.0))
+                    terms.append((model.var("next", r.links[k - 1], t - 1, r.name), 1.0))
+                terms.append((model.var("direct", r.links[k], t, r.name), -1.0))
+                terms.append((model.var("next", r.links[k], t, r.name), -1.0))
+                model.add_constraint(f"Flow2[n={n},t={t},r={r.name}]", terms, "=", 0.0)
 
 
 def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...]:
@@ -491,27 +465,27 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
     link into n (the direct arc of period t and the next arc from t-1); lag
     starts at zero and its bound lag >= 0 keeps the cumulative inflow within
     reach.  At the origin departures are the inflow, so it has no lag and no
-    Pace row.
+    Pace row.  The cumulative duration to a node sums the route's link
+    durations up to it.
     """
-    network = model.network
-    T = model.horizon.periods
+    doc = model.doc
+    T = range(1, doc.t_max + 1)
 
-    for r in model.catalog.routes:
-        reach = aggregate_durations(r, network)
-        for link_id in r.links:
-            n_id = network.link(link_id).head
-            nname = network.node(n_id).name
-            spread = departure_spread(reach[n_id])
+    for r in doc.routes:
+        reach = 0.0
+        for link, n in zip(r.links, model.nodes_of[r.name][1:]):
+            reach += doc.durations[(link, r.train_type)]
+            spread = departure_spread(reach)
             for t in T:
-                terms = [(model.var("lag", n_id, t, r.id), 1.0)]
+                terms = [(model.var("lag", n, t, r.name), 1.0)]
                 if t > 1:
-                    terms.append((model.var("lag", n_id, t - 1, r.id), -1.0))
+                    terms.append((model.var("lag", n, t - 1, r.name), -1.0))
                 for offset, share in spread:
                     if t - offset >= 1:
-                        terms.append((model.var("dep", r.id, t - offset), -share))
-                terms.append((model.var("direct", link_id, t, r.id), 1.0))
-                terms.append((model.var("next", link_id, t - 1, r.id), 1.0))
-                model.add_constraint(f"Pace[n={nname},t={t},r={r.name}]", terms, "=", 0.0)
+                        terms.append((model.var("dep", r.name, t - offset), -share))
+                terms.append((model.var("direct", link, t, r.name), 1.0))
+                terms.append((model.var("next", link, t - 1, r.name), 1.0))
+                model.add_constraint(f"Pace[n={n},t={t},r={r.name}]", terms, "=", 0.0)
 
 
 def build_objective(model: TimeExpandedModel) -> None:
@@ -523,46 +497,42 @@ def build_objective(model: TimeExpandedModel) -> None:
     inflow over its last link (the direct arc of period t and the next arc
     from t-1), so both carry the weight t/V, and dep[r,t] carries -t/V.
     """
-    catalog = model.catalog
+    doc = model.doc
     config = model.config
     obj: dict[int, float] = {}
 
     def add(idx: int, coef: float) -> None:
         obj[idx] = obj.get(idx, 0.0) + coef
 
-    for d in catalog.demands:
-        add(model.var("cancel_total", d.id), config.cost_cancel)
-        for t in model.horizon.extended_periods:
-            add(model.var("post", d.id, t), config.cost_post)
+    for d in doc.demands:
+        add(model.var("cancel_total", d.name), config.cost_cancel)
+        for t in range(0, doc.t_max + 1):
+            add(model.var("post", d.name, t), config.cost_post)
 
-    total_volume = sum(demand_total(d) for d in catalog.demands)
+    total_volume = sum(sum(d.volumes) for d in doc.demands)
     if total_volume > 0:
-        for d in catalog.demands:
-            for rid in catalog.implements.get(d.id, ()):
-                last = catalog.route(rid).links[-1]
-                for t in model.horizon.periods:
-                    add(model.var("direct", last, t, rid), t / total_volume)
-                    add(model.var("next", last, t - 1, rid), t / total_volume)
-                    add(model.var("dep", rid, t), -t / total_volume)
+        last_link = {r.name: r.links[-1] for r in doc.routes}
+        for d in doc.demands:
+            for r in doc.implements.get(d.name, ()):
+                last = last_link[r]
+                for t in range(1, doc.t_max + 1):
+                    add(model.var("direct", last, t, r), t / total_volume)
+                    add(model.var("next", last, t - 1, r), t / total_volume)
+                    add(model.var("dep", r, t), -t / total_volume)
 
     model.objective = {idx: coef for idx, coef in obj.items() if coef != 0.0}
 
 
-def build_model(
-    network: Network,
-    catalog: ServiceCatalog,
-    horizon: Horizon,
-    config: ModelConfig | None = None,
-) -> TimeExpandedModel:
-    """Compose the full model; deterministic for identical inputs."""
-    if config is None:
-        config = ModelConfig()
-    if horizon.t_max != network.horizon.t_max:
-        raise ModelError(
-            f"horizon t_max {horizon.t_max} disagrees with the network capacity table"
-            f" ({network.horizon.t_max} periods)"
-        )
-    model = build_variables(network, catalog, horizon, config)
+def build_model(doc: ScenarioDocument) -> TimeExpandedModel:
+    """Compose the full model of a loaded document under doc.config.
+
+    Deterministic for identical documents.  The document's inline TCR
+    overrides must already be applied (scenario.apply_tcr), since the model
+    reads the capacity table as it stands.
+    """
+    if doc.tcr_overrides:
+        raise ModelError("apply the document's tcr_overrides before building its model")
+    model = build_variables(doc)
     emit_capacity(model)
     emit_demand_layer(model)
     emit_flow_layer(model)

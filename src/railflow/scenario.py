@@ -18,10 +18,8 @@ from typing import Container, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bnb import SolveResult, refine_to_earliest_pace, solve_mip
-from .catalog import Demand, Route, ServiceCatalog, demand_total
 from .checks import verify_solution
 from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, build_model, link_usage
-from .network import Horizon, Network, StationNode, TrackLink, TrainType
 from .simplex import NUMERICS, OPTIMAL, Tolerances
 
 
@@ -202,6 +200,12 @@ _DOCUMENT_KEYS = (
     "implements", "config", "tcr_overrides",
 )
 _CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig)) + ("pace_refinement",)
+_LINK_KEYS = ("name", "tail", "head")
+_ROUTE_KEYS = ("name", "train_type", "links")
+_DEMAND_KEYS = ("name", "origin", "destination", "train_type", "volumes")
+_CAPACITY_KEYS = ("default", "links", "cells")
+_CELL_KEYS = ("link", "period", "value")
+_TCR_KEYS = tuple(f.name for f in fields(TcrOverride))
 
 
 def _parse_config(raw: dict, errors: list[str]) -> tuple[ModelConfig, bool]:
@@ -237,6 +241,7 @@ def _parse_tcr(
     if not isinstance(raw, dict):
         errors.append(f"{position}: expected an object")
         return None
+    _unknown_keys(raw, _TCR_KEYS, f"{position}.", errors)
     override = TcrOverride(raw.get("link"), raw.get("period"), raw.get("capacity"), raw.get("scale"))
     return _checked_tcr(override, position, t_max, link_names, errors)
 
@@ -279,15 +284,16 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     A Path is read from disk; str and bytes are JSON text; a dict is the
     parsed document itself.  Raises ScenarioError listing every problem
     found, each tagged with its position in the document and naming the
-    node, link, pair, route or demand at fault.  Besides malformed values and
-    unknown names, the findings are: duplicate names; a link from a node to
-    itself or with another link's tail and head; a single-track pair whose
-    links do not run opposite, or that holds a link of another pair; a
-    negative capacity or duration, or a duration over one period; a route
-    whose links do not join, that rides a link or visits a node twice, or
-    that rides a link with no duration for its train type; a demand from a
-    node to itself or with another demand's origin, destination and train
-    type; and a stated implements map that disagrees with the match below.
+    node, link, pair, route or demand at fault.  Besides malformed values,
+    unknown fields (at any level) and unknown names, the findings are:
+    duplicate names; a link from a node to itself or with another link's
+    tail and head; a single-track pair whose links do not run opposite, or
+    that holds a link of another pair; a negative capacity or duration, or a
+    duration over one period; a route whose links do not join, that rides a
+    link or visits a node twice, or that rides a link with no duration for
+    its train type; a demand from a node to itself or with another demand's
+    origin, destination and train type; and a stated implements map that
+    disagrees with the match below.
 
     A demand is implemented by every route from its origin to its
     destination with its train type; a stated map may only reorder them.
@@ -326,8 +332,10 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
                 names[item] = None
         return names
 
-    name = str(raw.get("name", "scenario"))
-    notes = str(raw.get("notes", ""))
+    name = _name(raw.get("name", "scenario"), "name", errors)
+    notes = raw.get("notes", "")
+    if not isinstance(notes, str):
+        errors.append(f"notes: expected a string, got {notes!r}")
     period_length = need("period_length_minutes", int, 0) or 0
     if period_length <= 0:
         errors.append("period_length_minutes: must be a positive integer")
@@ -351,6 +359,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
+        _unknown_keys(item, _LINK_KEYS, f"{position}.", errors)
         tail, head = item.get("tail"), item.get("head")
         if not _known(tail, node_names):
             errors.append(f"{position}.tail: unknown node {tail!r}")
@@ -432,6 +441,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
+        _unknown_keys(item, _ROUTE_KEYS, f"{position}.", errors)
         label = item.get("train_type")
         if not _known(label, type_labels):
             errors.append(f"{position}.train_type: unknown train type {label!r}")
@@ -462,6 +472,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not isinstance(item, dict):
             errors.append(f"{position}: expected an object")
             continue
+        _unknown_keys(item, _DEMAND_KEYS, f"{position}.", errors)
         volumes = _array(item.get("volumes", ()), f"{position}.volumes", errors)
         if len(volumes) != t_max:
             counts_agree = False
@@ -505,6 +516,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         demands[dname] = DemandSpec(dname, origin, destination, label, tuple(volumes))
 
     caps_raw = _object(raw.get("capacities", {}), "capacities", errors)
+    _unknown_keys(caps_raw, _CAPACITY_KEYS, "capacities.", errors)
     per_link: dict[str, float] = {}
     for lname, value in _object(caps_raw.get("links", {}), "capacities.links", errors).items():
         position = f"capacities.links[{lname!r}]"
@@ -522,6 +534,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not isinstance(cell, dict):
             errors.append(f"{position}: expected an object")
             continue
+        _unknown_keys(cell, _CELL_KEYS, f"{position}.", errors)
         lname = cell.get("link")
         t = cell.get("period")
         if not _known(lname, links):
@@ -654,71 +667,6 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
 
 
 # ---------------------------------------------------------------------------
-# building model inputs
-# ---------------------------------------------------------------------------
-
-
-def scenario_network(doc: ScenarioDocument) -> Network:
-    types = tuple(TrainType(i + 1, label) for i, label in enumerate(doc.train_types))
-    nodes = tuple(StationNode(i + 1, n) for i, n in enumerate(doc.nodes))
-    node_id = {n.name: n.id for n in nodes}
-    links = tuple(
-        TrackLink(i + 1, node_id[l.tail], node_id[l.head], l.name)
-        for i, l in enumerate(doc.links)
-    )
-    link_id = {l.name: l.id for l in links}
-    sigma = {l.id: l.id for l in links}
-    for a, b in doc.single_track_pairs:
-        sigma[link_id[a]] = link_id[b]
-        sigma[link_id[b]] = link_id[a]
-    type_id = {t.label: t.id for t in types}
-    capacity = {
-        (link_id[lname], t): value for (lname, t), value in doc.capacity.items()
-    }
-    duration = {
-        (link_id[lname], type_id[label]): value
-        for (lname, label), value in doc.durations.items()
-    }
-    return Network(
-        train_types=types,
-        nodes=nodes,
-        links=links,
-        sigma=sigma,
-        capacity=capacity,
-        duration=duration,
-        horizon=Horizon(doc.t_max),
-    )
-
-
-def scenario_catalog(doc: ScenarioDocument, network: Network) -> ServiceCatalog:
-    node_id = {n.name: n.id for n in network.nodes}
-    link_id = {l.name: l.id for l in network.links}
-    type_id = {t.label: t.id for t in network.train_types}
-    routes = []
-    for i, spec in enumerate(doc.routes):
-        ids = tuple(link_id[x] for x in spec.links)
-        origin = network.link(ids[0]).tail
-        destination = network.link(ids[-1]).head
-        routes.append(Route(i + 1, spec.name, origin, destination, type_id[spec.train_type], ids))
-    demands = tuple(
-        Demand(
-            i + 1,
-            spec.name,
-            node_id[spec.origin],
-            node_id[spec.destination],
-            type_id[spec.train_type],
-            spec.volumes,
-        )
-        for i, spec in enumerate(doc.demands)
-    )
-    route_id = {spec.name: i + 1 for i, spec in enumerate(doc.routes)}
-    implements = {
-        d.id: tuple(route_id[r] for r in doc.implements.get(d.name, ())) for d in demands
-    }
-    return ServiceCatalog(demands=demands, routes=tuple(routes), implements=implements)
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -757,67 +705,63 @@ class DemandOutcomeReport:
 
 
 def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> CapacityUsageReport:
-    network = model.network
+    doc = model.doc
+    periods = range(1, doc.t_max + 1)
     total: dict[tuple[str, int], float] = {}
     by_type: dict[tuple[str, int, str], float] = {}
     nominal: dict[tuple[str, int], float] = {}
-    for link in network.links:
-        for t in network.horizon.periods:
-            nominal[(link.name, t)] = network.capacity[(link.id, t)]
-            for h in network.train_types:
-                by_type[(link.name, t, h.label)] = float(
-                    sum(coef * values[idx] for idx, coef in link_usage(model, link.id, t, h.id))
+    for link in doc.links:
+        for t in periods:
+            nominal[(link.name, t)] = doc.capacity[(link.name, t)]
+            for h in doc.train_types:
+                by_type[(link.name, t, h)] = float(
+                    sum(coef * values[idx] for idx, coef in link_usage(model, link.name, t, h))
                 )
-            total[(link.name, t)] = sum(
-                by_type[(link.name, t, h.label)] for h in network.train_types
-            )
+            total[(link.name, t)] = sum(by_type[(link.name, t, h)] for h in doc.train_types)
     setup: dict[tuple[str, int], float] = {}
-    setup_pairs: list[tuple[str, str]] = []
+    setup_pairs: tuple[tuple[str, str], ...] = ()
     if model.config.capacity_mode == "single_track_alt2":
-        for rep, other in model.single_track_pairs:
-            rep_name = network.link(rep).name
-            setup_pairs.append((rep_name, network.link(other).name))
-            for t in network.horizon.periods:
+        setup_pairs = model.single_track_pairs
+        for rep, other in setup_pairs:
+            for t in periods:
                 own, opp = (
-                    sum(coef * values[idx] for idx, coef in link_usage(model, link_id, t))
-                    for link_id in (rep, other)
+                    sum(coef * values[idx] for idx, coef in link_usage(model, link, t))
+                    for link in (rep, other)
                 )
-                setup[(rep_name, t)] = float(min(own, opp)) / model.config.k_setup
+                setup[(rep, t)] = float(min(own, opp)) / model.config.k_setup
     return CapacityUsageReport(
-        link_names=tuple(l.name for l in network.links),
-        t_max=network.horizon.t_max,
+        link_names=tuple(l.name for l in doc.links),
+        t_max=doc.t_max,
         total=total,
         by_type=by_type,
         nominal=nominal,
         setup=setup,
-        setup_pairs=tuple(setup_pairs),
+        setup_pairs=setup_pairs,
     )
 
 
 def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandOutcomeReport:
-    catalog = model.catalog
-    t_max = model.horizon.t_max
+    doc = model.doc
+    t_max = doc.t_max
     routes_of: dict[str, tuple[str, ...]] = {}
     departures: dict[tuple[str, str, int], float] = {}
     postponed: dict[tuple[str, int], float] = {}
     cancelled: dict[tuple[str, int], float] = {}
     cancel_total: dict[str, float] = {}
     requested: dict[str, int] = {}
-    for d in catalog.demands:
-        rids = catalog.implements.get(d.id, ())
-        routes_of[d.name] = tuple(catalog.route(r).name for r in rids)
-        for rid in rids:
-            rname = catalog.route(rid).name
+    for d in doc.demands:
+        routes_of[d.name] = tuple(doc.implements.get(d.name, ()))
+        for rname in routes_of[d.name]:
             for t in range(1, t_max + 1):
-                departures[(d.name, rname, t)] = float(values[model.var("dep", rid, t)])
+                departures[(d.name, rname, t)] = float(values[model.var("dep", rname, t)])
         for t in range(0, t_max + 1):
-            postponed[(d.name, t)] = float(values[model.var("post", d.id, t)])
+            postponed[(d.name, t)] = float(values[model.var("post", d.name, t)])
         for t in range(1, t_max + 1):
-            cancelled[(d.name, t)] = float(values[model.var("cancel_t", d.id, t)])
-        cancel_total[d.name] = float(values[model.var("cancel_total", d.id)])
-        requested[d.name] = demand_total(d)
+            cancelled[(d.name, t)] = float(values[model.var("cancel_t", d.name, t)])
+        cancel_total[d.name] = float(values[model.var("cancel_total", d.name)])
+        requested[d.name] = sum(d.volumes)
     return DemandOutcomeReport(
-        demand_names=tuple(d.name for d in catalog.demands),
+        demand_names=tuple(d.name for d in doc.demands),
         t_max=t_max,
         routes_of=routes_of,
         departures=departures,
@@ -879,12 +823,10 @@ class RunOutput(NamedTuple):
 
 
 def build_scenario_model(doc: ScenarioDocument) -> TimeExpandedModel:
-    """Network + catalog + formulation for a (TCR-applied) document."""
+    """The model of a document, after applying its inline TCR overrides."""
     if doc.tcr_overrides:
         doc = apply_tcr(doc, doc.tcr_overrides)
-    network = scenario_network(doc)
-    catalog = scenario_catalog(doc, network)
-    return build_model(network, catalog, Horizon(doc.t_max), doc.config)
+    return build_model(doc)
 
 
 def run(doc: ScenarioDocument, tolerances: Tolerances | None = None) -> RunOutput:

@@ -1,68 +1,68 @@
-"""Shared builders for hand-made networks and bare solver models."""
+"""Shared builders for small scenario documents and bare solver models."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from railflow.catalog import Demand, Route, ServiceCatalog, derive_implements
-from railflow.model import ModelConfig, TimeExpandedModel, build_model
-from railflow.network import Horizon, Network, StationNode, TrackLink, TrainType
+from railflow.model import TimeExpandedModel, build_model
+from railflow.scenario import load_scenario
 
 
-def line_network(
-    durations=(0.15, 0.20),
-    t_max=3,
-    capacity=5.0,
-    node_names=("A", "B", "C"),
-):
-    """Chain of stations with one forward link per hop and a single type."""
-    assert len(node_names) == len(durations) + 1
-    types = (TrainType(1, "reg"),)
-    nodes = tuple(StationNode(i + 1, n) for i, n in enumerate(node_names))
-    links = tuple(
-        TrackLink(i + 1, i + 1, i + 2, f"{node_names[i]}-{node_names[i + 1]}")
-        for i in range(len(durations))
-    )
-    horizon = Horizon(t_max)
-    return Network(
-        train_types=types,
-        nodes=nodes,
-        links=links,
-        sigma={l.id: l.id for l in links},
-        capacity={(l.id, t): capacity for l in links for t in horizon.periods},
-        duration={(l.id, 1): d for l, d in zip(links, durations)},
-        horizon=horizon,
-    )
-
-
-def line_catalog(network, volumes=(1, 0, 0), route_name="A-C-r1", demand_name="A-C"):
-    """One route spanning the whole line plus one demand for it."""
-    links = tuple(l.id for l in network.links)
-    route = Route(1, route_name, network.links[0].tail, network.links[-1].head, 1, links)
-    demand = Demand(1, demand_name, route.origin, route.destination, 1, tuple(volumes))
-    return ServiceCatalog((demand,), (route,), derive_implements((demand,), (route,)))
-
-
-def line_model(
+def line_raw(
     durations=(0.15, 0.20),
     volumes=(1, 0, 0),
     t_max=3,
     capacity=5.0,
-    config=None,
     node_names=None,
+    route_name="A-C-r1",
+    demand_name="A-C",
 ):
-    if node_names is None:
-        node_names = tuple("ABCDEFG"[: len(durations) + 1])
-    network = line_network(
-        durations=durations, t_max=t_max, capacity=capacity, node_names=node_names
-    )
-    catalog = line_catalog(network, volumes=volumes)
-    return build_model(network, catalog, network.horizon, config or ModelConfig())
+    """Document of a chain of stations with one forward link per hop and a
+    single type, one route spanning the whole line and one demand for it.
+
+    Links are named after their ends ("A-B"); durations are period fractions.
+    """
+    nodes = node_names or tuple("ABCDEFG"[: len(durations) + 1])
+    assert len(nodes) == len(durations) + 1
+    links = [f"{a}-{b}" for a, b in zip(nodes, nodes[1:])]
+    return {
+        "name": "line",
+        "period_length_minutes": 60,
+        "horizon": t_max,
+        "train_types": ["reg"],
+        "nodes": list(nodes),
+        "links": [{"name": x, "tail": a, "head": b} for x, a, b in zip(links, nodes, nodes[1:])],
+        "capacities": {"default": capacity},
+        "durations": {x: {"reg": d} for x, d in zip(links, durations)},
+        "routes": [{"name": route_name, "train_type": "reg", "links": links}],
+        "demands": [
+            {
+                "name": demand_name,
+                "origin": nodes[0],
+                "destination": nodes[-1],
+                "train_type": "reg",
+                "volumes": list(volumes),
+            }
+        ],
+    }
+
+
+def line_doc(**kwargs):
+    """line_raw's document, loaded (and so checked) by load_scenario."""
+    return load_scenario(line_raw(**kwargs))
+
+
+def line_model(config=None, **kwargs):
+    """Model of line_doc(**kwargs), under config if one is given."""
+    doc = line_doc(**kwargs)
+    return build_model(doc if config is None else replace(doc, config=config))
 
 
 def bare_model() -> TimeExpandedModel:
     """Empty shell for synthetic LP/MIP tests that bypass the railway layers."""
-    return TimeExpandedModel(network=None, catalog=None, horizon=None, config=None)
+    return TimeExpandedModel()
 
 
 def synthetic_model(c, rows, *, integer=(), ub=None):
@@ -79,30 +79,32 @@ def synthetic_model(c, rows, *, integer=(), ub=None):
     return model
 
 
-def inflow(model, values, node_id, t, route):
-    """Volume of a route reaching one of its nodes in period t.
+def inflow(model, values, node, t, route):
+    """Volume of a named route reaching one of its nodes in period t.
 
     Departures at the origin; elsewhere the route's link into the node, direct
     within t plus the crossing from t - 1.
     """
-    if node_id == route.origin:
-        return values[model.var("dep", route.id, t)]
-    link_id = next(l for l in route.links if model.network.link(l).head == node_id)
-    return values[model.var("direct", link_id, t, route.id)] + values[
-        model.var("next", link_id, t - 1, route.id)
+    route = next(r for r in model.doc.routes if r.name == route)
+    k = model.nodes_of[route.name].index(node)
+    if k == 0:
+        return values[model.var("dep", route.name, t)]
+    link = route.links[k - 1]
+    return values[model.var("direct", link, t, route.name)] + values[
+        model.var("next", link, t - 1, route.name)
     ]
 
 
-def usage(model, values, link_id, t, route_ids=None):
-    """Capacity charge of one link and period: direct plus half of each crossing."""
-    routes = model.catalog.routes if route_ids is None else [
-        model.catalog.route(r) for r in route_ids
-    ]
+def usage(model, values, link, t, routes=None):
+    """Capacity charge of one link and period: direct plus half of each crossing.
+
+    routes names the routes to count; None counts every route.
+    """
     total = 0.0
-    for r in routes:
-        if link_id not in r.links:
+    for r in model.doc.routes:
+        if (routes is not None and r.name not in routes) or link not in r.links:
             continue
-        total += values[model.var("direct", link_id, t, r.id)]
-        total += 0.5 * values[model.var("next", link_id, t - 1, r.id)]
-        total += 0.5 * values[model.var("next", link_id, t, r.id)]
+        total += values[model.var("direct", link, t, r.name)]
+        total += 0.5 * values[model.var("next", link, t - 1, r.name)]
+        total += 0.5 * values[model.var("next", link, t, r.name)]
     return total

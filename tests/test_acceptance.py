@@ -50,13 +50,9 @@ def test_criterion_1_worked_pacing_example(three_station_run):
     with criterion(1, "one-route pacing example reproduces the worked capacity usage"):
         model, values = output.model, output.result.values
         assert output.result.status == OPTIMAL
-        a_b = model.network.link_named("A-B").id
-        b_c = model.network.link_named("B-C").id
-        assert usage(model, values, a_b, 1) == pytest.approx(0.925, abs=1e-6)
-        assert usage(model, values, b_c, 2) == pytest.approx(0.25, abs=1e-6)
-        route = model.catalog.route_named("A-C-r1")
-        c = model.network.node_named("C").id
-        arrived_first_period = inflow(model, values, c, 1, route)
+        assert usage(model, values, "A-B", 1) == pytest.approx(0.925, abs=1e-6)
+        assert usage(model, values, "B-C", 2) == pytest.approx(0.25, abs=1e-6)
+        arrived_first_period = inflow(model, values, "C", 1, "A-C-r1")
         assert arrived_first_period <= 0.65 + 1e-9
         assert wall < 1.0
 
@@ -87,13 +83,13 @@ def test_criterion_2_fixture_base_and_tcr(base_run, tcr_run):
 def _setup_invariant(output, feas=1e-6):
     model, values = output.model, output.result.values
     for rep, other in model.single_track_pairs:
-        for t in model.horizon.periods:
-            w = output.capacity.setup[(model.network.link(rep).name, t)]
+        for t in range(1, model.doc.t_max + 1):
+            w = output.capacity.setup[(rep, t)]
             own = usage(model, values, rep, t)
             opp = usage(model, values, other, t)
             assert w >= min(own, opp) - feas
-            for link_id in (rep, other):
-                cap = model.network.capacity[(link_id, t)]
+            for link in (rep, other):
+                cap = model.doc.capacity[(link, t)]
                 assert own + opp + w <= cap + 1e-9
 
 

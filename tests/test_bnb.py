@@ -5,8 +5,8 @@ import pytest
 
 from railflow import bnb
 from railflow.bnb import refine_to_earliest_pace, solve_mip
-from railflow.catalog import Demand, Route, ServiceCatalog
 from railflow.model import ModelConfig, build_model
+from railflow.scenario import load_scenario
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -16,7 +16,7 @@ from railflow.simplex import (
     LpSolution,
     Tolerances,
 )
-from support import inflow, line_network, line_model, synthetic_model
+from support import inflow, line_model, line_raw, synthetic_model
 
 
 def enumerate_mip_min(c, rows, ub):
@@ -73,15 +73,13 @@ def test_single_binary_branches_to_the_best_child():
 
 
 def test_forced_cancellation_is_integral_and_expensive():
-    net = line_network(durations=(0.25,), node_names=("A", "B"), t_max=3)
     # the only route runs A->B; this demand asks for the reverse direction
-    route = Route(1, "A-B-r1", 1, 2, 1, (1,))
-    demand = Demand(1, "B-A", 2, 1, 1, (1, 1, 0))
-    catalog = ServiceCatalog((demand,), (route,), {1: ()})
-    model = build_model(net, catalog, net.horizon, ModelConfig())
+    raw = line_raw(durations=(0.25,), volumes=(1, 1, 0), route_name="A-B-r1", demand_name="B-A")
+    raw["demands"][0].update(origin="B", destination="A")
+    model = build_model(load_scenario(raw))
     result = solve_mip(model)
     assert result.status == OPTIMAL
-    total = result.value(model, "cancel_total", 1)
+    total = result.value(model, "cancel_total", "B-A")
     assert total == pytest.approx(2.0)
     assert abs(total - round(total)) <= 1e-6
     assert result.objective >= 2000.0 - 1e-6
@@ -99,7 +97,7 @@ def test_relaxation_bounds_the_integral_optimum():
     assert relaxed_result.objective <= strict_result.objective + 1e-9
     assert strict_result.objective == pytest.approx(1000.0)
     assert relaxed_result.objective < 999.0
-    cancel = strict_result.value(strict, "cancel_total", 1)
+    cancel = strict_result.value(strict, "cancel_total", "A-C")
     assert abs(cancel - round(cancel)) <= 1e-6
 
 
@@ -220,14 +218,13 @@ def test_pace_objective_weights_each_nodes_inflow_by_its_period():
     # The flow terms of the pace stage are sum over route nodes n and periods
     # t of t * (volume entering n in t), written on departures and link arcs.
     model = line_model(durations=(0.15, 0.20, 0.3), t_max=4, volumes=(1, 1, 0, 0))
-    route = model.catalog.routes[0]
     values = np.random.default_rng(5).uniform(0.0, 1.0, len(model.variables))
     flows = {"dep", "direct", "next"}
     pace = bnb._pace_objective(model)
     got = sum(w * values[idx] for idx, w in pace.items() if model.variables[idx].ref.kind in flows)
     expected = sum(
-        t * inflow(model, values, n, t, route)
-        for n in model.nodes_of[route.id]
-        for t in model.horizon.periods
+        t * inflow(model, values, n, t, "A-C-r1")
+        for n in model.nodes_of["A-C-r1"]
+        for t in range(1, model.doc.t_max + 1)
     )
     assert got == pytest.approx(expected, rel=1e-12)

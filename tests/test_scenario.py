@@ -4,25 +4,25 @@ import tracemalloc
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from railflow.cli import main
 from railflow.model import ModelConfig, ModelError
-from railflow.network import is_single_track
 from railflow.scenario import (
     ScenarioError,
     TcrOverride,
     apply_tcr,
+    build_demand_report,
     build_scenario_model,
     load_scenario,
     report_capacity_csv,
     report_demand_csv,
     run,
-    scenario_network,
 )
 
-from support import inflow
+from support import inflow, line_doc, line_raw
 
 
 def test_fixture_inventory(small_doc):
@@ -34,13 +34,31 @@ def test_fixture_inventory(small_doc):
     assert small_doc.t_max == 7
 
 
-def test_fixture_coupling(small_doc):
-    net = scenario_network(small_doc)
-    fh = net.link_named("F-H")
-    hf = net.link_named("H-F")
-    assert is_single_track(net, fh.id) and is_single_track(net, hf.id)
-    assert net.sigma[fh.id] == hf.id
-    assert not is_single_track(net, net.link_named("A-C").id)
+def test_implementing_routes(small_doc):
+    assert set(small_doc.implements["E-F-p"]) == {"E-F-p1", "E-F-p2"}
+    assert small_doc.implements["D-G-f"] == ("D-G-f1",)
+
+
+def test_unservable_demand_has_no_routes():
+    # the demand runs opposite to the only route, so nothing implements it
+    raw = line_raw(demand_name="C-A")
+    raw["demands"][0].update(origin="C", destination="A")
+    assert load_scenario(raw).implements == {"C-A": ()}
+
+
+def test_requested_volume_is_the_sum_of_the_volumes(small_doc):
+    model = build_scenario_model(small_doc)
+    report = build_demand_report(model, np.zeros(len(model.variables)))
+    assert report.requested == {d.name: sum(d.volumes) for d in small_doc.demands}
+    assert report.requested["A-H-f"] == 6
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
+def test_requested_volume_of_a_line(volumes):
+    doc = line_doc(volumes=tuple(volumes), t_max=len(volumes))
+    model = build_scenario_model(doc)
+    report = build_demand_report(model, np.zeros(len(model.variables)))
+    assert report.requested == {"A-C": sum(volumes)}
 
 
 def test_route_with_unknown_link_is_a_load_error(scenario_dir):
@@ -187,13 +205,11 @@ def test_intermediate_node_flow_detail(three_station_run):
     # continues into the next period, nothing stands at B
     output, _ = three_station_run
     model, values = output.model, output.result.values
-    b = model.network.node_named("B").id
-    b_c = model.network.link_named("B-C").id
-    route = model.catalog.route_named("A-C-r1")
-    assert inflow(model, values, b, 1, route) == pytest.approx(0.85, abs=1e-9)
-    assert values[model.var("direct", b_c, 1, route.id)] == pytest.approx(0.65, abs=1e-9)
-    assert values[model.var("next", b_c, 1, route.id)] == pytest.approx(0.20, abs=1e-9)
-    assert values[model.var("ni", b, 1, route.id)] == pytest.approx(0.0, abs=1e-9)
+    route = "A-C-r1"
+    assert inflow(model, values, "B", 1, route) == pytest.approx(0.85, abs=1e-9)
+    assert values[model.var("direct", "B-C", 1, route)] == pytest.approx(0.65, abs=1e-9)
+    assert values[model.var("next", "B-C", 1, route)] == pytest.approx(0.20, abs=1e-9)
+    assert values[model.var("ni", "B", 1, route)] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tightening_capacity_never_improves_the_objective(three_station_doc):
@@ -410,22 +426,29 @@ def test_absurd_horizon_reported_before_the_capacity_table_is_filled(scenario_di
     assert "demands[0]: expected 1000000 per-period volumes, got 3" in err.value.errors
 
 
-@pytest.mark.parametrize(
-    "keys, value",
-    [
-        # typos: the first ran the file's own capacity mode, the second dropped the closure
-        (("config", "capacity_mdoe"), "single_track_alt1"),
-        (("tcr_override",), [{"link": "A-B", "capacity": 0}]),
-        # fields that no longer exist
-        (("config", "arrival_slack"), 1.0),
-        (("config", "include_arrival_accounting"), True),
-    ],
-    ids=["config.capacity_mdoe", "tcr_override", "config.arrival_slack", "config.include_arrival_accounting"],
-)
-def test_unknown_fields_rejected_at_load(scenario_dir, tmp_path, capsys, keys, value):
+UNKNOWN_FIELDS = {
+    # typos: the first ran the file's own capacity mode, the second dropped the closure
+    "config.capacity_mdoe": _put(("config", "capacity_mdoe"), "single_track_alt1"),
+    "tcr_override": _put(("tcr_override",), [{"link": "A-B", "capacity": 0}]),
+    # fields that no longer exist
+    "config.arrival_slack": _put(("config", "arrival_slack"), 1.0),
+    "config.include_arrival_accounting": _put(("config", "include_arrival_accounting"), True),
+    # in nested objects: a misspelt name took the default name ("A-B",
+    # "route-0") in silence, a misspelt cell value set the cell to 0, and a
+    # misspelt override period applied the override to every period
+    "links[0].nmae": _put(("links", 0, "nmae"), "A-to-B"),
+    "routes[0].nmae": _put(("routes", 0, "nmae"), "r1"),
+    "demands[0].volume": _put(("demands", 0, "volume"), [1, 0, 0]),
+    "capacities.defualt": _put(("capacities", "defualt"), 3),
+    "capacities.cells[0].vaule": _put(("capacities", "cells"), [{"link": "A-B", "period": 1, "vaule": 2}]),
+    "tcr_overrides[0].perod": _put(("tcr_overrides",), [{"link": "A-B", "capacity": 1, "perod": 2}]),
+}
+
+
+@pytest.mark.parametrize("position", list(UNKNOWN_FIELDS))
+def test_unknown_fields_rejected_at_load(scenario_dir, tmp_path, capsys, position):
     raw = json.loads((scenario_dir / "three_station_line.json").read_text())
-    _put(keys, value)(raw)
-    position = ".".join(keys)
+    UNKNOWN_FIELDS[position](raw)
     with pytest.raises(ScenarioError) as err:
         load_scenario(raw)
     assert [line for line in err.value.errors if line.startswith(f"{position}: unknown field")]
@@ -434,6 +457,33 @@ def test_unknown_fields_rejected_at_load(scenario_dir, tmp_path, capsys, keys, v
     path.write_text(json.dumps(raw))
     assert main(["solve", "--scenario", str(path)]) == 1
     assert f"error: {position}: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, finding",
+    [
+        ("name", None, "name: expected a name, got None"),
+        ("name", "", "name: expected a name, got ''"),
+        ("name", "my line", "name: name 'my line' must not contain whitespace or a comma"),
+        ("notes", ["x"], "notes: expected a string, got ['x']"),
+        ("notes", None, "notes: expected a string, got None"),
+    ],
+    ids=["name-null", "name-empty", "name-space", "notes-list", "notes-null"],
+)
+def test_name_and_notes_checked_at_load(scenario_dir, key, value, finding):
+    # The name lands in the MPS NAME line; neither is turned into a string.
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw[key] = value
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert err.value.errors == [finding]
+
+
+def test_name_and_notes_default(scenario_dir):
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    del raw["name"], raw["notes"]
+    doc = load_scenario(raw)
+    assert (doc.name, doc.notes) == ("scenario", "")
 
 
 @pytest.mark.parametrize(
