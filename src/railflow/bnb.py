@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import INTEGRALITY
 from .model import TimeExpandedModel
 from .simplex import (
     INFEASIBLE,
@@ -32,6 +33,8 @@ from .simplex import (
     solve_face_lp,
     solve_model_lp,
 )
+
+MIP_GAP = 1e-6  # relative gap between incumbent and best bound that proves optimality
 
 
 @dataclass
@@ -100,7 +103,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         if solution.objective >= incumbent_obj - 1e-12:
             return
         fractional = [
-            idx for idx in int_vars if abs(values[idx] - round(values[idx])) > tol.integrality
+            idx for idx in int_vars if abs(values[idx] - round(values[idx])) > INTEGRALITY
         ]
         if not fractional:
             incumbent, incumbent_obj, incumbent_tableau = values, solution.objective, tableau
@@ -138,7 +141,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     while heap:
         bound, _, branch = heap[0]
         best_bound = bound
-        if incumbent is not None and _relative_gap(incumbent_obj, bound) <= tol.mip_gap:
+        if incumbent is not None and _relative_gap(incumbent_obj, bound) <= MIP_GAP:
             break
         heapq.heappop(heap)
         if nodes >= tol.max_nodes:
@@ -164,7 +167,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     elif not heap:
         best_bound = incumbent_obj
     gap = _relative_gap(incumbent_obj, best_bound)
-    status = stopped or (OPTIMAL if gap <= tol.mip_gap else ITERATION_LIMIT)
+    status = stopped or (OPTIMAL if gap <= MIP_GAP else ITERATION_LIMIT)
     values = incumbent.copy()
     values[np.abs(values) < 1e-11] = 0.0
     for idx in int_vars:

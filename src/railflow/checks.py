@@ -14,6 +14,10 @@ import numpy as np
 
 from .model import LinearConstraint, TimeExpandedModel
 
+# Defaults suit data made of small integers and fractions.
+FEASIBILITY = 1e-7  # largest row or bound breach a solution may show
+INTEGRALITY = 1e-6  # largest distance of an integer variable from an integer
+
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -90,8 +94,8 @@ def max_violation_by_family(model: TimeExpandedModel, values: np.ndarray) -> dic
 def verify_solution(
     model: TimeExpandedModel,
     values: np.ndarray,
-    feasibility: float = 1e-7,
-    integrality: float | None = 1e-6,
+    feasibility: float = FEASIBILITY,
+    integrality: float | None = INTEGRALITY,
 ) -> list[str]:
     """All constraint, bound and integrality breaches beyond the tolerances."""
     issues: list[str] = []

@@ -51,17 +51,14 @@ class ModelConfig:
     in (0, 1], prices a direction change on a single-track pair in
     single_track_alt2: it takes min(own, opp) / k_setup of setup time, where
     own and opp are the two directional usages; 1.0 makes the setup equal
-    the lower of the two.  big_m is the constant by which the direction flag
-    switches off a setup row there (default 10 x the largest capacity).
-    cost_cancel and cost_post price a cancelled and a postponed volume
-    against the mean travel time (see build_objective); relax_integrality
-    solves the LP relaxation.
+    the lower of the two.  cost_cancel and cost_post price a cancelled and a
+    postponed volume against the mean travel time (see build_objective);
+    relax_integrality solves the LP relaxation.
     """
 
     capacity_mode: str = "basic"
     k_het: float = 0.25
     k_setup: float = 1.0
-    big_m: Optional[float] = None
     cost_cancel: float = 1000.0
     cost_post: float = 20.0
     relax_integrality: bool = False
@@ -69,9 +66,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.capacity_mode not in CAPACITY_MODES:
             raise ModelError(f"unknown capacity mode {self.capacity_mode!r}")
-        for name in ("k_het", "k_setup", "big_m", "cost_cancel", "cost_post"):
+        for name in ("k_het", "k_setup", "cost_cancel", "cost_post"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ModelError(f"{name} must be finite, got {value}")
         if self.k_het < 0:
             raise ModelError("k_het must be >= 0")
@@ -125,7 +122,6 @@ class TimeExpandedModel:
         self.variables: list[ModelVariable] = []
         self.constraints: list[LinearConstraint] = []
         self.objective: dict[int, float] = {}
-        self.big_m: float = 0.0
         # (earlier link, later link) of each single-track pair, ordered by
         # the earlier link's place in doc.links
         self.single_track_pairs: tuple[tuple[str, str], ...] = ()
@@ -268,11 +264,6 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
                     ub=1.0,
                     integer=True,
                 )
-
-    max_cap = max(doc.capacity.values(), default=0.0)
-    model.big_m = config.big_m if config.big_m is not None else 10.0 * max(max_cap, 1.0)
-    if model.big_m <= max_cap:
-        raise ModelError(f"big M {model.big_m} must exceed the largest nominal capacity {max_cap}")
     return model
 
 
@@ -317,7 +308,9 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     w >= (own - M (1 - beta)) / k, w >= (opp - M beta) / k, w >= 0 and
     own + opp + w <= c leaves, exactly, the pair row own + opp <= c and one
     setup row per direction, which the binary flag beta switches off through
-    big M.  The capacity report derives the setup time from the flows.
+    big M, 10 x the largest capacity of the network (at least 10; the
+    loader keeps it in float range, scenario.apply_tcr).  The capacity report
+    derives the setup time from the flows.
     """
     doc = model.doc
     config = model.config
@@ -357,7 +350,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 rhs = 0.5 * (capacity[(rep, t)] + capacity[(other, t)])
                 model.add_constraint(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, "<=", rhs)
     elif config.capacity_mode == "single_track_alt2":
-        k, big_m = config.k_setup, model.big_m
+        k, big_m = config.k_setup, 10.0 * max(max(capacity.values(), default=0.0), 1.0)
         for rep, other in pairs:
             for t in T:
                 own, opp = link_usage(model, rep, t), link_usage(model, other, t)

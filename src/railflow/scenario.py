@@ -2,8 +2,8 @@
 
 A scenario is a single JSON document naming the network, capacities,
 traversal durations, routes, demands, solver configuration and optional
-temporary capacity restrictions (TCRs).  Durations may be given in minutes
-(converted with the period length) or directly as period fractions.
+temporary capacity restrictions (TCRs).  Durations are given in minutes and
+converted to period fractions with the period length.
 """
 
 from __future__ import annotations
@@ -196,15 +196,14 @@ def _unknown_keys(raw: dict, known: Sequence[str], prefix: str, errors: list[str
 
 _DOCUMENT_KEYS = (
     "name", "notes", "period_length_minutes", "horizon", "train_types", "nodes", "links",
-    "single_track_pairs", "capacities", "durations", "durations_minutes", "routes", "demands",
-    "implements", "config", "tcr_overrides",
+    "single_track_pairs", "capacities", "durations_minutes", "routes", "demands", "config",
+    "tcr_overrides",
 )
 _CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig)) + ("pace_refinement",)
 _LINK_KEYS = ("name", "tail", "head")
 _ROUTE_KEYS = ("name", "train_type", "links")
 _DEMAND_KEYS = ("name", "origin", "destination", "train_type", "volumes")
-_CAPACITY_KEYS = ("default", "links", "cells")
-_CELL_KEYS = ("link", "period", "value")
+_CAPACITY_KEYS = ("default", "links")
 _TCR_KEYS = tuple(f.name for f in fields(TcrOverride))
 
 
@@ -224,7 +223,6 @@ def _parse_config(raw: dict, errors: list[str]) -> tuple[ModelConfig, bool]:
             capacity_mode=mode,
             k_het=number("k_het", 0.25),
             k_setup=number("k_setup", 1.0),
-            big_m=(number("big_m", 0.0) if raw.get("big_m") is not None else None),
             cost_cancel=number("cost_cancel", 1000.0),
             cost_post=number("cost_post", 20.0),
             relax_integrality=_flag(raw, "relax_integrality", False, errors),
@@ -292,11 +290,11 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     duration over one period; a route whose links do not join, that rides a
     link or visits a node twice, or that rides a link with no duration for
     its train type; a demand from a node to itself or with another demand's
-    origin, destination and train type; and a stated implements map that
-    disagrees with the match below.
+    origin, destination and train type; and a capacity table, after the
+    inline TCRs, that is too large for a float (apply_tcr).
 
     A demand is implemented by every route from its origin to its
-    destination with its train type; a stated map may only reorder them.
+    destination with its train type, in document order (doc.implements).
     """
     if isinstance(source, Path):
         raw = json.loads(source.read_text())
@@ -406,29 +404,26 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             pairs.append((a.name, b.name))
 
     durations: dict[tuple[str, str], float] = {}
-    in_minutes = "durations_minutes" in raw
-    if in_minutes and "durations" in raw:
-        errors.append("durations: give either durations or durations_minutes, not both")
-    table = raw.get("durations_minutes", raw.get("durations", {}))
+    table = raw.get("durations_minutes", {})
     if not isinstance(table, dict):
-        errors.append("durations: expected an object keyed by link name")
+        errors.append("durations_minutes: expected an object keyed by link name")
         table = {}
     for lname, per_type in table.items():
         if lname not in links:
-            errors.append(f"durations[{lname!r}]: unknown link")
+            errors.append(f"durations_minutes[{lname!r}]: unknown link")
             continue
         if not isinstance(per_type, dict):
-            errors.append(f"durations[{lname!r}]: expected an object keyed by train type")
+            errors.append(f"durations_minutes[{lname!r}]: expected an object keyed by train type")
             continue
         for label, value in per_type.items():
-            position = f"durations[{lname!r}][{label!r}]"
+            position = f"durations_minutes[{lname!r}][{label!r}]"
             if label not in type_labels:
                 errors.append(f"{position}: unknown train type")
                 continue
             value = _number(value, position, errors)
             if value < 0:
                 errors.append(f"{position}: duration {value} must be >= 0")
-            periods = value / period_length if in_minutes else value
+            periods = value / period_length
             if periods > 1.0 + 1e-12:
                 errors.append(
                     f"{position}: takes {periods} periods; a traversal must fit in one period"
@@ -466,7 +461,6 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     demands: dict[str, DemandSpec] = {}
     demand_of_triple: dict[tuple[str, str, str], str] = {}
-    counts_agree = True
     for i, item in enumerate(_array(raw.get("demands", ()), "demands", errors)):
         position = f"demands[{i}]"
         if not isinstance(item, dict):
@@ -475,7 +469,6 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         _unknown_keys(item, _DEMAND_KEYS, f"{position}.", errors)
         volumes = _array(item.get("volumes", ()), f"{position}.volumes", errors)
         if len(volumes) != t_max:
-            counts_agree = False
             errors.append(f"{position}: expected {t_max} per-period volumes, got {len(volumes)}")
             continue
         dname = _name(item.get("name", f"demand-{i}"), position, errors)
@@ -528,39 +521,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     if default_cap is not None:
         users = [x for x in links if x not in per_link]
         default_cap = _capacity(default_cap, "capacities.default", f"links {users}", errors)
-    cells: list[tuple[str, int, float]] = []
-    for i, cell in enumerate(_array(caps_raw.get("cells", ()), "capacities.cells", errors)):
-        position = f"capacities.cells[{i}]"
-        if not isinstance(cell, dict):
-            errors.append(f"{position}: expected an object")
-            continue
-        _unknown_keys(cell, _CELL_KEYS, f"{position}.", errors)
-        lname = cell.get("link")
-        t = cell.get("period")
-        if not _known(lname, links):
-            errors.append(f"{position}.link: unknown link {lname!r}")
-            continue
-        if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= t_max:
-            errors.append(f"{position}: period {t!r} outside horizon 1..{t_max}")
-            continue
-        subject = f"link {lname!r} in period {t}"
-        cells.append((lname, t, _capacity(cell.get("value", 0.0), f"{position}.value", subject, errors)))
-    capacity: dict[tuple[str, int], float] = {}
-    # A horizon that disagrees with the volume counts may be absurd; filling
-    # the table for it could take any amount of time and memory.
-    if counts_agree:
-        for lname in links:
-            base = per_link.get(lname, default_cap)
-            if base is None:
-                continue  # cells may still cover this link completely
-            for t in range(1, t_max + 1):
-                capacity[(lname, t)] = base
-        for lname, t, value in cells:
-            capacity[(lname, t)] = value
-        for lname in links:
-            missing = [t for t in range(1, t_max + 1) if (lname, t) not in capacity]
-            if missing:
-                errors.append(f"capacities: no value for link {lname!r} in periods {missing}")
+    for lname in links:
+        if per_link.setdefault(lname, default_cap) is None:
+            errors.append(f"capacities: no value for link {lname!r}")
 
     routes_of: dict[tuple[str, str, str], tuple[str, ...]] = {}
     for r in routes.values():
@@ -569,30 +532,6 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     matching = {
         d.name: routes_of.get((d.origin, d.destination, d.train_type), ()) for d in demands.values()
     }
-    implements_raw = raw.get("implements")
-    stated: dict[str, tuple[str, ...]] = {}
-    if implements_raw is not None:
-        if not isinstance(implements_raw, dict):
-            errors.append("implements: expected an object keyed by demand name")
-        else:
-            found = len(errors)
-            for dname, rnames in implements_raw.items():
-                if dname not in demands:
-                    errors.append(f"implements[{dname!r}]: unknown demand")
-                    continue
-                stated[dname] = tuple(_array(rnames, f"implements[{dname!r}]", errors))
-                for k, x in enumerate(stated[dname]):
-                    if not _known(x, routes):
-                        errors.append(f"implements[{dname!r}][{k}]: unknown route {x!r}")
-            if stated and len(errors) == found:
-                for dname, rnames in matching.items():
-                    given = stated.get(dname, ())
-                    if sorted(given) != sorted(rnames):
-                        errors.append(
-                            f"implements[{dname!r}]: states routes {list(given)}, but routes"
-                            f" {list(rnames)} match demand {dname!r} by origin, destination"
-                            " and train type"
-                        )
 
     config_raw = raw.get("config")
     config_raw = {} if config_raw is None else _object(config_raw, "config", errors)
@@ -607,6 +546,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     if errors:
         raise ScenarioError(errors)
 
+    # Only now is the capacity table filled: a horizon that disagreed with the
+    # volume counts may have been absurd, and filling it could take any memory.
+    periods = range(1, t_max + 1)
     doc = ScenarioDocument(
         name=name,
         period_length_minutes=period_length,
@@ -615,44 +557,34 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         nodes=tuple(node_names),
         links=tuple(links.values()),
         single_track_pairs=tuple(pairs),
-        capacity=capacity,
+        capacity={(lname, t): per_link[lname] for lname in links for t in periods},
         durations=durations,
         routes=tuple(routes.values()),
         demands=tuple(demands.values()),
-        implements={dname: stated.get(dname, rnames) for dname, rnames in matching.items()},
+        implements=matching,
         config=config,
         pace_refinement=pace,
         tcr_overrides=tuple(tcrs),
         notes=notes,
     )
 
-    largest = max(apply_tcr(doc, doc.tcr_overrides).capacity.values(), default=0.0)
-    if not math.isfinite(largest):
-        errors.append("tcr_overrides: a scaled capacity is too large for a float")
-    elif config.big_m is not None and config.big_m <= largest:
-        errors.append(
-            f"config.big_m: {config.big_m} must exceed the largest capacity {largest}"
-            " (after inline TCRs)"
-        )
-    elif config.big_m is None and not math.isfinite(10.0 * largest):
-        errors.append(
-            f"capacities: the default big M, 10 x the largest capacity {largest},"
-            " is too large for a float; set config.big_m"
-        )
-    if errors:
-        raise ScenarioError(errors)
+    apply_tcr(doc, ())  # the capacity table must stay in float range after the inline TCRs
     return doc
 
 
 def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> ScenarioDocument:
-    """New document with the nominal capacity replaced at the listed cells.
+    """New document with its inline TCRs, then the listed ones, applied in order.
 
-    The returned document has its inline override list cleared (the edits are
-    now part of the capacity table); everything else is untouched.
+    The listed overrides continue the document's own list: a scale applies
+    to the capacity that the overrides before it left.  The returned
+    document has its inline override list cleared (the edits are now part of
+    the capacity table); everything else is untouched.  Raises ScenarioError
+    for an invalid override, and for a table whose largest capacity, times 10
+    (the big M of single_track_alt2, model.emit_capacity), overflows a float.
     """
     link_names = {l.name for l in doc.links}
     capacity = dict(doc.capacity)
-    for i, o in enumerate(overrides):
+    for i, o in enumerate((*doc.tcr_overrides, *overrides)):
         errors: list[str] = []
         o = _checked_tcr(o, f"tcr_overrides[{i}]", doc.t_max, link_names, errors)
         if o is None:
@@ -663,6 +595,12 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
                 capacity[(o.link, t)] = o.capacity
             else:
                 capacity[(o.link, t)] = capacity[(o.link, t)] * o.scale
+    largest = max(capacity.values(), default=0.0)
+    if not math.isfinite(10.0 * largest):
+        raise ScenarioError([
+            f"capacities: the largest capacity after the TCRs, {largest}, is too large for a float"
+            " (single_track_alt2 takes 10 x it as its big M)"
+        ])
     return replace(doc, capacity=capacity, tcr_overrides=())
 
 
@@ -824,9 +762,7 @@ class RunOutput(NamedTuple):
 
 def build_scenario_model(doc: ScenarioDocument) -> TimeExpandedModel:
     """The model of a document, after applying its inline TCR overrides."""
-    if doc.tcr_overrides:
-        doc = apply_tcr(doc, doc.tcr_overrides)
-    return build_model(doc)
+    return build_model(apply_tcr(doc, ()))
 
 
 def run(doc: ScenarioDocument, tolerances: Tolerances | None = None) -> RunOutput:
@@ -844,7 +780,7 @@ def run(doc: ScenarioDocument, tolerances: Tolerances | None = None) -> RunOutpu
     result.tableau = None
     if result.status != OPTIMAL or result.values is None:
         return RunOutput(result, None, None, model)
-    if verify_solution(model, result.values, tol.feasibility, tol.integrality):
+    if verify_solution(model, result.values):
         return RunOutput(replace(result, status=NUMERICS), None, None, model)
     capacity = build_capacity_report(model, result.values)
     demands = build_demand_report(model, result.values)

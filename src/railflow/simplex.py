@@ -1,7 +1,7 @@
 """Standard-form conversion and a dense two-phase primal simplex.
 
-The converter folds singleton rows and fixed variables into bounds exactly
-(no tolerance-based presolve), shifts variables by their lower bounds so every
+The converter moves fixed variables to the right-hand side exactly (no
+tolerance-based presolve), shifts variables by their lower bounds so every
 remaining column is nonnegative, and keeps a bijection back to the model
 variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .checks import ConstraintSystem
+from .checks import FEASIBILITY, ConstraintSystem
 from .model import TimeExpandedModel
 
 OPTIMAL = "optimal"
@@ -44,18 +44,16 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 NUMERICS = "numerics"
 
+PIVOT = 1e-9  # smallest entry a pivot, or a reduced cost that may enter, can have
+BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule takes over
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances; defaults suit data made of small integers and fractions."""
+    """Work limits of a solve: simplex iterations, and branch-and-bound nodes."""
 
-    feasibility: float = 1e-7
-    integrality: float = 1e-6
-    mip_gap: float = 1e-6
-    pivot: float = 1e-9
     max_iterations: int = 200_000
     max_nodes: int = 5_000
-    bland_after: int = 40
 
 
 class InfeasibleModel(Exception):
@@ -118,11 +116,10 @@ def build_standard_form(
 
     bounds maps a model variable to a (lower, upper) pair that tightens its
     own bounds (a branch of branch and bound, or a fixing); either side may
-    be infinite.  Singleton rows become bounds too.  Every other row keeps
-    its place; its fixed and shifted terms move to the right-hand side, and
-    it is dropped when no live column is left.  The upper bounds of the live columns follow as
-    __ub rows in variable order.  Raises InfeasibleModel when bound folding
-    alone proves infeasibility.
+    be infinite.  Every row keeps its place; its fixed and shifted terms move
+    to the right-hand side, and it is dropped when no live column is left.
+    The upper bounds of the live columns follow as __ub rows in variable
+    order.  Raises InfeasibleModel when the bounds alone prove infeasibility.
     """
     rows = model.constraints
     system = ConstraintSystem.from_rows(rows)
@@ -135,18 +132,6 @@ def build_standard_form(
         np.maximum.at(lo, idx, pairs[:, 0])
         np.minimum.at(hi, idx, pairs[:, 1])
 
-    # A singleton row bounds its variable; a negative coefficient flips the
-    # relation (sense -1 is <=, 0 is =, +1 is >=).
-    lengths = np.diff(system.starts)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
-    single = lengths == 1
-    first = system.starts[:-1][single]
-    var, coef = system.var_idx[first], system.coefs[first]
-    bound = system.rhs[single] / coef
-    sense = system.sense[single] * np.sign(coef)
-    np.maximum.at(lo, var[sense >= 0], bound[sense >= 0])
-    np.minimum.at(hi, var[sense <= 0], bound[sense <= 0])
-
     bad = np.nonzero(lo > hi + 1e-9)[0]
     if bad.size:
         names = ", ".join(model.variables[i].name for i in bad[:5])
@@ -155,17 +140,18 @@ def build_standard_form(
     fixed = hi - lo <= 1e-12
     pos_col = np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
-    multi = ~single
+    row_of = np.repeat(np.arange(len(rows)), np.diff(system.starts))
     adj = system.rhs - np.bincount(
         row_of, weights=system.coefs * lo[system.var_idx], minlength=len(rows)
     )
-    live = multi[row_of] & ~fixed[system.var_idx]
+    live = ~fixed[system.var_idx]
     n_live = np.bincount(row_of[live], minlength=len(rows))
+    # sense is -1 for <=, 0 for = and +1 for >=.
     violated = np.where(system.sense == 0, np.abs(adj), system.sense * adj) > 1e-9
-    dead = np.nonzero(multi & (n_live == 0) & violated)[0]
+    dead = np.nonzero((n_live == 0) & violated)[0]
     if dead.size:
         raise InfeasibleModel(f"constraint {rows[dead[0]].name} is violated by fixed variables")
-    kept = multi & (n_live > 0)
+    kept = n_live > 0
 
     ub_var = np.nonzero(~fixed & np.isfinite(hi))[0]
     term_row = (np.cumsum(kept) - 1)[row_of[live]]
@@ -560,13 +546,13 @@ class Tableau:
             if shut is not None:
                 costs = np.where(shut, 0.0, costs)
             if bland:
-                neg = np.nonzero(costs < -tol.pivot)[0]
+                neg = np.nonzero(costs < -PIVOT)[0]
                 if neg.size == 0:
                     return OPTIMAL
                 q = int(neg[0])
             else:
                 q = int(np.argmin(costs))
-                if costs[q] >= -tol.pivot:
+                if costs[q] >= -PIVOT:
                     return OPTIMAL
 
             column = T[:, q].copy()
@@ -579,14 +565,14 @@ class Tableau:
             # Positive entries need no guard; the ratio test picks them at
             # ratio zero by itself.
             if not phase_one and basic_artificial.any():
-                guard = nz[basic_artificial[nz] & (entries < -tol.pivot)]
+                guard = nz[basic_artificial[nz] & (entries < -PIVOT)]
                 if guard.size:
                     strongest = column[guard].min()
                     pick = guard[column[guard] <= strongest + 1e-12]
                     self.enter(int(pick[np.argmin(leave_rank[pick])]), q, column, nzc)
                     continue
 
-            positive = entries > tol.pivot
+            positive = entries > PIVOT
             if not positive.any():
                 return UNBOUNDED if not phase_one else OPTIMAL
             candidates = nz[positive]
@@ -596,7 +582,7 @@ class Tableau:
             self.enter(int(ties[np.argmin(leave_rank[ties])]), q, column, nzc)
             if best <= 1e-12:
                 stall += 1
-                if stall > tol.bland_after:
+                if stall > BLAND_AFTER:
                     bland = True
             else:
                 stall = 0
@@ -621,7 +607,7 @@ class Tableau:
         self.basic_artificial[rows] = True
         self.leave_rank[rows] = -1 - rows
 
-    def restrict(self, c: np.ndarray, tol: Tolerances) -> None:
+    def restrict(self, c: np.ndarray) -> None:
         """Shut the columns with a positive reduced cost and make c the cost row.
 
         The reduced costs are those of the last objective under the verified
@@ -632,7 +618,7 @@ class Tableau:
         by one product over a view of T.
         """
         m, n, T = self.m, self.n, self.T
-        positive = self.reduced_costs(self.c, self.y) > tol.pivot
+        positive = self.reduced_costs(self.c, self.y) > PIVOT
         self.shut = positive if self.shut is None else self.shut | positive
         basic_costs = np.zeros(m)
         structural = (self.basis >= 0) & (self.basis < n)
@@ -767,14 +753,14 @@ def solve_lp(
         tol = Tolerances()
     if warm is not None:
         warm.iterations = 0
-        warm.restrict(sf.c, tol)
+        warm.restrict(sf.c)
         return warm.finish(sf, tol)
     m, n = sf.n_rows, sf.n_cols
 
     if n == 0:
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
     if m == 0:
-        if np.any(sf.c < -tol.pivot):
+        if np.any(sf.c < -PIVOT):
             return LpSolution(UNBOUNDED, None, None, 0)
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
 
@@ -785,7 +771,7 @@ def solve_lp(
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)
         scale = max(1.0, float(np.abs(tableau.b).max(initial=1.0)))
-        if tableau.T[m + 1, -1] < -(tol.feasibility * scale):
+        if tableau.T[m + 1, -1] < -(FEASIBILITY * scale):
             return LpSolution(INFEASIBLE, None, None, tableau.iterations)
     return tableau.finish(sf, tol)
 

@@ -11,7 +11,7 @@ from railflow.scenario import load_scenario
 
 
 def line_raw(
-    durations=(0.15, 0.20),
+    minutes=(9, 12),
     volumes=(1, 0, 0),
     t_max=3,
     capacity=5.0,
@@ -22,10 +22,11 @@ def line_raw(
     """Document of a chain of stations with one forward link per hop and a
     single type, one route spanning the whole line and one demand for it.
 
-    Links are named after their ends ("A-B"); durations are period fractions.
+    Links are named after their ends ("A-B"); minutes are the traversal
+    durations, in periods of 60 minutes (9 minutes is 0.15 periods).
     """
-    nodes = node_names or tuple("ABCDEFG"[: len(durations) + 1])
-    assert len(nodes) == len(durations) + 1
+    nodes = node_names or tuple("ABCDEFG"[: len(minutes) + 1])
+    assert len(nodes) == len(minutes) + 1
     links = [f"{a}-{b}" for a, b in zip(nodes, nodes[1:])]
     return {
         "name": "line",
@@ -35,7 +36,7 @@ def line_raw(
         "nodes": list(nodes),
         "links": [{"name": x, "tail": a, "head": b} for x, a, b in zip(links, nodes, nodes[1:])],
         "capacities": {"default": capacity},
-        "durations": {x: {"reg": d} for x, d in zip(links, durations)},
+        "durations_minutes": {x: {"reg": d} for x, d in zip(links, minutes)},
         "routes": [{"name": route_name, "train_type": "reg", "links": links}],
         "demands": [
             {

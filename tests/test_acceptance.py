@@ -158,7 +158,7 @@ def test_criterion_6_integrality(shuttle_run):
             if var.ref.kind == "dirflag_beta":
                 assert min(abs(values[idx]), abs(values[idx] - 1.0)) <= 1e-6
 
-        kwargs = dict(durations=(0.25,), volumes=(1, 0), t_max=2, capacity=0.4)
+        kwargs = dict(minutes=(15,), volumes=(1, 0), t_max=2, capacity=0.4)
         strict = solve_mip(line_model(**kwargs))
         relaxed = solve_mip(line_model(config=ModelConfig(relax_integrality=True), **kwargs))
         assert strict.status == OPTIMAL and relaxed.status == OPTIMAL

@@ -74,7 +74,7 @@ def test_single_binary_branches_to_the_best_child():
 
 def test_forced_cancellation_is_integral_and_expensive():
     # the only route runs A->B; this demand asks for the reverse direction
-    raw = line_raw(durations=(0.25,), volumes=(1, 1, 0), route_name="A-B-r1", demand_name="B-A")
+    raw = line_raw(minutes=(15,), volumes=(1, 1, 0), route_name="A-B-r1", demand_name="B-A")
     raw["demands"][0].update(origin="B", destination="A")
     model = build_model(load_scenario(raw))
     result = solve_mip(model)
@@ -88,7 +88,7 @@ def test_forced_cancellation_is_integral_and_expensive():
 def test_relaxation_bounds_the_integral_optimum():
     # two periods of capacity 0.4 move at most 0.8 of the unit demand, so the
     # integral model cancels the whole train, the relaxation only a fraction
-    kwargs = dict(durations=(0.25,), volumes=(1, 0), t_max=2, capacity=0.4)
+    kwargs = dict(minutes=(15,), volumes=(1, 0), t_max=2, capacity=0.4)
     strict = line_model(**kwargs)
     relaxed = line_model(config=ModelConfig(relax_integrality=True), **kwargs)
     strict_result = solve_mip(strict)
@@ -217,7 +217,7 @@ def test_refinement_at_the_iteration_cap_reads_iteration_limit():
 def test_pace_objective_weights_each_nodes_inflow_by_its_period():
     # The flow terms of the pace stage are sum over route nodes n and periods
     # t of t * (volume entering n in t), written on departures and link arcs.
-    model = line_model(durations=(0.15, 0.20, 0.3), t_max=4, volumes=(1, 1, 0, 0))
+    model = line_model(minutes=(9, 12, 18), t_max=4, volumes=(1, 1, 0, 0))
     values = np.random.default_rng(5).uniform(0.0, 1.0, len(model.variables))
     flows = {"dep", "direct", "next"}
     pace = bnb._pace_objective(model)

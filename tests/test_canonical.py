@@ -181,5 +181,5 @@ def test_branched_refinement_matches_highs_stages(volumes, capacity):
     # nodes.  The incumbent's LP, whose tableau the refinement continues on,
     # is the fix-and-solve completion in the first three cases and a child
     # node (with its branch bound) in the last.
-    model = line_model(durations=(0.25,), volumes=volumes, t_max=3, capacity=capacity)
+    model = line_model(minutes=(15,), volumes=volumes, t_max=3, capacity=capacity)
     assert assert_canonical(model).nodes > 1

@@ -55,7 +55,7 @@ def test_scipy_agrees_on_a_small_model():
 
 
 def test_scipy_agrees_with_integer_marks():
-    model = line_model(volumes=(1, 0), t_max=2, durations=(0.25,), capacity=0.4)
+    model = line_model(volumes=(1, 0), t_max=2, minutes=(15,), capacity=0.4)
     mine = solve_mip(model)
     external = solve_with_scipy(export_model_text(model))
     assert mine.status == "optimal"

@@ -36,7 +36,7 @@ def constraint(model, name):
 
 
 def test_variable_counts_single_link():
-    doc = line_doc(durations=(0.5,), volumes=(1, 0), t_max=2, route_name="A-B-r1", demand_name="A-B")
+    doc = line_doc(minutes=(30,), volumes=(1, 0), t_max=2, route_name="A-B-r1", demand_name="A-B")
     model = build_variables(doc)
     assert count_kind(model, "direct") == 2  # |L| * |T| * |R|
     assert count_kind(model, "next") == 3  # periods 0..2
@@ -48,7 +48,7 @@ def test_variable_counts_single_link():
 
 
 def test_zero_routes_leaves_demand_layer_only():
-    raw = line_raw(durations=(0.5,), volumes=(1, 0), t_max=2, demand_name="A-B")
+    raw = line_raw(minutes=(30,), volumes=(1, 0), t_max=2, demand_name="A-B")
     raw["routes"] = []
     model = build_variables(load_scenario(raw))
     for kind in ("dep", "direct", "next", "ni", "lag"):
@@ -212,7 +212,7 @@ def coupled_pair_raw(capacity=6.0, cap_back=None, config=None):
         "links": [{"name": "X-Y", "tail": "X", "head": "Y"}, {"name": "Y-X", "tail": "Y", "head": "X"}],
         "single_track_pairs": [["X-Y", "Y-X"]],
         "capacities": {"links": {"X-Y": capacity, "Y-X": capacity if cap_back is None else cap_back}},
-        "durations": {"X-Y": {"reg": 0.25}, "Y-X": {"reg": 0.25}},
+        "durations_minutes": {"X-Y": {"reg": 15}, "Y-X": {"reg": 15}},
         "routes": [
             {"name": "XY-p1", "train_type": "reg", "links": ["X-Y"]},
             {"name": "YX-p1", "train_type": "reg", "links": ["Y-X"]},
@@ -256,7 +256,7 @@ def test_alt2_rows_and_variables():
         model.var("next", "Y-X", 0, "YX-p1"): 0.5,
         model.var("next", "Y-X", 1, "YX-p1"): 0.5,
     }
-    beta, k, m = model.var("dirflag_beta", "X-Y", 1), 0.5, model.big_m
+    beta, k, m = model.var("dirflag_beta", "X-Y", 1), 0.5, 60.0  # M is 10 x the largest capacity, 6
     # both directions share the smaller capacity of the pair, 4
     pair = constraint(model, "Capacity2alt2[l=X-Y/Y-X,t=1]")
     assert (dict(pair.terms), pair.relation, pair.rhs) == ({**own, **opp}, "<=", 4.0)
@@ -322,7 +322,7 @@ def two_type_model(config=None):
         "nodes": ["A", "B", "C"],
         "links": [{"name": x, "tail": a, "head": b} for x, (a, b) in links.items()],
         "capacities": {"default": 5.0},
-        "durations": {x: {"reg": 0.2, "gt": 0.2} for x in links},
+        "durations_minutes": {x: {"reg": 12, "gt": 12} for x in links},
         "routes": [
             {"name": "r-reg", "train_type": "reg", "links": ["A-B", "B-C"]},
             {"name": "r-gt", "train_type": "gt", "links": ["A-B"]},
@@ -443,7 +443,7 @@ def test_heterogeneous_mode_solves():
         "nodes": ["A", "B"],
         "links": [{"name": "A-B", "tail": "A", "head": "B"}],
         "capacities": {"default": 5.0},
-        "durations": {"A-B": {"reg": 0.2, "gt": 0.4}},
+        "durations_minutes": {"A-B": {"reg": 12, "gt": 24}},
         "routes": [
             {"name": "r-reg", "train_type": "reg", "links": ["A-B"]},
             {"name": "r-gt", "train_type": "gt", "links": ["A-B"]},
@@ -460,11 +460,12 @@ def test_heterogeneous_mode_solves():
     assert result.value(model, "cancel_total", "d-gt") == 0.0
 
 
-def test_big_m_default_dominates_capacity():
-    model = coupled_pair_model(capacity=7.0, config={"capacity_mode": "single_track_alt2"})
-    assert model.big_m == pytest.approx(70.0)
-    with pytest.raises(ModelError, match="big M"):
-        build_model(replace(model.doc, config=ModelConfig(capacity_mode="single_track_alt2", big_m=5.0)))
+@pytest.mark.parametrize("capacity, big_m", [(7.0, 70.0), (0.5, 10.0)])
+def test_big_m_is_ten_times_the_largest_capacity_and_at_least_ten(capacity, big_m):
+    model = coupled_pair_model(capacity=capacity, config={"capacity_mode": "single_track_alt2"})
+    beta = model.var("dirflag_beta", "X-Y", 1)
+    assert dict(constraint(model, "Capacity2alt2setup[l=X-Y,t=1]").terms)[beta] == big_m
+    assert dict(constraint(model, "Capacity2alt2setup[l=Y-X,t=1]").terms)[beta] == -big_m
 
 
 LINK_FLOWS = ("direct", "next")
@@ -590,31 +591,31 @@ def reach(model, node, route):
 
 
 def test_reach_is_the_prefix_sum_of_durations():
-    model = line_model(durations=(0.15, 0.20))
+    model = line_model(minutes=(9, 12))
     assert reach(model, "B", "A-C-r1") == pytest.approx(0.15)
     assert reach(model, "C", "A-C-r1") == pytest.approx(0.35)
 
 
 def test_reach_over_a_zero_length_link():
-    model = line_model(durations=(0.0,), volumes=(1, 0, 0))
+    model = line_model(minutes=(0,), volumes=(1, 0, 0))
     assert reach(model, "B", "A-C-r1") == 0.0
 
 
 def test_quarter_period_crossing_volume():
     # one-hour periods, 15-minute traversal: a quarter of any departing
     # volume crosses into the next period, so 1 train of 4 does
-    model = line_model(durations=(0.25,), volumes=(4, 0, 0))
+    model = line_model(minutes=(15,), volumes=(4, 0, 0))
     assert reach(model, "B", "A-C-r1") * 4 == pytest.approx(1.0)
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=6))
-def test_reach_is_prefix_additive(durations):
-    names = tuple(f"N{i}" for i in range(len(durations) + 1))
-    model = line_model(durations=tuple(durations), node_names=names, t_max=8, volumes=(1,) + (0,) * 7)
+@given(st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), min_size=1, max_size=6))
+def test_reach_is_prefix_additive(minutes):
+    names = tuple(f"N{i}" for i in range(len(minutes) + 1))
+    model = line_model(minutes=tuple(minutes), node_names=names, t_max=8, volumes=(1,) + (0,) * 7)
     assert model.nodes_of["A-C-r1"] == names
     reaches = [0.0] + [reach(model, n, "A-C-r1") for n in names[1:]]
     steps = [b - a for a, b in zip(reaches, reaches[1:])]
-    assert steps == pytest.approx(list(durations), abs=1e-8)
+    assert steps == pytest.approx([m / 60 for m in minutes], abs=1e-8)
 
 
 def test_single_track_pairs_come_from_the_document(small_doc):

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from railflow.cli import main
 from railflow.model import ModelConfig, ModelError
+from railflow.simplex import Tolerances
 from railflow.scenario import (
     ScenarioError,
     TcrOverride,
@@ -34,9 +35,17 @@ def test_fixture_inventory(small_doc):
     assert small_doc.t_max == 7
 
 
-def test_implementing_routes(small_doc):
-    assert set(small_doc.implements["E-F-p"]) == {"E-F-p1", "E-F-p2"}
+def test_implementing_routes_in_document_order(small_doc):
+    assert small_doc.implements["E-F-p"] == ("E-F-p1", "E-F-p2")
     assert small_doc.implements["D-G-f"] == ("D-G-f1",)
+
+
+def test_implementing_routes_follow_the_routes_list(scenario_dir):
+    raw = json.loads((scenario_dir / "small_network.json").read_text())
+    raw["routes"].reverse()
+    doc = load_scenario(raw)
+    assert doc.implements["E-F-p"] == ("E-F-p2", "E-F-p1")
+    assert doc.implements["A-H-f"] == ("A-H-f2", "A-H-f1")
 
 
 def test_unservable_demand_has_no_routes():
@@ -75,17 +84,6 @@ def test_demand_volume_length_checked(scenario_dir):
     with pytest.raises(ScenarioError) as err:
         load_scenario(raw)
     assert any("volumes" in line for line in err.value.errors)
-
-
-def test_implements_must_agree_with_properties(scenario_dir):
-    raw = json.loads((scenario_dir / "small_network.json").read_text())
-    raw["implements"] = {"A-H-f": ["A-H-f1"]}  # drops a matching route
-    with pytest.raises(ScenarioError) as err:
-        load_scenario(raw)
-    assert (
-        "implements['A-H-f']: states routes ['A-H-f1'], but routes ['A-H-f1', 'A-H-f2']"
-        " match demand 'A-H-f' by origin, destination and train type"
-    ) in err.value.errors
 
 
 def test_apply_tcr_touches_exactly_the_listed_cells(small_doc):
@@ -132,9 +130,47 @@ def test_tcr_link_that_is_not_a_name_rejected_at_load(scenario_dir):
 
 def test_inline_overrides_match_apply_tcr(scenario_dir, small_doc):
     inline = load_scenario(scenario_dir / "small_network_tcr.json")
-    applied = apply_tcr(inline, inline.tcr_overrides)
+    applied = apply_tcr(inline, ())
     direct = apply_tcr(small_doc, [TcrOverride(link="E-F", period=4, capacity=0.0)])
     assert applied.capacity == direct.capacity
+    assert applied.tcr_overrides == ()
+
+
+def test_apply_tcr_keeps_the_inline_overrides(scenario_dir, tcr_run):
+    # A no-op listed override used to replace the document's own closure of
+    # E-F in period 4, which then carried a train (objective 0.837963).
+    inline = load_scenario(scenario_dir / "small_network_tcr.json")
+    stacked = apply_tcr(inline, [TcrOverride(link="A-C", scale=1.0)])
+    assert stacked.capacity[("E-F", 4)] == 0.0 and stacked.tcr_overrides == ()
+    assert stacked.capacity == tcr_run[0].model.doc.capacity
+    output = run(stacked)
+    assert output.result.objective == tcr_run[0].result.objective
+    assert output.capacity.total[("E-F", 4)] == 0.0
+
+
+def test_inline_and_listed_scales_compose_once(three_station_doc):
+    inline = replace(three_station_doc, tcr_overrides=(TcrOverride(link="A-B", scale=0.5),))
+    assert build_scenario_model(inline).doc.capacity[("A-B", 1)] == 2.5
+    stacked = apply_tcr(inline, [TcrOverride(link="A-B", period=1, scale=0.5)])
+    assert [stacked.capacity[("A-B", t)] for t in (1, 2, 3)] == [1.25, 2.5, 2.5]
+    assert apply_tcr(stacked, ()).capacity == stacked.capacity
+
+
+@given(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+def test_listed_scale_applies_on_top_of_the_inline_scale(three_station_doc, inline_scale, listed_scale):
+    inline = replace(three_station_doc, tcr_overrides=(TcrOverride(link="B-C", scale=inline_scale),))
+    stacked = apply_tcr(inline, [TcrOverride(link="B-C", period=2, scale=listed_scale)])
+    assert stacked.capacity[("B-C", 2)] == 5.0 * inline_scale * listed_scale
+    assert stacked.capacity[("B-C", 1)] == stacked.capacity[("B-C", 3)] == 5.0 * inline_scale
+    assert stacked.capacity[("A-B", 2)] == 5.0
+
+
+def test_apply_tcr_past_float_range_raises(three_station_doc):
+    # It used to return an inf capacity, which only the model's big-M check stopped.
+    with pytest.raises(ScenarioError, match=r"^capacities: the largest capacity after the TCRs, inf,"):
+        apply_tcr(three_station_doc, [TcrOverride(link="A-B", scale=1e308)])
+    with pytest.raises(ScenarioError, match=r"^capacities: the largest capacity after the TCRs, 5e\+307,"):
+        apply_tcr(three_station_doc, [TcrOverride(link="A-B", capacity=5e307)])
 
 
 def test_run_reports_reconcile(three_station_run):
@@ -246,15 +282,11 @@ def _set(*path):
 NUMERIC_FIELDS = {
     "capacities.default": _set("capacities", "default"),
     "capacities.links['A-B']": _set("capacities", "links", "A-B"),
-    "capacities.cells[0].value": lambda raw, v: raw["capacities"].update(
-        cells=[{"link": "A-B", "period": 1, "value": v}]
-    ),
-    "durations['A-B']['reg']": _set("durations_minutes", "A-B", "reg"),
+    "durations_minutes['A-B']['reg']": _set("durations_minutes", "A-B", "reg"),
     "tcr_overrides[0].capacity": lambda raw, v: raw.update(tcr_overrides=[{"link": "A-B", "capacity": v}]),
     "tcr_overrides[0].scale": lambda raw, v: raw.update(tcr_overrides=[{"link": "A-B", "scale": v}]),
     "config.k_het": _set("config", "k_het"),
     "config.k_setup": _set("config", "k_setup"),
-    "config.big_m": _set("config", "big_m"),
     "config.cost_cancel": _set("config", "cost_cancel"),
     "config.cost_post": _set("config", "cost_post"),
 }
@@ -275,11 +307,18 @@ def test_non_finite_or_non_numeric_input_rejected_at_load(scenario_dir, tmp_path
     assert f"error: {position}: expected a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["k_het", "k_setup", "big_m", "cost_cancel", "cost_post"])
+@pytest.mark.parametrize("field", ["k_het", "k_setup", "cost_cancel", "cost_post"])
 def test_model_config_rejects_non_finite(field):
     for value in (math.nan, math.inf):
         with pytest.raises(ModelError, match=f"{field} must be finite"):
             ModelConfig(**{field: value})
+
+
+def test_config_and_tolerances_hold_one_field_per_setting():
+    assert [f.name for f in fields(ModelConfig)] == [
+        "capacity_mode", "k_het", "k_setup", "cost_cancel", "cost_post", "relax_integrality"
+    ]
+    assert [f.name for f in fields(Tolerances)] == ["max_iterations", "max_nodes"]
 
 
 @pytest.mark.parametrize("value", ["false", 0, "yes"], ids=["str-false", "zero", "str-yes"])
@@ -312,18 +351,22 @@ def _put(path, value):
 MALFORMED_CONTAINERS = {
     "capacities": _put(("capacities",), []),
     "capacities.links": _put(("capacities", "links"), []),
-    "capacities.cells": _put(("capacities", "cells"), 5),
     "config": _put(("config",), ["relax_integrality"]),
     "train_types": _put(("train_types",), 5),
     "nodes": _put(("nodes",), 5),
     "links": _put(("links",), 5),
+    "links[0]": _put(("links", 0), 5),
+    "durations_minutes": _put(("durations_minutes",), 5),
+    "durations_minutes['A-B']": _put(("durations_minutes", "A-B"), 5),
     "single_track_pairs": _put(("single_track_pairs",), 5),
     "routes": _put(("routes",), 5),
+    "routes[0]": _put(("routes", 0), 5),
     "routes[0].links": _put(("routes", 0, "links"), 5),
     "demands": _put(("demands",), 5),
+    "demands[0]": _put(("demands", 0), 5),
     "demands[0].volumes": _put(("demands", 0, "volumes"), 5),
-    "implements['A-C']": _put(("implements",), {"A-C": 5}),
     "tcr_overrides": _put(("tcr_overrides",), 5),
+    "tcr_overrides[0]": _put(("tcr_overrides",), [5]),
 }
 
 
@@ -346,12 +389,11 @@ def test_malformed_containers_rejected_at_load(scenario_dir, tmp_path, capsys, p
 NOT_NAMES = {
     "links[0].tail": lambda raw, v: raw["links"][0].update(tail=v),
     "links[0].head": lambda raw, v: raw["links"][0].update(head=v),
-    "capacities.cells[0].link": lambda raw, v: raw["capacities"].update(
-        cells=[{"link": v, "period": 1, "value": 1}]
-    ),
+    "routes[0].train_type": lambda raw, v: raw["routes"][0].update(train_type=v),
     "demands[0].origin": lambda raw, v: raw["demands"][0].update(origin=v),
     "demands[0].destination": lambda raw, v: raw["demands"][0].update(destination=v),
-    "implements['A-C'][0]": lambda raw, v: raw.update(implements={"A-C": [v]}),
+    "demands[0].train_type": lambda raw, v: raw["demands"][0].update(train_type=v),
+    "tcr_overrides[0]": lambda raw, v: raw.update(tcr_overrides=[{"link": v, "capacity": 1}]),
 }
 
 
@@ -433,6 +475,12 @@ UNKNOWN_FIELDS = {
     # fields that no longer exist
     "config.arrival_slack": _put(("config", "arrival_slack"), 1.0),
     "config.include_arrival_accounting": _put(("config", "include_arrival_accounting"), True),
+    # second ways to state an input: period fractions, a capacity cell, the
+    # route map the loader derives, and big M
+    "durations": _put(("durations",), {"A-B": {"reg": 0.15}, "B-C": {"reg": 0.2}}),
+    "capacities.cells": _put(("capacities", "cells"), [{"link": "A-B", "period": 1, "value": 2}]),
+    "implements": _put(("implements",), {"A-C": ["A-C-r1"]}),
+    "config.big_m": _put(("config", "big_m"), 50),
     # in nested objects: a misspelt name took the default name ("A-B",
     # "route-0") in silence, a misspelt cell value set the cell to 0, and a
     # misspelt override period applied the override to every period
@@ -440,7 +488,6 @@ UNKNOWN_FIELDS = {
     "routes[0].nmae": _put(("routes", 0, "nmae"), "r1"),
     "demands[0].volume": _put(("demands", 0, "volume"), [1, 0, 0]),
     "capacities.defualt": _put(("capacities", "defualt"), 3),
-    "capacities.cells[0].vaule": _put(("capacities", "cells"), [{"link": "A-B", "period": 1, "vaule": 2}]),
     "tcr_overrides[0].perod": _put(("tcr_overrides",), [{"link": "A-B", "capacity": 1, "perod": 2}]),
 }
 
@@ -486,64 +533,32 @@ def test_name_and_notes_default(scenario_dir):
     assert (doc.name, doc.notes) == ("scenario", "")
 
 
-@pytest.mark.parametrize(
-    "big_m, tcrs",
-    [(1, []), (5, []), (6, [{"link": "A-B", "period": 2, "scale": 2.0}])],
-    ids=["below", "equal", "below-after-tcr"],
-)
-def test_big_m_not_above_largest_capacity_rejected_at_load(scenario_dir, tmp_path, capsys, big_m, tcrs):
-    # Every capacity of the line is 5; the TCR raises one cell to 10.
-    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
-    raw["config"]["big_m"] = big_m
-    raw["tcr_overrides"] = tcrs
-    with pytest.raises(ScenarioError) as err:
-        load_scenario(raw)
-    assert any(line.startswith("config.big_m: ") for line in err.value.errors)
-
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    for command in ("validate", "solve"):
-        assert main([command, "--scenario", str(path)]) == 1
-        assert "error: config.big_m: " in capsys.readouterr().err
-
-
 def test_tcr_scaling_a_capacity_past_float_range_rejected_at_load(scenario_dir, tmp_path, capsys):
     raw = json.loads((scenario_dir / "three_station_line.json").read_text())
     raw["tcr_overrides"] = [{"link": "A-B", "scale": 1e308}]
     with pytest.raises(ScenarioError) as err:
         load_scenario(raw)
-    assert "tcr_overrides: a scaled capacity is too large for a float" in err.value.errors
+    assert err.value.errors[0].startswith("capacities: the largest capacity after the TCRs, inf,")
 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["solve", "--scenario", str(path)]) == 1
-    assert "error: tcr_overrides: a scaled capacity is too large" in capsys.readouterr().err
+    assert "error: capacities: the largest capacity after the TCRs, inf," in capsys.readouterr().err
 
 
-def test_default_big_m_past_float_range_rejected_at_load(scenario_dir, tmp_path, capsys):
-    # 10 x 1e308 overflows; with config.big_m set, the capacity itself is fine.
+def test_capacity_whose_big_m_overflows_rejected_at_load(scenario_dir, tmp_path, capsys):
+    # 10 x 1e308, the big M of single_track_alt2, overflows.
     raw = json.loads((scenario_dir / "single_track_shuttle.json").read_text())
     raw["capacities"]["default"] = 1e308
     with pytest.raises(ScenarioError) as err:
         load_scenario(raw)
-    assert any(line.startswith("capacities: the default big M") for line in err.value.errors)
+    assert err.value.errors[0].startswith("capacities: the largest capacity after the TCRs, 1e+308,")
 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     for command in ("validate", "solve"):
         assert main([command, "--scenario", str(path)]) == 1
-        assert "error: capacities: the default big M" in capsys.readouterr().err
-
-    raw["config"]["big_m"] = 1.5e308
-    assert load_scenario(raw).config.big_m == 1.5e308
-
-
-def test_big_m_above_largest_capacity_loads_and_solves(scenario_dir):
-    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
-    raw["config"]["big_m"] = 6
-    raw["tcr_overrides"] = [{"link": "A-B", "scale": 0.5}]
-    output = run(load_scenario(raw))
-    assert output.result.status == "optimal" and output.model.big_m == 6
+        assert "error: capacities: the largest capacity after the TCRs, 1e+308," in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -600,19 +615,6 @@ def test_reports_hold_plain_floats(shuttle_run):
     assert capacity.setup
 
 
-def _state_implements(**changes):
-    """Edit stating the derived implements map of small_network with changes."""
-    derived = {
-        "A-H-f": ["A-H-f1", "A-H-f2"],
-        "B-H-p": ["B-H-p1"],
-        "H-B-p": ["H-B-p1"],
-        "D-G-f": ["D-G-f1"],
-        "E-F-p": ["E-F-p1", "E-F-p2"],
-    }
-    derived.update(changes)
-    return _put(("implements",), {d: rs for d, rs in derived.items() if rs is not None})
-
-
 def _append(key, item):
     return lambda raw: raw[key].append(item)
 
@@ -650,20 +652,23 @@ FINDINGS = {
     "negative link capacity": (
         "small_network", _put(("capacities", "links"), {"E-F": -2}), "capacities.links['E-F']", "E-F"
     ),
-    "negative cell capacity": (
-        "small_network_tcr",
-        _put(("capacities", "cells"), [{"link": "E-F", "period": 4, "value": -1}]),
-        "capacities.cells[0].value",
-        "E-F",
-    ),
     "capacity missing": (
         "three_station_line", _put(("capacities",), {"links": {"A-B": 5}}), "capacities", "B-C"
     ),
     "negative duration": (
-        "small_network", _put(("durations_minutes", "E-F", "reg"), -5), "durations['E-F']['reg']", "E-F"
+        "small_network", _put(("durations_minutes", "E-F", "reg"), -5), "durations_minutes['E-F']['reg']", "E-F"
     ),
     "duration over a period, off every route": (
-        "small_network", _put(("durations_minutes", "G-F", "reg"), 90), "durations['G-F']['reg']", "G-F"
+        "small_network", _put(("durations_minutes", "G-F", "reg"), 90), "durations_minutes['G-F']['reg']", "G-F"
+    ),
+    "duration of an unknown link": (
+        "small_network", _put(("durations_minutes", "E-X"), {"reg": 5}), "durations_minutes['E-X']", "E-X"
+    ),
+    "duration of an unknown train type": (
+        "small_network",
+        _put(("durations_minutes", "E-F", "slow"), 5),
+        "durations_minutes['E-F']['slow']",
+        "slow",
     ),
     "route link without a duration": (
         "small_network", lambda raw: raw["durations_minutes"]["C-E"].pop("gt"), "routes[0]", "C-E"
@@ -683,18 +688,6 @@ FINDINGS = {
         lambda raw: raw["demands"].append(dict(raw["demands"][0], name="A-C-bis")),
         "demands[1]",
         "A-C",
-    ),
-    "implements drops a route": (
-        "small_network", _state_implements(**{"A-H-f": ["A-H-f1"]}), "implements['A-H-f']", "A-H-f"
-    ),
-    "implements adds a route": (
-        "small_network",
-        _state_implements(**{"E-F-p": ["E-F-p1", "E-F-p2", "D-G-f1"]}),
-        "implements['E-F-p']",
-        "D-G-f1",
-    ),
-    "implements leaves out a demand": (
-        "small_network", _state_implements(**{"D-G-f": None}), "implements['D-G-f']", "D-G-f"
     ),
 }
 
@@ -717,23 +710,24 @@ def test_each_finding_rejected_at_load_by_name(scenario_dir, tmp_path, capsys, f
     assert any(f"error: {line}" in printed for line in lines if repr(entity) in line)
 
 
-def _with_duration(scenario_dir, value):
+def _with_duration(scenario_dir, minutes):
     raw = json.loads((scenario_dir / "three_station_line.json").read_text())
-    del raw["durations_minutes"]
-    raw["durations"] = {"A-B": {"reg": value}, "B-C": {"reg": 0.2}}
+    raw["durations_minutes"]["A-B"]["reg"] = minutes
     return raw
 
 
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_durations_within_one_period_load(scenario_dir, value):
-    assert load_scenario(_with_duration(scenario_dir, value)).durations[("A-B", "reg")] == value
+@given(st.floats(min_value=0.0, max_value=60.0))
+def test_durations_within_one_period_load(scenario_dir, minutes):
+    # three_station_line has periods of 60 minutes
+    doc = load_scenario(_with_duration(scenario_dir, minutes))
+    assert doc.durations[("A-B", "reg")] == minutes / 60
 
 
-@given(st.floats(min_value=1.0 + 1e-12, exclude_min=True, allow_infinity=False))
-def test_durations_over_one_period_rejected_at_load(scenario_dir, value):
+@given(st.floats(min_value=60.000001, allow_infinity=False))
+def test_durations_over_one_period_rejected_at_load(scenario_dir, minutes):
     with pytest.raises(ScenarioError) as err:
-        load_scenario(_with_duration(scenario_dir, value))
-    assert [line for line in err.value.errors if line.startswith("durations['A-B']['reg']: ")]
+        load_scenario(_with_duration(scenario_dir, minutes))
+    assert [line for line in err.value.errors if line.startswith("durations_minutes['A-B']['reg']: ")]
 
 
 def _leaves(node, path=()):

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from railflow import simplex
+from railflow.checks import FEASIBILITY
 from railflow.model import CAPACITY_MODES, LinearConstraint, ModelError
 from railflow.simplex import (
     INFEASIBLE,
@@ -70,17 +71,6 @@ def reference_standard_form(model, bounds=None):
     hi = np.array([v.ub for v in model.variables], dtype=float)
     for idx, (lower, upper) in (bounds or {}).items():
         lo[idx], hi[idx] = max(lo[idx], lower), min(hi[idx], upper)
-    multi_rows = []
-    for row in model.constraints:
-        if len(row.terms) != 1:
-            multi_rows.append(row)
-            continue
-        idx, coef = row.terms[0]
-        relation = {"<=": ">=", ">=": "<=", "=": "="}[row.relation] if coef < 0 else row.relation
-        if relation in ("=", ">="):
-            lo[idx] = max(lo[idx], row.rhs / coef)
-        if relation in ("=", "<="):
-            hi[idx] = min(hi[idx], row.rhs / coef)
     if np.any(lo > hi + 1e-9):
         raise InfeasibleModel("conflicting bounds")
     fixed = [hi[i] - lo[i] <= 1e-12 for i in range(n_vars)]
@@ -98,7 +88,7 @@ def reference_standard_form(model, bounds=None):
             name = f"__ub[{model.variables[i].name}]"
             ub_rows.append((((pos_col[i], 1.0),), "<=", hi[i] - lo[i], name))
     rows = []
-    for row in multi_rows:
+    for row in model.constraints:
         terms, rhs = [], row.rhs
         for idx, coef in row.terms:
             rhs -= coef * offset[idx]
@@ -153,7 +143,7 @@ def reference_solve_lp(sf, tol=None):
     if n == 0:
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
     if m == 0:
-        if np.any(sf.c < -tol.pivot):
+        if np.any(sf.c < -simplex.PIVOT):
             return LpSolution(UNBOUNDED, None, None, 0)
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
 
@@ -240,13 +230,13 @@ def reference_solve_lp(sf, tol=None):
                 return ITERATION_LIMIT
             costs = T[cost_row, :ncols]
             if bland:
-                neg = np.nonzero(costs < -tol.pivot)[0]
+                neg = np.nonzero(costs < -simplex.PIVOT)[0]
                 if neg.size == 0:
                     return OPTIMAL
                 q = int(neg[0])
             else:
                 q = int(np.argmin(costs))
-                if costs[q] >= -tol.pivot:
+                if costs[q] >= -simplex.PIVOT:
                     return OPTIMAL
 
             column = T[:m, q]
@@ -256,7 +246,7 @@ def reference_solve_lp(sf, tol=None):
             # Positive entries need no guard; the ratio test picks them at
             # ratio zero by itself.
             if not phase_one and basic_artificial.any():
-                guard = np.nonzero(basic_artificial & (column < -tol.pivot))[0]
+                guard = np.nonzero(basic_artificial & (column < -simplex.PIVOT))[0]
                 if guard.size:
                     entries = column[guard]
                     strongest = entries.min()
@@ -269,7 +259,7 @@ def reference_solve_lp(sf, tol=None):
                     iterations += 1
                     continue
 
-            positive = column > tol.pivot
+            positive = column > simplex.PIVOT
             if not positive.any():
                 return UNBOUNDED if not phase_one else OPTIMAL
             ratios = np.full(m, np.inf)
@@ -284,7 +274,7 @@ def reference_solve_lp(sf, tol=None):
             iterations += 1
             if best <= 1e-12:
                 stall += 1
-                if stall > tol.bland_after:
+                if stall > simplex.BLAND_AFTER:
                     bland = True
             else:
                 stall = 0
@@ -303,7 +293,7 @@ def reference_solve_lp(sf, tol=None):
         outcome = run_phase(m + 1, phase_one=True)
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, iterations)
-        if T[m + 1, -1] < -(tol.feasibility * max(1.0, float(np.abs(b).max(initial=1.0)))):
+        if T[m + 1, -1] < -(FEASIBILITY * max(1.0, float(np.abs(b).max(initial=1.0)))):
             return LpSolution(INFEASIBLE, None, None, iterations)
 
     outcome = run_phase(m, phase_one=False)
@@ -408,10 +398,16 @@ def test_two_variable_vertex():
 
 
 def test_contradictory_bounds_infeasible():
-    model = synthetic_model([1.0], [([1.0], "<=", -1.0)])
+    model = synthetic_model([1.0, 1.0], [([1.0, 1.0], "<=", 4.0)], ub=[np.inf, 1.0])
     with pytest.raises(InfeasibleModel):
-        build_standard_form(model)
-    solution, values = solve_model_lp(model)
+        build_standard_form(model, {1: (2.0, np.inf)})
+    solution, values = solve_model_lp(model, bounds={1: (2.0, np.inf)})
+    assert solution.status == INFEASIBLE and values is None
+
+
+def test_violated_one_term_row_is_infeasible():
+    # x0 <= -1 against x0 >= 0: phase 1 proves it.
+    solution, values = solve_model_lp(synthetic_model([1.0], [([1.0], "<=", -1.0)]))
     assert solution.status == INFEASIBLE and values is None
 
 
@@ -464,15 +460,17 @@ def test_oracle_agreement_property(seed):
     assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
 
-def test_singleton_rows_fold_into_fixings():
+def test_one_term_row_stays_a_row_with_the_optimum_of_its_bound():
     model = synthetic_model([1.0, 1.0], [([1.0, 0.0], "=", 2.0), ([1.0, 1.0], ">=", 1.0)])
     sf = build_standard_form(model)
-    assert sf.n_cols == 1  # x0 was folded away
+    assert (sf.n_cols, sf.row_names) == (2, ("row[0]", "row[1]"))
     solution, values = solve_model_lp(model)
     assert solution.status == OPTIMAL
-    assert values[0] == pytest.approx(2.0)
-    assert values[1] == pytest.approx(0.0)
-    assert solution.objective == pytest.approx(2.0)
+    np.testing.assert_array_equal(values, [2.0, 0.0])
+    assert solution.objective == 2.0
+    bounded = synthetic_model([1.0, 1.0], [([1.0, 1.0], ">=", 1.0)])
+    fixed, fixed_values = solve_model_lp(bounded, bounds={0: (2.0, 2.0)})
+    assert (fixed.objective, fixed_values.tolist()) == (solution.objective, values.tolist())
 
 
 def test_add_variable_rejects_infinite_lower_bound():
@@ -486,8 +484,11 @@ def test_add_variable_rejects_infinite_lower_bound():
 
 
 def test_violated_empty_row_is_infeasible():
-    model = synthetic_model([1.0], [([1.0], "=", 1.0), ([2.0], "=", 3.0)])
-    solution, _ = solve_model_lp(model)
+    # Fixing x0 at 1 leaves the row 2 x0 = 3 with no live column.
+    model = synthetic_model([1.0], [([2.0], "=", 3.0)])
+    with pytest.raises(InfeasibleModel, match=r"constraint row\[0\] is violated by fixed variables"):
+        build_standard_form(model, {0: (1.0, 1.0)})
+    solution, _ = solve_model_lp(model, bounds={0: (1.0, 1.0)})
     assert solution.status == INFEASIBLE
 
 
@@ -597,9 +598,8 @@ def test_bundled_standard_forms_match_reference(scenario_dir):
         assert_matches_reference(model, {**branch, **{i: (1.0, 1.0) for i in integers[1:]}})
 
 
-def test_branch_bounds_fold_like_one_term_rows(scenario_dir):
-    # A branch bound gives, bit for bit, the standard form of the one-term
-    # row it stands for, so branch and bound takes the same pivots either way.
+def test_one_term_rows_give_the_optimum_of_the_bounds_they_state(scenario_dir):
+    # One-term rows stay rows; the branch bounds they state reach the same optimum.
     import copy
 
     from railflow.scenario import build_scenario_model, load_scenario
@@ -612,11 +612,11 @@ def test_branch_bounds_fold_like_one_term_rows(scenario_dir):
         LinearConstraint("down", ((first, 1.0),), "<=", 0.0),
         LinearConstraint("up", ((second, 1.0),), ">=", 1.0),
     ]
-    folded = build_standard_form(with_rows)
-    bounded = build_standard_form(model, {first: (-np.inf, 0.0), second: (1.0, np.inf)})
-    for field in fields(folded):
-        got, want = getattr(bounded, field.name), getattr(folded, field.name)
-        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
+    assert {"down", "up"} <= set(build_standard_form(with_rows).row_names)
+    by_rows, _ = solve_model_lp(with_rows)
+    by_bounds, _ = solve_model_lp(model, bounds={first: (-np.inf, 0.0), second: (1.0, np.inf)})
+    assert by_rows.status == by_bounds.status == OPTIMAL
+    assert by_rows.objective == pytest.approx(by_bounds.objective, rel=1e-12, abs=1e-12)
 
 
 def test_degenerate_lp_terminates():
@@ -1001,7 +1001,7 @@ def test_face_lp_holds_a_basic_column_and_breaks_ties(weights, expected):
     assert tied.objective == tied.dual_objective == 15.0 + 2.0 * min(weights)
 
 
-def test_bland_rule_ends_cycling():
+def test_bland_rule_ends_cycling(monkeypatch):
     # Beale's cycling example: the largest-coefficient rule cycles through
     # degenerate pivots at the origin until Bland's rule takes over.
     lp = raw_lp(
@@ -1014,8 +1014,8 @@ def test_bland_rule_ends_cycling():
     assert solution.objective == -1.25
     np.testing.assert_array_equal(solution.x, [1.0, 0.0, 1.0, 0.0])
     assert_same_solution(solution, reference_solve_lp(lp))
-    never_bland = Tolerances(bland_after=10**6, max_iterations=1_000)
-    assert solve_lp(lp, never_bland).status == ITERATION_LIMIT
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**6)
+    assert solve_lp(lp, Tolerances(max_iterations=1_000)).status == ITERATION_LIMIT
 
 
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
