@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .scenario import RouteSpec, ScenarioDocument
@@ -292,6 +292,11 @@ def link_usage(
     return terms
 
 
+def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
+    """Big M of single_track_alt2: 10 x the largest capacity, and at least 10."""
+    return 10.0 * max(max(capacity.values(), default=0.0), 1.0)
+
+
 def emit_capacity(model: TimeExpandedModel) -> None:
     """Capacity rows of the mode selected by capacity_mode.
 
@@ -308,9 +313,8 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     w >= (own - M (1 - beta)) / k, w >= (opp - M beta) / k, w >= 0 and
     own + opp + w <= c leaves, exactly, the pair row own + opp <= c and one
     setup row per direction, which the binary flag beta switches off through
-    big M, 10 x the largest capacity of the network (at least 10; the
-    loader keeps it in float range, scenario.apply_tcr).  The capacity report
-    derives the setup time from the flows.
+    big M (big_m; the loader keeps it in float range, scenario.apply_tcr).
+    The capacity report derives the setup time from the flows.
     """
     doc = model.doc
     config = model.config
@@ -350,7 +354,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 rhs = 0.5 * (capacity[(rep, t)] + capacity[(other, t)])
                 model.add_constraint(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, "<=", rhs)
     elif config.capacity_mode == "single_track_alt2":
-        k, big_m = config.k_setup, 10.0 * max(max(capacity.values(), default=0.0), 1.0)
+        k, m = config.k_setup, big_m(capacity)
         for rep, other in pairs:
             for t in T:
                 own, opp = link_usage(model, rep, t), link_usage(model, other, t)
@@ -363,13 +367,13 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 scaled = [(idx, k * coef) for idx, coef in both]
                 model.add_constraint(
                     f"Capacity2alt2setup[l={rep},t={t}]",
-                    scaled + own + [(beta, big_m)],
+                    scaled + own + [(beta, m)],
                     "<=",
-                    k * cap + big_m,
+                    k * cap + m,
                 )
                 model.add_constraint(
                     f"Capacity2alt2setup[l={other},t={t}]",
-                    scaled + opp + [(beta, -big_m)],
+                    scaled + opp + [(beta, -m)],
                     "<=",
                     k * cap,
                 )

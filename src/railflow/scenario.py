@@ -19,7 +19,7 @@ import numpy as np
 
 from .bnb import SolveResult, refine_to_earliest_pace, solve_mip
 from .checks import verify_solution
-from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, build_model, link_usage
+from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, big_m, build_model, link_usage
 from .simplex import NUMERICS, OPTIMAL, Tolerances
 
 
@@ -579,27 +579,29 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
     to the capacity that the overrides before it left.  The returned
     document has its inline override list cleared (the edits are now part of
     the capacity table); everything else is untouched.  Raises ScenarioError
-    for an invalid override, and for a table whose largest capacity, times 10
-    (the big M of single_track_alt2, model.emit_capacity), overflows a float.
+    for an invalid override, and for a table whose big M (model.big_m)
+    overflows a float.  An invalid override is named by its index in its own
+    list: tcr_overrides[i] for the document's, overrides[i] for the listed.
     """
     link_names = {l.name for l in doc.links}
     capacity = dict(doc.capacity)
-    for i, o in enumerate((*doc.tcr_overrides, *overrides)):
-        errors: list[str] = []
-        o = _checked_tcr(o, f"tcr_overrides[{i}]", doc.t_max, link_names, errors)
-        if o is None:
-            raise ScenarioError(errors)
-        periods = (o.period,) if o.period is not None else tuple(range(1, doc.t_max + 1))
-        for t in periods:
-            if o.capacity is not None:
-                capacity[(o.link, t)] = o.capacity
-            else:
-                capacity[(o.link, t)] = capacity[(o.link, t)] * o.scale
-    largest = max(capacity.values(), default=0.0)
-    if not math.isfinite(10.0 * largest):
+    for prefix, listed in (("tcr_overrides", doc.tcr_overrides), ("overrides", overrides)):
+        for i, o in enumerate(listed):
+            errors: list[str] = []
+            o = _checked_tcr(o, f"{prefix}[{i}]", doc.t_max, link_names, errors)
+            if o is None:
+                raise ScenarioError(errors)
+            periods = (o.period,) if o.period is not None else tuple(range(1, doc.t_max + 1))
+            for t in periods:
+                if o.capacity is not None:
+                    capacity[(o.link, t)] = o.capacity
+                else:
+                    capacity[(o.link, t)] = capacity[(o.link, t)] * o.scale
+    m = big_m(capacity)
+    if not math.isfinite(m):
         raise ScenarioError([
-            f"capacities: the largest capacity after the TCRs, {largest}, is too large for a float"
-            " (single_track_alt2 takes 10 x it as its big M)"
+            f"capacities: the largest capacity after the TCRs, {max(capacity.values())},"
+            f" gives single_track_alt2 a big M of {m}, past float range"
         ])
     return replace(doc, capacity=capacity, tcr_overrides=())
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from railflow.cli import main
-from railflow.model import ModelConfig, ModelError
+from railflow.model import ModelConfig, ModelError, big_m
 from railflow.simplex import Tolerances
 from railflow.scenario import (
     ScenarioError,
@@ -148,29 +148,37 @@ def test_apply_tcr_keeps_the_inline_overrides(scenario_dir, tcr_run):
     assert output.capacity.total[("E-F", 4)] == 0.0
 
 
-def test_inline_and_listed_scales_compose_once(three_station_doc):
-    inline = replace(three_station_doc, tcr_overrides=(TcrOverride(link="A-B", scale=0.5),))
-    assert build_scenario_model(inline).doc.capacity[("A-B", 1)] == 2.5
-    stacked = apply_tcr(inline, [TcrOverride(link="A-B", period=1, scale=0.5)])
-    assert [stacked.capacity[("A-B", t)] for t in (1, 2, 3)] == [1.25, 2.5, 2.5]
-    assert apply_tcr(stacked, ()).capacity == stacked.capacity
-
-
 @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
 def test_listed_scale_applies_on_top_of_the_inline_scale(three_station_doc, inline_scale, listed_scale):
     inline = replace(three_station_doc, tcr_overrides=(TcrOverride(link="B-C", scale=inline_scale),))
+    assert build_scenario_model(inline).doc.capacity[("B-C", 2)] == 5.0 * inline_scale
     stacked = apply_tcr(inline, [TcrOverride(link="B-C", period=2, scale=listed_scale)])
     assert stacked.capacity[("B-C", 2)] == 5.0 * inline_scale * listed_scale
     assert stacked.capacity[("B-C", 1)] == stacked.capacity[("B-C", 3)] == 5.0 * inline_scale
     assert stacked.capacity[("A-B", 2)] == 5.0
+    assert apply_tcr(stacked, ()).capacity == stacked.capacity
+
+
+def test_bad_listed_override_is_named_by_its_own_index(scenario_dir):
+    # small_network_tcr has one inline override; the listed list starts again at 0.
+    inline = load_scenario(scenario_dir / "small_network_tcr.json")
+    with pytest.raises(ScenarioError) as err:
+        apply_tcr(inline, [TcrOverride(link="nope", capacity=0.0)])
+    assert err.value.errors[0].startswith("overrides[0]: ")
+    bad_inline = replace(inline, tcr_overrides=(TcrOverride(link="E-F", period=9, capacity=0.0),))
+    with pytest.raises(ScenarioError) as err:
+        apply_tcr(bad_inline, [TcrOverride(link="E-F", period=9, capacity=0.0)])
+    assert err.value.errors[0].startswith("tcr_overrides[0]: ")
 
 
 def test_apply_tcr_past_float_range_raises(three_station_doc):
     # It used to return an inf capacity, which only the model's big-M check stopped.
     with pytest.raises(ScenarioError, match=r"^capacities: the largest capacity after the TCRs, inf,"):
         apply_tcr(three_station_doc, [TcrOverride(link="A-B", scale=1e308)])
-    with pytest.raises(ScenarioError, match=r"^capacities: the largest capacity after the TCRs, 5e\+307,"):
+    with pytest.raises(ScenarioError, match=r"^capacities: the largest capacity after the TCRs, 5e\+307, gives"
+                       r" single_track_alt2 a big M of inf, past float range$"):
         apply_tcr(three_station_doc, [TcrOverride(link="A-B", capacity=5e307)])
+    assert big_m(apply_tcr(three_station_doc, [TcrOverride(link="A-B", capacity=1e307)]).capacity) == 1e308
 
 
 def test_run_reports_reconcile(three_station_run):
@@ -716,14 +724,27 @@ def _with_duration(scenario_dir, minutes):
     return raw
 
 
-@given(st.floats(min_value=0.0, max_value=60.0))
+def _first_minutes_over_one_period(period=60.0):
+    """The least float m with m / period > 1 + 1e-12, the loader's tolerance."""
+    m = period * (1.0 + 1e-12)
+    while m / period > 1.0 + 1e-12:
+        m = math.nextafter(m, 0.0)
+    while m / period <= 1.0 + 1e-12:
+        m = math.nextafter(m, math.inf)
+    return m
+
+
+# three_station_line has periods of 60 minutes
+OVER_ONE_PERIOD = _first_minutes_over_one_period()
+
+
+@given(st.floats(min_value=0.0, max_value=OVER_ONE_PERIOD, exclude_max=True))
 def test_durations_within_one_period_load(scenario_dir, minutes):
-    # three_station_line has periods of 60 minutes
     doc = load_scenario(_with_duration(scenario_dir, minutes))
     assert doc.durations[("A-B", "reg")] == minutes / 60
 
 
-@given(st.floats(min_value=60.000001, allow_infinity=False))
+@given(st.floats(min_value=OVER_ONE_PERIOD, allow_infinity=False))
 def test_durations_over_one_period_rejected_at_load(scenario_dir, minutes):
     with pytest.raises(ScenarioError) as err:
         load_scenario(_with_duration(scenario_dir, minutes))
