@@ -1,10 +1,11 @@
-"""Sweep 232 generated lines against HiGHS and print every wrong run.
+"""Sweep 236 generated lines against HiGHS and print every wrong run.
 
 The runs are perfbench.synth.line_scenario lines named "line", with 6
 periods and as many routes as stations:
 
 - relaxed, pace refinement off: 4 and 5 stations with seeds 11-14, 21-24,
-  ..., 71-74, and 6 stations with seeds 11-14, ..., 41-44;
+  ..., 71-74, 6 stations with seeds 11-14, ..., 41-44, and 12, 16, 20 and
+  24 stations with seed 11 (LPs of about 800 to 3200 rows);
 - one single-track segment, pace refinement on, relaxed and integer:
   4 stations with seeds 11-14, ..., 71-74, and 5 stations with seeds
   11-14, ..., 31-34;
@@ -44,11 +45,14 @@ def seeds(tens: int) -> list[int]:
 
 
 def runs():
-    """(label, scenario document) for each of the 232 runs."""
+    """(label, scenario document) for each of the 236 runs."""
     for stations, tens in ((4, 7), (5, 7), (6, 4)):
         for seed in seeds(tens):
             doc = synth.line_scenario(seed, stations, 6, stations, relax_integrality=True, pace_refinement=False)
             yield f"relaxed {stations} stations seed {seed}", doc
+    for stations in (12, 16, 20, 24):
+        doc = synth.line_scenario(11, stations, 6, stations, relax_integrality=True, pace_refinement=False)
+        yield f"relaxed {stations} stations seed 11", doc
     for stations, tens in ((4, 7), (5, 3)):
         for seed in seeds(tens):
             for relax in (True, False):

@@ -97,15 +97,20 @@ def verify_solution(
     feasibility: float = FEASIBILITY,
     integrality: float | None = INTEGRALITY,
 ) -> list[str]:
-    """All constraint, bound and integrality breaches beyond the tolerances."""
+    """All constraint, bound and integrality breaches beyond the tolerances.
+
+    Every check passes only on a comparison that holds, so a NaN value, or a
+    row that a NaN makes NaN, is a breach.
+    """
     issues: list[str] = []
     system = ConstraintSystem.from_model(model)
     violation = system.violations(values)
-    for k in np.nonzero(violation > feasibility)[0]:
+    for k in np.nonzero(~(violation <= feasibility))[0]:
         issues.append(f"{model.constraints[k].name}: violated by {violation[k]:g}")
     for i, var in enumerate(model.variables):
-        if values[i] < var.lb - feasibility or values[i] > var.ub + feasibility:
-            issues.append(f"{var.name}: value {values[i]:g} outside [{var.lb:g}, {var.ub:g}]")
-        if integrality is not None and var.integer and abs(values[i] - round(values[i])) > integrality:
-            issues.append(f"{var.name}: value {values[i]:g} not integral")
+        value = float(values[i])
+        if not var.lb - feasibility <= value <= var.ub + feasibility:
+            issues.append(f"{var.name}: value {value:g} outside [{var.lb:g}, {var.ub:g}]")
+        if integrality is not None and var.integer and not abs(value - np.round(value)) <= integrality:
+            issues.append(f"{var.name}: value {value:g} not integral")
     return issues

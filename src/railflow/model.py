@@ -297,6 +297,11 @@ def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
     return 10.0 * max(max(capacity.values(), default=0.0), 1.0)
 
 
+def type_charge(k_het: float, n_types: int) -> float:
+    """Capacity a train takes in heterogeneous mode on a link that n_types train types use."""
+    return 1.0 + k_het * (n_types - 1)
+
+
 def emit_capacity(model: TimeExpandedModel) -> None:
     """Capacity rows of the mode selected by capacity_mode.
 
@@ -304,8 +309,9 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     terms (a link no route uses) is not emitted.  Capacity1 keeps the usage
     within the link's nominal capacity.  heterogeneous replaces Capacity1 by
     Capacity3, which charges the usage 1 + k_het per other train type on the
-    link (and so implies Capacity1, as k_het >= 0).  single_track_alt1 makes
-    coupled links share the mean of their nominal capacities.
+    link (type_charge; the loader keeps it in float range), and so implies
+    Capacity1, as k_het >= 0.  single_track_alt1 makes coupled links share
+    the mean of their nominal capacities.
 
     single_track_alt2 makes both directional usages plus the setup time
     min(own, opp) / k_setup fit in the smaller capacity c of the pair.  The
@@ -328,7 +334,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         if not riding:
             continue
         n_types = len({r.train_type for r in riding})
-        charge = 1.0 + config.k_het * (n_types - 1) if heterogeneous else 1.0
+        charge = type_charge(config.k_het, n_types) if heterogeneous else 1.0
         for t in T:
             model.add_constraint(
                 f"{family}[l={l.name},t={t}]",

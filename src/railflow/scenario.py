@@ -19,7 +19,7 @@ import numpy as np
 
 from .bnb import SolveResult, refine_to_earliest_pace, solve_mip
 from .checks import verify_solution
-from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, big_m, build_model, link_usage
+from .model import CAPACITY_MODES, ModelConfig, TimeExpandedModel, big_m, build_model, link_usage, type_charge
 from .simplex import NUMERICS, OPTIMAL, Tolerances
 
 
@@ -290,8 +290,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     duration over one period; a route whose links do not join, that rides a
     link or visits a node twice, or that rides a link with no duration for
     its train type; a demand from a node to itself or with another demand's
-    origin, destination and train type; and a capacity table, after the
-    inline TCRs, that is too large for a float (apply_tcr).
+    origin, destination and train type; a k_het whose heterogeneous charge
+    on some link overflows a float (in every capacity mode); and a capacity
+    table, after the inline TCRs, that is too large for a float (apply_tcr).
 
     A demand is implemented by every route from its origin to its
     destination with its train type, in document order (doc.implements).
@@ -536,6 +537,14 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     config_raw = raw.get("config")
     config_raw = {} if config_raw is None else _object(config_raw, "config", errors)
     config, pace = _parse_config(config_raw, errors)
+    # Checked in every mode, as a run can switch to heterogeneous mode.
+    most = max((len({r.train_type for r in routes.values() if x in r.links}) for x in links), default=1)
+    charge = type_charge(config.k_het, most)
+    if not math.isfinite(charge):
+        errors.append(
+            f"config.k_het: {config.k_het} makes heterogeneous mode charge {charge} per train"
+            f" on a link with {most} train types, past float range"
+        )
 
     tcrs: list[TcrOverride] = []
     for i, item in enumerate(_array(raw.get("tcr_overrides", ()), "tcr_overrides", errors)):
@@ -579,9 +588,10 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
     to the capacity that the overrides before it left.  The returned
     document has its inline override list cleared (the edits are now part of
     the capacity table); everything else is untouched.  Raises ScenarioError
-    for an invalid override, and for a table whose big M (model.big_m)
-    overflows a float.  An invalid override is named by its index in its own
-    list: tcr_overrides[i] for the document's, overrides[i] for the listed.
+    for an invalid override, and for a table whose big M (model.big_m), or
+    the right-hand side of a single_track_alt2 setup row, overflows a float.
+    An invalid override is named by its index in its own list:
+    tcr_overrides[i] for the document's, overrides[i] for the listed.
     """
     link_names = {l.name for l in doc.links}
     capacity = dict(doc.capacity)
@@ -597,12 +607,16 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
                     capacity[(o.link, t)] = o.capacity
                 else:
                     capacity[(o.link, t)] = capacity[(o.link, t)] * o.scale
+    # A setup row's right-hand side, k_setup x capacity + M, is at most the
+    # largest capacity + M, as k_setup <= 1.
+    largest = max(capacity.values(), default=0.0)
     m = big_m(capacity)
-    if not math.isfinite(m):
-        raise ScenarioError([
-            f"capacities: the largest capacity after the TCRs, {max(capacity.values())},"
-            f" gives single_track_alt2 a big M of {m}, past float range"
-        ])
+    for what, value in (("a big M of", m), ("setup rows a right-hand side of up to", largest + m)):
+        if not math.isfinite(value):
+            raise ScenarioError([
+                f"capacities: the largest capacity after the TCRs, {largest},"
+                f" gives single_track_alt2 {what} {value}, past float range"
+            ])
     return replace(doc, capacity=capacity, tcr_overrides=())
 
 

@@ -49,3 +49,14 @@ def test_verify_solution_reports_bounds_and_integrality():
     issues = verify_solution(model, np.array([1.4]))
     assert any("not integral" in line for line in issues)
     assert verify_solution(model, np.array([2.0])) == []
+
+
+def test_verify_solution_reports_nan_as_a_breach():
+    # NaN compares false with everything, so a check written as "breach if
+    # value > tolerance" would pass it.
+    model = synthetic_model([0.0, 0.0], [([1.0, 1.0], "<=", 3.0)], integer=(0,), ub=[2.0, 2.0])
+    assert verify_solution(model, np.array([1.0, 1.0])) == []
+    issues = verify_solution(model, np.array([np.nan, 1.0]))
+    assert any(line.startswith("row[0]: violated by nan") for line in issues), issues
+    assert any("value nan outside" in line for line in issues)
+    assert any("value nan not integral" in line for line in issues)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from railflow.cli import main
-from railflow.model import ModelConfig, ModelError, big_m
+from railflow.model import CAPACITY_MODES, ModelConfig, ModelError, big_m
 from railflow.simplex import Tolerances
 from railflow.scenario import (
     ScenarioError,
@@ -567,6 +567,57 @@ def test_capacity_whose_big_m_overflows_rejected_at_load(scenario_dir, tmp_path,
     for command in ("validate", "solve"):
         assert main([command, "--scenario", str(path)]) == 1
         assert "error: capacities: the largest capacity after the TCRs, 1e+308," in capsys.readouterr().err
+
+
+def test_setup_row_side_past_float_range_rejected_at_load(scenario_dir, tmp_path, capsys):
+    # Big M is 1.7e308, still finite, but a setup row's right-hand side
+    # k_setup x capacity + M is not: the re-solve's residual on those rows
+    # would be NaN.
+    raw = json.loads((scenario_dir / "single_track_shuttle.json").read_text())
+    raw["capacities"]["default"] = 1.7e307
+    message = (
+        "capacities: the largest capacity after the TCRs, 1.7e+307, gives single_track_alt2"
+        " setup rows a right-hand side of up to inf, past float range"
+    )
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert err.value.errors == [message]
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+
+def three_type_line_raw(k_het, mode):
+    """three_station_line with three train types, each on its own route over both links."""
+    raw = line_raw()
+    labels = ["reg", "fr", "ic"]
+    raw["train_types"] = labels
+    raw["durations_minutes"] = {x: {label: 10 for label in labels} for x in ("A-B", "B-C")}
+    raw["routes"] = [{"name": f"A-C-{label}", "train_type": label, "links": ["A-B", "B-C"]} for label in labels]
+    raw["config"] = {"k_het": k_het, "capacity_mode": mode}
+    return raw
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+def test_k_het_whose_charge_overflows_rejected_at_load(tmp_path, capsys, mode):
+    # 1 + k_het x (3 - 1) overflows; every mode checks it, since a run can
+    # switch the mode to heterogeneous (--capacity-mode).
+    message = "config.k_het: 1e+308 makes heterogeneous mode charge inf per train on a link with 3 train types"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(three_type_line_raw(1e308, mode))
+    assert err.value.errors == [f"{message}, past float range"]
+    assert load_scenario(three_type_line_raw(5e307, mode)).config.k_het == 5e307
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(three_type_line_raw(1e308, mode)))
+    for args in (["validate"], ["solve"], ["solve", "--capacity-mode", "heterogeneous"]):
+        assert main(args + ["--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -721,7 +721,7 @@ def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
 
 def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     # 292 of the 383 rows start on an artificial, 272 of them with a
-    # right-hand side of 0; the crash covers 263 of those, and its pivots
+    # right-hand side of 0; the crash covers 254 of those, and its pivots
     # leave every entry of the constraint rows at or below 1 in magnitude.
     from railflow.scenario import build_scenario_model
 
@@ -729,8 +729,8 @@ def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     tableau = simplex.Tableau(sf)
     tableau.crash(Tolerances())
-    assert tableau.iterations == 263
-    assert np.count_nonzero(tableau.basic_artificial) == 292 - 263
+    assert tableau.iterations == 254
+    assert np.count_nonzero(tableau.basic_artificial) == 292 - 254
     assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
 
 
@@ -833,9 +833,18 @@ def test_crash_picks_come_in_dependency_level_order_on_bundled_lps():
         assert_picks_in_level_order(bundled_lp(scenario, mode))
 
 
-def test_crash_batches_the_small_network_lp_in_14_levels():
+def test_crash_batches_the_small_network_lp_in_6_levels():
     levels = simplex._crash_levels(bundled_lp("small_network", "single_track_alt1"))
-    assert [len(level) for level in levels] == [84, 42, 34, 30, 21, 11, 8, 11, 9, 5, 2, 2, 2, 2]
+    assert [len(level) for level in levels] == [105, 40, 37, 36, 29, 7]
+
+
+def test_crash_visits_sparsest_rows_first_and_the_later_row_first_among_equals():
+    # x0 + x1 = 0, x1 + x2 = 0, x2 <= 1: rows 0 and 1 have two entries each,
+    # so row 1 goes first and takes x1 (the fewest nonzeros of its top
+    # columns), which retires x1 and x2.  Row 0 is left x0, which depends on
+    # row 1's pick, so it enters a level later.
+    lp = raw_lp([0.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], [0.0, 0.0, 1.0], ["=", "=", "<="])
+    assert simplex._crash_levels(lp) == [[(1, 1)], [(0, 0)]]
 
 
 def assert_phase_one_row_is_the_row_sum(sf):
@@ -947,6 +956,22 @@ def test_artificial_off_zero_is_numerics(monkeypatch):
     held = np.flatnonzero(want.tableau.basic_artificial)
     assert held.size == 1
     fault_the_resolve(monkeypatch, rhs=np.where(np.arange(2) == held[0], 1.0, 0.0))
+    assert certified(lp) == NUMERICS
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["x", "y"])
+def test_nan_from_the_basis_resolve_is_numerics(monkeypatch, side):
+    # A NaN compares false with every tolerance, so a check written as
+    # "fail if breach > tol" would pass it; each check fails unless it holds.
+    lp = raw_lp(*CERTIFIED_LP)
+    resolve = simplex._solve_sparse_basis
+
+    def nan_valued(*args):
+        solved = resolve(*args)
+        solved[side][0] = np.nan
+        return solved
+
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", nan_valued)
     assert certified(lp) == NUMERICS
 
 
