@@ -66,8 +66,8 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     """Prove-optimal solve of the model's LP/MIP.
 
     With relax_integrality (or no integer marks) this is a single LP solve.
-    The reported objective is that of the reported values, after values
-    below 1e-11 are zeroed and integers rounded.
+    The reported objective is that of the reported values, after integers
+    are rounded (solve_model_lp has already zeroed values below 1e-11).
     """
     if tol is None:
         tol = Tolerances()
@@ -169,7 +169,6 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     gap = _relative_gap(incumbent_obj, best_bound)
     status = stopped or (OPTIMAL if gap <= MIP_GAP else ITERATION_LIMIT)
     values = incumbent.copy()
-    values[np.abs(values) < 1e-11] = 0.0
     for idx in int_vars:
         values[idx] = float(round(values[idx]))
     return SolveResult(

@@ -7,6 +7,7 @@ solution alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,13 +22,15 @@ INTEGRALITY = 1e-6  # largest distance of an integer variable from an integer
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """The rows of a model as CSR arrays, for vectorized activities.
+    """The rows of a model as term arrays, for vectorized activities.
 
-    from_rows is the one place where LinearConstraint rows become arrays; the
-    audit here and simplex.build_standard_form both read them.
+    Term k puts coefs[k] on variable var_idx[k] in row row_of[k]; the terms
+    come in row order and, within a row, in term order.  from_rows is the one
+    place where LinearConstraint rows become arrays; the audit here and
+    simplex.build_standard_form both read them.
     """
 
-    starts: np.ndarray
+    row_of: np.ndarray
     var_idx: np.ndarray
     coefs: np.ndarray
     rhs: np.ndarray
@@ -35,12 +38,11 @@ class ConstraintSystem:
 
     @classmethod
     def from_rows(cls, rows: Sequence[LinearConstraint]) -> "ConstraintSystem":
-        """CSR arrays of the rows, in row order and, within a row, term order."""
         terms = [term for row in rows for term in row.terms]
         sense_of = {"<=": -1, "=": 0, ">=": 1}
         lengths = np.array([len(row.terms) for row in rows], dtype=int)
         return cls(
-            starts=np.concatenate([[0], np.cumsum(lengths)]),
+            row_of=np.repeat(np.arange(len(rows)), lengths),
             var_idx=np.array([idx for idx, _ in terms], dtype=int),
             coefs=np.array([coef for _, coef in terms], dtype=float),
             rhs=np.array([row.rhs for row in rows], dtype=float),
@@ -52,20 +54,8 @@ class ConstraintSystem:
         return cls.from_rows(model.constraints)
 
     def activities(self, values: np.ndarray) -> np.ndarray:
-        n = len(self.rhs)
-        if n == 0:
-            return np.zeros(0)
-        products = self.coefs * values[self.var_idx]
-        if not products.size:
-            return np.zeros(n)
-        # reduceat needs indices < len(products); trailing empty segments are
-        # clamped and then zeroed through the empty-segment mask.
-        idx = np.minimum(self.starts[:-1], products.size - 1)
-        totals = np.add.reduceat(products, idx)
-        empty = self.starts[:-1] == self.starts[1:]
-        if empty.any():
-            totals[empty] = 0.0
-        return totals
+        """Each row's sum of its terms at values; an empty row reads 0."""
+        return np.bincount(self.row_of, weights=self.coefs * values[self.var_idx], minlength=self.rhs.size)
 
     def violations(self, values: np.ndarray) -> np.ndarray:
         """Per-constraint infeasibility amount (0 when satisfied)."""
@@ -86,7 +76,9 @@ def max_violation_by_family(model: TimeExpandedModel, values: np.ndarray) -> dic
     worst: dict[str, float] = {}
     for row, violation in zip(model.constraints, system.violations(values)):
         family = constraint_family(row.name)
-        if violation > worst.get(family, 0.0):
+        # A NaN row reads NaN, and no later row of its family replaces it.
+        current = worst.get(family, 0.0)
+        if not (math.isnan(current) or violation <= current):
             worst[family] = float(violation)
     return worst
 

@@ -84,6 +84,8 @@ class VariableRef(NamedTuple):
 
 
 class ModelVariable(NamedTuple):
+    """One declared variable; name is its ref written as kind(key,...)."""
+
     ref: VariableRef
     name: str
     lb: float = 0.0
@@ -143,11 +145,16 @@ class TimeExpandedModel:
         self,
         kind: str,
         key: tuple,
-        name: str,
         lb: float = 0.0,
         ub: float = math.inf,
         integer: bool = False,
     ) -> int:
+        """Declare variable (kind, key); returns its index.
+
+        Its name is kind(key,...), e.g. direct(A-B,1,A-C-r1), cancel(A-C,2)
+        or beta(X-Y,1), so the name and the key cannot disagree.
+        """
+        name = f"{kind}({','.join(map(str, key))})"
         if not math.isfinite(lb):
             raise ModelError(f"variable {name} needs a finite lower bound, got {lb}")
         ref = VariableRef(kind, key)
@@ -216,40 +223,35 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
 
     for r in routes:
         for t in T:
-            model.add_variable("dep", (r.name, t), f"dep({r.name},{t})")
+            model.add_variable("dep", (r.name, t))
     for l in doc.links:
         for t in T:
             for r in on_link[l.name]:
-                model.add_variable("direct", (l.name, t, r.name), f"direct({l.name},{t},{r.name})")
+                model.add_variable("direct", (l.name, t, r.name))
     for l in doc.links:
         for t in T0:
             for r in on_link[l.name]:
                 ub = ends.get(t, math.inf)
-                model.add_variable("next", (l.name, t, r.name), f"next({l.name},{t},{r.name})", ub=ub)
+                model.add_variable("next", (l.name, t, r.name), ub=ub)
     for n in doc.nodes:
         for t in T0:
             for r in at_node[n]:
                 if n != nodes_of[r.name][-1]:
                     ub = ends.get(t, math.inf)
-                    model.add_variable("ni", (n, t, r.name), f"ni({n},{t},{r.name})", ub=ub)
+                    model.add_variable("ni", (n, t, r.name), ub=ub)
     for n in doc.nodes:
         for t in T:
             for r in at_node[n]:
                 if n != nodes_of[r.name][0]:
-                    model.add_variable("lag", (n, t, r.name), f"lag({n},{t},{r.name})")
+                    model.add_variable("lag", (n, t, r.name))
     for d in doc.demands:
         for t in T0:
-            model.add_variable("post", (d.name, t), f"post({d.name},{t})", ub=ends.get(t, math.inf))
+            model.add_variable("post", (d.name, t), ub=ends.get(t, math.inf))
     for d in doc.demands:
         for t in T:
-            model.add_variable("cancel_t", (d.name, t), f"cancel({d.name},{t})")
+            model.add_variable("cancel", (d.name, t))
     for d in doc.demands:
-        model.add_variable(
-            "cancel_total",
-            (d.name,),
-            f"cancel_total({d.name})",
-            integer=not config.relax_integrality,
-        )
+        model.add_variable("cancel_total", (d.name,), integer=not config.relax_integrality)
     # A pair is stated in either order; its earlier link in doc.links stands for it.
     place = {l.name: i for i, l in enumerate(doc.links)}
     pairs = [tuple(sorted(pair, key=place.get)) for pair in doc.single_track_pairs]
@@ -257,13 +259,7 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     if config.capacity_mode == "single_track_alt2":
         for rep, _ in model.single_track_pairs:
             for t in T:
-                model.add_variable(
-                    "dirflag_beta",
-                    (rep, t),
-                    f"beta({rep},{t})",
-                    ub=1.0,
-                    integer=True,
-                )
+                model.add_variable("beta", (rep, t), ub=1.0, integer=True)
     return model
 
 
@@ -272,20 +268,15 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
 # ---------------------------------------------------------------------------
 
 
-def link_usage(
-    model: TimeExpandedModel, link: str, t: int, train_type: Optional[str] = None
-) -> list[tuple[int, float]]:
+def link_usage(model: TimeExpandedModel, link: str, t: int) -> list[tuple[int, float]]:
     """Terms of a link's capacity charge in period t.
 
-    Every route on the link (of the given train type, if one is given) counts
-    its direct arc of period t plus half of each adjacent next arc (from t - 1
-    and from t), which cross the period boundary halfway.  A link no route
-    uses has no terms.
+    Every route on the link counts its direct arc of period t plus half of
+    each adjacent next arc (from t - 1 and from t), which cross the period
+    boundary halfway.  A link no route uses has no terms.
     """
     terms: list[tuple[int, float]] = []
     for r in model.routes_on_link[link]:
-        if train_type is not None and r.train_type != train_type:
-            continue
         terms.append((model.var("direct", link, t, r.name), 1.0))
         terms.append((model.var("next", link, t - 1, r.name), 0.5))
         terms.append((model.var("next", link, t, r.name), 0.5))
@@ -368,7 +359,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                 if not both:
                     continue
                 cap = min(capacity[(rep, t)], capacity[(other, t)])
-                beta = model.var("dirflag_beta", rep, t)
+                beta = model.var("beta", rep, t)
                 model.add_constraint(f"Capacity2alt2[l={rep}/{other},t={t}]", both, "<=", cap)
                 scaled = [(idx, k * coef) for idx, coef in both]
                 model.add_constraint(
@@ -401,10 +392,10 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
             terms = [(model.var("dep", r, t), 1.0) for r in routes]
             terms.append((model.var("post", d.name, t), 1.0))
             terms.append((model.var("post", d.name, t - 1), -1.0))
-            terms.append((model.var("cancel_t", d.name, t), 1.0))
+            terms.append((model.var("cancel", d.name, t), 1.0))
             model.add_constraint(f"Departure3[d={d.name},t={t}]", terms, "=", d.volumes[t - 1])
     for d in doc.demands:
-        terms = [(model.var("cancel_t", d.name, t), 1.0) for t in T]
+        terms = [(model.var("cancel", d.name, t), 1.0) for t in T]
         terms.append((model.var("cancel_total", d.name), -1.0))
         model.add_constraint(f"Cancel1[d={d.name}]", terms, "=", 0.0)
 

@@ -627,7 +627,7 @@ def apply_tcr(doc: ScenarioDocument, overrides: Sequence[TcrOverride]) -> Scenar
 
 @dataclass(frozen=True)
 class CapacityUsageReport:
-    """Per (link, period) capacity usage, with per-type breakdown and setup rows.
+    """Per (link, period) capacity usage, with setup rows.
 
     Usage counts each route's direct flow plus half of each adjacent
     crossing flow; setup rows (single_track_alt2 only) show the capacity
@@ -638,8 +638,6 @@ class CapacityUsageReport:
     link_names: tuple[str, ...]
     t_max: int
     total: Mapping[tuple[str, int], float]
-    by_type: Mapping[tuple[str, int, str], float]
-    nominal: Mapping[tuple[str, int], float]
     setup: Mapping[tuple[str, int], float]
     setup_pairs: tuple[tuple[str, str], ...]
 
@@ -655,40 +653,27 @@ class DemandOutcomeReport:
     postponed: Mapping[tuple[str, int], float]
     cancelled: Mapping[tuple[str, int], float]
     cancel_total: Mapping[str, float]
-    requested: Mapping[str, int]
 
 
 def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> CapacityUsageReport:
     doc = model.doc
     periods = range(1, doc.t_max + 1)
-    total: dict[tuple[str, int], float] = {}
-    by_type: dict[tuple[str, int, str], float] = {}
-    nominal: dict[tuple[str, int], float] = {}
-    for link in doc.links:
-        for t in periods:
-            nominal[(link.name, t)] = doc.capacity[(link.name, t)]
-            for h in doc.train_types:
-                by_type[(link.name, t, h)] = float(
-                    sum(coef * values[idx] for idx, coef in link_usage(model, link.name, t, h))
-                )
-            total[(link.name, t)] = sum(by_type[(link.name, t, h)] for h in doc.train_types)
+    total = {
+        (link.name, t): float(sum(coef * values[idx] for idx, coef in link_usage(model, link.name, t)))
+        for link in doc.links
+        for t in periods
+    }
     setup: dict[tuple[str, int], float] = {}
     setup_pairs: tuple[tuple[str, str], ...] = ()
     if model.config.capacity_mode == "single_track_alt2":
         setup_pairs = model.single_track_pairs
         for rep, other in setup_pairs:
             for t in periods:
-                own, opp = (
-                    sum(coef * values[idx] for idx, coef in link_usage(model, link, t))
-                    for link in (rep, other)
-                )
-                setup[(rep, t)] = float(min(own, opp)) / model.config.k_setup
+                setup[(rep, t)] = min(total[(rep, t)], total[(other, t)]) / model.config.k_setup
     return CapacityUsageReport(
         link_names=tuple(l.name for l in doc.links),
         t_max=doc.t_max,
         total=total,
-        by_type=by_type,
-        nominal=nominal,
         setup=setup,
         setup_pairs=setup_pairs,
     )
@@ -702,7 +687,6 @@ def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandO
     postponed: dict[tuple[str, int], float] = {}
     cancelled: dict[tuple[str, int], float] = {}
     cancel_total: dict[str, float] = {}
-    requested: dict[str, int] = {}
     for d in doc.demands:
         routes_of[d.name] = tuple(doc.implements.get(d.name, ()))
         for rname in routes_of[d.name]:
@@ -711,9 +695,8 @@ def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandO
         for t in range(0, t_max + 1):
             postponed[(d.name, t)] = float(values[model.var("post", d.name, t)])
         for t in range(1, t_max + 1):
-            cancelled[(d.name, t)] = float(values[model.var("cancel_t", d.name, t)])
+            cancelled[(d.name, t)] = float(values[model.var("cancel", d.name, t)])
         cancel_total[d.name] = float(values[model.var("cancel_total", d.name)])
-        requested[d.name] = sum(d.volumes)
     return DemandOutcomeReport(
         demand_names=tuple(d.name for d in doc.demands),
         t_max=t_max,
@@ -722,7 +705,6 @@ def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandO
         postponed=postponed,
         cancelled=cancelled,
         cancel_total=cancel_total,
-        requested=requested,
     )
 
 

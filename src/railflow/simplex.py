@@ -68,6 +68,7 @@ class StandardFormLP:
     column, with each (row, column) once and every value nonzero.  Each live
     model variable maps to one column: its value is offset plus the column
     value.  Fixed variables carry their value in offset with no column.
+    offset and pos_col have one entry per model variable.
     """
 
     c: np.ndarray
@@ -76,9 +77,7 @@ class StandardFormLP:
     vals: np.ndarray
     relations: tuple[str, ...]
     b: np.ndarray
-    row_names: tuple[str, ...]
     objective_constant: float
-    n_model_vars: int
     offset: np.ndarray          # per model variable, additive constant
     pos_col: np.ndarray         # per model variable, column index or -1
 
@@ -92,7 +91,7 @@ class StandardFormLP:
 
     def with_objective(self, objective: Mapping[int, float]) -> "StandardFormLP":
         """The same rows and columns under an objective over the model variables."""
-        obj = np.zeros(self.n_model_vars)
+        obj = np.zeros(self.offset.size)
         obj[np.fromiter(objective.keys(), dtype=int, count=len(objective))] = np.fromiter(
             objective.values(), dtype=float, count=len(objective)
         )
@@ -123,7 +122,7 @@ def build_standard_form(
     """
     rows = model.constraints
     system = ConstraintSystem.from_rows(rows)
-    n_vars = len(model.variables)
+    row_of = system.row_of
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
     if bounds:
@@ -140,7 +139,6 @@ def build_standard_form(
     fixed = hi - lo <= 1e-12
     pos_col = np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
-    row_of = np.repeat(np.arange(len(rows)), np.diff(system.starts))
     adj = system.rhs - np.bincount(
         row_of, weights=system.coefs * lo[system.var_idx], minlength=len(rows)
     )
@@ -168,10 +166,7 @@ def build_standard_form(
         vals=a_vals[order],
         relations=tuple(relation_of[system.sense[kept] + 1].tolist()) + ("<=",) * ub_var.size,
         b=np.concatenate([adj[kept], hi[ub_var] - lo[ub_var]]),
-        row_names=tuple(rows[k].name for k in np.nonzero(kept)[0])
-        + tuple(f"__ub[{model.variables[i].name}]" for i in ub_var),
         objective_constant=0.0,
-        n_model_vars=n_vars,
         offset=lo,
         pos_col=pos_col,
     ).with_objective(model.objective)
@@ -402,8 +397,7 @@ class Tableau:
         self.basis[slack_rows] = logical_cols[: self.n_slack]
         self.basic_artificial = self.basis < 0
         T[m, :n] = sf.c
-        self.has_artificial = bool(self.basic_artificial.any())
-        if self.has_artificial:
+        if self.basic_artificial.any():
             # The phase-1 row is minus the sum of the artificial rows (every
             # surplus row is one).  bincount adds each column's entries in
             # row order from 0.0, so it has the bits of their sum over axis 0.
@@ -757,7 +751,7 @@ def solve_lp(
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
 
     tableau = Tableau(sf)
-    if tableau.has_artificial:
+    if tableau.basic_artificial.any():
         tableau.crash(tol)
         outcome = tableau.run_phase(m + 1, True, tol)
         if outcome == ITERATION_LIMIT:

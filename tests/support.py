@@ -67,12 +67,12 @@ def bare_model() -> TimeExpandedModel:
 
 
 def synthetic_model(c, rows, *, integer=(), ub=None):
-    """Model with variables x0..x{n-1}, rows (coeffs, relation, rhs) and costs c."""
+    """Model with variables x(0)..x(n-1), rows (coeffs, relation, rhs) and costs c."""
     model = bare_model()
     n = len(c)
     for j in range(n):
         bound = np.inf if ub is None else ub[j]
-        model.add_variable("x", (j,), f"x{j}", ub=bound, integer=j in set(integer))
+        model.add_variable("x", (j,), ub=bound, integer=j in set(integer))
     for k, (coeffs, relation, rhs) in enumerate(rows):
         terms = [(j, float(a)) for j, a in enumerate(coeffs) if a != 0.0]
         model.add_constraint(f"row[{k}]", terms, relation, float(rhs))

@@ -63,8 +63,7 @@ def highs_stages(model, integer_values) -> np.ndarray:
     """The three refinement stages through HiGHS, with no post-processing."""
     system = ConstraintSystem.from_model(model)
     n = len(model.variables)
-    row_of = np.repeat(np.arange(system.rhs.size), np.diff(system.starts))
-    A = sparse.csr_matrix((system.coefs, (row_of, system.var_idx)), shape=(system.rhs.size, n))
+    A = sparse.csr_matrix((system.coefs, (system.row_of, system.var_idx)), shape=(system.rhs.size, n))
     bounds = [
         (float(round(integer_values[i])),) * 2 if v.integer else (v.lb, v.ub)
         for i, v in enumerate(model.variables)

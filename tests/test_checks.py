@@ -7,6 +7,7 @@ from railflow.checks import (
     max_violation_by_family,
     verify_solution,
 )
+from railflow.model import LinearConstraint
 from support import synthetic_model
 
 
@@ -40,6 +41,36 @@ def test_max_violation_groups_by_family():
     )
     worst = max_violation_by_family(model, np.array([3.0]))
     assert worst["Capacity1"] == pytest.approx(2.0)
+
+
+def test_max_violation_reads_nan_for_a_family_with_a_nan_row():
+    # x0 + x1 <= 3 is NaN at x0 = NaN; x1 <= 1 is violated by 4 at x1 = 5.
+    nan_row, finite_row = ([1.0, 1.0], "<=", 3.0), ([0.0, 1.0], "<=", 1.0)
+    values = np.array([np.nan, 5.0])
+    for rows in ([nan_row], [nan_row, finite_row], [finite_row, nan_row]):
+        worst = max_violation_by_family(synthetic_model([0.0, 0.0], rows), values)
+        assert list(worst) == ["row"] and np.isnan(worst["row"]), (rows, worst)
+
+
+def test_activities_are_the_per_row_sums():
+    # Empty rows at the start, in the middle and at the end read 0; a NaN
+    # value makes its row NaN and leaves the others alone.
+    rows = [
+        LinearConstraint("empty_first", (), "<=", 0.0),
+        LinearConstraint("a", ((0, 1.0), (2, -2.0)), "<=", 0.0),
+        LinearConstraint("empty_middle", (), "=", 0.0),
+        LinearConstraint("b", ((1, 0.5),), ">=", 0.0),
+        LinearConstraint("nan", ((1, 1.0), (3, 1.0)), "<=", 0.0),
+        LinearConstraint("empty_last", (), ">=", 0.0),
+    ]
+    values = np.array([1.5, -2.0, 0.25, np.nan])
+    got = ConstraintSystem.from_rows(rows).activities(values)
+    want = [sum(coef * values[idx] for idx, coef in row.terms) for row in rows]
+    np.testing.assert_array_equal(got, want)
+    assert np.isnan(got[4]) and np.isfinite(np.delete(got, 4)).all()
+    only_empty = [rows[0], rows[2]]
+    np.testing.assert_array_equal(ConstraintSystem.from_rows(only_empty).activities(values), [0.0, 0.0])
+    assert ConstraintSystem.from_rows([]).activities(values).shape == (0,)
 
 
 def test_verify_solution_reports_bounds_and_integrality():

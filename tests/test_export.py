@@ -24,11 +24,11 @@ def test_integer_markers_wrap_integer_columns():
     model = synthetic_model([1.0, 2.0], [([1.0, 1.0], ">=", 1.0)], integer=(1,), ub=[np.inf, 4.0])
     text = export_model_text(model)
     parsed = parse_mps(text)
-    assert parsed.integer == {"x1"}
-    assert parsed.upper["x1"] == 4.0
+    assert parsed.integer == {"x(1)"}
+    assert parsed.upper["x(1)"] == 4.0
     intorg = text.index("'INTORG'")
     intend = text.index("'INTEND'")
-    assert intorg < text.index("x1 ", intorg) < intend
+    assert intorg < text.index("x(1) ", intorg) < intend
 
 
 def test_twelve_significant_digits():
@@ -40,9 +40,9 @@ def test_twelve_significant_digits():
 
 def test_unreferenced_column_still_exported():
     model = bare_model()
-    model.add_variable("x", (0,), "idle")
+    model.add_variable("idle", (0,))
     text = export_model_text(model)
-    assert "idle" in text  # appears with a zero objective entry
+    assert "idle(0)" in text  # appears with a zero objective entry
 
 
 def test_scipy_agrees_on_a_small_model():

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import warnings
 from dataclasses import replace
@@ -43,7 +44,7 @@ def test_variable_counts_single_link():
     assert count_kind(model, "ni") == 3  # at A only: periods 0..2; B is the destination
     assert count_kind(model, "dep") == 2
     assert count_kind(model, "post") == 3
-    assert count_kind(model, "cancel_t") == 2
+    assert count_kind(model, "cancel") == 2
     assert count_kind(model, "cancel_total") == 1
 
 
@@ -67,6 +68,7 @@ def test_variables_are_keyed_by_the_documents_names():
     assert model.variables[model.var("direct", "A-B", 1, "A-C-r1")].name == "direct(A-B,1,A-C-r1)"
     assert model.variables[model.var("lag", "C", 2, "A-C-r1")].name == "lag(C,2,A-C-r1)"
     assert model.variables[model.var("cancel_total", "A-C")].name == "cancel_total(A-C)"
+    assert model.variables[model.var("cancel", "A-C", 2)].name == "cancel(A-C,2)"
     with pytest.raises(KeyError):
         model.var("direct", 1, 1, 1)
 
@@ -235,13 +237,13 @@ def test_alt1_shares_the_mean_of_both_directions():
     assert len(rows) == 3  # one per period for the single pair
     row = constraint(model, "Capacity2alt1[l=X-Y/Y-X,t=1]")
     assert row.rhs == pytest.approx(0.5 * (6.0 + 4.0))
-    assert count_kind(model, "dirflag_beta") == 0
+    assert count_kind(model, "beta") == 0
 
 
 def test_alt2_rows_and_variables():
     model = coupled_pair_model(cap_back=4.0, config={"capacity_mode": "single_track_alt2", "k_setup": 0.5})
-    assert count_kind(model, "dirflag_beta") == 3
-    beta = next(v for v in model.variables if v.ref.kind == "dirflag_beta")
+    assert count_kind(model, "beta") == 3
+    beta = next(v for v in model.variables if v.ref.kind == "beta")
     assert beta.integer and beta.ub == 1.0
     pair_rows = names_of(model, "Capacity2alt2")
     setup_rows = names_of(model, "Capacity2alt2setup")
@@ -256,7 +258,7 @@ def test_alt2_rows_and_variables():
         model.var("next", "Y-X", 0, "YX-p1"): 0.5,
         model.var("next", "Y-X", 1, "YX-p1"): 0.5,
     }
-    beta, k, m = model.var("dirflag_beta", "X-Y", 1), 0.5, 60.0  # M is 10 x the largest capacity, 6
+    beta, k, m = model.var("beta", "X-Y", 1), 0.5, 60.0  # M is 10 x the largest capacity, 6
     # both directions share the smaller capacity of the pair, 4
     pair = constraint(model, "Capacity2alt2[l=X-Y/Y-X,t=1]")
     assert (dict(pair.terms), pair.relation, pair.rhs) == ({**own, **opp}, "<=", 4.0)
@@ -297,7 +299,7 @@ def test_alt2_rows_admit_exactly_the_setup_rule(k_setup):
             values[model.var("direct", "Y-X", 1, "YX-p1")] = opp
             admitted = False
             for flag in (0.0, 1.0):
-                values[model.var("dirflag_beta", "X-Y", 1)] = flag
+                values[model.var("beta", "X-Y", 1)] = flag
                 admitted |= not rows.violations(values).any()
             assert admitted == (own + opp + min(own, opp) / k_setup <= 4.5), (own, opp)
             admitted_somewhere += admitted
@@ -463,7 +465,7 @@ def test_heterogeneous_mode_solves():
 @pytest.mark.parametrize("capacity, big_m", [(7.0, 70.0), (0.5, 10.0)])
 def test_big_m_is_ten_times_the_largest_capacity_and_at_least_ten(capacity, big_m):
     model = coupled_pair_model(capacity=capacity, config={"capacity_mode": "single_track_alt2"})
-    beta = model.var("dirflag_beta", "X-Y", 1)
+    beta = model.var("beta", "X-Y", 1)
     assert dict(constraint(model, "Capacity2alt2setup[l=X-Y,t=1]").terms)[beta] == big_m
     assert dict(constraint(model, "Capacity2alt2setup[l=Y-X,t=1]").terms)[beta] == -big_m
 
@@ -644,3 +646,30 @@ def test_a_reversed_pair_builds_the_same_model(tmp_path):
     assert output.capacity.setup_pairs == (("X-Y", "Y-X"),)
     assert report_capacity_csv(output.capacity) == report_capacity_csv(run(forward).capacity)
     assert b"\nsetup X-Y," in report_capacity_csv(output.capacity)
+
+
+def assert_names_are_keys(model):
+    names = [v.name for v in model.variables]
+    assert names == [f"{v.ref.kind}({','.join(map(str, v.ref.key))})" for v in model.variables]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_variable_names_are_their_keys(scenario_dir, scenario, mode):
+    assert_names_are_keys(bundled_model(scenario_dir, scenario, mode))
+
+
+@pytest.mark.parametrize("single_track", [0, 1, 2])
+def test_variable_names_are_their_keys_on_generated_lines(scenario_dir, single_track):
+    path = scenario_dir.parent / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    doc = load_scenario(synth.line_scenario(11, 4, 6, 4, single_track=single_track))
+    doc = replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no single-track pair when single_track is 0
+        model = build_model(doc)
+    assert count_kind(model, "beta") == single_track * doc.t_max
+    assert_names_are_keys(model)

@@ -4,7 +4,6 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +14,6 @@ from railflow.scenario import (
     ScenarioError,
     TcrOverride,
     apply_tcr,
-    build_demand_report,
     build_scenario_model,
     load_scenario,
     report_capacity_csv,
@@ -23,7 +21,7 @@ from railflow.scenario import (
     run,
 )
 
-from support import inflow, line_doc, line_raw
+from support import inflow, line_raw
 
 
 def test_fixture_inventory(small_doc):
@@ -53,21 +51,6 @@ def test_unservable_demand_has_no_routes():
     raw = line_raw(demand_name="C-A")
     raw["demands"][0].update(origin="C", destination="A")
     assert load_scenario(raw).implements == {"C-A": ()}
-
-
-def test_requested_volume_is_the_sum_of_the_volumes(small_doc):
-    model = build_scenario_model(small_doc)
-    report = build_demand_report(model, np.zeros(len(model.variables)))
-    assert report.requested == {d.name: sum(d.volumes) for d in small_doc.demands}
-    assert report.requested["A-H-f"] == 6
-
-
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
-def test_requested_volume_of_a_line(volumes):
-    doc = line_doc(volumes=tuple(volumes), t_max=len(volumes))
-    model = build_scenario_model(doc)
-    report = build_demand_report(model, np.zeros(len(model.variables)))
-    assert report.requested == {"A-C": sum(volumes)}
 
 
 def test_route_with_unknown_link_is_a_load_error(scenario_dir):
@@ -184,20 +167,20 @@ def test_apply_tcr_past_float_range_raises(three_station_doc):
 def test_run_reports_reconcile(three_station_run):
     output, _ = three_station_run
     report = output.demands
-    for name in report.demand_names:
+    for d in output.model.doc.demands:
         served = sum(
-            output.demands.departures[(name, rname, t)]
-            for rname in report.routes_of[name]
+            output.demands.departures[(d.name, rname, t)]
+            for rname in report.routes_of[d.name]
             for t in range(1, report.t_max + 1)
         )
-        assert served + report.cancel_total[name] == pytest.approx(report.requested[name], abs=1e-9)
+        assert served + report.cancel_total[d.name] == pytest.approx(sum(d.volumes), abs=1e-9)
 
 
 def test_capacity_report_within_nominal(base_run):
     output, _ = base_run
     report = output.capacity
     for key, used in report.total.items():
-        assert used <= report.nominal[key] + 1e-6
+        assert used <= output.model.doc.capacity[key] + 1e-6
 
 
 def test_capacity_csv_layout(three_station_run):
@@ -668,7 +651,7 @@ def test_names_that_break_the_exports_rejected_at_load(scenario_dir, tmp_path, c
 def test_reports_hold_plain_floats(shuttle_run):
     output, _ = shuttle_run
     capacity, demands = output.capacity, output.demands
-    tables = [capacity.total, capacity.by_type, capacity.nominal, capacity.setup]
+    tables = [capacity.total, capacity.setup]
     tables += [demands.departures, demands.postponed, demands.cancelled, demands.cancel_total]
     assert all(type(v) is float for table in tables for v in table.values())
     assert capacity.setup

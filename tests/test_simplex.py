@@ -46,9 +46,7 @@ def raw_lp(c, A, b, relations=None):
         vals=A[rows, cols],
         relations=tuple(relations or ("<=",) * len(b)),
         b=np.asarray(b, dtype=float),
-        row_names=tuple(f"r{i}" for i in range(len(b))),
         objective_constant=0.0,
-        n_model_vars=n,
         offset=np.zeros(n),
         pos_col=np.arange(n),
     )
@@ -64,7 +62,7 @@ def dense(sf):
 def reference_standard_form(model, bounds=None):
     """Row-by-row conversion with a dense A: the reference build_standard_form must match.
 
-    Returns (c, A, relations, b, row_names, constant, offset, pos_col).
+    Returns (c, A, relations, b, constant, offset, pos_col).
     """
     n_vars = len(model.variables)
     lo = np.array([v.lb for v in model.variables], dtype=float)
@@ -85,8 +83,7 @@ def reference_standard_form(model, bounds=None):
         pos_col[i] = len(c)
         c.append(coef)
         if np.isfinite(hi[i]):
-            name = f"__ub[{model.variables[i].name}]"
-            ub_rows.append((((pos_col[i], 1.0),), "<=", hi[i] - lo[i], name))
+            ub_rows.append((((pos_col[i], 1.0),), "<=", hi[i] - lo[i]))
     rows = []
     for row in model.constraints:
         terms, rhs = [], row.rhs
@@ -96,18 +93,17 @@ def reference_standard_form(model, bounds=None):
                 terms.append((pos_col[idx], coef))
         violated = {"=": abs(rhs) > 1e-9, "<=": rhs < -1e-9, ">=": rhs > 1e-9}[row.relation]
         if terms:
-            rows.append((terms, row.relation, rhs, row.name))
+            rows.append((terms, row.relation, rhs))
         elif violated:
             raise InfeasibleModel(f"constraint {row.name} is violated by fixed variables")
     rows += ub_rows
     A = np.zeros((len(rows), len(c)))
-    for k, (terms, _, _, _) in enumerate(rows):
+    for k, (terms, _, _) in enumerate(rows):
         for col, coef in terms:
             A[k, col] += coef
     relations = tuple(r[1] for r in rows)
     b = np.array([r[2] for r in rows], dtype=float)
-    names = tuple(r[3] for r in rows)
-    return np.array(c, dtype=float), A, relations, b, names, constant, offset, pos_col
+    return np.array(c, dtype=float), A, relations, b, constant, offset, pos_col
 
 
 def assert_matches_reference(model, bounds=None):
@@ -118,8 +114,8 @@ def assert_matches_reference(model, bounds=None):
             build_standard_form(model, bounds)
         return
     sf = build_standard_form(model, bounds)
-    c, A, relations, b, names, constant, offset, pos_col = expected
-    assert (sf.relations, sf.row_names) == (relations, names)
+    c, A, relations, b, constant, offset, pos_col = expected
+    assert sf.relations == relations
     assert np.array_equal(sf.rows, np.nonzero(A)[0]) and np.array_equal(sf.cols, np.nonzero(A)[1])
     for got, want in zip((sf.c, dense(sf), sf.offset, sf.pos_col), (c, A, offset, pos_col)):
         assert np.array_equal(got, want)
@@ -463,7 +459,7 @@ def test_oracle_agreement_property(seed):
 def test_one_term_row_stays_a_row_with_the_optimum_of_its_bound():
     model = synthetic_model([1.0, 1.0], [([1.0, 0.0], "=", 2.0), ([1.0, 1.0], ">=", 1.0)])
     sf = build_standard_form(model)
-    assert (sf.n_cols, sf.row_names) == (2, ("row[0]", "row[1]"))
+    assert (sf.n_cols, sf.n_rows) == (2, 2)
     solution, values = solve_model_lp(model)
     assert solution.status == OPTIMAL
     np.testing.assert_array_equal(values, [2.0, 0.0])
@@ -479,7 +475,7 @@ def test_add_variable_rejects_infinite_lower_bound():
 
     model = bare_model()
     with pytest.raises(ModelError, match="finite lower bound"):
-        model.add_variable("x", (0,), "x0", lb=-np.inf)
+        model.add_variable("x", (0,), lb=-np.inf)
     assert model.variables == []
 
 
@@ -509,7 +505,7 @@ def test_general_form_agreement_with_reference():
         for j in range(n):
             lb = -2.0 if rng.random() < 0.25 else 0.0
             ub = float(rng.uniform(0.5, 4.0)) if rng.random() < 0.3 else np.inf
-            model.add_variable("x", (j,), f"x{j}", lb=lb, ub=ub)
+            model.add_variable("x", (j,), lb=lb, ub=ub)
             bounds.append((lb, ub))
         c = rng.uniform(-2, 2, size=n).round(3)
         model.objective = {j: float(c[j]) for j in range(n) if c[j] != 0.0}
@@ -564,7 +560,7 @@ def test_standard_form_matches_reference(seed):
     for j in range(n):
         lb = float(rng.choice([0.0, -3.0, 1.5, -2.0]))
         ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb]))
-        model.add_variable("x", (j,), f"x{j}", lb=lb, ub=ub)
+        model.add_variable("x", (j,), lb=lb, ub=ub)
     point = [float(np.clip(1.0, v.lb, v.ub)) for v in model.variables]
     model.objective = {j: float(v) for j, v in enumerate(rng.uniform(-2, 2, n).round(3)) if v}
     for k in range(int(rng.integers(0, 7))):
@@ -612,7 +608,7 @@ def test_one_term_rows_give_the_optimum_of_the_bounds_they_state(scenario_dir):
         LinearConstraint("down", ((first, 1.0),), "<=", 0.0),
         LinearConstraint("up", ((second, 1.0),), ">=", 1.0),
     ]
-    assert {"down", "up"} <= set(build_standard_form(with_rows).row_names)
+    assert build_standard_form(with_rows).n_rows == build_standard_form(model).n_rows + 2
     by_rows, _ = solve_model_lp(with_rows)
     by_bounds, _ = solve_model_lp(model, bounds={first: (-np.inf, 0.0), second: (1.0, np.inf)})
     assert by_rows.status == by_bounds.status == OPTIMAL
@@ -852,7 +848,7 @@ def assert_phase_one_row_is_the_row_sum(sf):
     # over axis 0, as the reference solve forms it.
     tableau = simplex.Tableau(sf)
     m = sf.n_rows
-    if tableau.has_artificial:
+    if tableau.basic_artificial.any():
         want = -tableau.T[:m][tableau.basic_artificial].sum(axis=0)
         assert tableau.T[m + 1].tobytes() == want.tobytes()
 
@@ -1082,7 +1078,7 @@ def test_shifted_column_with_upper_below_lower_is_conflicting():
     model.variables[1] = model.variables[1].__class__(
         model.variables[1].ref, model.variables[1].name, lb=2.0, ub=1.5
     )
-    with pytest.raises(InfeasibleModel, match=r"conflicting bounds on x1$"):
+    with pytest.raises(InfeasibleModel, match=r"conflicting bounds on x\(1\)$"):
         build_standard_form(model)
 
 
