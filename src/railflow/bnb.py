@@ -12,9 +12,9 @@ which refine_to_earliest_pace continues warm.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
-import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -198,9 +198,18 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
 
 
 def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
-    """Fixed generic weights in [1, 2) on every model variable."""
-    rng = random.Random(_TIE_BREAK_SEED)
-    return {idx: 1.0 + rng.random() for idx in range(len(model.variables))}
+    """Fixed generic weights in [1, 2) on every model variable.
+
+    Each weight is drawn from the variable's name (53 bits of a sha256), not
+    its index, so it does not move when the document's order or the set of
+    declared variables changes.
+    """
+
+    def weight(name: str) -> float:
+        digest = hashlib.sha256(f"{_TIE_BREAK_SEED}:{name}".encode()).digest()
+        return 1.0 + (int.from_bytes(digest[:8], "big") >> 11) / 2.0**53
+
+    return {idx: weight(var.name) for idx, var in enumerate(model.variables)}
 
 
 def refine_to_earliest_pace(
