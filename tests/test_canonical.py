@@ -14,6 +14,7 @@ HiGHS move about 1e-9 along the later objectives, which flips cells that sit
 exactly on a half-cent rounding boundary (2.325 in ``small_network``).
 """
 
+import json
 import sys
 import warnings
 from dataclasses import replace
@@ -170,6 +171,55 @@ def test_refined_reports_do_not_depend_on_row_order(scenario, mode):
     second = solve_mip(model)
     assert second.iterations != first.iterations
     assert reports(model, refine_to_earliest_pace(model, second).values) == forward
+
+
+def keyed_rows(output) -> dict:
+    """Report rows by what they describe: link, coupled pair or (demand, series)."""
+    pair_of = {f"setup {pair[0]}": frozenset(pair) for pair in output.capacity.setup_pairs}
+    capacity = report_capacity_csv(output.capacity).decode().splitlines()[1:]
+    demand = report_demand_csv(output.demands).decode().splitlines()[1:]
+    rows = {pair_of.get(label, label): cells for label, cells in (line.split(",", 1) for line in capacity)}
+    rows.update({tuple(line.split(",")[:2]): line.split(",")[2:] for line in demand})
+    return rows
+
+
+def bundled_raw(scenario, mode):
+    raw = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    raw.setdefault("config", {})["capacity_mode"] = mode
+    return raw
+
+
+def run_quietly(raw):
+    with warnings.catch_warnings():
+        # single-track modes warn on networks without single-track pairs
+        warnings.simplefilter("ignore")
+        return run(load_scenario(raw))
+
+
+# Branch and bound picks another of the tied integer optima here: the beta
+# flags differ, and so do the refined flows.
+INTEGER_TIES = {f"{sc}:single_track_alt2:links" for sc in ("small_network", "small_network_tcr")}
+REORDERINGS = [
+    pytest.param(
+        scenario, mode, field,
+        marks=pytest.mark.xfail(strict=True, reason="tied integer optima are not broken canonically")
+        if f"{scenario}:{mode}:{field}" in INTEGER_TIES else (),
+        id=f"{scenario}:{mode}:{field}",
+    )
+    for scenario in SCENARIOS
+    for mode in CAPACITY_MODES
+    for field in ("routes", "links", "demands", "nodes", "single_track_pairs")
+]
+
+
+@pytest.mark.parametrize("scenario, mode, field", REORDERINGS)
+def test_refined_reports_do_not_depend_on_document_order(scenario, mode, field):
+    raw = bundled_raw(scenario, mode)
+    forward = run_quietly(raw)
+    raw[field] = raw.get(field, [])[::-1]
+    backward = run_quietly(raw)
+    assert backward.result.objective == pytest.approx(forward.result.objective, rel=1e-9, abs=0.0)
+    assert keyed_rows(backward) == keyed_rows(forward)
 
 
 @pytest.mark.parametrize(
