@@ -19,9 +19,10 @@ def main():
     print("objective:", round(output.result.objective, 6))
     for t in (1, 2):
         dep = values[model.var("dep", "A-C-r1", t)]
-        # arrivals at C are the inflow over B-C: within period t, or crossing from t - 1
-        inflow = [model.var("direct", "B-C", t, "A-C-r1"), model.var("next", "B-C", t - 1, "A-C-r1")]
-        arrivals = values[inflow].sum()
+        # arrivals at C are the inflow over B-C: within period t, or crossing
+        # from t - 1 (no crossing comes from period 0, which has no variables)
+        inflow = model.terms([(1.0, "direct", "B-C", t, "A-C-r1"), (1.0, "next", "B-C", t - 1, "A-C-r1")])
+        arrivals = sum(values[idx] for idx, _ in inflow)
         print(f"period {t}: departures {dep:.2f}, arrivals {arrivals:.2f}")
     print()
     print(report_capacity_csv(output.capacity).decode(), end="")

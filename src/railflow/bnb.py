@@ -52,11 +52,6 @@ class SolveResult:
     # refine_to_earliest_pace uses it up (scenario.run drops it).
     tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
-    def value(self, model: TimeExpandedModel, kind: str, *key) -> float:
-        if self.values is None:
-            raise ValueError(f"no solution values in a result with status {self.status}")
-        return float(self.values[model.var(kind, *key)])
-
 
 def _relative_gap(incumbent: float, bound: float) -> float:
     return max(0.0, incumbent - bound) / max(1.0, abs(incumbent))
@@ -186,30 +181,24 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
 
     Volume enters the origin as departures and every later node over the
     route's link into it: a direct arc within its period t, a next arc in
-    period t + 1 (a next arc out of t_max is empty).
+    period t + 1 (no next arc leaves t_max).
     """
     delay = {"dep": 0, "direct": 0, "next": 1}
-    t_max = model.doc.t_max
     return {
         idx: float(var.ref.key[1] + delay[var.ref.kind])
         for idx, var in enumerate(model.variables)
-        if var.ref.kind in delay and var.ref.key[1] + delay[var.ref.kind] <= t_max
+        if var.ref.kind in delay
     }
 
 
 def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
     """Fixed generic weights in [1, 2) on every model variable.
 
-    Each weight is drawn from the variable's name (53 bits of a sha256), not
-    its index, so it does not move when the document's order or the set of
-    declared variables changes.
+    Each weight is 53 bits of a sha256 of the seed and the variable's name, so
+    neither the document's order nor the other declared variables move it.
     """
-
-    def weight(name: str) -> float:
-        digest = hashlib.sha256(f"{_TIE_BREAK_SEED}:{name}".encode()).digest()
-        return 1.0 + (int.from_bytes(digest[:8], "big") >> 11) / 2.0**53
-
-    return {idx: weight(var.name) for idx, var in enumerate(model.variables)}
+    digests = (hashlib.sha256(f"{_TIE_BREAK_SEED}:{v.name}".encode()).digest() for v in model.variables)
+    return {idx: 1.0 + (int.from_bytes(d[:8], "big") >> 11) / 2.0**53 for idx, d in enumerate(digests)}
 
 
 def refine_to_earliest_pace(
@@ -228,9 +217,10 @@ def refine_to_earliest_pace(
        possible.  This resolves the tie between alternate optima that
        differ only in when volume crosses a link, so the reported capacity
        usage matches the physical reading of the flows.
-    2. tie-break: fixed generic weights on every model variable pick one
-       vertex of the pace-optimal face, so the reported solution depends on
-       the model alone, not on the pivots that reached it.
+    2. tie-break: fixed generic weights, each drawn from a variable's name,
+       pick one vertex of the pace-optimal face, so the reported solution
+       depends on the declared variables alone, not on their order or on
+       the pivots that reached it.
 
     Each stage starts from an optimal basis of the one before, so a
     refinement that does not end optimal failed numerically or at the cap;

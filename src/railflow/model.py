@@ -7,7 +7,8 @@ next period (next arcs, counted half in each adjacent period for capacity)
 and volumes standing at stations short of the destination (node inventory
 arcs).  A route's arrivals are the inflow over its last link; they have no
 variable of their own.  A route's flow variables exist only on its own links
-and stations; off-route flow is not declared at all.  The demand layer
+and stations, from the first period its pace reaches them; off-route and
+unreachable flow is not declared at all.  The demand layer
 converts requested volumes into departures, postponements and
 cancellations.  Pacing keeps volumes from outrunning their train type: at
 every route node after the origin, a lag variable holds the volume that
@@ -170,6 +171,15 @@ class TimeExpandedModel:
         # A VariableRef hashes and compares as the plain tuple (kind, key).
         return self._index[(kind, key)]
 
+    def terms(self, terms: Iterable[tuple]) -> list[tuple[int, float]]:
+        """(index, coef) of each (coef, kind, *key) term whose variable is declared.
+
+        build_variables declares a variable only where it can be nonzero, so a
+        term on an undeclared one drops.
+        """
+        found = ((self._index.get((kind, tuple(key))), coef) for coef, kind, *key in terms)
+        return [(idx, coef) for idx, coef in found if idx is not None]
+
     def add_constraint(
         self,
         name: str,
@@ -193,21 +203,19 @@ class TimeExpandedModel:
 def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     """Declare every decision variable; no constraints yet.
 
-    Flow variables (direct, next, ni, lag) of a route exist only on that
-    route's links and nodes; lag not at its origin, where it would always be
-    0, and ni not at its destination, where volume arrives and leaves the
-    route (holding it there would only delay the arrival).  Every variable
-    is nonnegative (add_variable rejects an infinite lower bound, so no
-    variable is free).  The horizon ends are bounds: next arcs and node
-    inventories are empty in periods 0 and t_max, and nothing is postponed
-    into period 0 or out of the last period, so unplaceable volume has to be
-    cancelled.
+    A variable is declared only where it can be nonzero, and is >= 0.  A
+    route's flow variables exist on its own links and nodes from the first
+    period f its volume can reach there (departure_spread): direct from its
+    head's f, next from one period earlier but not before its tail's f, ni
+    and lag from the node's f.  There is no lag at the origin, where it would
+    be 0, and no ni at the destination, where volume leaves the route.
+    Nothing crosses, stands or is postponed out of t_max, so unplaceable
+    volume has to be cancelled.
     """
     model = TimeExpandedModel(doc)
     config = doc.config
     T = range(1, doc.t_max + 1)
-    T0 = range(0, doc.t_max + 1)
-    ends = {0: 0.0, doc.t_max: 0.0}  # upper bound of next, ni and post at the horizon ends
+    inner = range(1, doc.t_max)  # periods that next, ni and post can leave
     routes = doc.routes
     link = {l.name: l for l in doc.links}
     model.nodes_of = {
@@ -220,6 +228,13 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     on_link = model.routes_on_link
     at_node = model.routes_at_node
     nodes_of = model.nodes_of
+    first: dict[tuple[str, str], int] = {}  # (node, route) -> first period volume can reach it
+    for r in routes:
+        first[(nodes_of[r.name][0], r.name)] = 1
+        reach = 0.0
+        for x, n in zip(r.links, nodes_of[r.name][1:]):
+            reach += doc.durations[(x, r.train_type)]
+            first[(n, r.name)] = 1 + departure_spread(reach)[0][0]
 
     for r in routes:
         for t in T:
@@ -227,26 +242,26 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     for l in doc.links:
         for t in T:
             for r in on_link[l.name]:
-                model.add_variable("direct", (l.name, t, r.name))
+                if t >= first[(l.head, r.name)]:
+                    model.add_variable("direct", (l.name, t, r.name))
     for l in doc.links:
-        for t in T0:
+        for t in inner:
             for r in on_link[l.name]:
-                ub = ends.get(t, math.inf)
-                model.add_variable("next", (l.name, t, r.name), ub=ub)
+                if t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)]):
+                    model.add_variable("next", (l.name, t, r.name))
     for n in doc.nodes:
-        for t in T0:
+        for t in inner:
             for r in at_node[n]:
-                if n != nodes_of[r.name][-1]:
-                    ub = ends.get(t, math.inf)
-                    model.add_variable("ni", (n, t, r.name), ub=ub)
+                if n != nodes_of[r.name][-1] and t >= first[(n, r.name)]:
+                    model.add_variable("ni", (n, t, r.name))
     for n in doc.nodes:
         for t in T:
             for r in at_node[n]:
-                if n != nodes_of[r.name][0]:
+                if n != nodes_of[r.name][0] and t >= first[(n, r.name)]:
                     model.add_variable("lag", (n, t, r.name))
     for d in doc.demands:
-        for t in T0:
-            model.add_variable("post", (d.name, t), ub=ends.get(t, math.inf))
+        for t in inner:
+            model.add_variable("post", (d.name, t))
     for d in doc.demands:
         for t in T:
             model.add_variable("cancel", (d.name, t))
@@ -273,14 +288,13 @@ def link_usage(model: TimeExpandedModel, link: str, t: int) -> list[tuple[int, f
 
     Every route on the link counts its direct arc of period t plus half of
     each adjacent next arc (from t - 1 and from t), which cross the period
-    boundary halfway.  A link no route uses has no terms.
+    boundary halfway.  A link no route can use in period t has no terms.
     """
-    terms: list[tuple[int, float]] = []
+    terms: list[tuple] = []
     for r in model.routes_on_link[link]:
-        terms.append((model.var("direct", link, t, r.name), 1.0))
-        terms.append((model.var("next", link, t - 1, r.name), 0.5))
-        terms.append((model.var("next", link, t, r.name), 0.5))
-    return terms
+        terms.append((1.0, "direct", link, t, r.name))
+        terms += [(0.5, "next", link, s, r.name) for s in (t - 1, t)]
+    return model.terms(terms)
 
 
 def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
@@ -297,7 +311,8 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     """Capacity rows of the mode selected by capacity_mode.
 
     Each row reads a link's flow through link_usage; a row that would have no
-    terms (a link no route uses) is not emitted.  Capacity1 keeps the usage
+    terms (no route can use the link in that period) is not emitted, and a
+    row of one term is that variable's upper bound.  Capacity1 keeps the usage
     within the link's nominal capacity.  heterogeneous replaces Capacity1 by
     Capacity3, which charges the usage 1 + k_het per other train type on the
     link (type_charge; the loader keeps it in float range), and so implies
@@ -318,21 +333,22 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     capacity = doc.capacity
     T = range(1, doc.t_max + 1)
 
+    def add(name: str, terms: list[tuple[int, float]], rhs: float) -> None:
+        if len(terms) == 1:
+            ((idx, coef),) = terms
+            var = model.variables[idx]
+            model.variables[idx] = var._replace(ub=min(var.ub, rhs / coef))
+        elif terms:
+            model.add_constraint(name, terms, "<=", rhs)
+
     heterogeneous = config.capacity_mode == "heterogeneous"
     family = "Capacity3" if heterogeneous else "Capacity1"
     for l in doc.links:
-        riding = model.routes_on_link[l.name]
-        if not riding:
-            continue
-        n_types = len({r.train_type for r in riding})
+        n_types = len({r.train_type for r in model.routes_on_link[l.name]})
         charge = type_charge(config.k_het, n_types) if heterogeneous else 1.0
         for t in T:
-            model.add_constraint(
-                f"{family}[l={l.name},t={t}]",
-                [(idx, charge * coef) for idx, coef in link_usage(model, l.name, t)],
-                "<=",
-                capacity[(l.name, t)],
-            )
+            usage = [(idx, charge * coef) for idx, coef in link_usage(model, l.name, t)]
+            add(f"{family}[l={l.name},t={t}]", usage, capacity[(l.name, t)])
 
     pairs = model.single_track_pairs
     if config.capacity_mode in ("single_track_alt1", "single_track_alt2") and not pairs:
@@ -346,10 +362,8 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         for rep, other in pairs:
             for t in T:
                 terms = link_usage(model, rep, t) + link_usage(model, other, t)
-                if not terms:
-                    continue
                 rhs = 0.5 * (capacity[(rep, t)] + capacity[(other, t)])
-                model.add_constraint(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, "<=", rhs)
+                add(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, rhs)
     elif config.capacity_mode == "single_track_alt2":
         k, m = config.k_setup, big_m(capacity)
         for rep, other in pairs:
@@ -360,7 +374,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
                     continue
                 cap = min(capacity[(rep, t)], capacity[(other, t)])
                 beta = model.var("beta", rep, t)
-                model.add_constraint(f"Capacity2alt2[l={rep}/{other},t={t}]", both, "<=", cap)
+                add(f"Capacity2alt2[l={rep}/{other},t={t}]", both, cap)
                 scaled = [(idx, k * coef) for idx, coef in both]
                 model.add_constraint(
                     f"Capacity2alt2setup[l={rep},t={t}]",
@@ -379,8 +393,8 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 def emit_demand_layer(model: TimeExpandedModel) -> None:
     """Demand balance: departures, postponements and cancellations.
 
-    Postponed volume carried out of period t is post[d,t]; its bounds (see
-    build_variables) keep periods 0 and t_max empty, so the Departure3 rows
+    Postponed volume carried out of period t is post[d,t]; it is declared
+    for t = 1 .. t_max - 1 only (see build_variables), so the Departure3 rows
     of a demand add up to its whole volume being departed or cancelled.
     """
     doc = model.doc
@@ -390,8 +404,7 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
         routes = doc.implements.get(d.name, ())
         for t in T:
             terms = [(model.var("dep", r, t), 1.0) for r in routes]
-            terms.append((model.var("post", d.name, t), 1.0))
-            terms.append((model.var("post", d.name, t - 1), -1.0))
+            terms += model.terms([(1.0, "post", d.name, t), (-1.0, "post", d.name, t - 1)])
             terms.append((model.var("cancel", d.name, t), 1.0))
             model.add_constraint(f"Departure3[d={d.name},t={t}]", terms, "=", d.volumes[t - 1])
     for d in doc.demands:
@@ -403,32 +416,31 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
 def emit_flow_layer(model: TimeExpandedModel) -> None:
     """Per-route flow conservation over the time-expanded graph.
 
-    Only the route's own links and nodes carry its flow (see build_variables).
-    Next arcs and node inventories are bounded to zero at both ends of the
-    horizon, so every departed volume must reach its destination within the
-    horizon.  Flow2 balances each timed node short of the destination:
-    departures enter the route's network at its origin, and every later node
-    is entered over the route's link before it and left over the link after
-    it (a route visits no node twice).  The destination has no row: what
-    flows into it arrives.
+    Only the route's own links and nodes carry its flow, and only from the
+    first period its volume can reach them (see build_variables); a term on
+    an undeclared variable drops, and a node and period with no term left has
+    no row.  No next arc or node inventory leaves the last period, so every
+    departed volume must reach its destination within the horizon.  Flow2
+    balances each timed node short of the destination: departures enter the
+    route's network at its origin, and every later node is entered over the
+    route's link before it and left over the link after it (a route visits
+    no node twice).  The destination has no row: what flows into it arrives.
     """
     T = range(1, model.doc.t_max + 1)
 
     for r in model.doc.routes:
         for k, n in enumerate(model.nodes_of[r.name][:-1]):
             for t in T:
-                terms = [
-                    (model.var("ni", n, t - 1, r.name), 1.0),
-                    (model.var("ni", n, t, r.name), -1.0),
-                ]
+                terms = [(1.0, "ni", n, t - 1, r.name), (-1.0, "ni", n, t, r.name)]
                 if k == 0:
-                    terms.append((model.var("dep", r.name, t), 1.0))
+                    terms.append((1.0, "dep", r.name, t))
                 else:
-                    terms.append((model.var("direct", r.links[k - 1], t, r.name), 1.0))
-                    terms.append((model.var("next", r.links[k - 1], t - 1, r.name), 1.0))
-                terms.append((model.var("direct", r.links[k], t, r.name), -1.0))
-                terms.append((model.var("next", r.links[k], t, r.name), -1.0))
-                model.add_constraint(f"Flow2[n={n},t={t},r={r.name}]", terms, "=", 0.0)
+                    into = r.links[k - 1]
+                    terms += [(1.0, "direct", into, t, r.name), (1.0, "next", into, t - 1, r.name)]
+                terms += [(-1.0, "direct", r.links[k], t, r.name), (-1.0, "next", r.links[k], t, r.name)]
+                live = model.terms(terms)
+                if live:
+                    model.add_constraint(f"Flow2[n={n},t={t},r={r.name}]", live, "=", 0.0)
 
 
 def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...]:
@@ -457,10 +469,11 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
     to n, but has not yet.  Pace[n,t,r] adds each period's departures (spread
     by departure_spread) and takes off the period's inflow over the route's
     link into n (the direct arc of period t and the next arc from t-1); lag
-    starts at zero and its bound lag >= 0 keeps the cumulative inflow within
-    reach.  At the origin departures are the inflow, so it has no lag and no
-    Pace row.  The cumulative duration to a node sums the route's link
-    durations up to it.
+    is declared from the first period departures can reach n, and its bound
+    lag >= 0 keeps the cumulative inflow within reach.  Terms on undeclared
+    variables drop, so before that period there is no Pace row.  At the
+    origin departures are the inflow, so it has no lag and no Pace row.  The
+    cumulative duration to a node sums the route's link durations up to it.
     """
     doc = model.doc
     T = range(1, doc.t_max + 1)
@@ -471,15 +484,12 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
             reach += doc.durations[(link, r.train_type)]
             spread = departure_spread(reach)
             for t in T:
-                terms = [(model.var("lag", n, t, r.name), 1.0)]
-                if t > 1:
-                    terms.append((model.var("lag", n, t - 1, r.name), -1.0))
-                for offset, share in spread:
-                    if t - offset >= 1:
-                        terms.append((model.var("dep", r.name, t - offset), -share))
-                terms.append((model.var("direct", link, t, r.name), 1.0))
-                terms.append((model.var("next", link, t - 1, r.name), 1.0))
-                model.add_constraint(f"Pace[n={n},t={t},r={r.name}]", terms, "=", 0.0)
+                terms = [(1.0, "lag", n, t, r.name), (-1.0, "lag", n, t - 1, r.name)]
+                terms += [(-share, "dep", r.name, t - offset) for offset, share in spread]
+                terms += [(1.0, "direct", link, t, r.name), (1.0, "next", link, t - 1, r.name)]
+                live = model.terms(terms)
+                if live:
+                    model.add_constraint(f"Pace[n={n},t={t},r={r.name}]", live, "=", 0.0)
 
 
 def build_objective(model: TimeExpandedModel) -> None:
@@ -494,25 +504,22 @@ def build_objective(model: TimeExpandedModel) -> None:
     doc = model.doc
     config = model.config
     obj: dict[int, float] = {}
-
-    def add(idx: int, coef: float) -> None:
-        obj[idx] = obj.get(idx, 0.0) + coef
-
+    T = range(1, doc.t_max + 1)
+    terms: list[tuple] = []
     for d in doc.demands:
-        add(model.var("cancel_total", d.name), config.cost_cancel)
-        for t in range(0, doc.t_max + 1):
-            add(model.var("post", d.name, t), config.cost_post)
-
+        terms.append((config.cost_cancel, "cancel_total", d.name))
+        terms += [(config.cost_post, "post", d.name, t) for t in T]
     total_volume = sum(sum(d.volumes) for d in doc.demands)
     if total_volume > 0:
         last_link = {r.name: r.links[-1] for r in doc.routes}
         for d in doc.demands:
             for r in doc.implements.get(d.name, ()):
                 last = last_link[r]
-                for t in range(1, doc.t_max + 1):
-                    add(model.var("direct", last, t, r), t / total_volume)
-                    add(model.var("next", last, t - 1, r), t / total_volume)
-                    add(model.var("dep", r, t), -t / total_volume)
+                for t in T:
+                    v = t / total_volume
+                    terms += [(v, "direct", last, t, r), (v, "next", last, t - 1, r), (-v, "dep", r, t)]
+    for idx, coef in model.terms(terms):
+        obj[idx] = obj.get(idx, 0.0) + coef
 
     model.objective = {idx: coef for idx, coef in obj.items() if coef != 0.0}
 

@@ -692,9 +692,9 @@ def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandO
         for rname in routes_of[d.name]:
             for t in range(1, t_max + 1):
                 departures[(d.name, rname, t)] = float(values[model.var("dep", rname, t)])
-        for t in range(0, t_max + 1):
-            postponed[(d.name, t)] = float(values[model.var("post", d.name, t)])
         for t in range(1, t_max + 1):
+            post = model.terms([(1.0, "post", d.name, t)])  # none out of the last period
+            postponed[(d.name, t)] = float(sum(values[idx] for idx, _ in post))
             cancelled[(d.name, t)] = float(values[model.var("cancel", d.name, t)])
         cancel_total[d.name] = float(values[model.var("cancel_total", d.name)])
     return DemandOutcomeReport(

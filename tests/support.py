@@ -84,28 +84,29 @@ def inflow(model, values, node, t, route):
     """Volume of a named route reaching one of its nodes in period t.
 
     Departures at the origin; elsewhere the route's link into the node, direct
-    within t plus the crossing from t - 1.
+    within t plus the crossing from t - 1.  An arc the route's pace cannot
+    reach yet is not declared and counts 0.
     """
     route = next(r for r in model.doc.routes if r.name == route)
     k = model.nodes_of[route.name].index(node)
     if k == 0:
         return values[model.var("dep", route.name, t)]
     link = route.links[k - 1]
-    return values[model.var("direct", link, t, route.name)] + values[
-        model.var("next", link, t - 1, route.name)
-    ]
+    terms = [(1.0, "direct", link, t, route.name), (1.0, "next", link, t - 1, route.name)]
+    return sum(coef * values[idx] for idx, coef in model.terms(terms))
 
 
 def usage(model, values, link, t, routes=None):
     """Capacity charge of one link and period: direct plus half of each crossing.
 
-    routes names the routes to count; None counts every route.
+    routes names the routes to count; None counts every route.  An arc the
+    route's pace cannot reach yet, or one out of the last period, is not
+    declared and counts 0.
     """
     total = 0.0
     for r in model.doc.routes:
         if (routes is not None and r.name not in routes) or link not in r.links:
             continue
-        total += values[model.var("direct", link, t, r.name)]
-        total += 0.5 * values[model.var("next", link, t - 1, r.name)]
-        total += 0.5 * values[model.var("next", link, t, r.name)]
+        terms = [(1.0, "direct", link, t, r.name), (0.5, "next", link, t - 1, r.name), (0.5, "next", link, t, r.name)]
+        total += sum(coef * values[idx] for idx, coef in model.terms(terms))
     return total

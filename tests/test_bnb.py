@@ -79,7 +79,7 @@ def test_forced_cancellation_is_integral_and_expensive():
     model = build_model(load_scenario(raw))
     result = solve_mip(model)
     assert result.status == OPTIMAL
-    total = result.value(model, "cancel_total", "B-A")
+    total = result.values[model.var("cancel_total", "B-A")]
     assert total == pytest.approx(2.0)
     assert abs(total - round(total)) <= 1e-6
     assert result.objective >= 2000.0 - 1e-6
@@ -97,7 +97,7 @@ def test_relaxation_bounds_the_integral_optimum():
     assert relaxed_result.objective <= strict_result.objective + 1e-9
     assert strict_result.objective == pytest.approx(1000.0)
     assert relaxed_result.objective < 999.0
-    cancel = strict_result.value(strict, "cancel_total", "A-C")
+    cancel = strict_result.values[strict.var("cancel_total", "A-C")]
     assert abs(cancel - round(cancel)) <= 1e-6
 
 

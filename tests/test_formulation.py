@@ -39,11 +39,12 @@ def constraint(model, name):
 def test_variable_counts_single_link():
     doc = line_doc(minutes=(30,), volumes=(1, 0), t_max=2, route_name="A-B-r1", demand_name="A-B")
     model = build_variables(doc)
+    # B lies half a period from A, so the route reaches it in period 1
     assert count_kind(model, "direct") == 2  # |L| * |T| * |R|
-    assert count_kind(model, "next") == 3  # periods 0..2
-    assert count_kind(model, "ni") == 3  # at A only: periods 0..2; B is the destination
+    assert count_kind(model, "next") == 1  # period 1: nothing crosses out of the last period
+    assert count_kind(model, "ni") == 1  # at A only, period 1; B is the destination
     assert count_kind(model, "dep") == 2
-    assert count_kind(model, "post") == 3
+    assert count_kind(model, "post") == 1  # out of period 1 into 2
     assert count_kind(model, "cancel") == 2
     assert count_kind(model, "cancel_total") == 1
 
@@ -54,7 +55,7 @@ def test_zero_routes_leaves_demand_layer_only():
     model = build_variables(load_scenario(raw))
     for kind in ("dep", "direct", "next", "ni", "lag"):
         assert count_kind(model, kind) == 0
-    assert count_kind(model, "post") == 3
+    assert count_kind(model, "post") == 1
     assert count_kind(model, "cancel_total") == 1
 
 
@@ -96,8 +97,8 @@ def test_capacity_usage_expression_matches_worked_numbers():
 
 def test_capacity1_row_of_the_three_station_line_by_hand(three_station_doc):
     # A-B carries the one route A-C-r1 at capacity 5: its direct arc of
-    # period 1 counts in full, the crossings from period 0 and into period 2
-    # count half each.
+    # period 1 counts in full, the crossing into period 2 counts half, and no
+    # crossing comes in from period 0, which has no variables.
     from railflow.scenario import build_scenario_model
 
     model = build_scenario_model(three_station_doc)
@@ -105,9 +106,10 @@ def test_capacity1_row_of_the_three_station_line_by_hand(three_station_doc):
     row = constraint(model, "Capacity1[l=A-B,t=1]")
     assert row.terms == (
         (model.var("direct", a_b, 1, route), 1.0),
-        (model.var("next", a_b, 0, route), 0.5),
         (model.var("next", a_b, 1, route), 0.5),
     )
+    with pytest.raises(KeyError):
+        model.var("next", a_b, 0, route)
     assert row.relation == "<=" and row.rhs == 5.0
 
 
@@ -135,10 +137,13 @@ def test_departure_balance_recurrence():
     assert max(residuals) == pytest.approx(0.5)
 
 
-def test_post_variables_pinned_at_horizon_ends():
+def test_post_variables_only_between_the_horizon_ends():
     model = line_model(t_max=2, volumes=(1, 0))
-    post = [model.variables[model.var("post", "A-C", t)] for t in (0, 1, 2)]
-    assert [(v.lb, v.ub) for v in post] == [(0.0, 0.0), (0.0, math.inf), (0.0, 0.0)]
+    post = model.variables[model.var("post", "A-C", 1)]
+    assert (post.lb, post.ub) == (0.0, math.inf)
+    for t in (0, 2):
+        with pytest.raises(KeyError):
+            model.var("post", "A-C", t)
 
 
 def test_departure_spread_fractional_and_integral():
@@ -170,12 +175,11 @@ def test_pace_row_of_the_three_station_line_by_hand(three_station_doc):
         model.var("direct", b_c, 2, route): 1.0,
         model.var("next", b_c, 1, route): 1.0,
     }
-    # period 1 has no earlier lag
+    # period 1 has no earlier lag and no crossing from period 0
     assert dict(constraint(model, "Pace[n=C,t=1,r=A-C-r1]").terms) == {
         model.var("lag", c, 1, route): 1.0,
         model.var("dep", route, 1): pytest.approx(-0.65),
         model.var("direct", b_c, 1, route): 1.0,
-        model.var("next", b_c, 0, route): 1.0,
     }
 
 
@@ -248,16 +252,9 @@ def test_alt2_rows_and_variables():
     pair_rows = names_of(model, "Capacity2alt2")
     setup_rows = names_of(model, "Capacity2alt2setup")
     assert len(pair_rows) == 3 and len(setup_rows) == 6
-    own = {
-        model.var("direct", "X-Y", 1, "XY-p1"): 1.0,
-        model.var("next", "X-Y", 0, "XY-p1"): 0.5,
-        model.var("next", "X-Y", 1, "XY-p1"): 0.5,
-    }
-    opp = {
-        model.var("direct", "Y-X", 1, "YX-p1"): 1.0,
-        model.var("next", "Y-X", 0, "YX-p1"): 0.5,
-        model.var("next", "Y-X", 1, "YX-p1"): 0.5,
-    }
+    # period 1: no crossing comes in from period 0
+    own = {model.var("direct", "X-Y", 1, "XY-p1"): 1.0, model.var("next", "X-Y", 1, "XY-p1"): 0.5}
+    opp = {model.var("direct", "Y-X", 1, "YX-p1"): 1.0, model.var("next", "Y-X", 1, "YX-p1"): 0.5}
     beta, k, m = model.var("beta", "X-Y", 1), 0.5, 60.0  # M is 10 x the largest capacity, 6
     # both directions share the smaller capacity of the pair, 4
     pair = constraint(model, "Capacity2alt2[l=X-Y/Y-X,t=1]")
@@ -338,12 +335,17 @@ def two_type_model(config=None):
 
 
 def flow_terms(model, link, t, routes, charge=1.0):
-    """A link's usage terms for the given routes, each times charge."""
+    """A link's usage terms for the given routes, each times charge.
+
+    Every route of two_type_model reaches its links in period 1, so only the
+    horizon ends drop a crossing: none comes from period 0 or leaves t_max.
+    """
     terms = {}
     for r in routes:
         terms[model.var("direct", link, t, r)] = charge
-        terms[model.var("next", link, t - 1, r)] = 0.5 * charge
-        terms[model.var("next", link, t, r)] = 0.5 * charge
+        for s in (t - 1, t):
+            if 1 <= s < model.doc.t_max:
+                terms[model.var("next", link, s, r)] = 0.5 * charge
     return terms
 
 
@@ -458,8 +460,8 @@ def test_heterogeneous_mode_solves():
     }))
     result = solve_mip(model)
     assert result.status == "optimal"
-    assert result.value(model, "cancel_total", "d-reg") == 0.0
-    assert result.value(model, "cancel_total", "d-gt") == 0.0
+    assert result.values[model.var("cancel_total", "d-reg")] == 0.0
+    assert result.values[model.var("cancel_total", "d-gt")] == 0.0
 
 
 @pytest.mark.parametrize("capacity, big_m", [(7.0, 70.0), (0.5, 10.0)])
@@ -507,19 +509,23 @@ def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
 
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_horizon_ends_are_bounds_not_rows(scenario_dir, scenario, mode):
+def test_horizon_ends_declare_no_variables(scenario_dir, scenario, mode):
+    # Nothing crosses, stands or is postponed into period 1 or out of t_max,
+    # so those next, ni and post variables are not declared at all; and no
+    # declared variable is pinned at 0 by its bounds.
     model = bundled_model(scenario_dir, scenario, mode)
     t_max = model.doc.t_max
-    for var in model.variables:
-        kind, key = var.ref.kind, var.ref.key
-        closed = (
-            (kind in ("next", "ni") and key[1] in (0, t_max))
-            or (kind == "post" and key[1] in (0, t_max))
-        )
-        if closed:
-            assert (var.lb, var.ub) == (0.0, 0.0), var.name
-        else:
-            assert var.ub > 0.0, var.name
+    ends = []
+    for r in model.doc.routes:
+        ends += [("next", link, t, r.name) for link in r.links for t in (0, t_max)]
+        ends += [("ni", n, t, r.name) for n in model.nodes_of[r.name][:-1] for t in (0, t_max)]
+    ends += [("post", d.name, t) for d in model.doc.demands for t in (0, t_max)]
+    assert ends
+    for kind, *key in ends:
+        with pytest.raises(KeyError):
+            model.var(kind, *key)
+    assert {"next", "ni", "post"} <= {v.ref.kind for v in model.variables}
+    assert all(var.ub > 0.0 for var in model.variables)
     families = {c.name.split("[")[0] for c in model.constraints}
     assert not families & {
         "Demand1", "Demand2", "Bound4", "Bound5", "Bound6", "Aggregate1",
@@ -537,14 +543,19 @@ def test_no_allocations_and_no_one_term_rows(scenario_dir, scenario, mode):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario):
+    # from the first period that departures of period 1 can reach the node:
+    # 1 + the whole periods of its cumulative duration, snapped as in
+    # departure_spread
     model = bundled_model(scenario_dir, scenario, "basic")
-    periods = range(1, model.doc.t_max + 1)
+    doc = model.doc
     lags = {v.ref.key for v in model.variables if v.ref.kind == "lag"}
     paces = set(names_of(model, "Pace"))
     expected_lags, expected_paces = set(), set()
-    for r, nodes in model.nodes_of.items():
-        for n in nodes[1:]:
-            for t in periods:
+    for route in doc.routes:
+        r, reach = route.name, 0.0
+        for link, n in zip(route.links, model.nodes_of[r][1:]):
+            reach += doc.durations[(link, route.train_type)]
+            for t in range(1 + math.floor(reach + 1e-9), doc.t_max + 1):
                 expected_lags.add((n, t, r))
                 expected_paces.add(f"Pace[n={n},t={t},r={r}]")
     assert lags == expected_lags
@@ -555,8 +566,14 @@ def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario)
 
 def test_small_network_size(scenario_dir):
     model = bundled_model(scenario_dir, "small_network", "basic")
-    assert len(model.variables) == 669
-    assert len(model.constraints) == 376
+    assert len(model.variables) == 581
+    assert len(model.constraints) == 371
+    # F-G and F-H carry, in period 1, only one route's crossing into period
+    # 2: that capacity row of one term, 0.5 next <= 5, is the crossing's bound
+    rows = {c.name for c in model.constraints}
+    for link, route in (("F-G", "D-G-f1"), ("F-H", "A-H-f2")):
+        assert f"Capacity1[l={link},t=1]" not in rows and f"Capacity1[l={link},t=2]" in rows
+        assert model.variables[model.var("next", link, 1, route)].ub == 10.0
     assert not {v.ref.kind for v in model.variables} & {"in", "aggr", "arr"}
 
 
@@ -572,6 +589,61 @@ def test_equality_rows_have_full_row_rank(scenario_dir, scenario, mode):
     A[sf.rows, sf.cols] = sf.vals
     equal = np.flatnonzero(np.array(sf.relations) == "=")
     assert equal.size and np.linalg.matrix_rank(A[equal]) == equal.size
+
+
+def synth(scenario_dir):
+    """The benchmark's seeded line generator, imported read only."""
+    spec = importlib.util.spec_from_file_location("synth", scenario_dir.parent / "perfbench" / "synth.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def structural_zeros(model):
+    """Rows and columns that a forcing-row pass from the Flow2 and Pace rows holds at 0.
+
+    Every variable is >= 0, so a forcing row, one with b = 0 and live terms
+    of one sign (positive for "<=", negative for ">=", either for "="),
+    holds each of its live columns at 0 in every feasible point.  A column
+    with upper bound 0 is not live.  The pass starts from the Flow2 and
+    Pace rows, where a route's pace makes such zeros, and follows each zero
+    column into every row it is in.  Zero-volume periods and capacities
+    closed to 0 are zeros of the data and stay out of the seed.
+    """
+    rows_of = {}
+    for i, row in enumerate(model.constraints):
+        for idx, _ in row.terms:
+            rows_of.setdefault(idx, []).append(i)
+    dead = {idx for idx, var in enumerate(model.variables) if var.ub == 0.0}
+    queue = [i for i, row in enumerate(model.constraints) if row.name.startswith(("Flow2[", "Pace["))]
+    forcing, forced = set(), set()
+    while queue:
+        i = queue.pop()
+        row = model.constraints[i]
+        live = [(idx, coef) for idx, coef in row.terms if idx not in dead]
+        signs = {coef > 0 for _, coef in live}
+        one_way = {"<=": {True}, ">=": {False}, "=": signs}[row.relation]
+        if i in forcing or row.rhs != 0.0 or not live or len(signs) > 1 or signs != one_way:
+            continue
+        forcing.add(i)
+        for idx, _ in live:
+            dead.add(idx)
+            forced.add(idx)
+            queue += rows_of[idx]
+    return sorted(model.constraints[i].name for i in forcing), sorted(model.variables[i].name for i in forced)
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_no_structural_zero_is_left(scenario_dir, scenario, mode):
+    assert structural_zeros(bundled_model(scenario_dir, scenario, mode)) == ([], [])
+
+
+@pytest.mark.parametrize("stations", [4, 8, 12, 16])
+@pytest.mark.parametrize("single_track", [0, 1, 2])
+def test_no_structural_zero_is_left_on_generated_lines(scenario_dir, stations, single_track):
+    doc = load_scenario(synth(scenario_dir).line_scenario(11, stations, 6, stations, single_track=single_track))
+    assert structural_zeros(build_model(doc)) == ([], [])
 
 
 def test_fixture_route_nodes(small_doc):
@@ -662,11 +734,7 @@ def test_variable_names_are_their_keys(scenario_dir, scenario, mode):
 
 @pytest.mark.parametrize("single_track", [0, 1, 2])
 def test_variable_names_are_their_keys_on_generated_lines(scenario_dir, single_track):
-    path = scenario_dir.parent / "perfbench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("synth", path)
-    synth = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synth)
-    doc = load_scenario(synth.line_scenario(11, 4, 6, 4, single_track=single_track))
+    doc = load_scenario(synth(scenario_dir).line_scenario(11, 4, 6, 4, single_track=single_track))
     doc = replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # no single-track pair when single_track is 0

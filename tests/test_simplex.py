@@ -716,8 +716,8 @@ def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
 
 
 def test_crash_covers_the_small_network_balances_without_growth(small_doc):
-    # 292 of the 383 rows start on an artificial, 272 of them with a
-    # right-hand side of 0; the crash covers 254 of those, and its pivots
+    # 289 of the 380 rows start on an artificial, 269 of them with a
+    # right-hand side of 0; the crash covers 251 of those, and its pivots
     # leave every entry of the constraint rows at or below 1 in magnitude.
     from railflow.scenario import build_scenario_model
 
@@ -725,8 +725,8 @@ def test_crash_covers_the_small_network_balances_without_growth(small_doc):
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     tableau = simplex.Tableau(sf)
     tableau.crash(Tolerances())
-    assert tableau.iterations == 254
-    assert np.count_nonzero(tableau.basic_artificial) == 292 - 254
+    assert tableau.iterations == 251
+    assert np.count_nonzero(tableau.basic_artificial) == 289 - 251
     assert np.abs(tableau.T[: sf.n_rows, :-1]).max() == 1.0
 
 
@@ -831,7 +831,7 @@ def test_crash_picks_come_in_dependency_level_order_on_bundled_lps():
 
 def test_crash_batches_the_small_network_lp_in_6_levels():
     levels = simplex._crash_levels(bundled_lp("small_network", "single_track_alt1"))
-    assert [len(level) for level in levels] == [105, 40, 37, 36, 29, 7]
+    assert [len(level) for level in levels] == [105, 40, 37, 36, 26, 7]
 
 
 def test_crash_visits_sparsest_rows_first_and_the_later_row_first_among_equals():
@@ -1059,7 +1059,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
     config = replace(small_doc.config, capacity_mode="heterogeneous", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert sf.n_rows == 376
+    assert sf.n_rows == 373
     n_logical = sum(relation != "=" for relation in sf.relations)
     tableau_bytes = 8 * (sf.n_rows + 2) * (sf.n_cols + n_logical + 1)
     tracemalloc.start()
@@ -1153,15 +1153,15 @@ def test_sparse_basis_matches_dense_solve_property(seed):
 
 
 def test_small_network_lp_matches_highs(small_doc):
-    # A real-size basis (383 rows), far past the tiny random LPs above; its
-    # singleton peel leaves a 9 x 9 bump.
+    # A real-size basis (380 rows), far past the tiny random LPs above; its
+    # singleton peel leaves a 17 x 17 bump.
     from scipy.optimize import linprog
 
     from railflow.scenario import build_scenario_model
 
     config = replace(small_doc.config, capacity_mode="single_track_alt1", relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
-    assert (sf.n_rows, sf.n_cols) == (383, 587)
+    assert (sf.n_rows, sf.n_cols) == (380, 581)
     solution = solve_lp(sf)
     assert solution.status == OPTIMAL
 
