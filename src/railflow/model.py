@@ -177,8 +177,8 @@ class TimeExpandedModel:
         build_variables declares a variable only where it can be nonzero, so a
         term on an undeclared one drops.
         """
-        found = ((self._index.get((kind, tuple(key))), coef) for coef, kind, *key in terms)
-        return [(idx, coef) for idx, coef in found if idx is not None]
+        get = self._index.get
+        return [(idx, term[0]) for term in terms if (idx := get((term[1], term[2:]))) is not None]
 
     def add_constraint(
         self,
