@@ -17,8 +17,9 @@ Each run is solved with a cap of 20,000 simplex iterations per LP and
 checked against scipy's HiGHS on its MPS export (tests/mps_reader.py).  A run
 is wrong when its status differs from HiGHS's or its objective is more than
 1e-6 away.  The last line also gives the total simplex iterations and branch
-and bound nodes over all runs, which move with any change of pivot order.
-scipy is needed.
+and bound nodes over all runs, which move with any change of pivot order,
+and the standard-form rows x columns summed over all runs, which move with
+the size of the model.  scipy is needed.
 
     PYTHONPATH=src python scripts/line_sweep.py
 """
@@ -34,7 +35,13 @@ import synth  # noqa: E402
 from mps_reader import solve_with_scipy  # noqa: E402
 from railflow.mps_io import export_model_text  # noqa: E402
 from railflow.scenario import load_scenario, run  # noqa: E402
-from railflow.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Tolerances  # noqa: E402
+from railflow.simplex import (  # noqa: E402
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    Tolerances,
+    build_standard_form,
+)
 
 MAX_ITERATIONS = 20_000
 HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
@@ -70,13 +77,15 @@ def runs():
 def main() -> int:
     start = time.perf_counter()
     tol = Tolerances(max_iterations=MAX_ITERATIONS)
-    wrong = total = iterations = nodes = 0
+    wrong = total = iterations = nodes = rows = cols = 0
     for label, doc in runs():
         total += 1
         output = run(load_scenario(doc), tol)
         result = output.result
         iterations += result.iterations
         nodes += result.nodes
+        lp = build_standard_form(output.model)
+        rows, cols = rows + lp.n_rows, cols + lp.n_cols
         highs = solve_with_scipy(export_model_text(output.model))
         expected = HIGHS_STATUS.get(highs.status, f"HiGHS status {highs.status}")
         agree = result.status == expected and (
@@ -89,7 +98,7 @@ def main() -> int:
             print(f"{label}: {got} after {result.iterations} iterations; HiGHS {want}")
     print(
         f"{wrong} of {total} runs wrong in {time.perf_counter() - start:.0f} s;"
-        f" {iterations} simplex iterations, {nodes} B&B nodes"
+        f" {iterations} simplex iterations, {nodes} B&B nodes, standard forms {rows} x {cols} summed"
     )
     return 1 if wrong else 0
 
