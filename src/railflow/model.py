@@ -37,6 +37,8 @@ if TYPE_CHECKING:
     from .scenario import RouteSpec, ScenarioDocument
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
+# the kinds of variable that build_variables declares
+VARIABLE_KINDS = ("dep", "direct", "next", "ni", "lag", "post", "cancel", "cancel_total", "beta")
 
 
 class ModelError(ValueError):
@@ -175,10 +177,18 @@ class TimeExpandedModel:
         """(index, coef) of each (coef, kind, *key) term whose variable is declared.
 
         build_variables declares a variable only where it can be nonzero, so a
-        term on an undeclared one drops.
+        term on an undeclared one drops; a term of a kind outside
+        VARIABLE_KINDS raises ModelError, so that a misspelt kind cannot drop.
         """
         get = self._index.get
-        return [(idx, term[0]) for term in terms if (idx := get((term[1], term[2:]))) is not None]
+        out = []
+        for term in terms:
+            idx = get((term[1], term[2:]))
+            if idx is not None:
+                out.append((idx, term[0]))
+            elif term[1] not in VARIABLE_KINDS:
+                raise ModelError(f"unknown variable kind {term[1]!r} in term {term!r}")
+        return out
 
     def add_constraint(
         self,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Container, Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,9 +71,7 @@ class TcrOverride:
 @dataclass(frozen=True)
 class ScenarioDocument:
     name: str
-    period_length_minutes: int
     t_max: int
-    train_types: tuple[str, ...]
     nodes: tuple[str, ...]
     links: tuple[LinkSpec, ...]
     single_track_pairs: tuple[tuple[str, str], ...]
@@ -143,6 +141,46 @@ def _name(value, position: str, errors: list[str]) -> Optional[str]:
 def _known(value, names) -> bool:
     """True iff value is one of names; a non-string, even an unhashable one, is not."""
     return isinstance(value, str) and value in names
+
+
+def _records(
+    raw: dict, key: str, known: Sequence[str], errors: list[str]
+) -> Iterator[tuple[int, str, dict]]:
+    """(i, position, item) of each object in the array raw[key].
+
+    Records the finding for a raw[key] that is not an array, for an item that
+    is not an object (which is skipped), and for each unknown field of an item.
+    """
+    for i, item in enumerate(_array(raw.get(key, ()), key, errors)):
+        position = f"{key}[{i}]"
+        if not isinstance(item, dict):
+            errors.append(f"{position}: expected an object")
+            continue
+        _unknown_keys(item, known, f"{position}.", errors)
+        yield i, position, item
+
+
+def _refers(item: dict, key: str, names, kind: str, position: str, errors: list[str]) -> bool:
+    """True iff item[key] is one of names, the declared names of kind; otherwise record the finding."""
+    value = item.get(key)
+    if _known(value, names):
+        return True
+    errors.append(f"{position}.{key}: unknown {kind} {value!r}")
+    return False
+
+
+def _fresh_name(
+    item: dict, default: str, taken: Container[str], kind: str, position: str, errors: list[str]
+) -> Optional[str]:
+    """item's name (default if it states none) if it is a name outside taken.
+
+    Otherwise record the finding and return None.
+    """
+    name = _name(item.get("name", default), position, errors)
+    if name in taken:
+        errors.append(f"{position}: duplicate {kind} name {name!r}")
+        return None
+    return name
 
 
 def _capacity(value, position: str, subject: str, errors: list[str]) -> float:
@@ -233,17 +271,6 @@ def _parse_config(raw: dict, errors: list[str]) -> tuple[ModelConfig, bool]:
     return config, pace
 
 
-def _parse_tcr(
-    raw, position: str, t_max: int, link_names: Container[str], errors: list[str]
-) -> Optional[TcrOverride]:
-    if not isinstance(raw, dict):
-        errors.append(f"{position}: expected an object")
-        return None
-    _unknown_keys(raw, _TCR_KEYS, f"{position}.", errors)
-    override = TcrOverride(raw.get("link"), raw.get("period"), raw.get("capacity"), raw.get("scale"))
-    return _checked_tcr(override, position, t_max, link_names, errors)
-
-
 def _checked_tcr(
     o: TcrOverride, position: str, t_max: int, link_names: Container[str], errors: list[str]
 ) -> Optional[TcrOverride]:
@@ -252,7 +279,7 @@ def _checked_tcr(
     Valid means: a known link, no period or one in 1..t_max, exactly one of
     capacity or scale, and that value finite and >= 0.
     """
-    if not isinstance(o.link, str) or o.link not in link_names:
+    if not _known(o.link, link_names):
         errors.append(f"{position}: unknown link {o.link!r}")
         return None
     if o.period is not None:
@@ -279,8 +306,9 @@ def _checked_tcr(
 def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     """Parse and fully validate a scenario document; nothing downstream checks it again.
 
-    A Path is read from disk; str and bytes are JSON text; a dict is the
-    parsed document itself.  Raises ScenarioError listing every problem
+    A Path is read from disk as bytes; str and bytes are JSON text, and json
+    detects the encoding of bytes (UTF-8, -16 or -32); a dict is the parsed
+    document itself.  Raises ScenarioError listing every problem
     found, each tagged with its position in the document and naming the
     node, link, pair, route or demand at fault.  Besides malformed values,
     unknown fields (at any level) and unknown names, the findings are:
@@ -298,13 +326,8 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     destination with its train type, in document order (doc.implements).
     """
     if isinstance(source, Path):
-        raw = json.loads(source.read_text())
-    elif isinstance(source, (bytes, bytearray)):
-        raw = json.loads(source.decode("utf-8"))
-    elif isinstance(source, str):
-        raw = json.loads(source)
-    else:
-        raw = source
+        source = source.read_bytes()
+    raw = json.loads(source) if isinstance(source, (str, bytes, bytearray)) else source
     if not isinstance(raw, dict):
         raise ScenarioError(["document: top level must be an object"])
 
@@ -353,24 +376,12 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
 
     links: dict[str, LinkSpec] = {}
     link_of_ends: dict[tuple[str, str], str] = {}
-    for i, item in enumerate(_array(raw.get("links", ()), "links", errors)):
-        position = f"links[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{position}: expected an object")
+    for _, position, item in _records(raw, "links", _LINK_KEYS, errors):
+        if not all(_refers(item, end, node_names, "node", position, errors) for end in ("tail", "head")):
             continue
-        _unknown_keys(item, _LINK_KEYS, f"{position}.", errors)
-        tail, head = item.get("tail"), item.get("head")
-        if not _known(tail, node_names):
-            errors.append(f"{position}.tail: unknown node {tail!r}")
-            continue
-        if not _known(head, node_names):
-            errors.append(f"{position}.head: unknown node {head!r}")
-            continue
-        lname = _name(item.get("name", f"{tail}-{head}"), position, errors)
+        tail, head = item["tail"], item["head"]
+        lname = _fresh_name(item, f"{tail}-{head}", links, "link", position, errors)
         if lname is None:
-            continue
-        if lname in links:
-            errors.append(f"{position}: duplicate link name {lname!r}")
             continue
         if tail == head:
             errors.append(f"{position}: link {lname!r} runs from node {tail!r} to itself")
@@ -432,21 +443,11 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
             durations[(lname, label)] = periods
 
     routes: dict[str, RouteSpec] = {}
-    for i, item in enumerate(_array(raw.get("routes", ()), "routes", errors)):
-        position = f"routes[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{position}: expected an object")
+    for i, position, item in _records(raw, "routes", _ROUTE_KEYS, errors):
+        if not _refers(item, "train_type", type_labels, "train type", position, errors):
             continue
-        _unknown_keys(item, _ROUTE_KEYS, f"{position}.", errors)
-        label = item.get("train_type")
-        if not _known(label, type_labels):
-            errors.append(f"{position}.train_type: unknown train type {label!r}")
-            continue
-        rname = _name(item.get("name", f"route-{i}"), position, errors)
+        rname = _fresh_name(item, f"route-{i}", routes, "route", position, errors)
         if rname is None:
-            continue
-        if rname in routes:
-            errors.append(f"{position}: duplicate route name {rname!r}")
             continue
         used = tuple(_array(item.get("links", ()), f"{position}.links", errors))
         missing = [x for x in used if not _known(x, links)]
@@ -456,39 +457,26 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         if not used:
             errors.append(f"{position}: route {rname!r} has no links")
             continue
-        routes[rname] = RouteSpec(rname, label, used)
+        routes[rname] = RouteSpec(rname, item["train_type"], used)
         for finding in _route_findings(routes[rname], links, durations):
             errors.append(f"{position}: route {rname!r}: {finding}")
 
     demands: dict[str, DemandSpec] = {}
     demand_of_triple: dict[tuple[str, str, str], str] = {}
-    for i, item in enumerate(_array(raw.get("demands", ()), "demands", errors)):
-        position = f"demands[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{position}: expected an object")
-            continue
-        _unknown_keys(item, _DEMAND_KEYS, f"{position}.", errors)
+    for i, position, item in _records(raw, "demands", _DEMAND_KEYS, errors):
         volumes = _array(item.get("volumes", ()), f"{position}.volumes", errors)
         if len(volumes) != t_max:
             errors.append(f"{position}: expected {t_max} per-period volumes, got {len(volumes)}")
             continue
-        dname = _name(item.get("name", f"demand-{i}"), position, errors)
+        dname = _fresh_name(item, f"demand-{i}", demands, "demand", position, errors)
         if dname is None:
             continue
-        if dname in demands:
-            errors.append(f"{position}: duplicate demand name {dname!r}")
+        if not all(_refers(item, end, node_names, "node", position, errors) for end in ("origin", "destination")):
             continue
-        triple = (item.get("origin"), item.get("destination"), item.get("train_type"))
+        if not _refers(item, "train_type", type_labels, "train type", position, errors):
+            continue
+        triple = (item["origin"], item["destination"], item["train_type"])
         origin, destination, label = triple
-        if not _known(origin, node_names):
-            errors.append(f"{position}.origin: unknown node {origin!r}")
-            continue
-        if not _known(destination, node_names):
-            errors.append(f"{position}.destination: unknown node {destination!r}")
-            continue
-        if not _known(label, type_labels):
-            errors.append(f"{position}.train_type: unknown train type {label!r}")
-            continue
         if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in volumes):
             errors.append(f"{position}: volumes must be nonnegative integers")
             continue
@@ -547,10 +535,10 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         )
 
     tcrs: list[TcrOverride] = []
-    for i, item in enumerate(_array(raw.get("tcr_overrides", ()), "tcr_overrides", errors)):
-        parsed = _parse_tcr(item, f"tcr_overrides[{i}]", t_max, links, errors)
-        if parsed is not None:
-            tcrs.append(parsed)
+    for _, position, item in _records(raw, "tcr_overrides", _TCR_KEYS, errors):
+        override = _checked_tcr(TcrOverride(*map(item.get, _TCR_KEYS)), position, t_max, links, errors)
+        if override is not None:
+            tcrs.append(override)
 
     if errors:
         raise ScenarioError(errors)
@@ -560,9 +548,7 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     periods = range(1, t_max + 1)
     doc = ScenarioDocument(
         name=name,
-        period_length_minutes=period_length,
         t_max=t_max,
-        train_types=tuple(type_labels),
         nodes=tuple(node_names),
         links=tuple(links.values()),
         single_track_pairs=tuple(pairs),

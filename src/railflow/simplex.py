@@ -15,7 +15,7 @@ swapping out zero artificials.  Those rows are visited once each, sparsest
 first and the later row first among equals.  The crash picks are grouped
 into dependency levels, as in level scheduling of a sparse triangular solve
 (Anderson and Saad, 1989), and each level enters as one batch of independent
-pivots: 6 batches for the 254 picks of the 383-row small_network LP.  The
+pivots: 6 batches for the 251 picks of the 380-row small_network LP.  The
 final primal and dual values are recomputed from the original data so that
 residuals are at machine precision rather than accumulated tableau error:
 the optimal basis is nearly triangular, so peeling its row and column

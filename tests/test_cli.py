@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -218,3 +220,21 @@ def test_run_audits_the_values_it_reports(scenario_dir, tmp_path, capsys, monkey
     assert main(["solve", "--scenario", str(path), "--out-dir", str(out_dir)]) == 4
     assert "status: numerics" in capsys.readouterr().out
     assert not (out_dir / "capacity_usage.csv").exists()
+
+
+def test_validate_reads_utf8_under_an_ascii_locale(scenario_dir, tmp_path):
+    # A file is read as bytes and json detects its encoding, so the locale's
+    # encoding (ASCII under LC_ALL=C) does not decide how it is decoded.
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text(encoding="utf-8"))
+    raw["notes"] = "Malmö–Lund"
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "railflow.cli", "validate", "--scenario", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -11,12 +12,14 @@ from railflow.checks import ConstraintSystem
 from railflow.model import (
     CAPACITY_MODES,
     ModelConfig,
+    VARIABLE_KINDS,
     ModelError,
     build_model,
     build_variables,
     departure_spread,
 )
-from railflow.scenario import load_scenario
+from railflow.scenario import load_scenario, run
+from railflow.simplex import OPTIMAL
 from support import line_doc, line_model, line_raw, usage
 from test_golden import SCENARIOS
 
@@ -741,3 +744,38 @@ def test_variable_names_are_their_keys_on_generated_lines(scenario_dir, single_t
         model = build_model(doc)
     assert count_kind(model, "beta") == single_track * doc.t_max
     assert_names_are_keys(model)
+
+
+def test_terms_drop_a_declared_kind_outside_its_window():
+    model = line_model()
+    t_max = model.doc.t_max
+    assert model.terms([(1.0, "next", "A-B", t_max, "A-C-r1"), (1.0, "post", "A-C", t_max)]) == []
+    assert model.terms([(2.0, "dep", "A-C-r1", 1)]) == [(model.var("dep", "A-C-r1", 1), 2.0)]
+
+
+def test_terms_reject_a_misspelt_kind():
+    model = line_model()
+    with pytest.raises(ModelError, match="unknown variable kind 'nxt'"):
+        model.terms([(1.0, "nxt", "A-B", 1, "A-C-r1")])
+
+
+def test_bundled_models_declare_every_variable_kind_and_no_other(scenario_dir):
+    kinds = {
+        v.ref.kind
+        for scenario in SCENARIOS
+        for mode in CAPACITY_MODES
+        for v in bundled_model(scenario_dir, scenario, mode).variables
+    }
+    assert kinds == set(VARIABLE_KINDS)
+
+
+def test_one_period_horizon_builds_and_solves(scenario_dir):
+    # No next, ni or post can exist in a single period; the demand report
+    # still asks for post, which must drop rather than raise.
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text())
+    raw["horizon"] = 1
+    raw["demands"][0]["volumes"] = [1]
+    output = run(load_scenario(raw))
+    assert output.result.status == OPTIMAL
+    assert {v.ref.kind for v in output.model.variables} == {"cancel", "cancel_total", "dep", "direct", "lag"}
+    assert output.demands.postponed == {("A-C", 1): 0.0}

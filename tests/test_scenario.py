@@ -823,3 +823,49 @@ def test_any_leaf_edit_loads_or_is_a_scenario_error(path, value):
     except ScenarioError:
         return
     build_scenario_model(doc)  # a loaded document needs no further check
+
+
+def test_every_record_finding_in_full_and_in_order():
+    raw = line_raw()  # nodes A, B, C; links A-B, B-C; route A-C-r1; demand A-C; horizon 3
+    raw["links"] += [
+        "A-C",
+        {"tail": "A", "head": "B", "speed": 1},  # its default name is A-B's
+        {"tail": "X", "head": "C"},
+        {"tail": "A", "head": "Y"},
+    ]
+    raw["routes"] += [
+        7,
+        {"name": "A-C-r1", "train_type": "reg", "links": ["A-B", "B-C"], "via": "B"},
+        {"name": "r3", "train_type": "ghost", "links": ["A-B"]},
+    ]
+    demand = {"origin": "A", "destination": "C", "train_type": "reg", "volumes": [0, 0, 0]}
+    raw["demands"] += [
+        None,
+        dict(demand, name="A-C", priority=1),
+        dict(demand, name="d3", origin="Z"),
+        dict(demand, name="d4", destination="Z"),
+        dict(demand, name="d5", train_type="ghost"),
+    ]
+    raw["tcr_overrides"] = ["A-B", {"link": "A-B", "capacity": 0, "until": 2}, {"link": "ghost", "scale": 0.5}]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(raw)
+    assert err.value.errors == [
+        "links[2]: expected an object",
+        "links[3].speed: unknown field (expected one of name, tail, head)",
+        "links[3]: duplicate link name 'A-B'",
+        "links[4].tail: unknown node 'X'",
+        "links[5].head: unknown node 'Y'",
+        "routes[1]: expected an object",
+        "routes[2].via: unknown field (expected one of name, train_type, links)",
+        "routes[2]: duplicate route name 'A-C-r1'",
+        "routes[3].train_type: unknown train type 'ghost'",
+        "demands[1]: expected an object",
+        "demands[2].priority: unknown field (expected one of name, origin, destination, train_type, volumes)",
+        "demands[2]: duplicate demand name 'A-C'",
+        "demands[3].origin: unknown node 'Z'",
+        "demands[4].destination: unknown node 'Z'",
+        "demands[5].train_type: unknown train type 'ghost'",
+        "tcr_overrides[0]: expected an object",
+        "tcr_overrides[1].until: unknown field (expected one of link, period, capacity, scale)",
+        "tcr_overrides[2]: unknown link 'ghost'",
+    ]
