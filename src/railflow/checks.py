@@ -1,6 +1,6 @@
 """Feasibility auditing of solved models, independent of the solver path.
 
-Activities are evaluated straight from the stored constraints and a value
+Activities are evaluated straight from the model's row store and a value
 vector, so every number a report or test sees can be reproduced from the
 solution alone.
 """
@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import LinearConstraint, TimeExpandedModel
+if TYPE_CHECKING:
+    from .model import TimeExpandedModel
 
 # Defaults suit data made of small integers and fractions.
 FEASIBILITY = 1e-7  # largest row or bound breach a solution may show
@@ -22,36 +23,44 @@ INTEGRALITY = 1e-6  # largest distance of an integer variable from an integer
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """The rows of a model as term arrays, for vectorized activities.
+    """Rows as arrays: the one store of a model's rows.
 
-    Term k puts coefs[k] on variable var_idx[k] in row row_of[k]; the terms
-    come in row order and, within a row, in term order.  from_rows is the one
-    place where LinearConstraint rows become arrays; the audit here and
-    simplex.build_standard_form both read them.
+    Row i is names[i], with sense[i] and right-hand side rhs[i].  Term k puts
+    coefs[k] on variable var_idx[k] in row row_of[k]; the terms come in row
+    order and, within a row, in term order, with each variable once.  A
+    model appends its rows in blocks (TimeExpandedModel.add_rows and
+    add_constraint) and from_model returns the joined store as it is; the
+    audit here, simplex.build_standard_form, mps_io and the capacity report
+    read it.  Its arrays are read-only.
     """
 
+    names: tuple[str, ...]
     row_of: np.ndarray
     var_idx: np.ndarray
     coefs: np.ndarray
     rhs: np.ndarray
     sense: np.ndarray  # -1 for <=, 0 for =, +1 for >=
 
+    def __post_init__(self) -> None:
+        for array in (self.row_of, self.var_idx, self.coefs, self.rhs, self.sense):
+            array.setflags(write=False)
+
     @classmethod
-    def from_rows(cls, rows: Sequence[LinearConstraint]) -> "ConstraintSystem":
-        terms = [term for row in rows for term in row.terms]
-        sense_of = {"<=": -1, "=": 0, ">=": 1}
-        lengths = np.array([len(row.terms) for row in rows], dtype=int)
+    def joined(cls, parts: Sequence["ConstraintSystem"]) -> "ConstraintSystem":
+        """The rows of parts, one after the other."""
+        starts = np.cumsum([0] + [len(p.names) for p in parts[:-1]])
         return cls(
-            row_of=np.repeat(np.arange(len(rows)), lengths),
-            var_idx=np.array([idx for idx, _ in terms], dtype=int),
-            coefs=np.array([coef for _, coef in terms], dtype=float),
-            rhs=np.array([row.rhs for row in rows], dtype=float),
-            sense=np.array([sense_of[row.relation] for row in rows], dtype=int),
+            names=tuple(name for p in parts for name in p.names),
+            row_of=np.concatenate([p.row_of + start for p, start in zip(parts, starts)]),
+            var_idx=np.concatenate([p.var_idx for p in parts]),
+            coefs=np.concatenate([p.coefs for p in parts]),
+            rhs=np.concatenate([p.rhs for p in parts]),
+            sense=np.concatenate([p.sense for p in parts]),
         )
 
     @classmethod
     def from_model(cls, model: TimeExpandedModel) -> "ConstraintSystem":
-        return cls.from_rows(model.constraints)
+        return model.rows
 
     def activities(self, values: np.ndarray) -> np.ndarray:
         """Each row's sum of its terms at values; an empty row reads 0."""
@@ -74,12 +83,12 @@ def constraint_family(name: str) -> str:
 def max_violation_by_family(model: TimeExpandedModel, values: np.ndarray) -> dict[str, float]:
     system = ConstraintSystem.from_model(model)
     worst: dict[str, float] = {}
-    for row, violation in zip(model.constraints, system.violations(values)):
-        family = constraint_family(row.name)
+    for name, violation in zip(system.names, system.violations(values).tolist()):
+        family = constraint_family(name)
         # A NaN row reads NaN, and no later row of its family replaces it.
         current = worst.get(family, 0.0)
         if not (math.isnan(current) or violation <= current):
-            worst[family] = float(violation)
+            worst[family] = violation
     return worst
 
 
@@ -92,17 +101,25 @@ def verify_solution(
     """All constraint, bound and integrality breaches beyond the tolerances.
 
     Every check passes only on a comparison that holds, so a NaN value, or a
-    row that a NaN makes NaN, is a breach.
+    row that a NaN makes NaN, is a breach.  The checks run over whole
+    arrays; only the breaches are named, rows first and then variables in
+    order, each variable's bound before its integrality.
     """
-    issues: list[str] = []
     system = ConstraintSystem.from_model(model)
     violation = system.violations(values)
-    for k in np.nonzero(~(violation <= feasibility))[0]:
-        issues.append(f"{model.constraints[k].name}: violated by {violation[k]:g}")
-    for i, var in enumerate(model.variables):
-        value = float(values[i])
-        if not var.lb - feasibility <= value <= var.ub + feasibility:
+    issues = [
+        f"{system.names[k]}: violated by {violation[k]:g}" for k in np.flatnonzero(~(violation <= feasibility))
+    ]
+    lb, ub, integer = model.bound_arrays()
+    outside = ~((lb - feasibility <= values) & (values <= ub + feasibility))
+    fractional = np.zeros(values.size, dtype=bool)
+    if integrality is not None:
+        ints = np.flatnonzero(integer)
+        fractional[ints] = ~(np.abs(values[ints] - np.round(values[ints])) <= integrality)
+    for i in np.flatnonzero(outside | fractional).tolist():
+        var, value = model.variables[i], float(values[i])
+        if outside[i]:
             issues.append(f"{var.name}: value {value:g} outside [{var.lb:g}, {var.ub:g}]")
-        if integrality is not None and var.integer and not abs(value - np.round(value)) <= integrality:
+        if fractional[i]:
             issues.append(f"{var.name}: value {value:g} not integral")
     return issues

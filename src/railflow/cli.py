@@ -143,6 +143,11 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
+    # A name that the output encoding cannot hold (a scenario named "Malmö"
+    # under an ASCII locale) is printed escaped rather than raising.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args)

@@ -31,14 +31,31 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
+
+from .checks import ConstraintSystem
 
 if TYPE_CHECKING:
     from .scenario import RouteSpec, ScenarioDocument
 
 CAPACITY_MODES = ("basic", "single_track_alt1", "single_track_alt2", "heterogeneous")
-# the kinds of variable that build_variables declares
-VARIABLE_KINDS = ("dep", "direct", "next", "ni", "lag", "post", "cancel", "cancel_total", "beta")
+# The kinds of variable that build_variables declares, each with the axes of
+# its key: a period, or a link, node, route or demand of the document.
+KEY_AXES = {
+    "dep": ("route", "period"),
+    "direct": ("link", "period", "route"),
+    "next": ("link", "period", "route"),
+    "ni": ("node", "period", "route"),
+    "lag": ("node", "period", "route"),
+    "post": ("demand", "period"),
+    "cancel": ("demand", "period"),
+    "cancel_total": ("demand",),
+    "beta": ("link", "period"),
+}
+VARIABLE_KINDS = tuple(KEY_AXES)
+SENSE = {"<=": -1, "=": 0, ">=": 1}
 
 
 class ModelError(ValueError):
@@ -105,13 +122,33 @@ class LinearConstraint(NamedTuple):
     rhs: float
 
 
-def _merge_terms(terms: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    merged: dict[int, float] = {}
-    for idx, coef in terms:
-        if not math.isfinite(coef):
-            raise ModelError(f"non-finite coefficient {coef} for variable {idx}")
-        merged[idx] = merged.get(idx, 0.0) + coef
-    return tuple((idx, coef) for idx, coef in merged.items() if coef != 0.0)
+def _merge_terms(row: np.ndarray, var: np.ndarray, coef: np.ndarray):
+    """Terms (row, var, coef), given in row and term order, with each variable
+    once per row: a repeated variable's coefficients are summed in term order
+    at its first term's place, and a sum of 0 drops."""
+    bad = np.flatnonzero(~np.isfinite(coef))
+    if bad.size:
+        raise ModelError(f"non-finite coefficient {coef[bad[0]]} for variable {var[bad[0]]}")
+    if var.size > 1:
+        key = row * (int(var.max()) + 1) + var
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        if repeat.any():
+            # In sorted order a variable's terms of one row are adjacent and
+            # in term order; rank k adds the k-th repeat to the first term.
+            first = np.concatenate([[True], ~repeat])
+            place = np.arange(var.size)
+            start = np.maximum.accumulate(np.where(first, place, 0))
+            rank = place - start
+            coef = coef.copy()
+            for k in range(1, int(rank.max()) + 1):
+                at = rank == k
+                coef[order[start[at]]] += coef[order[at]]
+            keep = np.zeros(var.size, dtype=bool)
+            keep[order[first]] = True
+            row, var, coef = row[keep], var[keep], coef[keep]
+    live = coef != 0.0
+    return row[live], var[live], coef[live]
 
 
 class TimeExpandedModel:
@@ -120,12 +157,16 @@ class TimeExpandedModel:
     Treat instances as immutable once build_model returns: the solver and the
     reports only read them, and several models may be built and solved
     concurrently.  doc is None for a bare model of hand-written rows.
+
+    The rows live in one array store (rows, a checks.ConstraintSystem): each
+    family of rows enters it in one add_rows call, and a hand-written row
+    through add_constraint.  constraints gives the same rows as records, for
+    readers off the solve path.
     """
 
     def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
         self.doc = doc
         self.variables: list[ModelVariable] = []
-        self.constraints: list[LinearConstraint] = []
         self.objective: dict[int, float] = {}
         # (earlier link, later link) of each single-track pair, ordered by
         # the earlier link's place in doc.links
@@ -136,7 +177,29 @@ class TimeExpandedModel:
         self.nodes_of: dict[str, tuple[str, ...]] = {}
         self.routes_on_link: dict[str, tuple[RouteSpec, ...]] = {}
         self.routes_at_node: dict[str, tuple[RouteSpec, ...]] = {}
+        # Place of each name on its key axis (KEY_AXES): document order.
+        self.positions: dict[str, dict[str, int]] = {}
+        if doc is not None:
+            self.positions = {
+                axis: {name: i for i, name in enumerate(names)}
+                for axis, names in (
+                    ("link", [l.name for l in doc.links]),
+                    ("node", doc.nodes),
+                    ("route", [r.name for r in doc.routes]),
+                    ("demand", [d.name for d in doc.demands]),
+                )
+            }
         self._index: dict[VariableRef, int] = {}
+        # Per kind, each add_variables block of indices with the places of
+        # its keys on the kind's axes; _grid turns them into index grids.
+        self._placed: dict[str, list[tuple[range, list]]] = {}
+        self._grids: Optional[dict[str, np.ndarray]] = None
+        self._bounds: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._rows = ConstraintSystem(
+            (), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp)
+        )
+        self._blocks: list[ConstraintSystem] = []  # appended since _rows was joined
+        self._records: tuple[ConstraintSystem, tuple[LinearConstraint, ...]] | None = None
 
     @property
     def config(self) -> ModelConfig:
@@ -152,21 +215,68 @@ class TimeExpandedModel:
         ub: float = math.inf,
         integer: bool = False,
     ) -> int:
-        """Declare variable (kind, key); returns its index.
+        """Declare variable (kind, key); returns its index (see add_variables)."""
+        return self.add_variables(kind, [key], lb, ub, integer)[0]
 
-        Its name is kind(key,...), e.g. direct(A-B,1,A-C-r1), cancel(A-C,2)
-        or beta(X-Y,1), so the name and the key cannot disagree.
+    def add_variables(
+        self,
+        kind: str,
+        keys: Sequence[tuple],
+        lb: float = 0.0,
+        ub: float = math.inf,
+        integer: bool = False,
+    ) -> range:
+        """Declare (kind, key) for each key, in order; returns their indices.
+
+        A variable's name is kind(key,...), e.g. direct(A-B,1,A-C-r1),
+        cancel(A-C,2) or beta(X-Y,1), so the name and the key cannot
+        disagree.  Nothing is declared when one of them cannot be.
         """
-        name = f"{kind}({','.join(map(str, key))})"
-        if not math.isfinite(lb):
-            raise ModelError(f"variable {name} needs a finite lower bound, got {lb}")
-        ref = VariableRef(kind, key)
-        if ref in self._index:
-            raise ModelError(f"variable {name} declared twice")
-        self.variables.append(ModelVariable(ref, name, lb, ub, integer))
-        idx = len(self.variables) - 1
-        self._index[ref] = idx
-        return idx
+        names = [f"{kind}({','.join(map(str, key))})" for key in keys]
+        if names and not math.isfinite(lb):
+            raise ModelError(f"variable {names[0]} needs a finite lower bound, got {lb}")
+        # tuple.__new__ makes each record as NamedTuple._make does, without
+        # a Python-level call per variable.
+        new = tuple.__new__
+        refs = [new(VariableRef, (kind, key)) for key in keys]
+        start = len(self.variables)
+        index = dict(zip(refs, range(start, start + len(refs))))
+        if len(index) < len(refs) or not index.keys().isdisjoint(self._index.keys()):
+            seen = set(self._index)
+            twice = next(name for ref, name in zip(refs, names) if ref in seen or seen.add(ref))
+            raise ModelError(f"variable {twice} declared twice")
+        axes = KEY_AXES.get(kind, ()) if self.positions else ()
+        try:
+            places = [
+                column if axis == "period" else list(map(self.positions[axis].__getitem__, column))
+                for axis, column in zip(axes, zip(*keys))
+            ]
+        except KeyError as exc:
+            raise ModelError(f"variable {kind} names {exc} that the document does not") from None
+        self.variables += [new(ModelVariable, (ref, name, lb, ub, integer)) for ref, name in zip(refs, names)]
+        self._index.update(index)
+        if axes and keys:
+            self._placed.setdefault(kind, []).append((range(start, len(self.variables)), places))
+        self._grids = self._bounds = None
+        return range(start, len(self.variables))
+
+    def _tighten_ub(self, idx: int, ub: float) -> None:
+        var = self.variables[idx]
+        self.variables[idx] = var._replace(ub=min(var.ub, ub))
+        self._bounds = None
+
+    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lb, ub, integer) over the variables, as read-only arrays."""
+        if self._bounds is None:
+            arrays = (
+                np.array([v.lb for v in self.variables], dtype=float),
+                np.array([v.ub for v in self.variables], dtype=float),
+                np.array([v.integer for v in self.variables], dtype=bool),
+            )
+            for array in arrays:
+                array.setflags(write=False)
+            self._bounds = arrays
+        return self._bounds
 
     def var(self, kind: str, *key) -> int:
         """Index of a declared variable; raises KeyError when absent."""
@@ -190,6 +300,88 @@ class TimeExpandedModel:
                 raise ModelError(f"unknown variable kind {term[1]!r} in term {term!r}")
         return out
 
+    def _grid(self, kind: str) -> np.ndarray:
+        """Index of each declared (kind, key) at the key's places, -1 elsewhere.
+
+        An axis of names has one more place than names, and a period axis
+        one more than the latest period: that last place is always -1.
+        """
+        if kind not in KEY_AXES:
+            raise ModelError(f"unknown variable kind {kind!r}")
+        if not self.positions:
+            raise ModelError("a model without a document has no key axes to look up")
+        if self._grids is None:
+            self._grids = {}
+            for k, axes in KEY_AXES.items():
+                blocks = self._placed.get(k, [])
+                shape = [
+                    max((max(places[j]) for _, places in blocks), default=0) + 2
+                    if axis == "period"
+                    else len(self.positions[axis]) + 1
+                    for j, axis in enumerate(axes)
+                ]
+                grid = self._grids[k] = np.full(shape, -1, dtype=np.intp)
+                for ids, places in blocks:
+                    grid[tuple(places)] = ids
+        return self._grids[kind]
+
+    def lookup(self, kind: str, *key) -> np.ndarray:
+        """Index of each variable (kind, *key), or -1 where none is declared.
+
+        The vector form of var: each key part is a scalar or an array (all
+        broadcast together), a name as its place in positions (-1 for none)
+        and a period as itself (any period holds none outside 1..t_max).  A
+        kind outside VARIABLE_KINDS raises ModelError.
+        """
+        grid = self._grid(kind)
+        axes = KEY_AXES[kind]
+        if len(key) != len(axes):
+            raise ModelError(f"a {kind} key has the parts {axes}, got {key!r}")
+        # A period outside the grid moves to its last place, which holds -1.
+        parts = [
+            np.maximum(np.minimum(part, size - 1), -1) if axis == "period" else part
+            for axis, size, part in zip(axes, grid.shape, key)
+        ]
+        return grid[tuple(parts)]
+
+    def gather(self, n_rows: int, terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Variable indices and coefficients of term columns, one row each of n_rows.
+
+        Each term is (coef, kind, *key), coef and the key parts a scalar or
+        one value per row (see lookup); column j of both arrays is term j,
+        with index -1 where that variable is not declared.
+        """
+        idx = np.empty((n_rows, len(terms)), dtype=np.intp)
+        coef = np.empty((n_rows, len(terms)))
+        for j, (c, kind, *key) in enumerate(terms):
+            idx[:, j] = self.lookup(kind, *key)
+            coef[:, j] = c
+        return idx, coef
+
+    # -- rows --------------------------------------------------------------
+
+    def add_rows(
+        self,
+        names: Sequence[str],
+        relation: str,
+        rhs,
+        idx: np.ndarray,
+        coef,
+        bound: bool = False,
+    ) -> None:
+        """Append one family of rows: row i is names[i] relation rhs[i] (or rhs).
+
+        Row i's terms are coef[i, j] on variable idx[i, j] in column order,
+        as gather gives them (coef broadcasts against idx).  A term on
+        variable -1 (undeclared) drops, a repeated variable is summed in
+        term order, a sum of 0 drops, and a row left with no term is not
+        emitted.  With bound, a row left with one term a x <= rhs is not
+        emitted either: it tightens that variable's upper bound to rhs / a.
+        """
+        live = idx >= 0
+        coef = np.broadcast_to(coef, idx.shape)
+        self._append(names, relation, rhs, np.nonzero(live)[0], idx[live], coef[live], bound=bound)
+
     def add_constraint(
         self,
         name: str,
@@ -197,9 +389,62 @@ class TimeExpandedModel:
         relation: str,
         rhs: float,
     ) -> None:
-        if relation not in ("<=", "=", ">="):
-            raise ModelError(f"bad relation {relation!r} in {name}")
-        self.constraints.append(LinearConstraint(name, _merge_terms(terms), relation, float(rhs)))
+        """Append one hand-written row of (variable index, coef) terms.
+
+        Its terms merge as in add_rows, but the row is kept when none is left.
+        """
+        pairs = list(terms)
+        var = np.array([idx for idx, _ in pairs], dtype=np.intp)
+        coef = np.array([c for _, c in pairs], dtype=float)
+        self._append([name], relation, rhs, np.zeros(var.size, dtype=np.intp), var, coef, keep_empty=True)
+
+    def _append(self, names, relation, rhs, row, var, coef, bound=False, keep_empty=False) -> None:
+        if relation not in SENSE:
+            raise ModelError(f"bad relation {relation!r} in {names[0] if names else 'an empty family'}")
+        n = len(names)
+        row, var, coef = _merge_terms(row, var, coef)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,))
+        count = np.bincount(row, minlength=n)
+        emit = np.full(n, True) if keep_empty else count > 0
+        if bound:
+            single = count == 1
+            for r, v, c in zip(row[single[row]].tolist(), var[single[row]].tolist(), coef[single[row]].tolist()):
+                self._tighten_ub(v, float(rhs[r]) / c)
+            emit &= ~single
+        kept = emit[row]
+        self._blocks.append(
+            ConstraintSystem(
+                names=tuple(names) if emit.all() else tuple(names[i] for i in np.flatnonzero(emit).tolist()),
+                row_of=(np.cumsum(emit) - 1)[row[kept]],
+                var_idx=var[kept],
+                coefs=coef[kept],
+                rhs=rhs[emit],
+                sense=np.full(np.count_nonzero(emit), SENSE[relation], dtype=np.intp),
+            )
+        )
+
+    @property
+    def rows(self) -> ConstraintSystem:
+        """Every row, as the one array store."""
+        if self._blocks:
+            self._rows = ConstraintSystem.joined([self._rows, *self._blocks])
+            self._blocks = []
+        return self._rows
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The rows as records, made on request (off the solve path)."""
+        rows = self.rows
+        if self._records is None or self._records[0] is not rows:
+            relation = {sense: rel for rel, sense in SENSE.items()}
+            terms = list(zip(rows.var_idx.tolist(), rows.coefs.tolist()))
+            ends = np.searchsorted(rows.row_of, np.arange(len(rows.names) + 1)).tolist()
+            records = tuple(
+                LinearConstraint(name, tuple(terms[ends[i] : ends[i + 1]]), relation[sense], rhs)
+                for i, (name, sense, rhs) in enumerate(zip(rows.names, rows.sense.tolist(), rows.rhs.tolist()))
+            )
+            self._records = (rows, records)
+        return self._records[1]
 
     def objective_value(self, values) -> float:
         return float(sum(coef * values[idx] for idx, coef in self.objective.items()))
@@ -246,45 +491,50 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
             reach += doc.durations[(x, r.train_type)]
             first[(n, r.name)] = 1 + departure_spread(reach)[0][0]
 
-    for r in routes:
-        for t in T:
-            model.add_variable("dep", (r.name, t))
-    for l in doc.links:
-        for t in T:
-            for r in on_link[l.name]:
-                if t >= first[(l.head, r.name)]:
-                    model.add_variable("direct", (l.name, t, r.name))
-    for l in doc.links:
-        for t in inner:
-            for r in on_link[l.name]:
-                if t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)]):
-                    model.add_variable("next", (l.name, t, r.name))
-    for n in doc.nodes:
-        for t in inner:
-            for r in at_node[n]:
-                if n != nodes_of[r.name][-1] and t >= first[(n, r.name)]:
-                    model.add_variable("ni", (n, t, r.name))
-    for n in doc.nodes:
-        for t in T:
-            for r in at_node[n]:
-                if n != nodes_of[r.name][0] and t >= first[(n, r.name)]:
-                    model.add_variable("lag", (n, t, r.name))
-    for d in doc.demands:
-        for t in inner:
-            model.add_variable("post", (d.name, t))
-    for d in doc.demands:
-        for t in T:
-            model.add_variable("cancel", (d.name, t))
-    for d in doc.demands:
-        model.add_variable("cancel_total", (d.name,), integer=not config.relax_integrality)
+    model.add_variables("dep", [(r.name, t) for r in routes for t in T])
+    model.add_variables(
+        "direct",
+        [(l.name, t, r.name) for l in doc.links for t in T for r in on_link[l.name] if t >= first[(l.head, r.name)]],
+    )
+    model.add_variables(
+        "next",
+        [
+            (l.name, t, r.name)
+            for l in doc.links
+            for t in inner
+            for r in on_link[l.name]
+            if t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)])
+        ],
+    )
+    model.add_variables(
+        "ni",
+        [
+            (n, t, r.name)
+            for n in doc.nodes
+            for t in inner
+            for r in at_node[n]
+            if n != nodes_of[r.name][-1] and t >= first[(n, r.name)]
+        ],
+    )
+    model.add_variables(
+        "lag",
+        [
+            (n, t, r.name)
+            for n in doc.nodes
+            for t in T
+            for r in at_node[n]
+            if n != nodes_of[r.name][0] and t >= first[(n, r.name)]
+        ],
+    )
+    model.add_variables("post", [(d.name, t) for d in doc.demands for t in inner])
+    model.add_variables("cancel", [(d.name, t) for d in doc.demands for t in T])
+    model.add_variables("cancel_total", [(d.name,) for d in doc.demands], integer=not config.relax_integrality)
     # A pair is stated in either order; its earlier link in doc.links stands for it.
     place = {l.name: i for i, l in enumerate(doc.links)}
     pairs = [tuple(sorted(pair, key=place.get)) for pair in doc.single_track_pairs]
     model.single_track_pairs = tuple(sorted(pairs, key=lambda pair: place[pair[0]]))
     if config.capacity_mode == "single_track_alt2":
-        for rep, _ in model.single_track_pairs:
-            for t in T:
-                model.add_variable("beta", (rep, t), ub=1.0, integer=True)
+        model.add_variables("beta", [(rep, t) for rep, _ in model.single_track_pairs for t in T], ub=1.0, integer=True)
     return model
 
 
@@ -293,18 +543,32 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
 # ---------------------------------------------------------------------------
 
 
-def link_usage(model: TimeExpandedModel, link: str, t: int) -> list[tuple[int, float]]:
-    """Terms of a link's capacity charge in period t.
+def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (gather's idx, coef) of each link's capacity charge per period.
 
-    Every route on the link counts its direct arc of period t plus half of
+    Row l * t_max + t - 1 is link l (its place in doc.links) in period t:
+    every route on the link counts its direct arc of period t plus half of
     each adjacent next arc (from t - 1 and from t), which cross the period
-    boundary halfway.  A link no route can use in period t has no terms.
+    boundary halfway.  The routes come in document order, one slot each; a
+    link with fewer routes than the busiest link leaves its last slots
+    empty, and a link no route can use in period t has no terms.
     """
+    doc = model.doc
+    place = model.positions["route"]
+    on_link = [[place[r.name] for r in model.routes_on_link[l.name]] for l in doc.links]
+    slots = np.full((len(on_link), max(map(len, on_link), default=0)), -1)
+    for i, routes in enumerate(on_link):
+        slots[i, : len(routes)] = routes
+    links = np.repeat(np.arange(len(doc.links)), doc.t_max)
+    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.links))
     terms: list[tuple] = []
-    for r in model.routes_on_link[link]:
-        terms.append((1.0, "direct", link, t, r.name))
-        terms += [(0.5, "next", link, s, r.name) for s in (t - 1, t)]
-    return model.terms(terms)
+    for route in slots[links].T:
+        terms += [
+            (1.0, "direct", links, periods, route),
+            (0.5, "next", links, periods - 1, route),
+            (0.5, "next", links, periods, route),
+        ]
+    return model.gather(links.size, terms)
 
 
 def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
@@ -320,14 +584,14 @@ def type_charge(k_het: float, n_types: int) -> float:
 def emit_capacity(model: TimeExpandedModel) -> None:
     """Capacity rows of the mode selected by capacity_mode.
 
-    Each row reads a link's flow through link_usage; a row that would have no
-    terms (no route can use the link in that period) is not emitted, and a
-    row of one term is that variable's upper bound.  Capacity1 keeps the usage
-    within the link's nominal capacity.  heterogeneous replaces Capacity1 by
-    Capacity3, which charges the usage 1 + k_het per other train type on the
-    link (type_charge; the loader keeps it in float range), and so implies
-    Capacity1, as k_het >= 0.  single_track_alt1 makes coupled links share
-    the mean of their nominal capacities.
+    Each row reads a link's flow through usage_terms; a row that would have
+    no terms (no route can use the link in that period) is not emitted, and
+    a row of one term is that variable's upper bound.  Capacity1 keeps the
+    usage within the link's nominal capacity.  heterogeneous replaces
+    Capacity1 by Capacity3, which charges the usage 1 + k_het per other
+    train type on the link (type_charge; the loader keeps it in float
+    range), and so implies Capacity1, as k_het >= 0.  single_track_alt1
+    makes coupled links share the mean of their nominal capacities.
 
     single_track_alt2 makes both directional usages plus the setup time
     min(own, opp) / k_setup fit in the smaller capacity c of the pair.  The
@@ -336,29 +600,28 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     own + opp + w <= c leaves, exactly, the pair row own + opp <= c and one
     setup row per direction, which the binary flag beta switches off through
     big M (big_m; the loader keeps it in float range, scenario.apply_tcr).
+    A pair and period that no route can use has none of the three rows.
     The capacity report derives the setup time from the flows.
     """
     doc = model.doc
     config = model.config
     capacity = doc.capacity
     T = range(1, doc.t_max + 1)
-
-    def add(name: str, terms: list[tuple[int, float]], rhs: float) -> None:
-        if len(terms) == 1:
-            ((idx, coef),) = terms
-            var = model.variables[idx]
-            model.variables[idx] = var._replace(ub=min(var.ub, rhs / coef))
-        elif terms:
-            model.add_constraint(name, terms, "<=", rhs)
+    usage, coef = link_usage(model)
 
     heterogeneous = config.capacity_mode == "heterogeneous"
     family = "Capacity3" if heterogeneous else "Capacity1"
-    for l in doc.links:
-        n_types = len({r.train_type for r in model.routes_on_link[l.name]})
-        charge = type_charge(config.k_het, n_types) if heterogeneous else 1.0
-        for t in T:
-            usage = [(idx, charge * coef) for idx, coef in link_usage(model, l.name, t)]
-            add(f"{family}[l={l.name},t={t}]", usage, capacity[(l.name, t)])
+    if heterogeneous:
+        charge = [type_charge(config.k_het, len({r.train_type for r in model.routes_on_link[l.name]})) for l in doc.links]
+        coef_charged = coef * np.repeat(charge, doc.t_max)[:, None]
+    model.add_rows(
+        [f"{family}[l={l.name},t={t}]" for l in doc.links for t in T],
+        "<=",
+        [capacity[(l.name, t)] for l in doc.links for t in T],
+        usage,
+        coef_charged if heterogeneous else coef,
+        bound=True,
+    )
 
     pairs = model.single_track_pairs
     if config.capacity_mode in ("single_track_alt1", "single_track_alt2") and not pairs:
@@ -367,37 +630,66 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             " single-track pairs; only the base capacity rows apply",
             stacklevel=2,
         )
+    if not pairs:
+        return
+    # usage rows of each pair's earlier (own) and later (opp) link, per period
+    place = model.positions["link"]
+    own = np.add.outer([place[rep] * doc.t_max for rep, _ in pairs], np.arange(doc.t_max)).ravel()
+    opp = np.add.outer([place[other] * doc.t_max for _, other in pairs], np.arange(doc.t_max)).ravel()
+    both, both_coef = np.hstack([usage[own], usage[opp]]), np.hstack([coef[own], coef[opp]])
 
     if config.capacity_mode == "single_track_alt1":
-        for rep, other in pairs:
-            for t in T:
-                terms = link_usage(model, rep, t) + link_usage(model, other, t)
-                rhs = 0.5 * (capacity[(rep, t)] + capacity[(other, t)])
-                add(f"Capacity2alt1[l={rep}/{other},t={t}]", terms, rhs)
+        model.add_rows(
+            [f"Capacity2alt1[l={rep}/{other},t={t}]" for rep, other in pairs for t in T],
+            "<=",
+            [0.5 * (capacity[(rep, t)] + capacity[(other, t)]) for rep, other in pairs for t in T],
+            both,
+            both_coef,
+            bound=True,
+        )
     elif config.capacity_mode == "single_track_alt2":
         k, m = config.k_setup, big_m(capacity)
-        for rep, other in pairs:
-            for t in T:
-                own, opp = link_usage(model, rep, t), link_usage(model, other, t)
-                both = own + opp
-                if not both:
-                    continue
-                cap = min(capacity[(rep, t)], capacity[(other, t)])
-                beta = model.var("beta", rep, t)
-                add(f"Capacity2alt2[l={rep}/{other},t={t}]", both, cap)
-                scaled = [(idx, k * coef) for idx, coef in both]
-                model.add_constraint(
+        periods = np.tile(np.arange(1, doc.t_max + 1), len(pairs))
+        beta = np.where((both >= 0).any(axis=1), model.lookup("beta", own // doc.t_max, periods), -1)
+        # Per pair and period, three rows: own + opp <= c, then the setup
+        # row of the earlier link (beta switches it off) and of the later
+        # one, each k (own + opp) plus that link's own usage.
+        none, no_beta = np.full_like(usage[own], -1), np.full_like(beta, -1)
+        idx = np.stack(
+            [
+                np.hstack([both, none, none, no_beta[:, None]]),
+                np.hstack([both, usage[own], none, beta[:, None]]),
+                np.hstack([both, none, usage[opp], beta[:, None]]),
+            ],
+            axis=1,
+        )
+        big = np.full((own.size, 1), m)
+        weights = np.stack(
+            [
+                np.hstack([both_coef, coef[own], coef[opp], big]),
+                np.hstack([k * both_coef, coef[own], coef[opp], big]),
+                np.hstack([k * both_coef, coef[own], coef[opp], -big]),
+            ],
+            axis=1,
+        )
+        cap = [min(capacity[(rep, t)], capacity[(other, t)]) for rep, other in pairs for t in T]
+        model.add_rows(
+            [
+                name
+                for rep, other in pairs
+                for t in T
+                for name in (
+                    f"Capacity2alt2[l={rep}/{other},t={t}]",
                     f"Capacity2alt2setup[l={rep},t={t}]",
-                    scaled + own + [(beta, m)],
-                    "<=",
-                    k * cap + m,
-                )
-                model.add_constraint(
                     f"Capacity2alt2setup[l={other},t={t}]",
-                    scaled + opp + [(beta, -m)],
-                    "<=",
-                    k * cap,
                 )
+            ],
+            "<=",
+            [rhs for c in cap for rhs in (c, k * c + m, k * c)],
+            idx.reshape(3 * own.size, -1),
+            weights.reshape(3 * own.size, -1),
+            bound=True,
+        )
 
 
 def emit_demand_layer(model: TimeExpandedModel) -> None:
@@ -409,18 +701,25 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
     """
     doc = model.doc
     T = range(1, doc.t_max + 1)
+    place = model.positions["route"]
+    implements = [[place[r] for r in doc.implements.get(d.name, ())] for d in doc.demands]
+    slots = np.full((len(implements), max(map(len, implements), default=0)), -1)
+    for i, routes in enumerate(implements):
+        slots[i, : len(routes)] = routes
 
-    for d in doc.demands:
-        routes = doc.implements.get(d.name, ())
-        for t in T:
-            terms = [(model.var("dep", r, t), 1.0) for r in routes]
-            terms += model.terms([(1.0, "post", d.name, t), (-1.0, "post", d.name, t - 1)])
-            terms.append((model.var("cancel", d.name, t), 1.0))
-            model.add_constraint(f"Departure3[d={d.name},t={t}]", terms, "=", d.volumes[t - 1])
-    for d in doc.demands:
-        terms = [(model.var("cancel", d.name, t), 1.0) for t in T]
-        terms.append((model.var("cancel_total", d.name), -1.0))
-        model.add_constraint(f"Cancel1[d={d.name}]", terms, "=", 0.0)
+    demands = np.repeat(np.arange(len(doc.demands)), doc.t_max)
+    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.demands))
+    terms = [(1.0, "dep", route, periods) for route in slots[demands].T]
+    terms += [(1.0, "post", demands, periods), (-1.0, "post", demands, periods - 1), (1.0, "cancel", demands, periods)]
+    model.add_rows(
+        [f"Departure3[d={d.name},t={t}]" for d in doc.demands for t in T],
+        "=",
+        [volume for d in doc.demands for volume in d.volumes],
+        *model.gather(demands.size, terms),
+    )
+    demands = np.arange(len(doc.demands))
+    terms = [(1.0, "cancel", demands, t) for t in T] + [(-1.0, "cancel_total", demands)]
+    model.add_rows([f"Cancel1[d={d.name}]" for d in doc.demands], "=", 0.0, *model.gather(demands.size, terms))
 
 
 def emit_flow_layer(model: TimeExpandedModel) -> None:
@@ -436,21 +735,27 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
     route's link before it and left over the link after it (a route visits
     no node twice).  The destination has no row: what flows into it arrives.
     """
-    T = range(1, model.doc.t_max + 1)
-
-    for r in model.doc.routes:
+    doc = model.doc
+    T = range(1, doc.t_max + 1)
+    link, node = model.positions["link"], model.positions["node"]
+    names, at = [], []  # at: (route, node, link in or -1, link out) per row
+    for i, r in enumerate(doc.routes):
         for k, n in enumerate(model.nodes_of[r.name][:-1]):
-            for t in T:
-                terms = [(1.0, "ni", n, t - 1, r.name), (-1.0, "ni", n, t, r.name)]
-                if k == 0:
-                    terms.append((1.0, "dep", r.name, t))
-                else:
-                    into = r.links[k - 1]
-                    terms += [(1.0, "direct", into, t, r.name), (1.0, "next", into, t - 1, r.name)]
-                terms += [(-1.0, "direct", r.links[k], t, r.name), (-1.0, "next", r.links[k], t, r.name)]
-                live = model.terms(terms)
-                if live:
-                    model.add_constraint(f"Flow2[n={n},t={t},r={r.name}]", live, "=", 0.0)
+            names += [f"Flow2[n={n},t={t},r={r.name}]" for t in T]
+            at.append((i, node[n], link[r.links[k - 1]] if k else -1, link[r.links[k]]))
+    route, n, into, out = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 4), doc.t_max, axis=0).T
+    periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
+    origin = np.where(into < 0, route, -1)
+    terms = [
+        (1.0, "ni", n, periods - 1, route),
+        (-1.0, "ni", n, periods, route),
+        (1.0, "dep", origin, periods),
+        (1.0, "direct", into, periods, route),
+        (1.0, "next", into, periods - 1, route),
+        (-1.0, "direct", out, periods, route),
+        (-1.0, "next", out, periods, route),
+    ]
+    model.add_rows(names, "=", 0.0, *model.gather(len(names), terms))
 
 
 def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...]:
@@ -487,19 +792,30 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
     """
     doc = model.doc
     T = range(1, doc.t_max + 1)
-
-    for r in doc.routes:
+    link, node = model.positions["link"], model.positions["node"]
+    # per row: (route, node, link in, first offset, second offset or -1)
+    # and the shares of the two offsets (see departure_spread)
+    names, at, shares = [], [], []
+    for i, r in enumerate(doc.routes):
         reach = 0.0
-        for link, n in zip(r.links, model.nodes_of[r.name][1:]):
-            reach += doc.durations[(link, r.train_type)]
-            spread = departure_spread(reach)
-            for t in T:
-                terms = [(1.0, "lag", n, t, r.name), (-1.0, "lag", n, t - 1, r.name)]
-                terms += [(-share, "dep", r.name, t - offset) for offset, share in spread]
-                terms += [(1.0, "direct", link, t, r.name), (1.0, "next", link, t - 1, r.name)]
-                live = model.terms(terms)
-                if live:
-                    model.add_constraint(f"Pace[n={n},t={t},r={r.name}]", live, "=", 0.0)
+        for x, n in zip(r.links, model.nodes_of[r.name][1:]):
+            reach += doc.durations[(x, r.train_type)]
+            (early, share), *late = departure_spread(reach) + ((-1, 0.0),)
+            names += [f"Pace[n={n},t={t},r={r.name}]" for t in T]
+            at.append((i, node[n], link[x], early, late[0][0]))
+            shares.append((share, late[0][1]))
+    route, n, into, early, late = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 5), doc.t_max, axis=0).T
+    share, late_share = np.repeat(np.array(shares).reshape(-1, 2), doc.t_max, axis=0).T
+    periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
+    terms = [
+        (1.0, "lag", n, periods, route),
+        (-1.0, "lag", n, periods - 1, route),
+        (-share, "dep", route, periods - early),
+        (-late_share, "dep", np.where(late >= 0, route, -1), periods - late),
+        (1.0, "direct", into, periods, route),
+        (1.0, "next", into, periods - 1, route),
+    ]
+    model.add_rows(names, "=", 0.0, *model.gather(len(names), terms))
 
 
 def build_objective(model: TimeExpandedModel) -> None:

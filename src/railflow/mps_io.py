@@ -2,13 +2,17 @@
 
 The writer is deterministic: rows in constraint order, columns in variable
 order, values printed with 12 significant digits, so re-exporting the same
-model yields identical bytes.  Any MPS-aware solver can read the file and
-verify the bundled solver's objective.
+model yields identical bytes.  It reads the model's row store
+(TimeExpandedModel.rows) as arrays: the cells of the COLUMNS section are its
+terms sorted by variable, and each distinct value is formatted once.  Any
+MPS-aware solver can read the file and verify the bundled solver's objective.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .model import TimeExpandedModel
 
@@ -20,53 +24,64 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _texts(values: np.ndarray, end: str = "") -> np.ndarray:
+    """_fmt of each value followed by end, formatting each distinct value once."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array([_fmt(value) + end for value in distinct.tolist()], dtype=object)[at]
+
+
 def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     """Serialize the model as free MPS text (rows, columns, RHS, bounds)."""
+    rows = model.rows
+    lb, ub, integer = model.bound_arrays()
     lines: list[str] = []
     lines.append(f"NAME          {name}")
     lines.append("ROWS")
     lines.append(f" N  {_OBJ_ROW}")
-    sense_tag = {"<=": "L", "=": "E", ">=": "G"}
-    for row in model.constraints:
-        lines.append(f" {sense_tag[row.relation]}  {row.name}")
+    sense_tag = ("L", "E", "G")
+    lines += [f" {sense_tag[sense + 1]}  {row}" for sense, row in zip(rows.sense.tolist(), rows.names)]
 
-    # Each row and column name is padded once, not once per cell.
-    row_fields = [f"{row.name:<{_NAME_WIDTH}}" for row in model.constraints]
-    obj_field = f"{_OBJ_ROW:<{_NAME_WIDTH}}"
-    entries: list[list[tuple[str, float]]] = [[] for _ in model.variables]
-    for idx, coef in model.objective.items():
-        entries[idx].append((obj_field, coef))
-    for row, field in zip(model.constraints, row_fields):
-        for idx, coef in row.terms:
-            entries[idx].append((field, coef))
+    # Each row and column name is padded once, not once per cell; the
+    # objective's field is last, so a cell of row -1 is the objective's.
+    fields = [f"{row.ljust(_NAME_WIDTH)} " for row in rows.names] + [f"{_OBJ_ROW.ljust(_NAME_WIDTH)} "]
+    n = len(model.variables)
+    obj_var = np.fromiter(model.objective.keys(), dtype=np.intp, count=len(model.objective))
+    obj_val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
+    # A variable in no row and not in the objective gets an objective cell of 0.
+    bare = np.flatnonzero(np.bincount(np.concatenate([obj_var, rows.var_idx]), minlength=n) == 0)
+    # Per variable, its objective cell first and then its rows in row order.
+    cell_var = np.concatenate([obj_var, bare, rows.var_idx])
+    order = np.argsort(cell_var, kind="stable")
+    cell_row = np.concatenate([np.full(obj_var.size + bare.size, -1), rows.row_of])[order]
+    cell_val = np.concatenate([obj_val, np.zeros(bare.size), rows.coefs])[order]
+    # Cell k is the line joined from pieces[k]: the column's field, the
+    # row's field and the value; a run of cells is joined at once.
+    prefixes = np.array([f"    {var.name.ljust(_NAME_WIDTH)} " for var in model.variables], dtype=object)
+    fields = np.array(fields, dtype=object)
+    pieces = np.stack([prefixes[cell_var[order]], fields[cell_row], _texts(cell_val, end="\n")], axis=1)
+
+    def cells(first: int, last: int) -> list[str]:
+        return ["".join(pieces[first:last].ravel().tolist())[:-1]] if first < last else []
 
     lines.append("COLUMNS")
-    integer_open = False
-    marker = 0
-    for var, cells in zip(model.variables, entries):
-        if var.integer and not integer_open:
-            lines.append(f"    M{marker:<7} 'MARKER' 'INTORG'")
-            marker += 1
-            integer_open = True
-        elif not var.integer and integer_open:
-            lines.append(f"    M{marker:<7} 'MARKER' 'INTEND'")
-            marker += 1
-            integer_open = False
-        if not cells:
-            cells = [(obj_field, 0.0)]
-        prefix = f"    {var.name:<{_NAME_WIDTH}} "
-        for field, coef in cells:
-            lines.append(f"{prefix}{field} {_fmt(coef)}")
-    if integer_open:
-        lines.append(f"    M{marker:<7} 'MARKER' 'INTEND'")
+    # A marker opens or closes each run of integer variables.
+    starts = np.searchsorted(cell_var[order], np.arange(n + 1)).tolist()
+    flips = np.flatnonzero(np.diff(np.concatenate([[False], integer, [False]]).astype(np.int8))).tolist()
+    done = 0
+    for marker, j in enumerate(flips):
+        lines += cells(done, starts[j])
+        tag = "INTORG" if j < n and integer[j] else "INTEND"
+        lines.append(f"    M{marker:<7} 'MARKER' '{tag}'")
+        done = starts[j]
+    lines += cells(done, len(pieces))
 
     lines.append("RHS")
-    for row, field in zip(model.constraints, row_fields):
-        if row.rhs != 0.0:
-            lines.append(f"    RHS {field} {_fmt(row.rhs)}")
+    given = np.flatnonzero(rows.rhs != 0.0)
+    lines += [f"    RHS {fields[i]}{text}" for i, text in zip(given.tolist(), _texts(rows.rhs[given]).tolist())]
 
     lines.append("BOUNDS")
-    for var in model.variables:
+    for i in np.flatnonzero((lb != 0.0) | np.isfinite(ub) | integer).tolist():
+        var = model.variables[i]
         capped = math.isfinite(var.ub)
         if var.lb == var.ub:
             lines.append(f" FX BND {var.name:<{_NAME_WIDTH}} {_fmt(var.lb)}")

@@ -644,11 +644,11 @@ class DemandOutcomeReport:
 def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> CapacityUsageReport:
     doc = model.doc
     periods = range(1, doc.t_max + 1)
-    total = {
-        (link.name, t): float(sum(coef * values[idx] for idx, coef in link_usage(model, link.name, t)))
-        for link in doc.links
-        for t in periods
-    }
+    idx, coef = link_usage(model)
+    # cumsum adds each row's terms one by one in term order, as a plain sum does.
+    usage = np.cumsum(np.where(idx >= 0, coef * values[idx], 0.0), axis=1)
+    usage = usage[:, -1] if usage.size else np.zeros(idx.shape[0])
+    total = dict(zip([(link.name, t) for link in doc.links for t in periods], usage.tolist()))
     setup: dict[tuple[str, int], float] = {}
     setup_pairs: tuple[tuple[str, str], ...] = ()
     if model.config.capacity_mode == "single_track_alt2":

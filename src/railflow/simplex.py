@@ -120,11 +120,11 @@ def build_standard_form(
     The upper bounds of the live columns follow as __ub rows in variable
     order.  Raises InfeasibleModel when the bounds alone prove infeasibility.
     """
-    rows = model.constraints
-    system = ConstraintSystem.from_rows(rows)
+    system = ConstraintSystem.from_model(model)
     row_of = system.row_of
-    lo = np.array([v.lb for v in model.variables], dtype=float)
-    hi = np.array([v.ub for v in model.variables], dtype=float)
+    n_rows = len(system.names)
+    lb, ub, _ = model.bound_arrays()
+    lo, hi = lb.copy(), ub.copy()
     if bounds:
         idx = np.fromiter(bounds.keys(), dtype=int, count=len(bounds))
         pairs = np.array(list(bounds.values()), dtype=float)
@@ -140,15 +140,15 @@ def build_standard_form(
     pos_col = np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
     adj = system.rhs - np.bincount(
-        row_of, weights=system.coefs * lo[system.var_idx], minlength=len(rows)
+        row_of, weights=system.coefs * lo[system.var_idx], minlength=n_rows
     )
     live = ~fixed[system.var_idx]
-    n_live = np.bincount(row_of[live], minlength=len(rows))
+    n_live = np.bincount(row_of[live], minlength=n_rows)
     # sense is -1 for <=, 0 for = and +1 for >=.
     violated = np.where(system.sense == 0, np.abs(adj), system.sense * adj) > 1e-9
     dead = np.nonzero((n_live == 0) & violated)[0]
     if dead.size:
-        raise InfeasibleModel(f"constraint {rows[dead[0]].name} is violated by fixed variables")
+        raise InfeasibleModel(f"constraint {system.names[dead[0]]} is violated by fixed variables")
     kept = n_live > 0
 
     ub_var = np.nonzero(~fixed & np.isfinite(hi))[0]
@@ -375,8 +375,10 @@ class Tableau:
         self.logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
         logical_cols = n + np.arange(self.logical_rows.size)
 
-        # T gets its own anonymous mapping: the kernel zero-fills it, and it
-        # is unmapped as soon as T and its views are released.  From
+        # T gets its own private anonymous mapping: the kernel zero-fills it,
+        # and it is unmapped as soon as T and its views are released.  (A
+        # shared mapping would be backed by shmem, which costs about twice as
+        # much to map, populate and unmap.)  From
         # np.zeros it would come from glibc's brk heap once the dynamic mmap
         # threshold has risen past tableau size (glibc raises it to the size
         # of each mapped block freed), and a freed tableau that sits below
@@ -385,7 +387,7 @@ class Tableau:
         # (where the platform has it) maps every page in the one call instead
         # of taking a page fault on each page's first touch.
         shape = (m + 2, self.ncols + 1)
-        flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
         T = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1], flags=flags), dtype=float).reshape(shape)
         # Each (row, column) of A appears once (StandardFormLP), so one
         # assignment writes A.

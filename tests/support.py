@@ -66,6 +66,26 @@ def bare_model() -> TimeExpandedModel:
     return TimeExpandedModel()
 
 
+def rebuilt(model, rows=None, variables=None):
+    """A new model like model, with rows (LinearConstraint records) or
+    variables (ModelVariable records) in place of its own.
+
+    A built model is not edited in place: its rows live in one array store.
+    The copy declares each variable through add_variable and appends each
+    row through add_constraint, and keeps model's document, route support
+    and objective.
+    """
+    copy = TimeExpandedModel(model.doc)
+    copy.single_track_pairs = model.single_track_pairs
+    copy.nodes_of, copy.routes_on_link, copy.routes_at_node = model.nodes_of, model.routes_on_link, model.routes_at_node
+    for var in model.variables if variables is None else variables:
+        copy.add_variable(var.ref.kind, var.ref.key, var.lb, var.ub, var.integer)
+    for row in model.constraints if rows is None else rows:
+        copy.add_constraint(row.name, row.terms, row.relation, row.rhs)
+    copy.objective = dict(model.objective)
+    return copy
+
+
 def synthetic_model(c, rows, *, integer=(), ub=None):
     """Model with variables x(0)..x(n-1), rows (coeffs, relation, rhs) and costs c."""
     model = bare_model()

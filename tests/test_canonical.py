@@ -45,7 +45,7 @@ from railflow.scenario import (
     run,
 )
 from railflow.simplex import OPTIMAL, Tolerances
-from support import line_model
+from support import line_model, rebuilt
 
 # The benchmark's seeded line generator, imported read only.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -167,7 +167,7 @@ def test_refined_reports_do_not_depend_on_row_order(scenario, mode):
     model = bundled_model(scenario, mode)
     first = solve_mip(model)
     forward = reports(model, refine_to_earliest_pace(model, first).values)
-    model.constraints.reverse()
+    model = rebuilt(model, rows=model.constraints[::-1])
     second = solve_mip(model)
     assert second.iterations != first.iterations
     assert reports(model, refine_to_earliest_pace(model, second).values) == forward

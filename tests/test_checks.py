@@ -8,7 +8,7 @@ from railflow.checks import (
     verify_solution,
 )
 from railflow.model import LinearConstraint
-from support import synthetic_model
+from support import bare_model, rebuilt, synthetic_model
 
 
 def test_violation_measures_per_relation():
@@ -36,9 +36,7 @@ def test_constraint_family_extraction():
 
 def test_max_violation_groups_by_family():
     model = synthetic_model([0.0], [([1.0], "<=", 1.0)])
-    model.constraints[0] = model.constraints[0].__class__(
-        "Capacity1[l=A,t=1]", model.constraints[0].terms, "<=", 1.0
-    )
+    model = rebuilt(model, rows=[model.constraints[0]._replace(name="Capacity1[l=A,t=1]")])
     worst = max_violation_by_family(model, np.array([3.0]))
     assert worst["Capacity1"] == pytest.approx(2.0)
 
@@ -64,13 +62,13 @@ def test_activities_are_the_per_row_sums():
         LinearConstraint("empty_last", (), ">=", 0.0),
     ]
     values = np.array([1.5, -2.0, 0.25, np.nan])
-    got = ConstraintSystem.from_rows(rows).activities(values)
+    got = rebuilt(bare_model(), rows=rows).rows.activities(values)
     want = [sum(coef * values[idx] for idx, coef in row.terms) for row in rows]
     np.testing.assert_array_equal(got, want)
     assert np.isnan(got[4]) and np.isfinite(np.delete(got, 4)).all()
     only_empty = [rows[0], rows[2]]
-    np.testing.assert_array_equal(ConstraintSystem.from_rows(only_empty).activities(values), [0.0, 0.0])
-    assert ConstraintSystem.from_rows([]).activities(values).shape == (0,)
+    np.testing.assert_array_equal(rebuilt(bare_model(), rows=only_empty).rows.activities(values), [0.0, 0.0])
+    assert rebuilt(bare_model(), rows=[]).rows.activities(values).shape == (0,)
 
 
 def test_verify_solution_reports_bounds_and_integrality():

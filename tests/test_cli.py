@@ -238,3 +238,20 @@ def test_validate_reads_utf8_under_an_ascii_locale(scenario_dir, tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_validate_prints_a_non_ascii_name_under_an_ascii_locale(scenario_dir, tmp_path):
+    # stdout's encoding is ASCII here; the name is printed escaped, not raised on.
+    raw = json.loads((scenario_dir / "three_station_line.json").read_text(encoding="utf-8"))
+    raw["name"] = "Malmö"
+    path = tmp_path / "named.json"
+    path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "railflow.cli", "validate", "--scenario", str(path)],
+        env=env,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(b"Malm\\xf6: ok (")

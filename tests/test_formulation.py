@@ -20,7 +20,7 @@ from railflow.model import (
 )
 from railflow.scenario import load_scenario, run
 from railflow.simplex import OPTIMAL
-from support import line_doc, line_model, line_raw, usage
+from support import line_doc, line_model, line_raw, rebuilt, usage
 from test_golden import SCENARIOS
 
 
@@ -289,7 +289,7 @@ def test_alt2_rows_admit_exactly_the_setup_rule(k_setup):
     model = coupled_pair_model(
         capacity=6.0, cap_back=4.5, config={"capacity_mode": "single_track_alt2", "k_setup": k_setup}
     )
-    rows = ConstraintSystem.from_rows([c for c in model.constraints if c.name.startswith("Capacity2alt2")])
+    rows = rebuilt(model, rows=[c for c in model.constraints if c.name.startswith("Capacity2alt2")]).rows
     grid = np.arange(0.0, 5.0, 0.25)
     admitted_somewhere = rejected_somewhere = 0
     for own in grid:

@@ -30,7 +30,7 @@ from railflow.simplex import (
     solve_lp,
     solve_model_lp,
 )
-from support import synthetic_model
+from support import rebuilt, synthetic_model
 
 
 def raw_lp(c, A, b, relations=None):
@@ -596,18 +596,16 @@ def test_bundled_standard_forms_match_reference(scenario_dir):
 
 def test_one_term_rows_give_the_optimum_of_the_bounds_they_state(scenario_dir):
     # One-term rows stay rows; the branch bounds they state reach the same optimum.
-    import copy
-
     from railflow.scenario import build_scenario_model, load_scenario
 
     doc = load_scenario(scenario_dir / "single_track_shuttle.json")
     model = build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2")))
     first, second = [i for i, v in enumerate(model.variables) if v.integer][:2]
-    with_rows = copy.copy(model)
-    with_rows.constraints = model.constraints + [
-        LinearConstraint("down", ((first, 1.0),), "<=", 0.0),
-        LinearConstraint("up", ((second, 1.0),), ">=", 1.0),
-    ]
+    with_rows = rebuilt(
+        model,
+        rows=model.constraints
+        + (LinearConstraint("down", ((first, 1.0),), "<=", 0.0), LinearConstraint("up", ((second, 1.0),), ">=", 1.0)),
+    )
     assert build_standard_form(with_rows).n_rows == build_standard_form(model).n_rows + 2
     by_rows, _ = solve_model_lp(with_rows)
     by_bounds, _ = solve_model_lp(model, bounds={first: (-np.inf, 0.0), second: (1.0, np.inf)})
@@ -1075,9 +1073,7 @@ def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
 
 def test_shifted_column_with_upper_below_lower_is_conflicting():
     model = synthetic_model([1.0, 1.0], [([1.0, 1.0], "<=", 4.0)])
-    model.variables[1] = model.variables[1].__class__(
-        model.variables[1].ref, model.variables[1].name, lb=2.0, ub=1.5
-    )
+    model = rebuilt(model, variables=[model.variables[0], model.variables[1]._replace(lb=2.0, ub=1.5)])
     with pytest.raises(InfeasibleModel, match=r"conflicting bounds on x\(1\)$"):
         build_standard_form(model)
 
