@@ -46,6 +46,11 @@ class ConstraintSystem:
             array.setflags(write=False)
 
     @classmethod
+    def empty(cls) -> "ConstraintSystem":
+        none = np.zeros(0, dtype=np.intp)
+        return cls((), none, none, np.zeros(0), np.zeros(0), none)
+
+    @classmethod
     def joined(cls, parts: Sequence["ConstraintSystem"]) -> "ConstraintSystem":
         """The rows of parts, one after the other."""
         starts = np.cumsum([0] + [len(p.names) for p in parts[:-1]])

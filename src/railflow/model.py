@@ -21,9 +21,14 @@ with its TCR overrides applied), which has already been checked: every
 variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
 1, "A-C-r1")``, and links, nodes, routes, demands and train types are taken
 in document order.  Everything here is solver independent: the result is a
-list of named linear constraints plus a linear objective.  Building is a pure
+set of named linear rows plus a linear objective.  The rows are kept as
+arrays in one store (TimeExpandedModel.rows), and each family of rows enters
+it in one call: its term columns are gathered from per-kind grids of
+variable indices over (link or node, period, route) and the like
+(TimeExpandedModel.gather), the way array-based modellers such as Linopy
+build LP rows, rather than assembled term by term.  Building is a pure
 function of the document, so identical documents give an identical model,
-constraint by constraint.
+row by row.
 """
 
 from __future__ import annotations
@@ -195,9 +200,7 @@ class TimeExpandedModel:
         self._placed: dict[str, list[tuple[range, list]]] = {}
         self._grids: Optional[dict[str, np.ndarray]] = None
         self._bounds: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._rows = ConstraintSystem(
-            (), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp)
-        )
+        self._rows = ConstraintSystem.empty()
         self._blocks: list[ConstraintSystem] = []  # appended since _rows was joined
         self._records: tuple[ConstraintSystem, tuple[LinearConstraint, ...]] | None = None
 
@@ -530,7 +533,7 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     model.add_variables("cancel", [(d.name, t) for d in doc.demands for t in T])
     model.add_variables("cancel_total", [(d.name,) for d in doc.demands], integer=not config.relax_integrality)
     # A pair is stated in either order; its earlier link in doc.links stands for it.
-    place = {l.name: i for i, l in enumerate(doc.links)}
+    place = model.positions["link"]
     pairs = [tuple(sorted(pair, key=place.get)) for pair in doc.single_track_pairs]
     model.single_track_pairs = tuple(sorted(pairs, key=lambda pair: place[pair[0]]))
     if config.capacity_mode == "single_track_alt2":
@@ -541,6 +544,14 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
 # ---------------------------------------------------------------------------
 # constraint families
 # ---------------------------------------------------------------------------
+
+
+def _padded(lists: list[list[int]]) -> np.ndarray:
+    """The lists as the rows of one array, each padded with -1 to the longest."""
+    out = np.full((len(lists), max(map(len, lists), default=0)), -1)
+    for i, items in enumerate(lists):
+        out[i, : len(items)] = items
+    return out
 
 
 def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -555,10 +566,7 @@ def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
     """
     doc = model.doc
     place = model.positions["route"]
-    on_link = [[place[r.name] for r in model.routes_on_link[l.name]] for l in doc.links]
-    slots = np.full((len(on_link), max(map(len, on_link), default=0)), -1)
-    for i, routes in enumerate(on_link):
-        slots[i, : len(routes)] = routes
+    slots = _padded([[place[r.name] for r in model.routes_on_link[l.name]] for l in doc.links])
     links = np.repeat(np.arange(len(doc.links)), doc.t_max)
     periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.links))
     terms: list[tuple] = []
@@ -584,7 +592,7 @@ def type_charge(k_het: float, n_types: int) -> float:
 def emit_capacity(model: TimeExpandedModel) -> None:
     """Capacity rows of the mode selected by capacity_mode.
 
-    Each row reads a link's flow through usage_terms; a row that would have
+    Each row reads a link's flow through link_usage; a row that would have
     no terms (no route can use the link in that period) is not emitted, and
     a row of one term is that variable's upper bound.  Capacity1 keeps the
     usage within the link's nominal capacity.  heterogeneous replaces
@@ -611,15 +619,16 @@ def emit_capacity(model: TimeExpandedModel) -> None:
 
     heterogeneous = config.capacity_mode == "heterogeneous"
     family = "Capacity3" if heterogeneous else "Capacity1"
-    if heterogeneous:
-        charge = [type_charge(config.k_het, len({r.train_type for r in model.routes_on_link[l.name]})) for l in doc.links]
-        coef_charged = coef * np.repeat(charge, doc.t_max)[:, None]
+    charge = [
+        type_charge(config.k_het, len({r.train_type for r in model.routes_on_link[l.name]})) if heterogeneous else 1.0
+        for l in doc.links
+    ]
     model.add_rows(
         [f"{family}[l={l.name},t={t}]" for l in doc.links for t in T],
         "<=",
         [capacity[(l.name, t)] for l in doc.links for t in T],
         usage,
-        coef_charged if heterogeneous else coef,
+        coef * np.repeat(charge, doc.t_max)[:, None],
         bound=True,
     )
 
@@ -702,10 +711,7 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
     doc = model.doc
     T = range(1, doc.t_max + 1)
     place = model.positions["route"]
-    implements = [[place[r] for r in doc.implements.get(d.name, ())] for d in doc.demands]
-    slots = np.full((len(implements), max(map(len, implements), default=0)), -1)
-    for i, routes in enumerate(implements):
-        slots[i, : len(routes)] = routes
+    slots = _padded([[place[r] for r in doc.implements.get(d.name, ())] for d in doc.demands])
 
     demands = np.repeat(np.arange(len(doc.demands)), doc.t_max)
     periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.demands))

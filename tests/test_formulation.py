@@ -13,7 +13,9 @@ from railflow.model import (
     CAPACITY_MODES,
     ModelConfig,
     VARIABLE_KINDS,
+    LinearConstraint,
     ModelError,
+    TimeExpandedModel,
     build_model,
     build_variables,
     departure_spread,
@@ -757,6 +759,40 @@ def test_terms_reject_a_misspelt_kind():
     model = line_model()
     with pytest.raises(ModelError, match="unknown variable kind 'nxt'"):
         model.terms([(1.0, "nxt", "A-B", 1, "A-C-r1")])
+
+
+def test_family_call_on_a_hand_written_model():
+    # Five rows of four term columns (direct, direct, direct, next on A-B),
+    # with per-row periods and coefficients, appended by one add_rows call.
+    model = TimeExpandedModel(line_doc())
+    d1, d2 = model.add_variables("direct", [("A-B", 1, "A-C-r1"), ("A-B", 2, "A-C-r1")])
+    n1 = model.add_variable("next", ("A-B", 1, "A-C-r1"))
+    link, route = model.positions["link"]["A-B"], model.positions["route"]["A-C-r1"]
+    periods = np.array([[1, 1, 1, 1], [1, 1, 2, 1], [3, 2, 2, 2], [3, 3, 3, 3], [1, 1, 1, 3]])
+    coefs = np.array(
+        [
+            [0.1, 0.2, 0.3, 1.0],  # direct(1) thrice: summed in term order
+            [1.0, -1.0, 1.0, 2.0],  # direct(1) sums to 0 and drops
+            [5.0, 1.0, 1.0, 1.0],  # direct(3) and next(2) undeclared: one term left
+            [1.0, 1.0, 1.0, 1.0],  # nothing declared: no row
+            [1.0, -1.0, 0.0, 1.0],  # emptied by the sum of 0: no row
+        ]
+    )
+    kinds = ("direct", "direct", "direct", "next")
+    terms = [(coefs[:, j], kind, link, periods[:, j], route) for j, kind in enumerate(kinds)]
+    names = ["sum", "zero", "bound", "undeclared", "emptied"]
+    model.add_rows(names, "<=", [1.0, 2.0, 3.0, 4.0, 5.0], *model.gather(len(names), terms), bound=True)
+    assert 0.1 + 0.2 + 0.3 == 0.6000000000000001
+    assert model.constraints == (
+        LinearConstraint("sum", ((d1, 0.6000000000000001), (n1, 1.0)), "<=", 1.0),
+        LinearConstraint("zero", ((d2, 1.0), (n1, 2.0)), "<=", 2.0),
+    )
+    assert model.variables[d2].ub == 1.5  # the one-term row 2 x <= 3 became a bound
+    with pytest.raises(ModelError, match="unknown variable kind 'nxt'"):
+        model.gather(1, [(1.0, "nxt", link, 1, route)])
+    with pytest.raises(ModelError, match="non-finite coefficient inf"):
+        model.add_rows(["inf"], "=", 0.0, *model.gather(1, [(math.inf, "direct", link, 1, route)]))
+    assert len(model.constraints) == 2
 
 
 def test_bundled_models_declare_every_variable_kind_and_no_other(scenario_dir):
