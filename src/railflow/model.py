@@ -171,6 +171,8 @@ class TimeExpandedModel:
 
     def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
         self.doc = doc
+        # Declared through add_variables only, which keeps the model's index
+        # and key grids of them.
         self.variables: list[ModelVariable] = []
         self.objective: dict[int, float] = {}
         # (earlier link, later link) of each single-track pair, ordered by

@@ -645,9 +645,9 @@ def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> Capac
     doc = model.doc
     periods = range(1, doc.t_max + 1)
     idx, coef = link_usage(model)
-    # cumsum adds each row's terms one by one in term order, as a plain sum does.
-    usage = np.cumsum(np.where(idx >= 0, coef * values[idx], 0.0), axis=1)
-    usage = usage[:, -1] if usage.size else np.zeros(idx.shape[0])
+    usage = np.zeros(idx.shape[0])
+    for term in np.where(idx >= 0, coef * values[idx], 0.0).T:
+        usage += term  # one term at a time, in term order, as a plain sum adds them
     total = dict(zip([(link.name, t) for link in doc.links for t in periods], usage.tolist()))
     setup: dict[tuple[str, int], float] = {}
     setup_pairs: tuple[tuple[str, str], ...] = ()
