@@ -23,9 +23,9 @@ variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
 in document order.  Everything here is solver independent: the result is a
 set of named linear rows plus a linear objective.  The rows are kept as
 arrays in one store (TimeExpandedModel.rows), and each family of rows enters
-it in one call: its term columns are gathered from per-kind grids of
+it in one call: its term columns are looked up in per-kind grids of
 variable indices over (link or node, period, route) and the like
-(TimeExpandedModel.gather), the way array-based modellers such as Linopy
+(TimeExpandedModel.lookup), the way array-based modellers such as Linopy
 build LP rows, rather than assembled term by term.  Building is a pure
 function of the document, so identical documents give an identical model,
 row by row.
@@ -349,20 +349,6 @@ class TimeExpandedModel:
         ]
         return grid[tuple(parts)]
 
-    def gather(self, n_rows: int, terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Variable indices and coefficients of term columns, one row each of n_rows.
-
-        Each term is (coef, kind, *key), coef and the key parts a scalar or
-        one value per row (see lookup); column j of both arrays is term j,
-        with index -1 where that variable is not declared.
-        """
-        idx = np.empty((n_rows, len(terms)), dtype=np.intp)
-        coef = np.empty((n_rows, len(terms)))
-        for j, (c, kind, *key) in enumerate(terms):
-            idx[:, j] = self.lookup(kind, *key)
-            coef[:, j] = c
-        return idx, coef
-
     # -- rows --------------------------------------------------------------
 
     def add_rows(
@@ -377,7 +363,7 @@ class TimeExpandedModel:
         """Append one family of rows: row i is names[i] relation rhs[i] (or rhs).
 
         Row i's terms are coef[i, j] on variable idx[i, j] in column order,
-        as gather gives them (coef broadcasts against idx).  A term on
+        with idx from lookup (coef broadcasts against idx).  A term on
         variable -1 (undeclared) drops, a repeated variable is summed in
         term order, a sum of 0 drops, and a row left with no term is not
         emitted.  With bound, a row left with one term a x <= rhs is not
@@ -557,28 +543,30 @@ def _padded(lists: list[list[int]]) -> np.ndarray:
 
 
 def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Terms (gather's idx, coef) of each link's capacity charge per period.
+    """Terms (add_rows' idx and coef) of each link's capacity charge per period.
 
     Row l * t_max + t - 1 is link l (its place in doc.links) in period t:
     every route on the link counts its direct arc of period t plus half of
     each adjacent next arc (from t - 1 and from t), which cross the period
-    boundary halfway.  The routes come in document order, one slot each; a
-    link with fewer routes than the busiest link leaves its last slots
-    empty, and a link no route can use in period t has no terms.
+    boundary halfway.  The routes come in document order, one slot of three
+    terms each; a link with fewer routes than the busiest link leaves its
+    last slots empty, and a link no route can use in period t has no terms.
     """
     doc = model.doc
     place = model.positions["route"]
     slots = _padded([[place[r.name] for r in model.routes_on_link[l.name]] for l in doc.links])
-    links = np.repeat(np.arange(len(doc.links)), doc.t_max)
-    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.links))
-    terms: list[tuple] = []
-    for route in slots[links].T:
-        terms += [
-            (1.0, "direct", links, periods, route),
-            (0.5, "next", links, periods - 1, route),
-            (0.5, "next", links, periods, route),
-        ]
-    return model.gather(links.size, terms)
+    links = np.repeat(np.arange(len(doc.links)), doc.t_max)[:, None]
+    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.links))[:, None]
+    routes = slots[links[:, 0]]
+    idx = np.stack(
+        [
+            model.lookup("direct", links, periods, routes),
+            model.lookup("next", links, periods - 1, routes),
+            model.lookup("next", links, periods, routes),
+        ],
+        axis=2,
+    ).reshape(routes.shape[0], -1)
+    return idx, np.broadcast_to(np.tile([1.0, 0.5, 0.5], slots.shape[1]), idx.shape)
 
 
 def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
@@ -717,17 +705,26 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
 
     demands = np.repeat(np.arange(len(doc.demands)), doc.t_max)
     periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.demands))
-    terms = [(1.0, "dep", route, periods) for route in slots[demands].T]
-    terms += [(1.0, "post", demands, periods), (-1.0, "post", demands, periods - 1), (1.0, "cancel", demands, periods)]
+    idx = np.column_stack(
+        [
+            model.lookup("dep", slots[demands], periods[:, None]),
+            model.lookup("post", demands, periods),
+            model.lookup("post", demands, periods - 1),
+            model.lookup("cancel", demands, periods),
+        ]
+    )
     model.add_rows(
         [f"Departure3[d={d.name},t={t}]" for d in doc.demands for t in T],
         "=",
         [volume for d in doc.demands for volume in d.volumes],
-        *model.gather(demands.size, terms),
+        idx,
+        np.append(np.ones(slots.shape[1]), [1.0, -1.0, 1.0]),
     )
     demands = np.arange(len(doc.demands))
-    terms = [(1.0, "cancel", demands, t) for t in T] + [(-1.0, "cancel_total", demands)]
-    model.add_rows([f"Cancel1[d={d.name}]" for d in doc.demands], "=", 0.0, *model.gather(demands.size, terms))
+    idx = np.column_stack(
+        [model.lookup("cancel", demands[:, None], np.arange(1, doc.t_max + 1)), model.lookup("cancel_total", demands)]
+    )
+    model.add_rows([f"Cancel1[d={d.name}]" for d in doc.demands], "=", 0.0, idx, np.append(np.ones(doc.t_max), -1.0))
 
 
 def emit_flow_layer(model: TimeExpandedModel) -> None:
@@ -753,17 +750,18 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
             at.append((i, node[n], link[r.links[k - 1]] if k else -1, link[r.links[k]]))
     route, n, into, out = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 4), doc.t_max, axis=0).T
     periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
-    origin = np.where(into < 0, route, -1)
-    terms = [
-        (1.0, "ni", n, periods - 1, route),
-        (-1.0, "ni", n, periods, route),
-        (1.0, "dep", origin, periods),
-        (1.0, "direct", into, periods, route),
-        (1.0, "next", into, periods - 1, route),
-        (-1.0, "direct", out, periods, route),
-        (-1.0, "next", out, periods, route),
-    ]
-    model.add_rows(names, "=", 0.0, *model.gather(len(names), terms))
+    idx = np.column_stack(
+        [
+            model.lookup("ni", n, periods - 1, route),
+            model.lookup("ni", n, periods, route),
+            model.lookup("dep", np.where(into < 0, route, -1), periods),
+            model.lookup("direct", into, periods, route),
+            model.lookup("next", into, periods - 1, route),
+            model.lookup("direct", out, periods, route),
+            model.lookup("next", out, periods, route),
+        ]
+    )
+    model.add_rows(names, "=", 0.0, idx, [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
 
 def departure_spread(cumulative_duration: float) -> tuple[tuple[int, float], ...]:
@@ -815,15 +813,18 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
     route, n, into, early, late = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 5), doc.t_max, axis=0).T
     share, late_share = np.repeat(np.array(shares).reshape(-1, 2), doc.t_max, axis=0).T
     periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
-    terms = [
-        (1.0, "lag", n, periods, route),
-        (-1.0, "lag", n, periods - 1, route),
-        (-share, "dep", route, periods - early),
-        (-late_share, "dep", np.where(late >= 0, route, -1), periods - late),
-        (1.0, "direct", into, periods, route),
-        (1.0, "next", into, periods - 1, route),
-    ]
-    model.add_rows(names, "=", 0.0, *model.gather(len(names), terms))
+    idx = np.column_stack(
+        [
+            model.lookup("lag", n, periods, route),
+            model.lookup("lag", n, periods - 1, route),
+            model.lookup("dep", route, periods - early),
+            model.lookup("dep", np.where(late >= 0, route, -1), periods - late),
+            model.lookup("direct", into, periods, route),
+            model.lookup("next", into, periods - 1, route),
+        ]
+    )
+    ones = np.ones(idx.shape[0])
+    model.add_rows(names, "=", 0.0, idx, np.column_stack([ones, -ones, -share, -late_share, ones, ones]))
 
 
 def build_objective(model: TimeExpandedModel) -> None:

@@ -763,7 +763,7 @@ def test_terms_reject_a_misspelt_kind():
 
 def test_family_call_on_a_hand_written_model():
     # Five rows of four term columns (direct, direct, direct, next on A-B),
-    # with per-row periods and coefficients, appended by one add_rows call.
+    # with per-row periods and coefficients, appended in one add_rows call.
     model = TimeExpandedModel(line_doc())
     d1, d2 = model.add_variables("direct", [("A-B", 1, "A-C-r1"), ("A-B", 2, "A-C-r1")])
     n1 = model.add_variable("next", ("A-B", 1, "A-C-r1"))
@@ -779,9 +779,9 @@ def test_family_call_on_a_hand_written_model():
         ]
     )
     kinds = ("direct", "direct", "direct", "next")
-    terms = [(coefs[:, j], kind, link, periods[:, j], route) for j, kind in enumerate(kinds)]
+    idx = np.column_stack([model.lookup(kind, link, periods[:, j], route) for j, kind in enumerate(kinds)])
     names = ["sum", "zero", "bound", "undeclared", "emptied"]
-    model.add_rows(names, "<=", [1.0, 2.0, 3.0, 4.0, 5.0], *model.gather(len(names), terms), bound=True)
+    model.add_rows(names, "<=", [1.0, 2.0, 3.0, 4.0, 5.0], idx, coefs, bound=True)
     assert 0.1 + 0.2 + 0.3 == 0.6000000000000001
     assert model.constraints == (
         LinearConstraint("sum", ((d1, 0.6000000000000001), (n1, 1.0)), "<=", 1.0),
@@ -789,9 +789,9 @@ def test_family_call_on_a_hand_written_model():
     )
     assert model.variables[d2].ub == 1.5  # the one-term row 2 x <= 3 became a bound
     with pytest.raises(ModelError, match="unknown variable kind 'nxt'"):
-        model.gather(1, [(1.0, "nxt", link, 1, route)])
+        model.lookup("nxt", link, 1, route)
     with pytest.raises(ModelError, match="non-finite coefficient inf"):
-        model.add_rows(["inf"], "=", 0.0, *model.gather(1, [(math.inf, "direct", link, 1, route)]))
+        model.add_rows(["inf"], "=", 0.0, model.lookup("direct", link, np.array([[1]]), route), math.inf)
     assert len(model.constraints) == 2
 
 
