@@ -399,7 +399,8 @@ class TimeExpandedModel:
         emit = np.full(n, True) if keep_empty else count > 0
         if bound:
             single = count == 1
-            for r, v, c in zip(row[single[row]].tolist(), var[single[row]].tolist(), coef[single[row]].tolist()):
+            alone = single[row]
+            for r, v, c in zip(row[alone].tolist(), var[alone].tolist(), coef[alone].tolist()):
                 self._tighten_ub(v, float(rhs[r]) / c)
             emit &= ~single
         kept = emit[row]

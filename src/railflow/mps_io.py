@@ -43,7 +43,7 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
 
     # Each row and column name is padded once, not once per cell; the
     # objective's field is last, so a cell of row -1 is the objective's.
-    fields = [f"{row.ljust(_NAME_WIDTH)} " for row in rows.names] + [f"{_OBJ_ROW.ljust(_NAME_WIDTH)} "]
+    fields = np.array([f"{row.ljust(_NAME_WIDTH)} " for row in (*rows.names, _OBJ_ROW)], dtype=object)
     n = len(model.variables)
     obj_var = np.fromiter(model.objective.keys(), dtype=np.intp, count=len(model.objective))
     obj_val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
@@ -52,20 +52,20 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     # Per variable, its objective cell first and then its rows in row order.
     cell_var = np.concatenate([obj_var, bare, rows.var_idx])
     order = np.argsort(cell_var, kind="stable")
+    cell_var = cell_var[order]
     cell_row = np.concatenate([np.full(obj_var.size + bare.size, -1), rows.row_of])[order]
     cell_val = np.concatenate([obj_val, np.zeros(bare.size), rows.coefs])[order]
     # Cell k is the line joined from pieces[k]: the column's field, the
     # row's field and the value; a run of cells is joined at once.
     prefixes = np.array([f"    {var.name.ljust(_NAME_WIDTH)} " for var in model.variables], dtype=object)
-    fields = np.array(fields, dtype=object)
-    pieces = np.stack([prefixes[cell_var[order]], fields[cell_row], _texts(cell_val, end="\n")], axis=1)
+    pieces = np.stack([prefixes[cell_var], fields[cell_row], _texts(cell_val, end="\n")], axis=1)
 
     def cells(first: int, last: int) -> list[str]:
         return ["".join(pieces[first:last].ravel().tolist())[:-1]] if first < last else []
 
     lines.append("COLUMNS")
     # A marker opens or closes each run of integer variables.
-    starts = np.searchsorted(cell_var[order], np.arange(n + 1)).tolist()
+    starts = np.searchsorted(cell_var, np.arange(n + 1)).tolist()
     flips = np.flatnonzero(np.diff(np.concatenate([[False], integer, [False]]).astype(np.int8))).tolist()
     done = 0
     for marker, j in enumerate(flips):
