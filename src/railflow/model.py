@@ -237,7 +237,12 @@ class TimeExpandedModel:
         cancel(A-C,2) or beta(X-Y,1), so the name and the key cannot
         disagree.  Nothing is declared when one of them cannot be.
         """
-        names = [f"{kind}({','.join(map(str, key))})" for key in keys]
+        # One %-template per call, so each name costs one formatting.
+        template = kind.replace("%", "%%") + "(" + ",".join(["%s"] * len(keys[0] if keys else ())) + ")"
+        try:
+            names = [template % key for key in keys]
+        except TypeError:
+            raise ModelError(f"the keys of one add_variables({kind!r}) call differ in length") from None
         if names and not math.isfinite(lb):
             raise ModelError(f"variable {names[0]} needs a finite lower bound, got {lb}")
         # tuple.__new__ makes each record as NamedTuple._make does, without

@@ -157,7 +157,8 @@ def build_standard_form(
     a_rows = np.concatenate([term_row, ub_row])
     a_cols = pos_col[np.concatenate([system.var_idx[live], ub_var])]
     a_vals = np.concatenate([system.coefs[live], np.ones(ub_var.size)])
-    order = np.lexsort((a_cols, a_rows))
+    # Each (row, column) is one key, so one sort orders A by row and column.
+    order = np.argsort(a_rows * np.count_nonzero(~fixed) + a_cols)
     relation_of = np.array(["<=", "=", ">="])
     return StandardFormLP(
         c=np.zeros(np.count_nonzero(~fixed)),
