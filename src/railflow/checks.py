@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 # Defaults suit data made of small integers and fractions.
 FEASIBILITY = 1e-7  # largest row or bound breach a solution may show
 INTEGRALITY = 1e-6  # largest distance of an integer variable from an integer
+SENSE = {"<=": -1, "=": 0, ">=": 1}  # ConstraintSystem.sense of each relation
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class ConstraintSystem:
     var_idx: np.ndarray
     coefs: np.ndarray
     rhs: np.ndarray
-    sense: np.ndarray  # -1 for <=, 0 for =, +1 for >=
+    sense: np.ndarray  # SENSE of each row's relation
 
     def __post_init__(self) -> None:
         for array in (self.row_of, self.var_idx, self.coefs, self.rhs, self.sense):

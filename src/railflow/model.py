@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .checks import ConstraintSystem
+from .checks import SENSE, ConstraintSystem
 
 if TYPE_CHECKING:
     from .scenario import RouteSpec, ScenarioDocument
@@ -60,7 +60,6 @@ KEY_AXES = {
     "beta": ("link", "period"),
 }
 VARIABLE_KINDS = tuple(KEY_AXES)
-SENSE = {"<=": -1, "=": 0, ">=": 1}
 
 
 class ModelError(ValueError):
@@ -375,8 +374,9 @@ class TimeExpandedModel:
         emitted either: it tightens that variable's upper bound to rhs / a.
         """
         live = idx >= 0
-        coef = np.broadcast_to(coef, idx.shape)
-        self._append(names, relation, rhs, np.nonzero(live)[0], idx[live], coef[live], bound=bound)
+        full = np.empty(idx.shape)
+        full[...] = coef
+        self._append(names, relation, rhs, np.nonzero(live)[0], idx[live], full[live], bound=bound)
 
     def add_constraint(
         self,
@@ -399,7 +399,7 @@ class TimeExpandedModel:
             raise ModelError(f"bad relation {relation!r} in {names[0] if names else 'an empty family'}")
         n = len(names)
         row, var, coef = _merge_terms(row, var, coef)
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,))
+        rhs = np.full(n, rhs, dtype=float) if np.ndim(rhs) == 0 else np.asarray(rhs, dtype=float)
         count = np.bincount(row, minlength=n)
         emit = np.full(n, True) if keep_empty else count > 0
         if bound:
@@ -540,6 +540,12 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
 # ---------------------------------------------------------------------------
 
 
+def _by_period(n: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Item and period of each row when n items take periods 1..t_max in turn."""
+    rows = np.arange(n * t_max)
+    return rows // t_max, rows % t_max + 1
+
+
 def _padded(lists: list[list[int]]) -> np.ndarray:
     """The lists as the rows of one array, each padded with -1 to the longest."""
     out = np.full((len(lists), max(map(len, lists), default=0)), -1)
@@ -549,7 +555,8 @@ def _padded(lists: list[list[int]]) -> np.ndarray:
 
 
 def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Terms (add_rows' idx and coef) of each link's capacity charge per period.
+    """Terms of each link's capacity charge per period: add_rows' idx, and
+    the coefficients of its columns, the same in every row.
 
     Row l * t_max + t - 1 is link l (its place in doc.links) in period t:
     every route on the link counts its direct arc of period t plus half of
@@ -561,9 +568,9 @@ def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
     doc = model.doc
     place = model.positions["route"]
     slots = _padded([[place[r.name] for r in model.routes_on_link[l.name]] for l in doc.links])
-    links = np.repeat(np.arange(len(doc.links)), doc.t_max)[:, None]
-    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.links))[:, None]
-    routes = slots[links[:, 0]]
+    links, periods = _by_period(len(doc.links), doc.t_max)
+    routes = slots[links]
+    links, periods = links[:, None], periods[:, None]
     idx = np.stack(
         [
             model.lookup("direct", links, periods, routes),
@@ -572,7 +579,7 @@ def link_usage(model: TimeExpandedModel) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=2,
     ).reshape(routes.shape[0], -1)
-    return idx, np.broadcast_to(np.tile([1.0, 0.5, 0.5], slots.shape[1]), idx.shape)
+    return idx, np.array([1.0, 0.5, 0.5] * slots.shape[1])
 
 
 def big_m(capacity: Mapping[tuple[str, int], float]) -> float:
@@ -641,7 +648,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
     place = model.positions["link"]
     own = np.add.outer([place[rep] * doc.t_max for rep, _ in pairs], np.arange(doc.t_max)).ravel()
     opp = np.add.outer([place[other] * doc.t_max for _, other in pairs], np.arange(doc.t_max)).ravel()
-    both, both_coef = np.hstack([usage[own], usage[opp]]), np.hstack([coef[own], coef[opp]])
+    both, both_coef = np.hstack([usage[own], usage[opp]]), np.concatenate([coef, coef])
 
     if config.capacity_mode == "single_track_alt1":
         model.add_rows(
@@ -654,7 +661,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         )
     elif config.capacity_mode == "single_track_alt2":
         k, m = config.k_setup, big_m(capacity)
-        periods = np.tile(np.arange(1, doc.t_max + 1), len(pairs))
+        periods = _by_period(len(pairs), doc.t_max)[1]
         beta = np.where((both >= 0).any(axis=1), model.lookup("beta", own // doc.t_max, periods), -1)
         # Per pair and period, three rows: own + opp <= c, then the setup
         # row of the earlier link (beta switches it off) and of the later
@@ -668,14 +675,12 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             ],
             axis=1,
         )
-        big = np.full((own.size, 1), m)
-        weights = np.stack(
+        weights = np.array(
             [
-                np.hstack([both_coef, coef[own], coef[opp], big]),
-                np.hstack([k * both_coef, coef[own], coef[opp], big]),
-                np.hstack([k * both_coef, coef[own], coef[opp], -big]),
-            ],
-            axis=1,
+                np.concatenate([both_coef, coef, coef, [m]]),
+                np.concatenate([k * both_coef, coef, coef, [m]]),
+                np.concatenate([k * both_coef, coef, coef, [-m]]),
+            ]
         )
         cap = [min(capacity[(rep, t)], capacity[(other, t)]) for rep, other in pairs for t in T]
         model.add_rows(
@@ -692,7 +697,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             "<=",
             [rhs for c in cap for rhs in (c, k * c + m, k * c)],
             idx.reshape(3 * own.size, -1),
-            weights.reshape(3 * own.size, -1),
+            np.tile(weights, (own.size, 1)),
             bound=True,
         )
 
@@ -709,8 +714,7 @@ def emit_demand_layer(model: TimeExpandedModel) -> None:
     place = model.positions["route"]
     slots = _padded([[place[r] for r in doc.implements.get(d.name, ())] for d in doc.demands])
 
-    demands = np.repeat(np.arange(len(doc.demands)), doc.t_max)
-    periods = np.tile(np.arange(1, doc.t_max + 1), len(doc.demands))
+    demands, periods = _by_period(len(doc.demands), doc.t_max)
     idx = np.column_stack(
         [
             model.lookup("dep", slots[demands], periods[:, None]),
@@ -755,7 +759,7 @@ def emit_flow_layer(model: TimeExpandedModel) -> None:
             names += [f"Flow2[n={n},t={t},r={r.name}]" for t in T]
             at.append((i, node[n], link[r.links[k - 1]] if k else -1, link[r.links[k]]))
     route, n, into, out = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 4), doc.t_max, axis=0).T
-    periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
+    periods = _by_period(len(at), doc.t_max)[1]
     idx = np.column_stack(
         [
             model.lookup("ni", n, periods - 1, route),
@@ -818,7 +822,7 @@ def emit_aggregates(model: TimeExpandedModel) -> None:
             shares.append((share, late[0][1]))
     route, n, into, early, late = np.repeat(np.array(at, dtype=np.intp).reshape(-1, 5), doc.t_max, axis=0).T
     share, late_share = np.repeat(np.array(shares).reshape(-1, 2), doc.t_max, axis=0).T
-    periods = np.tile(np.arange(1, doc.t_max + 1), len(at))
+    periods = _by_period(len(at), doc.t_max)[1]
     idx = np.column_stack(
         [
             model.lookup("lag", n, periods, route),
