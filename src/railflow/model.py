@@ -312,8 +312,9 @@ class TimeExpandedModel:
     def _grid(self, kind: str) -> np.ndarray:
         """Index of each declared (kind, key) at the key's places, -1 elsewhere.
 
-        An axis of names has one more place than names, and a period axis
-        one more than the latest period: that last place is always -1.
+        An axis of names has a place per name and a period axis one per
+        period from 0 to the latest declared; each has one more place at its
+        end, which holds -1, for a name or period that has no variable.
         """
         if kind not in KEY_AXES:
             raise ModelError(f"unknown variable kind {kind!r}")
