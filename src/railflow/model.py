@@ -201,8 +201,10 @@ class TimeExpandedModel:
         self._placed: dict[str, list[tuple[range, list]]] = {}
         self._grids: Optional[dict[str, np.ndarray]] = None
         self._bounds: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._rows = ConstraintSystem.empty()
-        self._blocks: list[ConstraintSystem] = []  # appended since _rows was joined
+        self._blocks = [ConstraintSystem.empty()]  # every block of rows appended, in order
+        # The blocks joined, with their count: a read joins them once, and
+        # readers of a built model on several threads join the same rows.
+        self._rows: tuple[int, ConstraintSystem] | None = None
         self._records: tuple[ConstraintSystem, tuple[LinearConstraint, ...]] | None = None
 
     @property
@@ -424,10 +426,11 @@ class TimeExpandedModel:
     @property
     def rows(self) -> ConstraintSystem:
         """Every row, as the one array store."""
-        if self._blocks:
-            self._rows = ConstraintSystem.joined([self._rows, *self._blocks])
-            self._blocks = []
-        return self._rows
+        joined = self._rows
+        if joined is None or joined[0] != len(self._blocks):
+            blocks = list(self._blocks)
+            joined = self._rows = (len(blocks), ConstraintSystem.joined(blocks))
+        return joined[1]
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:

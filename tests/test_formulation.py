@@ -795,6 +795,37 @@ def test_family_call_on_a_hand_written_model():
     assert len(model.constraints) == 2
 
 
+def test_a_built_model_reads_the_same_from_several_threads():
+    # The row store, its records and the bound arrays are made on first
+    # read; threads that read a fresh model at once all see each row once.
+    import sys
+    import threading
+
+    want = [(c.name, c.terms) for c in line_model(volumes=(2, 1, 0)).constraints]
+    model = line_model(volumes=(2, 1, 0))
+    seen, errors = [], []
+
+    def read():
+        try:
+            seen.append((len(model.rows.names), len(model.constraints), model.bound_arrays()[1].size))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert set(seen) == {(len(want), len(want), len(model.variables))}
+    assert [(c.name, c.terms) for c in model.constraints] == want
+
+
 def test_bundled_models_declare_every_variable_kind_and_no_other(scenario_dir):
     kinds = {
         v.ref.kind
