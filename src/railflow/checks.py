@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +21,41 @@ if TYPE_CHECKING:
 FEASIBILITY = 1e-7  # largest row or bound breach a solution may show
 INTEGRALITY = 1e-6  # largest distance of an integer variable from an integer
 SENSE = {"<=": -1, "=": 0, ">=": 1}  # ConstraintSystem.sense of each relation
+
+
+class LinearConstraint(NamedTuple):
+    """name: family[index,...]; terms: (variable index, coefficient) pairs."""
+
+    name: str
+    terms: tuple[tuple[int, float], ...]
+    relation: str  # one of "<=", "=", ">="
+    rhs: float
+
+
+def merged_terms(row: np.ndarray, var: np.ndarray, coef: np.ndarray):
+    """Terms (row, var, coef), given in row and term order, with each variable
+    once per row: a repeated variable's coefficients are summed in term order
+    at its first term's place, and a sum of 0 drops."""
+    if var.size > 1:
+        key = row * (int(var.max()) + 1) + var
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        if repeat.any():
+            # In sorted order a variable's terms of one row are adjacent and
+            # in term order; rank k adds the k-th repeat to the first term.
+            first = np.concatenate([[True], ~repeat])
+            place = np.arange(var.size)
+            start = np.maximum.accumulate(np.where(first, place, 0))
+            rank = place - start
+            coef = coef.copy()
+            for k in range(1, int(rank.max()) + 1):
+                at = rank == k
+                coef[order[start[at]]] += coef[order[at]]
+            keep = np.zeros(var.size, dtype=bool)
+            keep[order[first]] = True
+            row, var, coef = row[keep], var[keep], coef[keep]
+    live = coef != 0.0
+    return row[live], var[live], coef[live]
 
 
 @dataclass(frozen=True)
@@ -52,6 +88,20 @@ class ConstraintSystem:
         return cls((), none, none, np.zeros(0), np.zeros(0), none)
 
     @classmethod
+    def of_terms(cls, names, sense: int, rhs, row, var, coef, emit) -> "ConstraintSystem":
+        """Rows i with emit[i] of names[i], sense and rhs[i], with their
+        terms (row, var, coef), given in row and term order."""
+        kept = emit[row]
+        return cls(
+            names=tuple(names) if emit.all() else tuple(names[i] for i in np.flatnonzero(emit).tolist()),
+            row_of=(np.cumsum(emit) - 1)[row[kept]],
+            var_idx=var[kept],
+            coefs=coef[kept],
+            rhs=rhs[emit],
+            sense=np.full(np.count_nonzero(emit), sense, dtype=np.intp),
+        )
+
+    @classmethod
     def joined(cls, parts: Sequence["ConstraintSystem"]) -> "ConstraintSystem":
         """The rows of parts, one after the other."""
         starts = np.cumsum([0] + [len(p.names) for p in parts[:-1]])
@@ -67,6 +117,15 @@ class ConstraintSystem:
     @classmethod
     def from_model(cls, model: TimeExpandedModel) -> "ConstraintSystem":
         return model.rows
+
+    @cached_property
+    def records(self) -> tuple[LinearConstraint, ...]:
+        """The rows as records, made once on request."""
+        relation = {sense: rel for rel, sense in SENSE.items()}
+        terms = list(zip(self.var_idx.tolist(), self.coefs.tolist()))
+        ends = np.searchsorted(self.row_of, np.arange(len(self.names) + 1)).tolist()
+        rows = zip(self.names, self.sense.tolist(), self.rhs.tolist(), ends, ends[1:])
+        return tuple(LinearConstraint(name, tuple(terms[a:b]), relation[sense], rhs) for name, sense, rhs, a, b in rows)
 
     def activities(self, values: np.ndarray) -> np.ndarray:
         """Each row's sum of its terms at values; an empty row reads 0."""

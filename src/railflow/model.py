@@ -21,12 +21,10 @@ with its TCR overrides applied), which has already been checked: every
 variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
 1, "A-C-r1")``, and links, nodes, routes, demands and train types are taken
 in document order.  Everything here is solver independent: the result is a
-set of named linear rows plus a linear objective.  The rows are kept as
-arrays in one store (TimeExpandedModel.rows), and each family of rows enters
-it in one call: its term columns are looked up in per-kind grids of
-variable indices over (link or node, period, route) and the like
-(TimeExpandedModel.lookup), the way array-based modellers such as Linopy
-build LP rows, rather than assembled term by term.  Building is a pure
+set of named linear rows, kept as arrays in one store, plus a linear
+objective.  Each row family enters the store in one add_rows call, its terms
+looked up as blocks in per-kind grids of variable indices (lookup), as
+array-based modellers such as Linopy build LP rows.  Building is a pure
 function of the document, so identical documents give an identical model,
 row by row.
 """
@@ -40,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .checks import SENSE, ConstraintSystem
+from .checks import SENSE, ConstraintSystem, LinearConstraint, merged_terms
 
 if TYPE_CHECKING:
     from .scenario import RouteSpec, ScenarioDocument
@@ -117,44 +115,6 @@ class ModelVariable(NamedTuple):
     integer: bool = False
 
 
-class LinearConstraint(NamedTuple):
-    """name: family[index,...]; terms: (variable index, coefficient) pairs."""
-
-    name: str
-    terms: tuple[tuple[int, float], ...]
-    relation: str  # one of "<=", "=", ">="
-    rhs: float
-
-
-def _merge_terms(row: np.ndarray, var: np.ndarray, coef: np.ndarray):
-    """Terms (row, var, coef), given in row and term order, with each variable
-    once per row: a repeated variable's coefficients are summed in term order
-    at its first term's place, and a sum of 0 drops."""
-    bad = np.flatnonzero(~np.isfinite(coef))
-    if bad.size:
-        raise ModelError(f"non-finite coefficient {coef[bad[0]]} for variable {var[bad[0]]}")
-    if var.size > 1:
-        key = row * (int(var.max()) + 1) + var
-        order = np.argsort(key, kind="stable")
-        repeat = key[order[1:]] == key[order[:-1]]
-        if repeat.any():
-            # In sorted order a variable's terms of one row are adjacent and
-            # in term order; rank k adds the k-th repeat to the first term.
-            first = np.concatenate([[True], ~repeat])
-            place = np.arange(var.size)
-            start = np.maximum.accumulate(np.where(first, place, 0))
-            rank = place - start
-            coef = coef.copy()
-            for k in range(1, int(rank.max()) + 1):
-                at = rank == k
-                coef[order[start[at]]] += coef[order[at]]
-            keep = np.zeros(var.size, dtype=bool)
-            keep[order[first]] = True
-            row, var, coef = row[keep], var[keep], coef[keep]
-    live = coef != 0.0
-    return row[live], var[live], coef[live]
-
-
 class TimeExpandedModel:
     """Variables, constraints and objective of one problem instance.
 
@@ -184,17 +144,11 @@ class TimeExpandedModel:
         self.routes_on_link: dict[str, tuple[RouteSpec, ...]] = {}
         self.routes_at_node: dict[str, tuple[RouteSpec, ...]] = {}
         # Place of each name on its key axis (KEY_AXES): document order.
-        self.positions: dict[str, dict[str, int]] = {}
-        if doc is not None:
-            self.positions = {
-                axis: {name: i for i, name in enumerate(names)}
-                for axis, names in (
-                    ("link", [l.name for l in doc.links]),
-                    ("node", doc.nodes),
-                    ("route", [r.name for r in doc.routes]),
-                    ("demand", [d.name for d in doc.demands]),
-                )
-            }
+        names = {} if doc is None else {
+            "link": [l.name for l in doc.links], "node": doc.nodes,
+            "route": [r.name for r in doc.routes], "demand": [d.name for d in doc.demands],
+        }
+        self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in names.items()}
         self._index: dict[VariableRef, int] = {}
         # Per kind, each add_variables block of indices with the places of
         # its keys on the kind's axes; _grid turns them into index grids.
@@ -205,7 +159,6 @@ class TimeExpandedModel:
         # The blocks joined, with their count: a read joins them once, and
         # readers of a built model on several threads join the same rows.
         self._rows: tuple[int, ConstraintSystem] | None = None
-        self._records: tuple[ConstraintSystem, tuple[LinearConstraint, ...]] | None = None
 
     @property
     def config(self) -> ModelConfig:
@@ -213,24 +166,12 @@ class TimeExpandedModel:
 
     # -- variables ---------------------------------------------------------
 
-    def add_variable(
-        self,
-        kind: str,
-        key: tuple,
-        lb: float = 0.0,
-        ub: float = math.inf,
-        integer: bool = False,
-    ) -> int:
+    def add_variable(self, kind: str, key: tuple, lb: float = 0.0, ub: float = math.inf, integer: bool = False) -> int:
         """Declare variable (kind, key); returns its index (see add_variables)."""
         return self.add_variables(kind, [key], lb, ub, integer)[0]
 
     def add_variables(
-        self,
-        kind: str,
-        keys: Sequence[tuple],
-        lb: float = 0.0,
-        ub: float = math.inf,
-        integer: bool = False,
+        self, kind: str, keys: Sequence[tuple], lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> range:
         """Declare (kind, key) for each key, in order; returns their indices.
 
@@ -270,11 +211,6 @@ class TimeExpandedModel:
             self._placed.setdefault(kind, []).append((range(start, len(self.variables)), places))
         self._grids = self._bounds = None
         return range(start, len(self.variables))
-
-    def _tighten_ub(self, idx: int, ub: float) -> None:
-        var = self.variables[idx]
-        self.variables[idx] = var._replace(ub=min(var.ub, ub))
-        self._bounds = None
 
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lb, ub, integer) over the variables, as read-only arrays."""
@@ -358,15 +294,7 @@ class TimeExpandedModel:
 
     # -- rows --------------------------------------------------------------
 
-    def add_rows(
-        self,
-        names: Sequence[str],
-        relation: str,
-        rhs,
-        idx: np.ndarray,
-        coef,
-        bound: bool = False,
-    ) -> None:
+    def add_rows(self, names: Sequence[str], relation: str, rhs, idx: np.ndarray, coef, bound: bool = False) -> None:
         """Append one family of rows: row i is names[i] relation rhs[i] (or rhs).
 
         Row i's terms are coef[i, j] on variable idx[i, j] in column order,
@@ -381,13 +309,7 @@ class TimeExpandedModel:
         full[...] = coef
         self._append(names, relation, rhs, np.nonzero(live)[0], idx[live], full[live], bound=bound)
 
-    def add_constraint(
-        self,
-        name: str,
-        terms: Iterable[tuple[int, float]],
-        relation: str,
-        rhs: float,
-    ) -> None:
+    def add_constraint(self, name: str, terms: Iterable[tuple[int, float]], relation: str, rhs: float) -> None:
         """Append one hand-written row of (variable index, coef) terms.
 
         Its terms merge as in add_rows, but the row is kept when none is left.
@@ -400,8 +322,11 @@ class TimeExpandedModel:
     def _append(self, names, relation, rhs, row, var, coef, bound=False, keep_empty=False) -> None:
         if relation not in SENSE:
             raise ModelError(f"bad relation {relation!r} in {names[0] if names else 'an empty family'}")
+        bad = np.flatnonzero(~np.isfinite(coef))
+        if bad.size:
+            raise ModelError(f"non-finite coefficient {coef[bad[0]]} for variable {var[bad[0]]}")
         n = len(names)
-        row, var, coef = _merge_terms(row, var, coef)
+        row, var, coef = merged_terms(row, var, coef)
         rhs = np.full(n, rhs, dtype=float) if np.ndim(rhs) == 0 else np.asarray(rhs, dtype=float)
         count = np.bincount(row, minlength=n)
         emit = np.full(n, True) if keep_empty else count > 0
@@ -409,19 +334,10 @@ class TimeExpandedModel:
             single = count == 1
             alone = single[row]
             for r, v, c in zip(row[alone].tolist(), var[alone].tolist(), coef[alone].tolist()):
-                self._tighten_ub(v, float(rhs[r]) / c)
+                self.variables[v] = self.variables[v]._replace(ub=min(self.variables[v].ub, float(rhs[r]) / c))
+            self._bounds = None
             emit &= ~single
-        kept = emit[row]
-        self._blocks.append(
-            ConstraintSystem(
-                names=tuple(names) if emit.all() else tuple(names[i] for i in np.flatnonzero(emit).tolist()),
-                row_of=(np.cumsum(emit) - 1)[row[kept]],
-                var_idx=var[kept],
-                coefs=coef[kept],
-                rhs=rhs[emit],
-                sense=np.full(np.count_nonzero(emit), SENSE[relation], dtype=np.intp),
-            )
-        )
+        self._blocks.append(ConstraintSystem.of_terms(names, SENSE[relation], rhs, row, var, coef, emit))
 
     @property
     def rows(self) -> ConstraintSystem:
@@ -435,17 +351,7 @@ class TimeExpandedModel:
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         """The rows as records, made on request (off the solve path)."""
-        rows = self.rows
-        if self._records is None or self._records[0] is not rows:
-            relation = {sense: rel for rel, sense in SENSE.items()}
-            terms = list(zip(rows.var_idx.tolist(), rows.coefs.tolist()))
-            ends = np.searchsorted(rows.row_of, np.arange(len(rows.names) + 1)).tolist()
-            records = tuple(
-                LinearConstraint(name, tuple(terms[ends[i] : ends[i + 1]]), relation[sense], rhs)
-                for i, (name, sense, rhs) in enumerate(zip(rows.names, rows.sense.tolist(), rows.rhs.tolist()))
-            )
-            self._records = (rows, records)
-        return self._records[1]
+        return self.rows.records
 
     def objective_value(self, values) -> float:
         return float(sum(coef * values[idx] for idx, coef in self.objective.items()))
@@ -493,40 +399,18 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
             first[(n, r.name)] = 1 + departure_spread(reach)[0][0]
 
     model.add_variables("dep", [(r.name, t) for r in routes for t in T])
+    links = [(l, t, r) for l in doc.links for t in T for r in on_link[l.name]]
+    model.add_variables("direct", [(l.name, t, r.name) for l, t, r in links if t >= first[(l.head, r.name)]])
+    model.add_variables("next", [
+        (l.name, t, r.name)
+        for l, t, r in links
+        if t < doc.t_max and t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)])
+    ])
+    nodes = [(n, t, r.name) for n in doc.nodes for t in T for r in at_node[n]]
     model.add_variables(
-        "direct",
-        [(l.name, t, r.name) for l in doc.links for t in T for r in on_link[l.name] if t >= first[(l.head, r.name)]],
+        "ni", [(n, t, r) for n, t, r in nodes if t < doc.t_max and n != nodes_of[r][-1] and t >= first[(n, r)]]
     )
-    model.add_variables(
-        "next",
-        [
-            (l.name, t, r.name)
-            for l in doc.links
-            for t in inner
-            for r in on_link[l.name]
-            if t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)])
-        ],
-    )
-    model.add_variables(
-        "ni",
-        [
-            (n, t, r.name)
-            for n in doc.nodes
-            for t in inner
-            for r in at_node[n]
-            if n != nodes_of[r.name][-1] and t >= first[(n, r.name)]
-        ],
-    )
-    model.add_variables(
-        "lag",
-        [
-            (n, t, r.name)
-            for n in doc.nodes
-            for t in T
-            for r in at_node[n]
-            if n != nodes_of[r.name][0] and t >= first[(n, r.name)]
-        ],
-    )
+    model.add_variables("lag", [(n, t, r) for n, t, r in nodes if n != nodes_of[r][0] and t >= first[(n, r)]])
     model.add_variables("post", [(d.name, t) for d in doc.demands for t in inner])
     model.add_variables("cancel", [(d.name, t) for d in doc.demands for t in T])
     model.add_variables("cancel_total", [(d.name,) for d in doc.demands], integer=not config.relax_integrality)
@@ -687,17 +571,12 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             ]
         )
         cap = [min(capacity[(rep, t)], capacity[(other, t)]) for rep, other in pairs for t in T]
+        setup = "Capacity2alt2setup[l={},t={}]"
+        names = [
+            (f"Capacity2alt2[l={a}/{b},t={t}]", setup.format(a, t), setup.format(b, t)) for a, b in pairs for t in T
+        ]
         model.add_rows(
-            [
-                name
-                for rep, other in pairs
-                for t in T
-                for name in (
-                    f"Capacity2alt2[l={rep}/{other},t={t}]",
-                    f"Capacity2alt2setup[l={rep},t={t}]",
-                    f"Capacity2alt2setup[l={other},t={t}]",
-                )
-            ],
+            [name for three in names for name in three],
             "<=",
             [rhs for c in cap for rhs in (c, k * c + m, k * c)],
             idx.reshape(3 * own.size, -1),

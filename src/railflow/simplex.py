@@ -122,9 +122,7 @@ def build_standard_form(
     """
     system = ConstraintSystem.from_model(model)
     row_of = system.row_of
-    n_rows = len(system.names)
-    lb, ub, _ = model.bound_arrays()
-    lo, hi = lb.copy(), ub.copy()
+    lo, hi = (bound.copy() for bound in model.bound_arrays()[:2])
     if bounds:
         idx = np.fromiter(bounds.keys(), dtype=int, count=len(bounds))
         pairs = np.array(list(bounds.values()), dtype=float)
@@ -140,10 +138,10 @@ def build_standard_form(
     pos_col = np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
     adj = system.rhs - np.bincount(
-        row_of, weights=system.coefs * lo[system.var_idx], minlength=n_rows
+        row_of, weights=system.coefs * lo[system.var_idx], minlength=system.rhs.size
     )
     live = ~fixed[system.var_idx]
-    n_live = np.bincount(row_of[live], minlength=n_rows)
+    n_live = np.bincount(row_of[live], minlength=system.rhs.size)
     # sense is -1 for <=, 0 for = and +1 for >=.
     violated = np.where(system.sense == 0, np.abs(adj), system.sense * adj) > 1e-9
     dead = np.nonzero((n_live == 0) & violated)[0]
@@ -157,8 +155,7 @@ def build_standard_form(
     a_rows = np.concatenate([term_row, ub_row])
     a_cols = pos_col[np.concatenate([system.var_idx[live], ub_var])]
     a_vals = np.concatenate([system.coefs[live], np.ones(ub_var.size)])
-    # Each (row, column) is one key, so one sort orders A by row and column.
-    order = np.argsort(a_rows * np.count_nonzero(~fixed) + a_cols)
+    order = np.argsort(a_rows * np.count_nonzero(~fixed) + a_cols)  # each (row, column) once
     relation_of = np.array(["<=", "=", ">="])
     return StandardFormLP(
         c=np.zeros(np.count_nonzero(~fixed)),
@@ -376,10 +373,9 @@ class Tableau:
         self.logical_rows = np.array(slack_rows + surplus_rows, dtype=int)
         logical_cols = n + np.arange(self.logical_rows.size)
 
-        # T gets its own private anonymous mapping: the kernel zero-fills it,
-        # and it is unmapped as soon as T and its views are released.  (A
-        # shared mapping would be backed by shmem, which costs about twice as
-        # much to map, populate and unmap.)  From
+        # T gets its own private anonymous mapping (a shared one is shmem,
+        # dearer to map): the kernel zero-fills it, and it is unmapped as
+        # soon as T and its views are released.  From
         # np.zeros it would come from glibc's brk heap once the dynamic mmap
         # threshold has risen past tableau size (glibc raises it to the size
         # of each mapped block freed), and a freed tableau that sits below
