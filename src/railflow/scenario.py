@@ -232,6 +232,14 @@ def _unknown_keys(raw: dict, known: Sequence[str], prefix: str, errors: list[str
             errors.append(f"{prefix}{key}: unknown field (expected one of {', '.join(known)})")
 
 
+# The largest heterogeneous charge 1 + k_het x (types - 1) a document may
+# give.  The dense simplex loses small_network's heterogeneous LP to
+# round-off well before a float overflows: it ends in numerics at charges of
+# 7.2e4, 1.1e5 and 1.5e5, and from 3.8e5 on it calls the LP infeasible where
+# HiGHS finds an optimum.  Every charge probed up to 7e4 solves to a verified
+# optimum.
+MAX_TYPE_CHARGE = 1e4
+
 _DOCUMENT_KEYS = (
     "name", "notes", "period_length_minutes", "horizon", "train_types", "nodes", "links",
     "single_track_pairs", "capacities", "durations_minutes", "routes", "demands", "config",
@@ -319,8 +327,9 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
     link or visits a node twice, or that rides a link with no duration for
     its train type; a demand from a node to itself or with another demand's
     origin, destination and train type; a k_het whose heterogeneous charge
-    on some link overflows a float (in every capacity mode); and a capacity
-    table, after the inline TCRs, that is too large for a float (apply_tcr).
+    on some link overflows a float or exceeds MAX_TYPE_CHARGE (in every
+    capacity mode); and a capacity table, after the inline TCRs, that is too
+    large for a float (apply_tcr).
 
     A demand is implemented by every route from its origin to its
     destination with its train type, in document order (doc.implements).
@@ -532,6 +541,11 @@ def load_scenario(source: bytes | str | Path | dict) -> ScenarioDocument:
         errors.append(
             f"config.k_het: {config.k_het} makes heterogeneous mode charge {charge} per train"
             f" on a link with {most} train types, past float range"
+        )
+    elif charge > MAX_TYPE_CHARGE:
+        errors.append(
+            f"config.k_het: {config.k_het} makes heterogeneous mode charge {charge} per train"
+            f" on a link with {most} train types, above {MAX_TYPE_CHARGE:g}"
         )
 
     tcrs: list[TcrOverride] = []

@@ -197,30 +197,46 @@ def _solve_sparse_basis(
     triangular under the same permutation.  Each peel pairs one row with one
     slot, so the bump is square.  Raises LinAlgError when the peel finds a
     row or column with no live entry or the bump is singular.
+
+    The entries are grouped once by slot and by row (stable argsorts, so a
+    group keeps the input order).  The peels, the substitutions around the
+    bump and the reduced costs walk those groups in Python, one entry at a
+    time in a fixed order, so x and y do not depend on numpy's summation
+    order.
     """
     m = b.size
-    by_slot: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    by_row: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    for r, s, v in zip(rows.tolist(), slots.tolist(), vals.tolist()):
-        by_slot[s].append((r, v))
-        by_row[r].append((s, v))
-    row_done = [False] * m
-    slot_done = [False] * m
+    # Each entry's index in the crossing line and value, grouped by slot and
+    # by row, each group in input order: slot s holds entries
+    # slot_at[s]:slot_at[s + 1] of s_rows and s_vals.
+    by_slot, by_row = np.argsort(slots, kind="stable"), np.argsort(rows, kind="stable")
+    row_count = np.bincount(rows, minlength=m)
+    slot_at = np.concatenate(([0], np.bincount(slots, minlength=m).cumsum())).tolist()
+    s_rows, s_vals = rows[by_slot].tolist(), vals[by_slot].tolist()
+    slot_lists = slot_at, s_rows, s_vals
+    row_lists = np.concatenate(([0], row_count.cumsum())).tolist(), slots[by_row].tolist(), vals[by_row].tolist()
+    row_done, slot_done = bytearray(m), bytearray(m)
+    done_rows, done_slots = np.frombuffer(row_done, dtype=bool), np.frombuffer(slot_done, dtype=bool)
 
-    def peel(lines, crossing, line_done, cross_done):
+    def peel(live, lines, crossing, line_done, cross_done):
         # Pair each line whose live entries fall to one with that entry's
-        # partner; returns (line, partner, pivot) in peel order.
-        live = [sum(not cross_done[k] for k, _ in entries) for entries in lines]
-        if any(live[i] == 0 and not line_done[i] for i in range(m)):
+        # partner; returns (line, partner, pivot) in peel order.  live counts
+        # each line's entries whose crossing line is not done.
+        (at, cross, value), (cross_at, cross_line, _) = lines, crossing
+        open_lines = ~np.frombuffer(line_done, dtype=bool)
+        if (open_lines & (live == 0)).any():
             raise np.linalg.LinAlgError("structurally singular basis")
-        pending = [i for i in range(m) if live[i] == 1 and not line_done[i]]
+        pending = np.flatnonzero(open_lines & (live == 1)).tolist()
+        live = live.tolist()
         order = []
         while pending:
             i = pending.pop()
-            k, pivot = next(e for e in lines[i] if not cross_done[e[0]])
+            e = at[i]
+            while cross_done[cross[e]]:
+                e += 1
+            k = cross[e]
             line_done[i] = cross_done[k] = True
-            order.append((i, k, pivot))
-            for j, _ in crossing[k]:
+            order.append((i, k, value[e]))
+            for j in cross_line[cross_at[k] : cross_at[k + 1]]:
                 if not line_done[j]:
                     live[j] -= 1
                     if live[j] == 1:
@@ -229,30 +245,29 @@ def _solve_sparse_basis(
                         raise np.linalg.LinAlgError("structurally singular basis")
         return order
 
-    front = peel(by_row, by_slot, row_done, slot_done)
-    back = peel(by_slot, by_row, slot_done, row_done)
-    bump_rows = [r for r in range(m) if not row_done[r]]
-    bump_slots = [s for s in range(m) if not slot_done[s]]
-    position = {r: i for i, r in enumerate(bump_rows)}
-    bump = np.zeros((len(bump_rows), len(bump_slots)))
-    for j, s in enumerate(bump_slots):
-        for r, v in by_slot[s]:
-            if r in position:
-                bump[position[r], j] += v
+    front = peel(row_count, row_lists, slot_lists, row_done, slot_done)
+    back = peel(np.bincount(slots[~done_rows[rows]], minlength=m), slot_lists, row_lists, slot_done, row_done)
+    open_rows, open_slots = ~done_rows, ~done_slots
+    in_bump = open_rows[rows] & open_slots[slots]
+    bump = np.zeros((np.count_nonzero(open_rows), np.count_nonzero(open_slots)))
+    # Entries enter the bump slot by slot, as the substitutions read them.
+    at = by_slot[in_bump[by_slot]]
+    np.add.at(bump, ((open_rows.cumsum() - 1)[rows[at]], (open_slots.cumsum() - 1)[slots[at]]), vals[at])
+    bump_rows, bump_slots = np.flatnonzero(open_rows).tolist(), np.flatnonzero(open_slots).tolist()
 
     rhs = b.tolist()
     x = [0.0] * m
 
     def settle(s, value):
         x[s] = value
-        for r, v in by_slot[s]:
-            rhs[r] -= v * value
+        for e in range(slot_at[s], slot_at[s + 1]):
+            rhs[s_rows[e]] -= s_vals[e] * value
 
     for r, s, pivot in front:
         settle(s, rhs[r] / pivot)
     if bump_slots:
-        for s, value in zip(bump_slots, np.linalg.solve(bump, [rhs[r] for r in bump_rows])):
-            settle(s, float(value))
+        for s, value in zip(bump_slots, np.linalg.solve(bump, [rhs[r] for r in bump_rows]).tolist()):
+            settle(s, value)
     for s, r, pivot in reversed(back):
         settle(s, rhs[r] / pivot)
 
@@ -260,13 +275,13 @@ def _solve_sparse_basis(
     y = [0.0] * m
 
     def reduced(s):
-        return c[s] - sum(v * y[r] for r, v in by_slot[s])
+        return c[s] - sum([s_vals[e] * y[s_rows[e]] for e in range(slot_at[s], slot_at[s + 1])])
 
     for s, r, pivot in back:
         y[r] = reduced(s) / pivot
     if bump_slots:
-        for r, value in zip(bump_rows, np.linalg.solve(bump.T, [reduced(s) for s in bump_slots])):
-            y[r] = float(value)
+        for r, value in zip(bump_rows, np.linalg.solve(bump.T, [reduced(s) for s in bump_slots]).tolist()):
+            y[r] = value
     for r, s, pivot in reversed(front):
         y[r] = reduced(s) / pivot
     return np.array(x), np.array(y)
@@ -297,31 +312,50 @@ def _crash_levels(sf: StandardFormLP) -> list[list[tuple[int, int]]]:
     mags = np.abs(sf.vals)
     col_max = np.zeros(n)
     np.maximum.at(col_max, sf.cols, mags)
-    col_nnz = np.bincount(sf.cols, minlength=n).tolist()
-    starts = np.searchsorted(sf.rows, np.arange(m + 1)).tolist()
-    tops = (mags >= col_max[sf.cols]).tolist()
-    cols, mags = sf.cols.tolist(), mags.tolist()
+    starts = np.searchsorted(sf.rows, np.arange(m + 1))
+    # An entry ranks its column by (nonzeros, index) as nonzeros * n + index,
+    # below (m + 1) * n; an entry below its column's largest |entry| ranks
+    # past every column.
+    passed = (m + 1) * n
+    ranks = np.where(mags >= col_max[sf.cols], np.bincount(sf.cols, minlength=n)[sf.cols] * n + sf.cols, passed)
 
-    candidates = [i for i, (rel, b) in enumerate(zip(sf.relations, sf.b.tolist())) if rel != "<=" and b == 0.0]
-    col_live = [True] * n
+    candidates = np.flatnonzero((np.array(sf.relations) != "<=") & (sf.b == 0.0))
+    # Fewest entries first, then the later row first: entries * m - row.
+    order = candidates[np.argsort((starts[candidates + 1] - starts[candidates]) * m - candidates)]
+    # The entries of the rows in that order, each row's by |a| descending.
+    counts = starts[order + 1] - starts[order]
+    entries = _ranges(starts[order], counts)
+    entries = entries[np.lexsort((-mags[entries], np.repeat(np.arange(order.size), counts)))]
+    cols, mags, ranks = sf.cols[entries].tolist(), mags[entries].tolist(), ranks[entries].tolist()
+
+    retired: set[int] = set()
     levels: list[list[tuple[int, int]]] = []
     level_of_col = [-1] * n
-    for r in sorted(candidates, key=lambda i: (starts[i + 1] - starts[i], -i)):
-        entries = [k for k in range(starts[r], starts[r + 1]) if col_live[cols[k]]]
-        if not entries:
+    lo = 0
+    for r, hi in zip(order.tolist(), np.cumsum(counts).tolist()):
+        # The first live entry has the row's largest live |a|; the entries
+        # from there down to half of it qualify.
+        half, best = None, passed
+        for k in range(lo, hi):
+            if cols[k] in retired:
+                continue
+            if half is None:
+                half = 0.5 * mags[k]
+            elif mags[k] < half:
+                break
+            if ranks[k] < best:
+                best = ranks[k]
+        row_cols = cols[lo:hi]
+        lo = hi
+        if best == passed:
             continue
-        half = 0.5 * max(mags[k] for k in entries)
-        eligible = [cols[k] for k in entries if tops[k] and mags[k] >= half]
-        if not eligible:
-            continue
-        q = min(eligible, key=lambda j: (col_nnz[j], j))
-        level = 1 + max(map(level_of_col.__getitem__, cols[starts[r] : starts[r + 1]]))
+        q = best % n
+        level = 1 + max(map(level_of_col.__getitem__, row_cols))
         level_of_col[q] = level
         if level == len(levels):
             levels.append([])
         levels[level].append((r, q))
-        for k in entries:
-            col_live[cols[k]] = False
+        retired.update(row_cols)
     return levels
 
 
@@ -336,7 +370,7 @@ def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """range(s, s + c) for each start s and count c, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
 
 
 class Tableau:
@@ -363,7 +397,7 @@ class Tableau:
         self.sign = np.where(sf.b < 0, -1.0, 1.0)
         self.b = sf.b * self.sign
         flipped = {"<=": ">=", ">=": "<=", "=": "="}
-        rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, self.sign)]
+        rel = [flipped[r] if s < 0 else r for r, s in zip(sf.relations, self.sign.tolist())]
         slack_rows = [i for i in range(m) if rel[i] == "<="]
         surplus_rows = [i for i in range(m) if rel[i] == ">="]
         self.sf = sf
@@ -385,7 +419,8 @@ class Tableau:
         # of taking a page fault on each page's first touch.
         shape = (m + 2, self.ncols + 1)
         flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-        T = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1], flags=flags), dtype=float).reshape(shape)
+        self.flat = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1], flags=flags), dtype=float)
+        T = self.flat.reshape(shape)
         # Each (row, column) of A appears once (StandardFormLP), so one
         # assignment writes A.
         a_vals = sf.vals * self.sign[sf.rows]
@@ -437,33 +472,55 @@ class Tableau:
         picks stop at the iteration cap, where phase 1 then returns.  Within a
         level no pick touches another's row or column, and a picked column is
         still its column of A (with its cost entries), read on A's pattern.
-        So a batch divides the level's rows on their nonzeros, subtracts every
-        rank-1 update with one np.subtract.at in pick order, and gives bit for
-        bit what pivoting its picks one at a time (Tableau.enter) gives.
+        A pick row's nonzeros at its turn lie in its pattern: its entries in
+        A, its logical column and the cells that earlier batches wrote in it,
+        which each batch records as it writes them.  So a batch divides the
+        level's rows on their patterns (a zero in a pattern divides to a zero
+        and drops out), subtracts every rank-1 update with one
+        np.subtract.at in pick order, and gives bit for bit what pivoting its
+        picks one at a time (Tableau.enter) gives.
         """
-        sf, T, m = self.sf, self.T, self.m
+        sf, T, flat, m, n = self.sf, self.T, self.flat, self.m, self.n
         width = T.shape[1]
+        levels = _crash_levels(sf)
+        picked = np.array([pick for level in levels for pick in level], dtype=int).reshape(-1, 2)
+        picked = picked[: max(tol.max_iterations - self.iterations, 0)]
         by_col = np.argsort(sf.cols, kind="stable")
-        col_starts = np.searchsorted(sf.cols[by_col], np.arange(self.n + 1))
+        col_starts = np.searchsorted(sf.cols[by_col], np.arange(n + 1))
         rows_by_col = sf.rows[by_col]
-        budget = tol.max_iterations - self.iterations
-        for level in _crash_levels(sf):
-            level = level[: max(budget, 0)]
-            if not level:
+        cost_rows = np.array([m, m + 1])
+        # pick_of[r] is the place of row r's pick in crash order, -1 for a
+        # row without one (the cost rows too).
+        pick_of = np.full(m + 2, -1)
+        pick_of[picked[:, 0]] = np.arange(len(picked))
+        # A pick row's pattern at its turn: its entries in A, its logical
+        # column, and the cells that earlier batches wrote in it, each as
+        # pick * width + column.
+        in_pick = pick_of[sf.rows] >= 0
+        logical = pick_of[self.logical_rows] >= 0
+        pattern = np.concatenate([
+            pick_of[sf.rows[in_pick]] * width + sf.cols[in_pick],
+            pick_of[self.logical_rows[logical]] * width + n + np.flatnonzero(logical),
+        ])
+        start = 0
+        for size in map(len, levels):
+            end = min(start + size, len(picked))
+            if start == end:
                 return
-            budget -= len(level)
-            picks = np.arange(len(level))
-            p, q = np.array(level).T
+            p, q = picked[start:end].T
+            picks = np.arange(end - start)
 
-            # Divide each pick row on its nonzeros and snap; row_pick, row_col
-            # and row_val are the nonzeros left, by pick.
-            nonzeros = [T[r].nonzero()[0] for r in p.tolist()]
-            counts = [nz.size for nz in nonzeros]
-            row_pick = np.repeat(picks, counts)
-            row_col = np.concatenate(nonzeros)
-            row_val = T[p[row_pick], row_col] / np.repeat(T[p, q], counts)
+            # Divide each pick row on its pattern, each cell once, and snap;
+            # row_pick, row_col and row_val are the nonzeros left, by pick.
+            # (argsort, not np.sort: np.sort's first call leaves about 76 KB
+            # more of numpy's code resident.)
+            keys = pattern[(pattern >= start * width) & (pattern < end * width)] - start * width
+            keys = keys[keys.argsort()]
+            row_pick, row_col = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], width)
+            cells = p[row_pick] * width + row_col
+            row_val = flat[cells] / T[p, q][row_pick]
             row_val[np.abs(row_val) < 1e-13] = 0.0
-            T[p[row_pick], row_col] = row_val
+            flat[cells] = row_val
             kept = row_val != 0.0
             row_pick, row_col, row_val = row_pick[kept], row_col[kept], row_val[kept]
             row_count = np.bincount(row_pick, minlength=picks.size)
@@ -471,96 +528,91 @@ class Tableau:
             # Each picked column's other nonzeros: A's rows of it, then the
             # two cost rows.  Every row lists its picks in pick order.
             a_count = col_starts[q + 1] - col_starts[q]
-            col_pick = np.concatenate([np.repeat(picks, a_count), picks, picks])
-            col_row = np.concatenate(
-                [rows_by_col[_ranges(col_starts[q], a_count)], np.full(picks.size, m), np.full(picks.size, m + 1)]
-            )
+            col_pick = np.concatenate([picks.repeat(a_count), picks, picks])
+            col_row = np.concatenate([rows_by_col[_ranges(col_starts[q], a_count)], cost_rows.repeat(picks.size)])
             col_val = T[col_row, q[col_pick]]
             kept = (col_val != 0.0) & (col_row != p[col_pick])
             col_pick, col_row, col_val = col_pick[kept], col_row[kept], col_val[kept]
 
             # Each column entry times each row entry of its pick; a cell that
-            # several picks update gets their updates in pick order.
+            # several picks update gets their updates in pick order.  The
+            # cells in later pick rows join their patterns.
             span = row_count[col_pick]
-            cell_col = np.repeat(np.arange(col_pick.size), span)
-            cell_row = _ranges((np.cumsum(row_count) - row_count)[col_pick], span)
-            np.subtract.at(
-                T.reshape(-1),
-                col_row[cell_col] * width + row_col[cell_row],
-                col_val[cell_col] * row_val[cell_row],
-            )
+            cell_col = np.arange(col_pick.size).repeat(span)
+            cell_row = _ranges((row_count.cumsum() - row_count)[col_pick], span)
+            cell_rows, cell_cols = col_row[cell_col], row_col[cell_row]
+            np.subtract.at(flat, cell_rows * width + cell_cols, col_val[cell_col] * row_val[cell_row])
+            later = pick_of[cell_rows] >= end
+            pattern = np.concatenate([pattern, pick_of[cell_rows[later]] * width + cell_cols[later]])
             T[col_row, q[col_pick]] = 0.0
             T[p, q] = 1.0
             self.basic_artificial[p] = False
             self.basis[p] = q
             self.leave_rank[p] = q
             self.iterations += picks.size
+            start = end
 
     def pivot(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
         # row is divided and snapped on its nonzeros only; the rank-1 block
-        # is written through T.reshape(-1), a view as T is C-contiguous.
+        # is written through flat, T's flat view.
         T = self.T
-        width = T.shape[1]
         row = T[p]
-        nzr = np.nonzero(row)[0]
+        nzr = (row != 0.0).nonzero()[0]
         vals = row[nzr] / column[p]
         vals[np.abs(vals) < 1e-13] = 0.0
         row[nzr] = vals
         row[q] = 1.0
         nzr = nzr[vals != 0.0]
         nzc = nzc[nzc != p]
-        block = (nzc[:, None] * width + nzr).ravel()
-        T.reshape(-1)[block] -= np.outer(column[nzc], row[nzr]).ravel()
+        self.flat[nzc[:, None] * T.shape[1] + nzr] -= column[nzc][:, None] * row[nzr]
         T[nzc, q] = 0.0
-        T[p, q] = 1.0
 
     def run_phase(self, cost_row: int, phase_one: bool, tol: Tolerances) -> str:
-        T, m, ncols, shut = self.T, self.m, self.ncols, self.shut
+        T, m, shut = self.T, self.m, self.shut
         basic_artificial, leave_rank = self.basic_artificial, self.leave_rank
+        costs, rhs = T[cost_row, : self.ncols], T[:, -1]
         bland = False
         stall = 0
         while True:
             if self.iterations >= tol.max_iterations:
                 return ITERATION_LIMIT
-            costs = T[cost_row, :ncols]
-            if shut is not None:
-                costs = np.where(shut, 0.0, costs)
+            priced = costs if shut is None else np.where(shut, 0.0, costs)
             if bland:
-                neg = np.nonzero(costs < -PIVOT)[0]
+                neg = (priced < -PIVOT).nonzero()[0]
                 if neg.size == 0:
                     return OPTIMAL
                 q = int(neg[0])
             else:
-                q = int(np.argmin(costs))
-                if costs[q] >= -PIVOT:
+                q = int(priced.argmin())
+                if priced[q] >= -PIVOT:
                     return OPTIMAL
 
             column = T[:, q].copy()
-            nzc = np.nonzero(column)[0]
-            nz = nzc[nzc < m]
+            nzc = (column != 0.0).nonzero()[0]
+            nz = nzc[: nzc.searchsorted(m)]
             entries = column[nz]
             # Keep basic artificials at zero: rows where the entering column
             # would increase one (negative entry) are pivoted on immediately,
             # a zero-length step that drives the artificial out for good.
             # Positive entries need no guard; the ratio test picks them at
             # ratio zero by itself.
-            if not phase_one and basic_artificial.any():
+            if not phase_one and np.count_nonzero(basic_artificial):
                 guard = nz[basic_artificial[nz] & (entries < -PIVOT)]
                 if guard.size:
-                    strongest = column[guard].min()
-                    pick = guard[column[guard] <= strongest + 1e-12]
-                    self.enter(int(pick[np.argmin(leave_rank[pick])]), q, column, nzc)
+                    drive = column[guard]
+                    pick = guard[drive <= drive[drive.argmin()] + 1e-12]
+                    self.enter(int(pick[leave_rank[pick].argmin()]), q, column, nzc)
                     continue
 
             positive = entries > PIVOT
-            if not positive.any():
-                return UNBOUNDED if not phase_one else OPTIMAL
             candidates = nz[positive]
-            ratios = T[candidates, -1] / entries[positive]
-            best = ratios.min()
+            if not candidates.size:
+                return UNBOUNDED if not phase_one else OPTIMAL
+            ratios = rhs[candidates] / entries[positive]
+            best = ratios[ratios.argmin()]
             ties = candidates[ratios <= best + 1e-12]
-            self.enter(int(ties[np.argmin(leave_rank[ties])]), q, column, nzc)
+            self.enter(int(ties[leave_rank[ties].argmin()] if ties.size > 1 else ties[0]), q, column, nzc)
             if best <= 1e-12:
                 stall += 1
                 if stall > BLAND_AFTER:
@@ -719,15 +771,18 @@ def solve_lp(
     Each simplex iteration works in the nonzeros of the entering column and
     pivot row: the column is read once, the artificial guard and the ratio
     test scan its nonzeros, and the pivot divides the row and applies the
-    rank-1 correction on those nonzeros only.
+    rank-1 correction on those nonzeros only, through a flat view of the
+    tableau.  The cost of an iteration is then mostly its fixed number of
+    numpy calls, so the loop keeps them few.
 
     At the optimum, x and the duals y are re-solved from the sparse basis
     columns with one singleton-peel ordering plus a dense solve of the bump
-    (_solve_sparse_basis).  That re-solve is the only source of an OPTIMAL
-    solution, so an OPTIMAL result always carries a dual objective, and it
-    carries its final tableau.  When the basis proves singular or the
-    re-solved x and y fail their certificate (Tableau.finish), the result is
-    NUMERICS with no values.
+    (_solve_sparse_basis), on entries grouped once by slot and by row.
+    That re-solve is the only source of an OPTIMAL solution, so an OPTIMAL
+    result always carries a dual objective, and it carries its final
+    tableau.  When the basis proves singular or the re-solved x and y fail
+    their certificate (Tableau.finish), the result is NUMERICS with no
+    values.
 
     With warm, the final tableau of an earlier OPTIMAL solve over the same
     rows and columns, no phase 1 runs: the tableau is restricted in place to

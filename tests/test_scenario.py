@@ -11,6 +11,7 @@ from railflow.cli import main
 from railflow.model import CAPACITY_MODES, ModelConfig, ModelError, big_m
 from railflow.simplex import Tolerances
 from railflow.scenario import (
+    MAX_TYPE_CHARGE,
     ScenarioError,
     TcrOverride,
     apply_tcr,
@@ -593,10 +594,32 @@ def test_k_het_whose_charge_overflows_rejected_at_load(tmp_path, capsys, mode):
     with pytest.raises(ScenarioError) as err:
         load_scenario(three_type_line_raw(1e308, mode))
     assert err.value.errors == [f"{message}, past float range"]
-    assert load_scenario(three_type_line_raw(5e307, mode)).config.k_het == 5e307
 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(three_type_line_raw(1e308, mode)))
+    for args in (["validate"], ["solve"], ["solve", "--capacity-mode", "heterogeneous"]):
+        assert main(args + ["--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", CAPACITY_MODES)
+def test_k_het_whose_charge_is_huge_rejected_at_load(tmp_path, capsys, mode):
+    # A finite charge above MAX_TYPE_CHARGE is refused as well: the dense
+    # simplex gives wrong verdicts long before the charge overflows.  A
+    # charge of exactly MAX_TYPE_CHARGE (1 + 4999.5 x 2) loads.
+    assert MAX_TYPE_CHARGE == 1e4
+    message = (
+        "config.k_het: 15000000.0 makes heterogeneous mode charge 30000001.0 per train"
+        " on a link with 3 train types, above 10000"
+    )
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(three_type_line_raw(1.5e7, mode))
+    assert err.value.errors == [message]
+    assert load_scenario(three_type_line_raw(4999.5, mode)).config.k_het == 4999.5
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(three_type_line_raw(1.5e7, mode)))
     for args in (["validate"], ["solve"], ["solve", "--capacity-mode", "heterogeneous"]):
         assert main(args + ["--scenario", str(path)]) == 1
         err = capsys.readouterr().err

@@ -32,6 +32,9 @@ from railflow.simplex import (
 )
 from support import rebuilt, synthetic_model
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import synth  # noqa: E402
+
 
 def raw_lp(c, A, b, relations=None):
     """StandardFormLP for min c.x s.t. A x (rel) b, x >= 0."""
@@ -338,6 +341,128 @@ def reference_solve_lp(sf, tol=None):
     x = x_full[:n]
     objective = float(sf.c @ x) + sf.objective_constant
     return LpSolution(OPTIMAL, objective, x, iterations, dual_objective)
+
+
+def reference_solve_sparse_basis(
+    rows: np.ndarray,
+    slots: np.ndarray,
+    vals: np.ndarray,
+    b: np.ndarray,
+    c_basic: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """simplex._solve_sparse_basis as it was, on per-slot and per-row lists: the reference.
+
+    The new one must give the same bits, and raise where this one raises.
+    """
+    m = b.size
+    by_slot: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    by_row: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    for r, s, v in zip(rows.tolist(), slots.tolist(), vals.tolist()):
+        by_slot[s].append((r, v))
+        by_row[r].append((s, v))
+    row_done = [False] * m
+    slot_done = [False] * m
+
+    def peel(lines, crossing, line_done, cross_done):
+        # Pair each line whose live entries fall to one with that entry's
+        # partner; returns (line, partner, pivot) in peel order.
+        live = [sum(not cross_done[k] for k, _ in entries) for entries in lines]
+        if any(live[i] == 0 and not line_done[i] for i in range(m)):
+            raise np.linalg.LinAlgError("structurally singular basis")
+        pending = [i for i in range(m) if live[i] == 1 and not line_done[i]]
+        order = []
+        while pending:
+            i = pending.pop()
+            k, pivot = next(e for e in lines[i] if not cross_done[e[0]])
+            line_done[i] = cross_done[k] = True
+            order.append((i, k, pivot))
+            for j, _ in crossing[k]:
+                if not line_done[j]:
+                    live[j] -= 1
+                    if live[j] == 1:
+                        pending.append(j)
+                    elif live[j] == 0:
+                        raise np.linalg.LinAlgError("structurally singular basis")
+        return order
+
+    front = peel(by_row, by_slot, row_done, slot_done)
+    back = peel(by_slot, by_row, slot_done, row_done)
+    bump_rows = [r for r in range(m) if not row_done[r]]
+    bump_slots = [s for s in range(m) if not slot_done[s]]
+    position = {r: i for i, r in enumerate(bump_rows)}
+    bump = np.zeros((len(bump_rows), len(bump_slots)))
+    for j, s in enumerate(bump_slots):
+        for r, v in by_slot[s]:
+            if r in position:
+                bump[position[r], j] += v
+
+    rhs = b.tolist()
+    x = [0.0] * m
+
+    def settle(s, value):
+        x[s] = value
+        for r, v in by_slot[s]:
+            rhs[r] -= v * value
+
+    for r, s, pivot in front:
+        settle(s, rhs[r] / pivot)
+    if bump_slots:
+        for s, value in zip(bump_slots, np.linalg.solve(bump, [rhs[r] for r in bump_rows])):
+            settle(s, float(value))
+    for s, r, pivot in reversed(back):
+        settle(s, rhs[r] / pivot)
+
+    c = c_basic.tolist()
+    y = [0.0] * m
+
+    def reduced(s):
+        return c[s] - sum(v * y[r] for r, v in by_slot[s])
+
+    for s, r, pivot in back:
+        y[r] = reduced(s) / pivot
+    if bump_slots:
+        for r, value in zip(bump_rows, np.linalg.solve(bump.T, [reduced(s) for s in bump_slots])):
+            y[r] = float(value)
+    for r, s, pivot in reversed(front):
+        y[r] = reduced(s) / pivot
+    return np.array(x), np.array(y)
+
+
+def reference_crash_levels(sf) -> list[list[tuple[int, int]]]:
+    """simplex._crash_levels as it was, with a sort key and a min key per row: the reference.
+
+    The new one must give the same picks in the same levels.
+    """
+    m, n = sf.n_rows, sf.n_cols
+    mags = np.abs(sf.vals)
+    col_max = np.zeros(n)
+    np.maximum.at(col_max, sf.cols, mags)
+    col_nnz = np.bincount(sf.cols, minlength=n).tolist()
+    starts = np.searchsorted(sf.rows, np.arange(m + 1)).tolist()
+    tops = (mags >= col_max[sf.cols]).tolist()
+    cols, mags = sf.cols.tolist(), mags.tolist()
+
+    candidates = [i for i, (rel, b) in enumerate(zip(sf.relations, sf.b.tolist())) if rel != "<=" and b == 0.0]
+    col_live = [True] * n
+    levels: list[list[tuple[int, int]]] = []
+    level_of_col = [-1] * n
+    for r in sorted(candidates, key=lambda i: (starts[i + 1] - starts[i], -i)):
+        entries = [k for k in range(starts[r], starts[r + 1]) if col_live[cols[k]]]
+        if not entries:
+            continue
+        half = 0.5 * max(mags[k] for k in entries)
+        eligible = [cols[k] for k in entries if tops[k] and mags[k] >= half]
+        if not eligible:
+            continue
+        q = min(eligible, key=lambda j: (col_nnz[j], j))
+        level = 1 + max(map(level_of_col.__getitem__, cols[starts[r] : starts[r + 1]]))
+        level_of_col[q] = level
+        if level == len(levels):
+            levels.append([])
+        levels[level].append((r, q))
+        for k in entries:
+            col_live[cols[k]] = False
+    return levels
 
 
 def enumerate_vertices_min(c, A, b):
@@ -841,6 +966,13 @@ def test_crash_visits_sparsest_rows_first_and_the_later_row_first_among_equals()
     assert simplex._crash_levels(lp) == [[(1, 1)], [(0, 0)]]
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+def test_crash_levels_match_reference_property(seed):
+    rng = np.random.default_rng(seed)
+    lp = random_standard_form(rng, dense=rng.random() < 0.3)
+    assert simplex._crash_levels(lp) == reference_crash_levels(lp)
+
+
 def assert_phase_one_row_is_the_row_sum(sf):
     # The phase-1 row has the bits of minus the sum of the artificial rows
     # over axis 0, as the reference solve forms it.
@@ -1037,6 +1169,25 @@ def test_bland_rule_ends_cycling(monkeypatch):
     assert solve_lp(lp, Tolerances(max_iterations=1_000)).status == ITERATION_LIMIT
 
 
+def line_lp(*args, **kwargs):
+    """The standard form of a generated line (synth.line_scenario)."""
+    from railflow.scenario import build_scenario_model, load_scenario
+
+    return build_standard_form(build_scenario_model(load_scenario(synth.line_scenario(*args, **kwargs))))
+
+
+def test_bland_rule_on_a_generated_line_matches_reference(monkeypatch):
+    # No bundled LP reaches Bland's rule (their longest degenerate runs are
+    # shorter than BLAND_AFTER); this line has 42 degenerate pivots in a row.
+    # Without the rule it takes another path, of 392 iterations.
+    lp = line_lp(13, 8, 6, 8, single_track=1, relax_integrality=True, pace_refinement=False)
+    assert (lp.n_rows, lp.n_cols) == (405, 642)
+    want = assert_matches_reference_solve(lp)
+    assert (want.status, want.iterations) == (OPTIMAL, 401)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**9)
+    assert solve_lp(lp).iterations == 392
+
+
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
 def test_bundled_lp_matches_reference(small_doc, mode):
     # Real tableaux: fractions with many denominators, degenerate stretches
@@ -1146,6 +1297,71 @@ def test_sparse_basis_matches_dense_solve_property(seed):
     x, y = solve_coo(M, b, c)
     np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(y, np.linalg.solve(M.T, c), rtol=1e-9, atol=1e-9)
+    rows, slots = np.nonzero(M)
+    assert_same_bits((x, y), reference_solve_sparse_basis(rows, slots, M[rows, slots], b, c))
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def check_against_references(monkeypatch):
+    """Make every basis re-solve and crash level choice also run its reference.
+
+    Each call asserts the same bits as the reference (or the same
+    LinAlgError); returns the counts of checked calls, by function.
+    """
+    checked = {"_solve_sparse_basis": 0, "_crash_levels": 0}
+    resolve, levels = simplex._solve_sparse_basis, simplex._crash_levels
+
+    def checked_resolve(rows, slots, vals, b, c_basic):
+        checked["_solve_sparse_basis"] += 1
+        try:
+            want = reference_solve_sparse_basis(rows, slots, vals, b, c_basic)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                resolve(rows, slots, vals, b, c_basic)
+            raise
+        got = resolve(rows, slots, vals, b, c_basic)
+        assert_same_bits(got, want)
+        return got
+
+    def checked_levels(sf):
+        checked["_crash_levels"] += 1
+        got = levels(sf)
+        assert got == reference_crash_levels(sf)
+        return got
+
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", checked_resolve)
+    monkeypatch.setattr(simplex, "_crash_levels", checked_levels)
+    return checked
+
+
+@pytest.mark.filterwarnings("ignore:capacity mode")
+def test_resolve_and_crash_levels_match_reference_on_bundled_runs(monkeypatch, scenario_dir):
+    # Every cold LP of the 16 bundled runs (branch and bound nodes included),
+    # and every optimal basis, cold and after each warm refinement stage.
+    from railflow.scenario import load_scenario, run
+
+    checked = check_against_references(monkeypatch)
+    for scenario, mode in BUNDLED_LPS:
+        doc = load_scenario(scenario_dir / f"{scenario}.json")
+        assert run(replace(doc, config=replace(doc.config, capacity_mode=mode))).result.status == OPTIMAL
+    assert checked == {"_solve_sparse_basis": 50, "_crash_levels": 18}
+
+
+def test_resolve_and_crash_levels_match_reference_on_generated_lines(monkeypatch):
+    from railflow.scenario import load_scenario, run
+
+    checked = check_against_references(monkeypatch)
+    for seed in (11, 22, 33):
+        for relax in (True, False):
+            doc = load_scenario(synth.line_scenario(seed, 4, 6, 4, single_track=1, relax_integrality=relax))
+            assert run(doc).result.status == OPTIMAL
+        doc = load_scenario(synth.line_scenario(seed, 5, 6, 5, single_track=2))
+        assert run(replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2"))).result.status == OPTIMAL
+    assert checked["_solve_sparse_basis"] > checked["_crash_levels"] > 9
 
 
 def test_small_network_lp_matches_highs(small_doc):
