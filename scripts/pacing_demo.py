@@ -17,12 +17,13 @@ def main():
     model, values = output.model, output.result.values
 
     print("objective:", round(output.result.objective, 6))
+    link, route = model.positions["link"]["B-C"], model.positions["route"]["A-C-r1"]
     for t in (1, 2):
         dep = values[model.var("dep", "A-C-r1", t)]
         # arrivals at C are the inflow over B-C: within period t, or crossing
-        # from t - 1 (no crossing comes from period 0, which has no variables)
-        inflow = model.terms([(1.0, "direct", "B-C", t, "A-C-r1"), (1.0, "next", "B-C", t - 1, "A-C-r1")])
-        arrivals = sum(values[idx] for idx, _ in inflow)
+        # from t - 1 (lookup finds no crossing from period 0, which has no variables)
+        inflow = (model.lookup("direct", link, t, route), model.lookup("next", link, t - 1, route))
+        arrivals = sum(values[idx] for idx in inflow if idx >= 0)
         print(f"period {t}: departures {dep:.2f}, arrivals {arrivals:.2f}")
     print()
     print(report_capacity_csv(output.capacity).decode(), end="")

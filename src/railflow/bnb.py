@@ -66,7 +66,7 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     """
     if tol is None:
         tol = Tolerances()
-    int_vars = [i for i, v in enumerate(model.variables) if v.integer]
+    int_vars = np.flatnonzero(model.bound_arrays()[2]).tolist()
     objective_of = model.objective_value
 
     counter = 0
@@ -183,12 +183,20 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
     route's link into it: a direct arc within its period t, a next arc in
     period t + 1 (no next arc leaves t_max).
     """
-    delay = {"dep": 0, "direct": 0, "next": 1}
-    return {
-        idx: float(var.ref.key[1] + delay[var.ref.kind])
-        for idx, var in enumerate(model.variables)
-        if var.ref.kind in delay
-    }
+    doc = model.doc
+    T = np.arange(1, doc.t_max + 1)
+    routes, links = np.arange(len(doc.routes)), np.arange(len(doc.links))[:, None, None]
+    weight = np.full(model.bound_arrays()[0].size, np.nan)
+    # The period is the second key part of each kind, so axis 1 of its lookup.
+    for ids, delay in (
+        (model.lookup("dep", routes[:, None], T), 1),
+        (model.lookup("direct", links, T[:, None], routes), 1),
+        (model.lookup("next", links, T[:, None], routes), 2),
+    ):
+        at = (ids >= 0).nonzero()
+        weight[ids[at]] = at[1] + delay
+    idx = (~np.isnan(weight)).nonzero()[0]
+    return dict(zip(idx.tolist(), weight[idx].tolist()))
 
 
 def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
@@ -197,7 +205,7 @@ def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
     Each weight is 53 bits of a sha256 of the seed and the variable's name, so
     neither the document's order nor the other declared variables move it.
     """
-    digests = (hashlib.sha256(f"{_TIE_BREAK_SEED}:{v.name}".encode()).digest() for v in model.variables)
+    digests = (hashlib.sha256(f"{_TIE_BREAK_SEED}:{name}".encode()).digest() for name in model.names)
     return {idx: 1.0 + (int.from_bytes(d[:8], "big") >> 11) / 2.0**53 for idx, d in enumerate(digests)}
 
 
@@ -237,7 +245,7 @@ def refine_to_earliest_pace(
     if tol is None:
         tol = Tolerances()
 
-    integers = [idx for idx, var in enumerate(model.variables) if var.integer]
+    integers = np.flatnonzero(model.bound_arrays()[2]).tolist()
     iterations = result.iterations
     for objective, hold in ((_pace_objective(model), integers), (_tie_break_objective(model), ())):
         solution, values = solve_face_lp(tableau, objective, tol, hold)

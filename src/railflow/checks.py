@@ -63,12 +63,12 @@ class ConstraintSystem:
     """Rows as arrays: the one store of a model's rows.
 
     Row i is names[i], with sense[i] and right-hand side rhs[i].  Term k puts
-    coefs[k] on variable var_idx[k] in row row_of[k]; the terms come in row
-    order and, within a row, in term order, with each variable once.  A
-    model appends its rows in blocks (TimeExpandedModel.add_rows and
-    add_constraint) and from_model returns the joined store as it is; the
-    audit here, simplex.build_standard_form, mps_io and the capacity report
-    read it.  Its arrays are read-only.
+    coefs[k] on variable var_idx[k] (a place in the model's variable arrays)
+    in row row_of[k]; the terms come in row order and, within a row, in term
+    order, with each variable once.  A model appends its rows in blocks
+    (TimeExpandedModel.add_rows and add_constraint) and from_model returns
+    the joined store as it is; the audit here, simplex.build_standard_form,
+    mps_io and the capacity report read it.  Its arrays are read-only.
     """
 
     names: tuple[str, ...]
@@ -182,9 +182,9 @@ def verify_solution(
         ints = np.flatnonzero(integer)
         fractional[ints] = ~(np.abs(values[ints] - np.round(values[ints])) <= integrality)
     for i in np.flatnonzero(outside | fractional).tolist():
-        var, value = model.variables[i], float(values[i])
+        name, value = model.names[i], float(values[i])
         if outside[i]:
-            issues.append(f"{var.name}: value {value:g} outside [{var.lb:g}, {var.ub:g}]")
+            issues.append(f"{name}: value {value:g} outside [{float(lb[i]):g}, {float(ub[i]):g}]")
         if fractional[i]:
-            issues.append(f"{var.name}: value {value:g} not integral")
+            issues.append(f"{name}: value {value:g} not integral")
     return issues

@@ -20,13 +20,15 @@ The model is built from a loaded scenario document (scenario.load_scenario,
 with its TCR overrides applied), which has already been checked: every
 variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
 1, "A-C-r1")``, and links, nodes, routes, demands and train types are taken
-in document order.  Everything here is solver independent: the result is a
-set of named linear rows, kept as arrays in one store, plus a linear
-objective.  Each row family enters the store in one add_rows call, its terms
-looked up as blocks in per-kind grids of variable indices (lookup), as
-array-based modellers such as Linopy build LP rows.  Building is a pure
-function of the document, so identical documents give an identical model,
-row by row.
+in document order.  Everything here is solver independent: the result is
+a set of variables and named linear rows, both kept as arrays, plus a linear
+objective.  Each kind of variable is declared in one add_variables call and
+kept as a grid of indices over its key axes, with the bounds and
+integrality of all variables in three arrays and the names made on first
+read, the way array-based modellers such as Linopy store variables.  Each
+row family enters one row store in one add_rows call, its terms looked up
+as blocks in those grids (lookup).  Building is a pure function of the
+document, so identical documents give an identical model, row by row.
 """
 
 from __future__ import annotations
@@ -98,21 +100,26 @@ class ModelConfig:
             raise ModelError("k_setup must lie in (0, 1]")
 
 
-class VariableRef(NamedTuple):
-    """Identity of one decision variable: a kind plus its index tuple."""
+class ModelVariable(NamedTuple):
+    """One declared variable as a record; name is kind(key,...)."""
 
     kind: str
     key: tuple
-
-
-class ModelVariable(NamedTuple):
-    """One declared variable; name is its ref written as kind(key,...)."""
-
-    ref: VariableRef
     name: str
-    lb: float = 0.0
-    ub: float = math.inf
-    integer: bool = False
+    lb: float
+    ub: float
+    integer: bool
+
+
+def _names(kind: str, keys: Sequence[tuple]) -> list[str]:
+    """kind(key,...) of each key, with one %-template for all of them."""
+    template = kind.replace("%", "%%") + "(" + ",".join(["%s"] * len(keys[0] if keys else ())) + ")"
+    return [template % key for key in keys]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class TimeExpandedModel:
@@ -122,17 +129,18 @@ class TimeExpandedModel:
     reports only read them, and several models may be built and solved
     concurrently.  doc is None for a bare model of hand-written rows.
 
-    The rows live in one array store (rows, a checks.ConstraintSystem): each
-    family of rows enters it in one add_rows call, and a hand-written row
-    through add_constraint.  constraints gives the same rows as records, for
-    readers off the solve path.
+    The variables are arrays: each add_variables call declares a block of
+    one kind, whose indices lookup and var find in the kind's grid, and
+    bound_arrays gives the bounds and integrality of all of them.  The rows
+    live in one array store (rows, a checks.ConstraintSystem): each family
+    of rows enters it in one add_rows call, and a hand-written row through
+    add_constraint.  names, variables and constraints are made on first
+    read; variables and constraints give records, for readers off the solve
+    path.
     """
 
     def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
         self.doc = doc
-        # Declared through add_variables only, which keeps the model's index
-        # and key grids of them.
-        self.variables: list[ModelVariable] = []
         self.objective: dict[int, float] = {}
         # (earlier link, later link) of each single-track pair, ordered by
         # the earlier link's place in doc.links
@@ -149,12 +157,20 @@ class TimeExpandedModel:
             "route": [r.name for r in doc.routes], "demand": [d.name for d in doc.demands],
         }
         self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in names.items()}
-        self._index: dict[VariableRef, int] = {}
-        # Per kind, each add_variables block of indices with the places of
-        # its keys on the kind's axes; _grid turns them into index grids.
-        self._placed: dict[str, list[tuple[range, list]]] = {}
-        self._grids: Optional[dict[str, np.ndarray]] = None
-        self._bounds: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._declared: list[tuple[str, tuple[tuple, ...]]] = []  # (kind, keys) of each add_variables call
+        # Bounds and integrality of every variable; each add_variables or
+        # bounding add_rows call replaces an array rather than writing it.
+        self._lb = self._ub = _frozen(np.zeros(0))
+        self._integer = _frozen(np.zeros(0, dtype=bool))
+        # Per kind, the index of the variable at each place of its key, -1
+        # where none is declared.  An axis has a place per name, or per period
+        # 0..t_max, and one more at its end, which stays -1.
+        self._grids = {} if doc is None else {
+            kind: np.full([len(self.positions[axis]) + 1 if axis != "period" else doc.t_max + 2 for axis in axes], -1)
+            for kind, axes in KEY_AXES.items()
+        }
+        self._names: tuple[str, ...] = ()
+        self._records: tuple[np.ndarray, tuple[ModelVariable, ...]] | None = None  # (the ub read, records)
         self._blocks = [ConstraintSystem.empty()]  # every block of rows appended, in order
         # The blocks joined, with their count: a read joins them once, and
         # readers of a built model on several threads join the same rows.
@@ -166,112 +182,85 @@ class TimeExpandedModel:
 
     # -- variables ---------------------------------------------------------
 
-    def add_variable(self, kind: str, key: tuple, lb: float = 0.0, ub: float = math.inf, integer: bool = False) -> int:
-        """Declare variable (kind, key); returns its index (see add_variables)."""
-        return self.add_variables(kind, [key], lb, ub, integer)[0]
-
     def add_variables(
         self, kind: str, keys: Sequence[tuple], lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> range:
         """Declare (kind, key) for each key, in order; returns their indices.
 
-        A variable's name is kind(key,...), e.g. direct(A-B,1,A-C-r1),
-        cancel(A-C,2) or beta(X-Y,1), so the name and the key cannot
-        disagree.  Nothing is declared when one of them cannot be.
+        In a model of a document, kind is one of KEY_AXES and a key holds a
+        name of the document or a period per axis of the kind; a bare model
+        (doc None) takes any kind and keys, which it only names.  Nothing is
+        declared when one of the variables cannot be: keys of different
+        lengths, a key declared before, a name the document does not have or
+        a lower bound that is not finite.
         """
-        # One %-template per call, so each name costs one formatting.
-        template = kind.replace("%", "%%") + "(" + ",".join(["%s"] * len(keys[0] if keys else ())) + ")"
-        try:
-            names = [template % key for key in keys]
-        except TypeError:
-            raise ModelError(f"the keys of one add_variables({kind!r}) call differ in length") from None
-        if names and not math.isfinite(lb):
-            raise ModelError(f"variable {names[0]} needs a finite lower bound, got {lb}")
-        # tuple.__new__ makes each record as NamedTuple._make does, without
-        # a Python-level call per variable.
-        new = tuple.__new__
-        refs = [new(VariableRef, (kind, key)) for key in keys]
-        start = len(self.variables)
-        index = dict(zip(refs, range(start, start + len(refs))))
-        if len(index) < len(refs) or not index.keys().isdisjoint(self._index.keys()):
-            seen = set(self._index)
-            twice = next(name for ref, name in zip(refs, names) if ref in seen or seen.add(ref))
-            raise ModelError(f"variable {twice} declared twice")
-        axes = KEY_AXES.get(kind, ()) if self.positions else ()
-        try:
-            places = [
-                column if axis == "period" else list(map(self.positions[axis].__getitem__, column))
-                for axis, column in zip(axes, zip(*keys))
-            ]
-        except KeyError as exc:
-            raise ModelError(f"variable {kind} names {exc} that the document does not") from None
-        self.variables += [new(ModelVariable, (ref, name, lb, ub, integer)) for ref, name in zip(refs, names)]
-        self._index.update(index)
-        if axes and keys:
-            self._placed.setdefault(kind, []).append((range(start, len(self.variables)), places))
-        self._grids = self._bounds = None
-        return range(start, len(self.variables))
+        if len(set(map(len, keys))) > 1:
+            raise ModelError(f"the keys of one add_variables({kind!r}) call differ in length")
+        if keys and not math.isfinite(lb):
+            raise ModelError(f"variable {_names(kind, keys[:1])[0]} needs a finite lower bound, got {lb}")
+        ids = range(self._lb.size, self._lb.size + len(keys))
+        if self._grids and keys:
+            axes = KEY_AXES.get(kind)
+            if axes is None or len(keys[0]) != len(axes):
+                raise ModelError(f"no variable kind {kind!r} has keys like {keys[0]!r}")
+            columns = list(zip(*keys))
+            try:
+                places = tuple(
+                    np.array(column if axis == "period" else [self.positions[axis][name] for name in column])
+                    for axis, column in zip(axes, columns)
+                )
+            except KeyError as exc:
+                raise ModelError(f"variable {kind} names {exc} that the document does not") from None
+            t_max = self.doc.t_max
+            if any(min(column) < 0 or max(column) > t_max for axis, column in zip(axes, columns) if axis == "period"):
+                raise ModelError(f"variable {kind} has a period outside 0..{t_max}")
+            grid = self._grids[kind]
+            # A key is declared twice when its place is taken, or when it comes
+            # again in the call, so that its place holds the later index.
+            twice = grid[places] >= 0
+            if not np.count_nonzero(twice):
+                grid[places] = ids
+                twice = grid[places] != ids
+                if np.count_nonzero(twice):
+                    grid[places] = -1
+            if np.count_nonzero(twice):
+                raise ModelError(f"variable {_names(kind, [keys[twice.argmax()]])[0]} declared twice")
+        self._declared.append((kind, tuple(keys)))
+        self._lb = _frozen(np.concatenate((self._lb, np.full(len(keys), lb, dtype=float))))
+        self._ub = _frozen(np.concatenate((self._ub, np.full(len(keys), ub, dtype=float))))
+        self._integer = _frozen(np.concatenate((self._integer, np.full(len(keys), integer, dtype=bool))))
+        return ids
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Each variable's name kind(key,...), e.g. direct(A-B,1,A-C-r1), cancel(A-C,2) or beta(X-Y,1)."""
+        if len(self._names) != self._lb.size:
+            self._names = tuple(name for kind, keys in self._declared for name in _names(kind, keys))
+        return self._names
+
+    @property
+    def variables(self) -> tuple[ModelVariable, ...]:
+        """The variables as records, made on request (off the solve path)."""
+        made = self._records
+        if made is None or made[0] is not self._ub:
+            lb, ub, integer = self.bound_arrays()
+            refs = ((kind, key) for kind, keys in self._declared for key in keys)
+            fields = zip(refs, self.names, lb.tolist(), ub.tolist(), integer.tolist())
+            made = self._records = (ub, tuple(ModelVariable(kind, key, *rest) for (kind, key), *rest in fields))
+        return made[1]
 
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lb, ub, integer) over the variables, as read-only arrays."""
-        if self._bounds is None:
-            arrays = (
-                np.array([v.lb for v in self.variables], dtype=float),
-                np.array([v.ub for v in self.variables], dtype=float),
-                np.array([v.integer for v in self.variables], dtype=bool),
-            )
-            for array in arrays:
-                array.setflags(write=False)
-            self._bounds = arrays
-        return self._bounds
+        return self._lb, self._ub, self._integer
 
     def var(self, kind: str, *key) -> int:
-        """Index of a declared variable; raises KeyError when absent."""
-        # A VariableRef hashes and compares as the plain tuple (kind, key).
-        return self._index[(kind, key)]
-
-    def terms(self, terms: Iterable[tuple]) -> list[tuple[int, float]]:
-        """(index, coef) of each (coef, kind, *key) term whose variable is declared.
-
-        build_variables declares a variable only where it can be nonzero, so a
-        term on an undeclared one drops; a term of a kind outside
-        VARIABLE_KINDS raises ModelError, so that a misspelt kind cannot drop.
-        """
-        get = self._index.get
-        out = []
-        for term in terms:
-            idx = get((term[1], term[2:]))
-            if idx is not None:
-                out.append((idx, term[0]))
-            elif term[1] not in VARIABLE_KINDS:
-                raise ModelError(f"unknown variable kind {term[1]!r} in term {term!r}")
-        return out
-
-    def _grid(self, kind: str) -> np.ndarray:
-        """Index of each declared (kind, key) at the key's places, -1 elsewhere.
-
-        An axis of names has a place per name and a period axis one per
-        period from 0 to the latest declared; each has one more place at its
-        end, which holds -1, for a name or period that has no variable.
-        """
-        if kind not in KEY_AXES:
-            raise ModelError(f"unknown variable kind {kind!r}")
-        if not self.positions:
-            raise ModelError("a model without a document has no key axes to look up")
-        if self._grids is None:
-            self._grids = {}
-            for k, axes in KEY_AXES.items():
-                blocks = self._placed.get(k, [])
-                shape = [
-                    max((max(places[j]) for _, places in blocks), default=0) + 2
-                    if axis == "period"
-                    else len(self.positions[axis]) + 1
-                    for j, axis in enumerate(axes)
-                ]
-                grid = self._grids[k] = np.full(shape, -1, dtype=np.intp)
-                for ids, places in blocks:
-                    grid[tuple(places)] = ids
-        return self._grids[kind]
+        """Index of the declared variable (kind, *key); raises KeyError when absent."""
+        axes = KEY_AXES.get(kind, ())
+        places = [part if axis == "period" else self.positions[axis].get(part, -1) for axis, part in zip(axes, key)]
+        idx = self.lookup(kind, *places) if len(key) == len(axes) else -1
+        if idx < 0:
+            raise KeyError(f"no variable {kind}{key!r}")
+        return int(idx)
 
     def lookup(self, kind: str, *key) -> np.ndarray:
         """Index of each variable (kind, *key), or -1 where none is declared.
@@ -281,7 +270,11 @@ class TimeExpandedModel:
         and a period as itself (any period holds none outside 1..t_max).  A
         kind outside VARIABLE_KINDS raises ModelError.
         """
-        grid = self._grid(kind)
+        if kind not in KEY_AXES:
+            raise ModelError(f"unknown variable kind {kind!r}")
+        if not self._grids:
+            raise ModelError("a model without a document has no key axes to look up")
+        grid = self._grids[kind]
         axes = KEY_AXES[kind]
         if len(key) != len(axes):
             raise ModelError(f"a {kind} key has the parts {axes}, got {key!r}")
@@ -333,9 +326,9 @@ class TimeExpandedModel:
         if bound:
             single = count == 1
             alone = single[row]
-            for r, v, c in zip(row[alone].tolist(), var[alone].tolist(), coef[alone].tolist()):
-                self.variables[v] = self.variables[v]._replace(ub=min(self.variables[v].ub, float(rhs[r]) / c))
-            self._bounds = None
+            ub = self._ub.copy()
+            np.minimum.at(ub, var[alone], rhs[row[alone]] / coef[alone])
+            self._ub = _frozen(ub)
             emit &= ~single
         self._blocks.append(ConstraintSystem.of_terms(names, SENSE[relation], rhs, row, var, coef, emit))
 
@@ -728,28 +721,31 @@ def build_objective(model: TimeExpandedModel) -> None:
     demanded volume it is dropped.  A route's arrivals in period t are its
     inflow over its last link (the direct arc of period t and the next arc
     from t-1), so both carry the weight t/V, and dep[r,t] carries -t/V.
+    Per demand, a route that implements it adds its terms once more.
     """
     doc = model.doc
     config = model.config
-    obj: dict[int, float] = {}
-    T = range(1, doc.t_max + 1)
-    terms: list[tuple] = []
-    for d in doc.demands:
-        terms.append((config.cost_cancel, "cancel_total", d.name))
-        terms += [(config.cost_post, "post", d.name, t) for t in T]
+    T = np.arange(1, doc.t_max + 1)
+    demands = np.arange(len(doc.demands))
+    # per demand: its cancellation total, then its postponements
+    idx = [np.column_stack([model.lookup("cancel_total", demands), model.lookup("post", demands[:, None], T)])]
+    coef = [np.append(config.cost_cancel, np.full(doc.t_max, config.cost_post))]
     total_volume = sum(sum(d.volumes) for d in doc.demands)
     if total_volume > 0:
-        last_link = {r.name: r.links[-1] for r in doc.routes}
-        for d in doc.demands:
-            for r in doc.implements.get(d.name, ()):
-                last = last_link[r]
-                for t in T:
-                    v = t / total_volume
-                    terms += [(v, "direct", last, t, r), (v, "next", last, t - 1, r), (-v, "dep", r, t)]
-    for idx, coef in model.terms(terms):
-        obj[idx] = obj.get(idx, 0.0) + coef
-
-    model.objective = {idx: coef for idx, coef in obj.items() if coef != 0.0}
+        place, link = model.positions["route"], model.positions["link"]
+        routes = np.array([place[r] for d in doc.demands for r in doc.implements.get(d.name, ())], dtype=np.intp)
+        last = np.array([link[doc.routes[r].links[-1]] for r in routes], dtype=np.intp)
+        routes, last = routes[:, None], last[:, None]
+        # per (demand, route) and period: the inflow over the last link, then the departures
+        arrivals = [model.lookup("direct", last, T, routes), model.lookup("next", last, T - 1, routes)]
+        idx.append(np.stack([*arrivals, model.lookup("dep", routes, T)], axis=2))
+        coef.append(np.column_stack([T / total_volume, T / total_volume, -T / total_volume]))
+    coef = np.concatenate([np.broadcast_to(c, i.shape).ravel() for i, c in zip(idx, coef)])
+    idx = np.concatenate([i.ravel() for i in idx])
+    obj: dict[int, float] = {}
+    for i, c in zip(idx[idx >= 0].tolist(), coef[idx >= 0].tolist()):
+        obj[i] = obj.get(i, 0.0) + c
+    model.objective = {i: c for i, c in obj.items() if c != 0.0}
 
 
 def build_model(doc: ScenarioDocument) -> TimeExpandedModel:

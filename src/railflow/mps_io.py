@@ -44,7 +44,7 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     # Each row and column name is padded once, not once per cell; the
     # objective's field is last, so a cell of row -1 is the objective's.
     fields = np.array([f"{row.ljust(_NAME_WIDTH)} " for row in (*rows.names, _OBJ_ROW)], dtype=object)
-    n = len(model.variables)
+    n = lb.size
     obj_var = np.fromiter(model.objective.keys(), dtype=np.intp, count=len(model.objective))
     obj_val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
     # A variable in no row and not in the objective gets an objective cell of 0.
@@ -57,7 +57,8 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     cell_val = np.concatenate([obj_val, np.zeros(bare.size), rows.coefs])[order]
     # Cell k is the line joined from pieces[k]: the column's field, the
     # row's field and the value; a run of cells is joined at once.
-    prefixes = np.array([f"    {var.name.ljust(_NAME_WIDTH)} " for var in model.variables], dtype=object)
+    names = model.names
+    prefixes = np.array([f"    {name.ljust(_NAME_WIDTH)} " for name in names], dtype=object)
     pieces = np.stack([prefixes[cell_var], fields[cell_row], _texts(cell_val, end="\n")], axis=1)
 
     def cells(first: int, last: int) -> list[str]:
@@ -80,21 +81,22 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     lines += [f"    RHS {fields[i]}{text}" for i, text in zip(given.tolist(), _texts(rows.rhs[given]).tolist())]
 
     lines.append("BOUNDS")
-    for i in np.flatnonzero((lb != 0.0) | np.isfinite(ub) | integer).tolist():
-        var = model.variables[i]
-        capped = math.isfinite(var.ub)
-        if var.lb == var.ub:
-            lines.append(f" FX BND {var.name:<{_NAME_WIDTH}} {_fmt(var.lb)}")
+    bounded = np.flatnonzero((lb != 0.0) | np.isfinite(ub) | integer)
+    for i, low, high, whole in zip(*(a.tolist() for a in (bounded, lb[bounded], ub[bounded], integer[bounded]))):
+        name = names[i]
+        capped = math.isfinite(high)
+        if low == high:
+            lines.append(f" FX BND {name:<{_NAME_WIDTH}} {_fmt(low)}")
             continue
-        if var.lb != 0.0:
-            tag = "LI" if var.integer else "LO"
-            lines.append(f" {tag} BND {var.name:<{_NAME_WIDTH}} {_fmt(var.lb)}")
-        elif var.integer and not capped:
+        if low != 0.0:
+            tag = "LI" if whole else "LO"
+            lines.append(f" {tag} BND {name:<{_NAME_WIDTH}} {_fmt(low)}")
+        elif whole and not capped:
             # integer columns default to an upper bound of 1 in some readers
-            lines.append(f" PL BND {var.name:<{_NAME_WIDTH}}")
+            lines.append(f" PL BND {name:<{_NAME_WIDTH}}")
         if capped:
-            tag = "UI" if var.integer else "UP"
-            lines.append(f" {tag} BND {var.name:<{_NAME_WIDTH}} {_fmt(var.ub)}")
+            tag = "UI" if whole else "UP"
+            lines.append(f" {tag} BND {name:<{_NAME_WIDTH}} {_fmt(high)}")
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -681,30 +681,29 @@ def build_capacity_report(model: TimeExpandedModel, values: np.ndarray) -> Capac
 
 def build_demand_report(model: TimeExpandedModel, values: np.ndarray) -> DemandOutcomeReport:
     doc = model.doc
-    t_max = doc.t_max
-    routes_of: dict[str, tuple[str, ...]] = {}
-    departures: dict[tuple[str, str, int], float] = {}
-    postponed: dict[tuple[str, int], float] = {}
-    cancelled: dict[tuple[str, int], float] = {}
-    cancel_total: dict[str, float] = {}
-    for d in doc.demands:
-        routes_of[d.name] = tuple(doc.implements.get(d.name, ()))
-        for rname in routes_of[d.name]:
-            for t in range(1, t_max + 1):
-                departures[(d.name, rname, t)] = float(values[model.var("dep", rname, t)])
-        for t in range(1, t_max + 1):
-            post = model.terms([(1.0, "post", d.name, t)])  # none out of the last period
-            postponed[(d.name, t)] = float(sum(values[idx] for idx, _ in post))
-            cancelled[(d.name, t)] = float(values[model.var("cancel", d.name, t)])
-        cancel_total[d.name] = float(values[model.var("cancel_total", d.name)])
+    T = np.arange(1, doc.t_max + 1)
+    demands = np.arange(len(doc.demands))[:, None]
+
+    def read(kind: str, *key) -> list:
+        # the values at lookup's indices, 0 where none is declared (no post leaves the last period)
+        idx = model.lookup(kind, *key)
+        return np.where(idx >= 0, values[idx], 0.0).tolist()
+
+    routes_of = {d.name: tuple(doc.implements.get(d.name, ())) for d in doc.demands}
+    served = [(d, r) for d, routes in routes_of.items() for r in routes]
+    dep = read("dep", np.array([model.positions["route"][r] for _, r in served], dtype=np.intp)[:, None], T)
+    postponed, cancelled = (
+        {(d.name, t): value for d, row in zip(doc.demands, read(kind, demands, T)) for t, value in enumerate(row, 1)}
+        for kind in ("post", "cancel")
+    )
     return DemandOutcomeReport(
         demand_names=tuple(d.name for d in doc.demands),
-        t_max=t_max,
+        t_max=doc.t_max,
         routes_of=routes_of,
-        departures=departures,
+        departures={(d, r, t): value for (d, r), row in zip(served, dep) for t, value in enumerate(row, 1)},
         postponed=postponed,
         cancelled=cancelled,
-        cancel_total=cancel_total,
+        cancel_total=dict(zip((d.name for d in doc.demands), read("cancel_total", demands[:, 0]))),
     )
 
 

@@ -131,7 +131,7 @@ def build_standard_form(
 
     bad = np.nonzero(lo > hi + 1e-9)[0]
     if bad.size:
-        names = ", ".join(model.variables[i].name for i in bad[:5])
+        names = ", ".join(model.names[i] for i in bad[:5])
         raise InfeasibleModel(f"conflicting bounds on {names}")
 
     fixed = hi - lo <= 1e-12
@@ -357,15 +357,6 @@ def _crash_levels(sf: StandardFormLP) -> list[list[tuple[int, int]]]:
         levels[level].append((r, q))
         retired.update(row_cols)
     return levels
-
-
-def _crash_picks(sf: StandardFormLP) -> list[tuple[int, int]]:
-    """The (row, column) picks of the triangular crash (_crash_levels), level by level.
-
-    Pivoting them in one at a time in this order gives, bit for bit, the
-    tableau that Tableau.crash forms one level at a time.
-    """
-    return [pick for level in _crash_levels(sf) for pick in level]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
@@ -71,15 +72,16 @@ def rebuilt(model, rows=None, variables=None):
     variables (ModelVariable records) in place of its own.
 
     A built model is not edited in place: its rows live in one array store.
-    The copy declares each variable through add_variable and appends each
-    row through add_constraint, and keeps model's document, route support
-    and objective.
+    The copy declares each run of variables of one kind and the same bounds
+    through one add_variables call and appends each row through
+    add_constraint, and keeps model's document, route support and objective.
     """
     copy = TimeExpandedModel(model.doc)
     copy.single_track_pairs = model.single_track_pairs
     copy.nodes_of, copy.routes_on_link, copy.routes_at_node = model.nodes_of, model.routes_on_link, model.routes_at_node
-    for var in model.variables if variables is None else variables:
-        copy.add_variable(var.ref.kind, var.ref.key, var.lb, var.ub, var.integer)
+    runs = groupby(model.variables if variables is None else variables, lambda v: (v.kind, v.lb, v.ub, v.integer))
+    for (kind, lb, ub, integer), run in runs:
+        copy.add_variables(kind, [v.key for v in run], lb, ub, integer)
     for row in model.constraints if rows is None else rows:
         copy.add_constraint(row.name, row.terms, row.relation, row.rhs)
     copy.objective = dict(model.objective)
@@ -92,7 +94,7 @@ def synthetic_model(c, rows, *, integer=(), ub=None):
     n = len(c)
     for j in range(n):
         bound = np.inf if ub is None else ub[j]
-        model.add_variable("x", (j,), ub=bound, integer=j in set(integer))
+        model.add_variables("x", [(j,)], ub=bound, integer=j in set(integer))
     for k, (coeffs, relation, rhs) in enumerate(rows):
         terms = [(j, float(a)) for j, a in enumerate(coeffs) if a != 0.0]
         model.add_constraint(f"row[{k}]", terms, relation, float(rhs))
@@ -111,9 +113,9 @@ def inflow(model, values, node, t, route):
     k = model.nodes_of[route.name].index(node)
     if k == 0:
         return values[model.var("dep", route.name, t)]
-    link = route.links[k - 1]
-    terms = [(1.0, "direct", link, t, route.name), (1.0, "next", link, t - 1, route.name)]
-    return sum(coef * values[idx] for idx, coef in model.terms(terms))
+    link, r = model.positions["link"][route.links[k - 1]], model.positions["route"][route.name]
+    idx = (model.lookup("direct", link, t, r), model.lookup("next", link, t - 1, r))
+    return sum(values[i] for i in idx if i >= 0)
 
 
 def usage(model, values, link, t, routes=None):
@@ -124,9 +126,11 @@ def usage(model, values, link, t, routes=None):
     declared and counts 0.
     """
     total = 0.0
+    x = model.positions["link"][link]
     for r in model.doc.routes:
         if (routes is not None and r.name not in routes) or link not in r.links:
             continue
-        terms = [(1.0, "direct", link, t, r.name), (0.5, "next", link, t - 1, r.name), (0.5, "next", link, t, r.name)]
-        total += sum(coef * values[idx] for idx, coef in model.terms(terms))
+        place = model.positions["route"][r.name]
+        idx = [model.lookup("direct", x, t, place), *(model.lookup("next", x, s, place) for s in (t - 1, t))]
+        total += sum(coef * values[i] for coef, i in zip((1.0, 0.5, 0.5), idx) if i >= 0)
     return total

@@ -110,7 +110,7 @@ def test_criterion_4_feasibility_invariants(base_run, tcr_run, shuttle_run, thre
             worst = max_violation_by_family(model, values)
             assert worst.get("Flow2", 0.0) <= 1e-9
             assert worst.get("Pace", 0.0) <= 1e-9
-            lags = [values[i] for i, v in enumerate(model.variables) if v.ref.kind == "lag"]
+            lags = [values[i] for i, v in enumerate(model.variables) if v.kind == "lag"]
             assert lags and min(lags) >= -1e-9
             assert worst.get("Capacity1", 0.0) <= 1e-9
             report = output.demands
@@ -154,9 +154,9 @@ def test_criterion_6_integrality(shuttle_run):
         output, _ = shuttle_run
         model, values = output.model, output.result.values
         for idx, var in enumerate(model.variables):
-            if var.ref.kind == "cancel_total":
+            if var.kind == "cancel_total":
                 assert abs(values[idx] - round(values[idx])) <= 1e-6
-            if var.ref.kind == "beta":
+            if var.kind == "beta":
                 assert min(abs(values[idx]), abs(values[idx] - 1.0)) <= 1e-6
 
         kwargs = dict(minutes=(15,), volumes=(1, 0), t_max=2, capacity=0.4)

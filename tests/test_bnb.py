@@ -221,7 +221,7 @@ def test_pace_objective_weights_each_nodes_inflow_by_its_period():
     values = np.random.default_rng(5).uniform(0.0, 1.0, len(model.variables))
     flows = {"dep", "direct", "next"}
     pace = bnb._pace_objective(model)
-    got = sum(w * values[idx] for idx, w in pace.items() if model.variables[idx].ref.kind in flows)
+    got = sum(w * values[idx] for idx, w in pace.items() if model.variables[idx].kind in flows)
     expected = sum(
         t * inflow(model, values, n, t, "A-C-r1")
         for n in model.nodes_of["A-C-r1"]

@@ -14,6 +14,7 @@ HiGHS move about 1e-9 along the later objectives, which flips cells that sit
 exactly on a half-cent rounding boundary (2.325 in ``small_network``).
 """
 
+import hashlib
 import json
 import sys
 import warnings
@@ -144,6 +145,33 @@ def test_generated_alt2_line_refinement_matches_highs_stages(seed, stations, seg
     doc = synth.line_scenario(seed, stations, 6, stations, single_track=segments)
     doc["config"]["capacity_mode"] = "single_track_alt2"
     assert_canonical(build_scenario_model(load_scenario(doc)))
+
+
+# (seed, stations, single-track segments, capacity mode, relaxed) of a
+# generated line, and the sha256 of its MPS export.
+EXPORTED_LINES = [
+    (11, 4, 0, "basic", False, "1e77db1cebd15cc5c3c0bd511c09bfccf2bbb4a219354a9502110a63f42abcc9"),
+    (12, 4, 1, "single_track_alt1", True, "31f3f1d71a563a2bfb0b2035558aa47ddd4edea821d4a6b163b9f30d1c03784a"),
+    (13, 5, 2, "single_track_alt2", False, "055c3ce703236f03b6bacda2dcfaed3c776ef2369ca71dea1754e39e617aaf9a"),
+    (14, 5, 1, "heterogeneous", True, "d9606ec9964be090fbcfd821278cd3076c4bb400e4c6f52f2bcf63db6a87eea2"),
+    (15, 3, 2, "single_track_alt2", True, "0b9a513152215739c68e3447e4131897dc054c2734ed341fc113d732614049fc"),
+    (16, 4, 1, "heterogeneous", False, "59109011edc74821e5504c792b5e18b47742a2c8c6a8d2a1552452fc0290ed08"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, stations, segments, mode, relax, digest",
+    EXPORTED_LINES,
+    ids=[f"{line[0]}-{line[3]}" for line in EXPORTED_LINES],
+)
+def test_generated_line_exports_the_same_bytes(seed, stations, segments, mode, relax, digest):
+    # Pins the model of generated lines beyond the bundled cases: variables
+    # (names, order, bounds, integrality), rows and objective all show in
+    # the MPS text.
+    doc = synth.line_scenario(seed, stations, 6, stations, single_track=segments, relax_integrality=relax)
+    doc["config"]["capacity_mode"] = mode
+    text = export_model_text(build_scenario_model(load_scenario(doc)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_single_track_line_refinement_ends_optimal():

@@ -204,7 +204,7 @@ def test_run_audits_the_values_it_reports(scenario_dir, tmp_path, capsys, monkey
     def lagging(model, result, tol=None):
         refined = refine(model, result, tol)
         t_max = model.doc.t_max
-        lag = next(i for i, v in enumerate(model.variables) if v.ref.kind == "lag" and v.ref.key[1] == t_max)
+        lag = next(i for i, v in enumerate(model.variables) if v.kind == "lag" and v.key[1] == t_max)
         refined.values[lag] += 1.0
         return refined
 

@@ -40,7 +40,7 @@ def test_twelve_significant_digits():
 
 def test_unreferenced_column_still_exported():
     model = bare_model()
-    model.add_variable("idle", (0,))
+    model.add_variables("idle", [(0,)])
     text = export_model_text(model)
     assert "idle(0)" in text  # appears with a zero objective entry
 

@@ -27,7 +27,7 @@ from test_golden import SCENARIOS
 
 
 def count_kind(model, kind):
-    return sum(1 for v in model.variables if v.ref.kind == kind)
+    return sum(1 for v in model.variables if v.kind == kind)
 
 
 def names_of(model, family):
@@ -208,7 +208,7 @@ def test_objective_examples():
 
 def test_zero_total_volume_drops_travel_term():
     model = line_model(volumes=(0, 0, 0))
-    kinds = {model.variables[idx].ref.kind for idx in model.objective}
+    kinds = {model.variables[idx].kind for idx in model.objective}
     assert kinds <= {"cancel_total", "post"}
 
 
@@ -252,7 +252,7 @@ def test_alt1_shares_the_mean_of_both_directions():
 def test_alt2_rows_and_variables():
     model = coupled_pair_model(cap_back=4.0, config={"capacity_mode": "single_track_alt2", "k_setup": 0.5})
     assert count_kind(model, "beta") == 3
-    beta = next(v for v in model.variables if v.ref.kind == "beta")
+    beta = next(v for v in model.variables if v.kind == "beta")
     assert beta.integer and beta.ub == 1.0
     pair_rows = names_of(model, "Capacity2alt2")
     setup_rows = names_of(model, "Capacity2alt2setup")
@@ -400,7 +400,7 @@ def test_build_is_deterministic():
 def test_pace_rows_start_after_the_origin():
     model = line_model()
     # the origin has neither a lag nor a Pace row: departures are its inflow
-    assert not [v.name for v in model.variables if v.ref.kind == "lag" and v.ref.key[0] == "A"]
+    assert not [v.name for v in model.variables if v.kind == "lag" and v.key[0] == "A"]
     assert not [name for name in names_of(model, "Pace") if name.startswith("Pace[n=A,")]
     # an interior node sees only the arriving link flows and the spread departures
     row = constraint(model, "Pace[n=B,t=2,r=A-C-r1]")
@@ -428,7 +428,7 @@ def test_flow2_departures_enter_at_origin_and_arrivals_leave_at_destination():
     # what flows into the destination C leaves the route there: no inventory
     # and no balance row
     assert not [name for name in names_of(model, "Flow2") if name.startswith("Flow2[n=C,")]
-    assert not [v.name for v in model.variables if v.ref.kind == "ni" and v.ref.key[0] == "C"]
+    assert not [v.name for v in model.variables if v.kind == "ni" and v.key[0] == "C"]
     through = dict(constraint(model, "Flow2[n=B,t=2,r=A-C-r1]").terms)
     assert model.var("dep", r, 2) not in through
     assert through == {
@@ -496,7 +496,7 @@ def test_flows_declared_on_route_support_only(scenario_dir, scenario, mode):
     model = bundled_model(scenario_dir, scenario, mode)
     links_of = {r.name: r.links for r in model.doc.routes}
     for var in model.variables:
-        kind, key = var.ref.kind, var.ref.key
+        kind, key = var.kind, var.key
         if kind in LINK_FLOWS:
             link, _, route = key
             assert link in links_of[route], var.name
@@ -529,7 +529,7 @@ def test_horizon_ends_declare_no_variables(scenario_dir, scenario, mode):
     for kind, *key in ends:
         with pytest.raises(KeyError):
             model.var(kind, *key)
-    assert {"next", "ni", "post"} <= {v.ref.kind for v in model.variables}
+    assert {"next", "ni", "post"} <= {v.kind for v in model.variables}
     assert all(var.ub > 0.0 for var in model.variables)
     families = {c.name.split("[")[0] for c in model.constraints}
     assert not families & {
@@ -553,7 +553,7 @@ def test_lag_and_pace_at_every_route_node_but_the_origin(scenario_dir, scenario)
     # departure_spread
     model = bundled_model(scenario_dir, scenario, "basic")
     doc = model.doc
-    lags = {v.ref.key for v in model.variables if v.ref.kind == "lag"}
+    lags = {v.key for v in model.variables if v.kind == "lag"}
     paces = set(names_of(model, "Pace"))
     expected_lags, expected_paces = set(), set()
     for route in doc.routes:
@@ -579,7 +579,7 @@ def test_small_network_size(scenario_dir):
     for link, route in (("F-G", "D-G-f1"), ("F-H", "A-H-f2")):
         assert f"Capacity1[l={link},t=1]" not in rows and f"Capacity1[l={link},t=2]" in rows
         assert model.variables[model.var("next", link, 1, route)].ub == 10.0
-    assert not {v.ref.kind for v in model.variables} & {"in", "aggr", "arr"}
+    assert not {v.kind for v in model.variables} & {"in", "aggr", "arr"}
 
 
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
@@ -727,7 +727,7 @@ def test_a_reversed_pair_builds_the_same_model(tmp_path):
 
 def assert_names_are_keys(model):
     names = [v.name for v in model.variables]
-    assert names == [f"{v.ref.kind}({','.join(map(str, v.ref.key))})" for v in model.variables]
+    assert names == [f"{v.kind}({','.join(map(str, v.key))})" for v in model.variables]
     assert len(set(names)) == len(names)
 
 
@@ -748,17 +748,51 @@ def test_variable_names_are_their_keys_on_generated_lines(scenario_dir, single_t
     assert_names_are_keys(model)
 
 
-def test_terms_drop_a_declared_kind_outside_its_window():
+def test_lookup_finds_no_variable_outside_its_window():
     model = line_model()
     t_max = model.doc.t_max
-    assert model.terms([(1.0, "next", "A-B", t_max, "A-C-r1"), (1.0, "post", "A-C", t_max)]) == []
-    assert model.terms([(2.0, "dep", "A-C-r1", 1)]) == [(model.var("dep", "A-C-r1", 1), 2.0)]
+    assert model.lookup("next", 0, t_max, 0) == -1 and model.lookup("post", 0, t_max) == -1
+    assert model.lookup("dep", 0, 1) == model.var("dep", "A-C-r1", 1) >= 0
+    with pytest.raises(KeyError):
+        model.var("post", "A-C", t_max)
 
 
-def test_terms_reject_a_misspelt_kind():
-    model = line_model()
-    with pytest.raises(ModelError, match="unknown variable kind 'nxt'"):
-        model.terms([(1.0, "nxt", "A-B", 1, "A-C-r1")])
+def test_a_key_declared_twice_is_rejected():
+    # Within one call and across two calls of one kind; nothing of a
+    # rejected call is declared.
+    model = TimeExpandedModel(line_doc())
+    with pytest.raises(ModelError, match=r"variable dep\(A-C-r1,1\) declared twice"):
+        model.add_variables("dep", [("A-C-r1", 1), ("A-C-r1", 2), ("A-C-r1", 1)])
+    assert len(model.variables) == 0
+    model.add_variables("dep", [("A-C-r1", 1)])
+    with pytest.raises(ModelError, match=r"variable dep\(A-C-r1,1\) declared twice"):
+        model.add_variables("dep", [("A-C-r1", 2), ("A-C-r1", 1)])
+    assert [v.name for v in model.variables] == ["dep(A-C-r1,1)"]
+    assert model.var("dep", "A-C-r1", 1) == 0
+    with pytest.raises(KeyError):
+        model.var("dep", "A-C-r1", 2)
+
+
+@pytest.mark.parametrize("keys", [[("A-C-r1", 1), ("A-C-r1",)], [("A-C-r1",), ("A-C-r1", 1)]])
+def test_keys_of_different_lengths_are_rejected(keys):
+    # Cut to the shortest key, the keys would name the wrong places.
+    model = TimeExpandedModel(line_doc())
+    with pytest.raises(ModelError, match="differ in length"):
+        model.add_variables("dep", keys)
+    assert len(model.variables) == 0
+
+
+def test_a_key_off_its_kinds_axes_is_rejected():
+    model = TimeExpandedModel(line_doc())  # periods 1..3
+    with pytest.raises(ModelError, match=r"period outside 0\.\.3"):
+        model.add_variables("dep", [("A-C-r1", 1), ("A-C-r1", 4)])
+    with pytest.raises(ModelError, match="no variable kind 'nxt'"):
+        model.add_variables("nxt", [("A-B", 1, "A-C-r1")])
+    with pytest.raises(ModelError, match="has keys like"):
+        model.add_variables("dep", [("A-C-r1",)])
+    with pytest.raises(ModelError, match="names 'X-Y' that the document does not"):
+        model.add_variables("direct", [("X-Y", 1, "A-C-r1")])
+    assert len(model.variables) == 0
 
 
 def test_family_call_on_a_hand_written_model():
@@ -766,7 +800,7 @@ def test_family_call_on_a_hand_written_model():
     # with per-row periods and coefficients, appended in one add_rows call.
     model = TimeExpandedModel(line_doc())
     d1, d2 = model.add_variables("direct", [("A-B", 1, "A-C-r1"), ("A-B", 2, "A-C-r1")])
-    n1 = model.add_variable("next", ("A-B", 1, "A-C-r1"))
+    (n1,) = model.add_variables("next", [("A-B", 1, "A-C-r1")])
     link, route = model.positions["link"]["A-B"], model.positions["route"]["A-C-r1"]
     periods = np.array([[1, 1, 1, 1], [1, 1, 2, 1], [3, 2, 2, 2], [3, 3, 3, 3], [1, 1, 1, 3]])
     coefs = np.array(
@@ -796,18 +830,21 @@ def test_family_call_on_a_hand_written_model():
 
 
 def test_a_built_model_reads_the_same_from_several_threads():
-    # The row store, its records and the bound arrays are made on first
-    # read; threads that read a fresh model at once all see each row once.
+    # The row store, its records, the variable names and the variable
+    # records are made on first read; threads that read a fresh model at once
+    # all see each row and each variable once.
     import sys
     import threading
 
-    want = [(c.name, c.terms) for c in line_model(volumes=(2, 1, 0)).constraints]
+    fresh = line_model(volumes=(2, 1, 0))
+    want, variables = [(c.name, c.terms) for c in fresh.constraints], fresh.variables
     model = line_model(volumes=(2, 1, 0))
     seen, errors = [], []
 
     def read():
         try:
-            seen.append((len(model.rows.names), len(model.constraints), model.bound_arrays()[1].size))
+            rows = (len(model.rows.names), len(model.constraints))
+            seen.append((*rows, model.bound_arrays()[1].size, model.names, model.variables))
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -822,13 +859,13 @@ def test_a_built_model_reads_the_same_from_several_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not errors
-    assert set(seen) == {(len(want), len(want), len(model.variables))}
+    assert set(seen) == {(len(want), len(want), len(variables), tuple(v.name for v in variables), variables)}
     assert [(c.name, c.terms) for c in model.constraints] == want
 
 
 def test_bundled_models_declare_every_variable_kind_and_no_other(scenario_dir):
     kinds = {
-        v.ref.kind
+        v.kind
         for scenario in SCENARIOS
         for mode in CAPACITY_MODES
         for v in bundled_model(scenario_dir, scenario, mode).variables
@@ -844,5 +881,5 @@ def test_one_period_horizon_builds_and_solves(scenario_dir):
     raw["demands"][0]["volumes"] = [1]
     output = run(load_scenario(raw))
     assert output.result.status == OPTIMAL
-    assert {v.ref.kind for v in output.model.variables} == {"cancel", "cancel_total", "dep", "direct", "lag"}
+    assert {v.kind for v in output.model.variables} == {"cancel", "cancel_total", "dep", "direct", "lag"}
     assert output.demands.postponed == {("A-C", 1): 0.0}

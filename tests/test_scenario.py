@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -238,6 +239,26 @@ def test_intermediate_node_flow_detail(three_station_run):
     assert values[model.var("direct", "B-C", 1, route)] == pytest.approx(0.65, abs=1e-9)
     assert values[model.var("next", "B-C", 1, route)] == pytest.approx(0.20, abs=1e-9)
     assert values[model.var("ni", "B", 1, route)] == pytest.approx(0.0, abs=1e-9)
+
+
+PACING_DEMO = """\
+objective: 0.35
+period 1: departures 1.00, arrivals 0.65
+period 2: departures 0.00, arrivals 0.35
+
+link,1,2,3
+A-B,0.93,0.08,0.00
+B-C,0.75,0.25,0.00
+"""
+
+
+def test_pacing_demo_prints_the_paced_volumes(scenario_dir, capsys):
+    path = scenario_dir.parent / "scripts" / "pacing_demo.py"
+    spec = importlib.util.spec_from_file_location("pacing_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    assert capsys.readouterr().out == PACING_DEMO
 
 
 def test_tightening_capacity_never_improves_the_objective(three_station_doc):

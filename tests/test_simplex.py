@@ -127,12 +127,21 @@ def assert_matches_reference(model, bounds=None):
     assert sf.objective_constant == pytest.approx(constant, rel=1e-12, abs=1e-12)
 
 
+def crash_picks(sf):
+    """The (row, column) picks of the triangular crash (simplex._crash_levels), level by level.
+
+    Pivoting them in one at a time in this order gives, bit for bit, the
+    tableau that Tableau.crash forms one level at a time.
+    """
+    return [pick for level in simplex._crash_levels(sf) for pick in level]
+
+
 def reference_solve_lp(sf, tol=None):
     """solve_lp as it was before pivots worked on nonzeros only: the reference.
 
     Every iteration makes whole-column and whole-row passes over the tableau;
     solve_lp must take the same pivots and return the same bits.  The crash
-    picks (simplex._crash_picks) are replayed through this pivot one at a
+    picks (crash_picks) are replayed through this pivot one at a
     time, in their returned order, which Tableau.crash applies level by level.
     """
     if tol is None:
@@ -281,7 +290,7 @@ def reference_solve_lp(sf, tol=None):
 
     if n_art:
         # The crash picks, pivoted in as counted phase-1 pivots up to the cap.
-        for p, q in simplex._crash_picks(sf):
+        for p, q in crash_picks(sf):
             if iterations >= tol.max_iterations:
                 break
             basic_artificial[p] = False
@@ -600,8 +609,8 @@ def test_add_variable_rejects_infinite_lower_bound():
 
     model = bare_model()
     with pytest.raises(ModelError, match="finite lower bound"):
-        model.add_variable("x", (0,), lb=-np.inf)
-    assert model.variables == []
+        model.add_variables("x", [(0,)], lb=-np.inf)
+    assert model.variables == ()
 
 
 def test_violated_empty_row_is_infeasible():
@@ -630,7 +639,7 @@ def test_general_form_agreement_with_reference():
         for j in range(n):
             lb = -2.0 if rng.random() < 0.25 else 0.0
             ub = float(rng.uniform(0.5, 4.0)) if rng.random() < 0.3 else np.inf
-            model.add_variable("x", (j,), lb=lb, ub=ub)
+            model.add_variables("x", [(j,)], lb=lb, ub=ub)
             bounds.append((lb, ub))
         c = rng.uniform(-2, 2, size=n).round(3)
         model.objective = {j: float(c[j]) for j in range(n) if c[j] != 0.0}
@@ -685,7 +694,7 @@ def test_standard_form_matches_reference(seed):
     for j in range(n):
         lb = float(rng.choice([0.0, -3.0, 1.5, -2.0]))
         ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb]))
-        model.add_variable("x", (j,), lb=lb, ub=ub)
+        model.add_variables("x", [(j,)], lb=lb, ub=ub)
     point = [float(np.clip(1.0, v.lb, v.ub)) for v in model.variables]
     model.objective = {j: float(v) for j, v in enumerate(rng.uniform(-2, 2, n).round(3)) if v}
     for k in range(int(rng.integers(0, 7))):
@@ -824,7 +833,7 @@ def test_solve_lp_matches_reference_on_every_outcome():
 def test_crash_picks_form_a_triangular_basis_with_multipliers_at_most_one(seed):
     rng = np.random.default_rng(seed)
     lp = random_standard_form(rng, dense=rng.random() < 0.3)
-    picks = simplex._crash_picks(lp)
+    picks = crash_picks(lp)
     rows = [p for p, _ in picks]
     cols = [q for _, q in picks]
     assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
@@ -880,7 +889,7 @@ def assert_crash_matches_replay(sf, cuts):
     Checked uncut and cut at each max_iterations in cuts; the replay
     advances one tableau pick by pick and is compared at every cut.
     """
-    picks = simplex._crash_picks(sf)
+    picks = crash_picks(sf)
     replay = simplex.Tableau(sf)
     for cut in sorted(set(cuts) | {len(picks)}):
         for p, q in picks[replay.iterations : cut]:
@@ -898,7 +907,7 @@ def assert_crash_matches_replay(sf, cuts):
 def test_crash_matches_one_pick_at_a_time_property(seed):
     rng = np.random.default_rng(seed)
     lp = random_standard_form(rng, dense=rng.random() < 0.3)
-    assert_crash_matches_replay(lp, range(len(simplex._crash_picks(lp)) + 1))
+    assert_crash_matches_replay(lp, range(len(crash_picks(lp)) + 1))
 
 
 @pytest.mark.parametrize("scenario, mode", BUNDLED_LPS)
@@ -915,7 +924,7 @@ def test_crash_snaps_tiny_entries_like_a_pivot():
     # Row 0 picks x0 (the largest entry of its column); its 1e-14 on x1
     # divides below 1e-13 and is snapped to 0 before row 1 is updated.
     lp = raw_lp([1.0, 1.0, 1.0], [[2.0, 2e-14, 0.0], [1.0, 1.0, 1.0]], [0.0, 2.0], ["=", "="])
-    assert simplex._crash_picks(lp) == [(0, 0)]
+    assert crash_picks(lp) == [(0, 0)]
     assert_crash_matches_replay(lp, [0, 1])
     tableau = simplex.Tableau(lp)
     tableau.crash(Tolerances())
@@ -924,7 +933,7 @@ def test_crash_snaps_tiny_entries_like_a_pivot():
 
 def assert_picks_in_level_order(sf):
     levels = simplex._crash_levels(sf)
-    picks = simplex._crash_picks(sf)
+    picks = crash_picks(sf)
     assert picks == [pick for level in levels for pick in level]
     A = dense(sf)
     level_of = {q: i for i, level in enumerate(levels) for _, q in level}
