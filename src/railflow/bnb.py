@@ -2,12 +2,15 @@
 
 Only the direction-change flags (binary) and the per-demand cancellation
 totals (general integer) are ever marked, so trees stay small.  Each node is
-the base LP with tightened variable bounds; nodes are explored best bound
-first with most-fractional branching and deterministic tie-breaking.  A
-fractional node is completed by a fix-and-solve LP (every integer pinned at
-its rounded value), which usually closes the root node outright.  Every incumbent is the
-optimal vertex of an LP, and the result carries that LP's final tableau, on
-which refine_to_earliest_pace continues warm.
+the base LP with tightened variable bounds, solved cold; nodes are explored
+best bound first with most-fractional branching and deterministic
+tie-breaking.  A fractional node is completed warm on its own final tableau
+(solve_held_lp): every integer is held at its rounded value, a phase 1
+drives the rows this moves off zero back to it, and phase 2 minimises the
+model's objective over what is left.  That usually closes the root node
+outright.  Every incumbent is the optimal vertex of an LP, and the result
+carries that LP's final tableau, on which refine_to_earliest_pace continues
+warm.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .simplex import (
     Tableau,
     Tolerances,
     solve_face_lp,
+    solve_held_lp,
     solve_model_lp,
 )
 
@@ -66,7 +70,8 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     """
     if tol is None:
         tol = Tolerances()
-    int_vars = np.flatnonzero(model.bound_arrays()[2]).tolist()
+    int_idx = np.flatnonzero(model.bound_arrays()[2])
+    int_vars = int_idx.tolist()
     objective_of = model.objective_value
 
     counter = 0
@@ -91,7 +96,9 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
 
         The node's tableau is taken off the solution here, so that only an
         incumbent's tableau outlives its node: once there is an incumbent,
-        each further node LP holds a second tableau while it solves.
+        each further node LP holds a second tableau while it solves.  A
+        fractional node's completion runs on the node's tableau, which it
+        leaves as the completion's.
         """
         nonlocal incumbent, incumbent_obj, incumbent_tableau, counter, iterations
         tableau, solution.tableau = solution.tableau, None
@@ -103,18 +110,16 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         if not fractional:
             incumbent, incumbent_obj, incumbent_tableau = values, solution.objective, tableau
             return
-        del tableau  # a fractional node's tableau goes before the completion LP builds one
-        # Fix-and-solve completion: re-solve the continuous problem with
-        # every integer pinned at its rounded value, so the continuous
-        # variables move to whatever the rounding requires, which plain
-        # value rounding cannot do.
-        fixes = {idx: (float(round(values[idx])),) * 2 for idx in int_vars}
-        fix_solution, fix_values = solve_model_lp(model, tol, bounds=fixes)
+        # Fix-and-solve completion, warm on this node's tableau: re-solve the
+        # continuous problem with every integer held at its rounded value,
+        # so the continuous variables move to whatever the rounding
+        # requires, which plain value rounding cannot do.
+        fix_solution, fix_values = solve_held_lp(tableau, int_idx, np.round(values[int_idx]), tol)
         iterations += fix_solution.iterations
         if fix_solution.status == OPTIMAL:
             repaired_obj = objective_of(fix_values)
             if repaired_obj < incumbent_obj - 1e-12:
-                incumbent, incumbent_obj, incumbent_tableau = fix_values, repaired_obj, fix_solution.tableau
+                incumbent, incumbent_obj, incumbent_tableau = fix_values, repaired_obj, tableau
             if repaired_obj <= solution.objective + 1e-9:
                 return  # the completion already attains this node's bound
         scores = [
@@ -204,9 +209,17 @@ def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
 
     Each weight is 53 bits of a sha256 of the seed and the variable's name, so
     neither the document's order nor the other declared variables move it.
+    The seed is hashed once, and each name continues a copy of that state.
     """
-    digests = (hashlib.sha256(f"{_TIE_BREAK_SEED}:{name}".encode()).digest() for name in model.names)
-    return {idx: 1.0 + (int.from_bytes(d[:8], "big") >> 11) / 2.0**53 for idx, d in enumerate(digests)}
+    seeded = hashlib.sha256(f"{_TIE_BREAK_SEED}:".encode())
+
+    def digest(name: str) -> bytes:
+        h = seeded.copy()
+        h.update(name.encode())
+        return h.digest()[:8]
+
+    words = np.frombuffer(b"".join(map(digest, model.names)), dtype=">u8")
+    return dict(enumerate((1.0 + (words >> 11) / 2.0**53).tolist()))
 
 
 def refine_to_earliest_pace(

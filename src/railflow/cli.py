@@ -7,6 +7,7 @@ Exit codes: 0 optimal, 1 input error, 2 infeasible, 3 solver limit reached
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -38,7 +39,10 @@ EXIT_OF_STATUS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to main, then reused: parse_args leaves the
+    # parser as it was and returns a new namespace each time.
     parser = argparse.ArgumentParser(
         prog="railflow",
         description="Volume-based train flow model with capacity-restriction scenarios",

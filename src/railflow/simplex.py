@@ -7,24 +7,18 @@ variables.
 The simplex works on a dense tableau with a largest-coefficient pivot rule
 and Bland's rule as the anti-cycling fallback; each iteration's work is in
 the nonzeros of the entering column and pivot row.  A cold solve starts from
-a triangular crash basis: the = and >= rows with a zero right-hand side
-(flow balances, and the Pace rows that carry each pacing lag from one period
-to the next) get a structural column before phase 1, with elimination
-multipliers at or below 1, so phase 1 does not spend most of its iterations
-swapping out zero artificials.  Those rows are visited once each, sparsest
-first and the later row first among equals.  The crash picks are grouped
-into dependency levels, as in level scheduling of a sparse triangular solve
-(Anderson and Saad, 1989), and each level enters as one batch of independent
-pivots: 6 batches for the 251 picks of the 380-row small_network LP.  The
-final primal and dual values are recomputed from the original data so that
-residuals are at machine precision rather than accumulated tableau error:
-the optimal basis is nearly triangular, so peeling its row and column
-singletons leaves a small dense bump, and only that bump goes through a
-dense solve.  A basis that this re-solve cannot verify ends the solve as
-NUMERICS; tableau values never leave the solver.  An optimal solve keeps its
-final tableau (Tableau), and solve_face_lp continues on it warm: it
-minimises another objective over the optimal face of the last one, without
-a phase 1.
+a triangular crash basis (_crash_levels): the = and >= rows with a zero
+right-hand side get a structural column before phase 1, pivoted in one
+dependency level per batch, as in level scheduling of a sparse triangular
+solve (Anderson and Saad, 1989).  The final primal and dual values are
+recomputed from the original data (_solve_sparse_basis), so that residuals
+are at machine precision rather than accumulated tableau error.  A basis
+that this re-solve cannot verify ends the solve as NUMERICS; tableau values
+never leave the solver.  An optimal solve keeps its final tableau (Tableau)
+for warm stages.  solve_face_lp minimises another objective over the optimal
+face of the last one, without a phase 1.  solve_held_lp holds model
+variables at given values: a phase 1 drives the rows this moves off zero
+back to it, and phase 2 minimises the tableau's own objective.
 """
 
 from __future__ import annotations
@@ -177,7 +171,8 @@ class LpSolution:
     x: Optional[np.ndarray]
     iterations: int
     dual_objective: Optional[float] = None
-    # The final tableau of an OPTIMAL solve, for warm stages (solve_face_lp);
+    # The final tableau of an OPTIMAL solve, for warm stages (solve_face_lp,
+    # solve_held_lp);
     # its memory stays in use until this is set to None.
     tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
@@ -374,11 +369,12 @@ class Tableau:
     are kept logical: basis[i] is the column basic in row i, or -1 for an
     artificial, which never re-enters, so its column values are never needed.
 
-    A row flagged in basic_artificial is held at zero in phase 2.  Besides
-    the artificials, that covers rows whose basic column was held (hold):
-    such a row keeps its real column.  shut marks the columns that may not
-    enter (None: every column may), and shift the value that hold moved out
-    of each held column (None: nothing moved).
+    A row flagged in basic_artificial is driven to zero in phase 1 and held
+    there in phase 2.  Besides the artificials, that covers rows whose basic
+    column was held (hold): such a row keeps its real column.  shut marks the
+    columns that may not enter (None: every column may), and shift the value
+    that hold moved out of each held column (None: nothing moved).
+    phase_one_due is set while a hold has left such rows off zero.
     """
 
     def __init__(self, sf: StandardFormLP) -> None:
@@ -442,6 +438,7 @@ class Tableau:
         self.leave_rank = np.where(self.basic_artificial, -1 - np.arange(m), self.basis)
         self.shut: Optional[np.ndarray] = None
         self.shift: Optional[np.ndarray] = None
+        self.phase_one_due = False
         self.iterations = 0
         # Column costs and verified duals of the last OPTIMAL re-solve.
         self.c: Optional[np.ndarray] = None
@@ -612,13 +609,16 @@ class Tableau:
                 stall = 0
                 bland = False
 
-    def hold(self, cols: np.ndarray) -> None:
-        """Fix the given columns at their current values, rounded to integers.
+    def hold(self, cols: np.ndarray, values: Optional[np.ndarray] = None) -> None:
+        """Fix the given columns at values, or at their current values rounded to integers.
 
-        A held column is shut.  A nonbasic one stays at zero.  A basic one
-        moves its rounded value into shift, and its row becomes an artificial
-        row at zero: phase 2 keeps it there, and the basis re-solve keeps the
-        real column over a right-hand side reduced by the moved value.
+        A held column is shut.  A nonbasic one stays at zero (a nonzero value
+        for it raises ValueError).  A basic one moves its held value into
+        shift, and its row becomes an artificial row, which the basis
+        re-solve keeps on the real column over a right-hand side reduced by
+        the moved value.  Without values the row is set to zero; with values
+        it keeps the residual (the column's value less the held one), turned
+        to be nonnegative, for the next warm solve_lp's phase 1.
         """
         if self.shut is None:
             self.shut = np.zeros(self.ncols, dtype=bool)
@@ -626,8 +626,19 @@ class Tableau:
             self.shift = np.zeros(self.ncols)
         self.shut[cols] = True
         rows = np.nonzero(np.isin(self.basis, cols))[0]
-        self.shift[self.basis[rows]] = np.round(self.T[rows, -1])
-        self.T[rows, -1] = 0.0
+        held, T = self.basis[rows], self.T
+        if values is None:
+            self.shift[held] += np.round(T[rows, -1])
+            T[rows, -1] = 0.0
+        else:
+            target = np.zeros(self.ncols)
+            target[cols] = values
+            if np.any(np.delete(target, held)):
+                raise ValueError("a nonbasic column can be held at zero only")
+            T[rows, -1] += self.shift[held] - target[held]
+            self.shift[held] = target[held]
+            T[rows[T[rows, -1] < 0.0]] *= -1.0
+            self.phase_one_due = True
         self.basic_artificial[rows] = True
         self.leave_rank[rows] = -1 - rows
 
@@ -752,58 +763,48 @@ def solve_lp(
 ) -> LpSolution:
     """Two-phase primal simplex on the standard-form problem.
 
-    The tableau (Tableau) keeps artificial variables logical, which keeps it
-    a quarter slimmer and free of artificial fill-in.  Before phase 1, the
-    crash (Tableau.crash) makes a structural column basic in each row that
-    _crash_levels picks among those starting on an artificial with a
-    right-hand side of 0, one dependency level of picks per batch.  The
-    right-hand sides stay as they were, so the start stays feasible for
-    phase 1; each pick counts as an iteration and against max_iterations.
-    Each simplex iteration works in the nonzeros of the entering column and
-    pivot row: the column is read once, the artificial guard and the ratio
-    test scan its nonzeros, and the pivot divides the row and applies the
-    rank-1 correction on those nonzeros only, through a flat view of the
-    tableau.  The cost of an iteration is then mostly its fixed number of
-    numpy calls, so the loop keeps them few.
+    A cold solve builds a Tableau, pivots in the crash picks (Tableau.crash;
+    each counts as an iteration, against max_iterations), then runs phase 1
+    and phase 2, each iteration in the nonzeros of the entering column and
+    pivot row.  At the optimum, x and the duals y are re-solved from the
+    sparse basis columns (_solve_sparse_basis): the only source of an
+    OPTIMAL result, which carries a dual objective and its final tableau.  A
+    basis that fails its certificate (Tableau.finish) ends NUMERICS.
 
-    At the optimum, x and the duals y are re-solved from the sparse basis
-    columns with one singleton-peel ordering plus a dense solve of the bump
-    (_solve_sparse_basis), on entries grouped once by slot and by row.
-    That re-solve is the only source of an OPTIMAL solution, so an OPTIMAL
-    result always carries a dual objective, and it carries its final
-    tableau.  When the basis proves singular or the re-solved x and y fail
-    their certificate (Tableau.finish), the result is NUMERICS with no
-    values.
-
-    With warm, the final tableau of an earlier OPTIMAL solve over the same
-    rows and columns, no phase 1 runs: the tableau is restricted in place to
-    the optimal face of its last objective (Tableau.restrict), sf.c becomes
-    the cost row, and phase 2 continues from the basis it holds.
+    warm is the final tableau of an earlier OPTIMAL solve over the same rows
+    and columns, continued in place.  Normally it is restricted to the
+    optimal face of its last objective (Tableau.restrict), sf.c becomes the
+    cost row, and phase 2 continues with no phase 1.  After a hold to values
+    (Tableau.hold), phase 1 runs instead, on row m+1 set to minus the sum of
+    every artificial row (phase 1 keeps none at zero unless it is in the
+    sum), with the cold path's infeasibility test.  Phase 2 then continues
+    unrestricted on the tableau's own cost row, so sf must be its own.
     """
     if tol is None:
         tol = Tolerances()
+    m, n = sf.n_rows, sf.n_cols
     if warm is not None:
         warm.iterations = 0
-        warm.restrict(sf.c)
-        return warm.finish(sf, tol)
-    m, n = sf.n_rows, sf.n_cols
-
-    if n == 0:
-        return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(0), 0, sf.objective_constant)
-    if m == 0:
+        if not warm.phase_one_due:
+            warm.restrict(sf.c)
+            return warm.finish(sf, tol)
+        tableau, warm.phase_one_due = warm, False
+        tableau.T[m + 1] = -tableau.T[:m][tableau.basic_artificial].sum(axis=0)
+    elif n == 0 or m == 0:
         if np.any(sf.c < -PIVOT):
             return LpSolution(UNBOUNDED, None, None, 0)
         return LpSolution(OPTIMAL, sf.objective_constant, np.zeros(n), 0, sf.objective_constant)
-
-    tableau = Tableau(sf)
-    if tableau.basic_artificial.any():
+    else:
+        tableau = Tableau(sf)
+        if not tableau.basic_artificial.any():
+            return tableau.finish(sf, tol)
         tableau.crash(tol)
-        outcome = tableau.run_phase(m + 1, True, tol)
-        if outcome == ITERATION_LIMIT:
-            return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)
-        scale = max(1.0, float(np.abs(tableau.b).max(initial=1.0)))
-        if tableau.T[m + 1, -1] < -(FEASIBILITY * scale):
-            return LpSolution(INFEASIBLE, None, None, tableau.iterations)
+    outcome = tableau.run_phase(m + 1, True, tol)
+    if outcome == ITERATION_LIMIT:
+        return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)
+    scale = max(1.0, float(np.abs(tableau.b).max(initial=1.0)))
+    if tableau.T[m + 1, -1] < -(FEASIBILITY * scale):
+        return LpSolution(INFEASIBLE, None, None, tableau.iterations)
     return tableau.finish(sf, tol)
 
 
@@ -840,14 +841,28 @@ def solve_face_lp(
     """Minimise objective over the optimal face of the tableau's last solve.
 
     The warm counterpart of solve_model_lp.  tableau is the final tableau of
-    an OPTIMAL solve (LpSolution.tableau) and is reused in place: the model
-    variables in hold are first fixed at their current values, rounded to
-    integers (Tableau.hold), then solve_lp continues warm on the objective
-    over the model variables.  An OPTIMAL result leaves the tableau ready
-    for one more stage on its own optimal face.
+    an OPTIMAL solve (LpSolution.tableau), reused in place: the model
+    variables in hold are fixed at their current values, rounded to
+    integers (Tableau.hold), and solve_lp continues warm on the objective.
     """
     sf = tableau.sf.with_objective(objective)
     if len(hold):
         cols = sf.pos_col[np.asarray(hold, dtype=int)]
         tableau.hold(cols[cols >= 0])
+    return _model_values(sf, solve_lp(sf, tol, warm=tableau))
+
+
+def solve_held_lp(
+    tableau: Tableau, hold: np.ndarray, values: np.ndarray, tol: Tolerances | None = None
+) -> tuple[LpSolution, Optional[np.ndarray]]:
+    """Minimise the tableau's own objective with the model variables in hold at values.
+
+    The warm counterpart of solve_model_lp with the variables in hold fixed,
+    on the final tableau of an OPTIMAL solve (Tableau.hold, then solve_lp's
+    phase 1 and phase 2).  A variable without a column must be at its value.
+    """
+    sf = tableau.sf
+    cols = sf.pos_col[hold]
+    live = cols >= 0
+    tableau.hold(cols[live], values[live] - sf.offset[hold[live]])
     return _model_values(sf, solve_lp(sf, tol, warm=tableau))

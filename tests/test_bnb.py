@@ -1,12 +1,15 @@
 import itertools
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from railflow import bnb
+from railflow import bnb, simplex
 from railflow.bnb import refine_to_earliest_pace, solve_mip
 from railflow.model import ModelConfig, build_model
-from railflow.scenario import load_scenario
+from railflow.scenario import build_scenario_model, load_scenario
 from railflow.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -15,8 +18,14 @@ from railflow.simplex import (
     UNBOUNDED,
     LpSolution,
     Tolerances,
+    solve_held_lp,
+    solve_model_lp,
 )
 from support import inflow, line_model, line_raw, synthetic_model
+
+# The benchmark's seeded line generator, imported read only.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import synth  # noqa: E402
 
 
 def enumerate_mip_min(c, rows, ub):
@@ -228,3 +237,101 @@ def test_pace_objective_weights_each_nodes_inflow_by_its_period():
         for t in range(1, model.doc.t_max + 1)
     )
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def completion_statuses(model, branch=None):
+    """The status of a node and of its completion, which must agree warm and cold.
+
+    The node is the model's LP under branch.  Its integers are held at their
+    rounded values on its own tableau (solve_held_lp) and, for comparison,
+    fixed there in a cold LP (solve_model_lp with those bounds).
+    """
+    node, values = solve_model_lp(model, bounds=branch)
+    if node.tableau is None:  # not optimal, or no rows and columns left to hold
+        return node.status, None
+    ints = np.flatnonzero(model.bound_arrays()[2])
+    rounded = np.round(values[ints])
+    fixes = {i: (r, r) for i, r in zip(ints.tolist(), rounded.tolist())}
+    cold, cold_values = solve_model_lp(model, bounds=fixes)
+    warm, warm_values = solve_held_lp(node.tableau, ints, rounded)
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        np.testing.assert_allclose(warm_values[ints], rounded, rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(cold_values[ints], rounded)
+    return node.status, cold.status
+
+
+def test_warm_completion_matches_a_cold_fixed_lp_on_random_mips():
+    # Rows of every relation, the first variables integer: each root and the
+    # two children of its first fractional integer.
+    rng = np.random.default_rng(27)
+    seen = set()
+    for _ in range(150):
+        c, rows, ub = random_mip(rng)
+        rows = [(a, str(rng.choice(["<=", ">=", "="])), b) for a, _, b in rows]
+        model = synthetic_model(c, rows, integer=range(int(rng.integers(1, len(c) + 1))), ub=ub.astype(float))
+        seen.add(completion_statuses(model))
+        _, values = solve_model_lp(model)
+        ints = np.flatnonzero(model.bound_arrays()[2])
+        frac = [i for i in ints.tolist() if values is not None and abs(values[i] - round(values[i])) > 1e-6]
+        if frac:
+            v = values[frac[0]]
+            seen.add(completion_statuses(model, {frac[0]: (0.0, float(np.floor(v)))}))
+            seen.add(completion_statuses(model, {frac[0]: (float(np.ceil(v)), np.inf)}))
+    assert {(OPTIMAL, OPTIMAL), (OPTIMAL, INFEASIBLE), (INFEASIBLE, None)} <= seen
+
+
+@pytest.mark.filterwarnings("ignore:capacity mode")
+@pytest.mark.parametrize("seed", [11, 12, 13, 22, 33])
+def test_warm_completion_matches_a_cold_fixed_lp_on_generated_lines(seed):
+    for doc in (
+        synth.line_scenario(seed, 4, 6, 4, single_track=1),
+        synth.line_scenario(seed, 5, 6, 5, single_track=2),
+    ):
+        doc = load_scenario(doc)
+        for mode in ("basic", "single_track_alt1", "single_track_alt2"):
+            model = build_scenario_model(replace(doc, config=replace(doc.config, capacity_mode=mode)))
+            assert completion_statuses(model)[0] == OPTIMAL
+
+
+def test_small_network_alt2_completes_on_the_roots_tableau(small_doc, monkeypatch):
+    # The root LP is fractional; its completion attains the root's bound, on
+    # the root's own tableau, which the refinement then uses up.
+    built = []
+    init = simplex.Tableau.__init__
+
+    def counting(self, sf):
+        built.append(self)
+        init(self, sf)
+
+    monkeypatch.setattr(simplex.Tableau, "__init__", counting)
+    config = replace(small_doc.config, capacity_mode="single_track_alt2")
+    model = build_scenario_model(replace(small_doc, config=config))
+    result = solve_mip(model)
+    assert result.status == OPTIMAL and result.nodes == 1
+    assert len(built) == 1 and result.tableau is built[0]
+    assert refine_to_earliest_pace(model, result).status == OPTIMAL
+    assert len(built) == 1
+
+
+def test_a_rounding_that_breaks_a_row_is_infeasible_and_the_search_branches(monkeypatch):
+    # min -x s.t. x + y = 0.7, x integer in [0, 1], y in [0, 1]: the root
+    # puts x at 0.7.  Held at 1, the row needs y = -0.3, so the completion
+    # ends infeasible; the down child (x = 0, y = 0.7) is the optimum, and
+    # the up child, infeasible, closes the gap.
+    model = synthetic_model([-1.0, 0.0], [([1.0, 1.0], "=", 0.7)], integer=(0,), ub=[1.0, 1.0])
+    statuses = []
+    complete = bnb.solve_held_lp
+
+    def recording(*args):
+        solution, values = complete(*args)
+        statuses.append(solution.status)
+        return solution, values
+
+    monkeypatch.setattr(bnb, "solve_held_lp", recording)
+    result = solve_mip(model)
+    assert statuses == [INFEASIBLE]
+    assert result.status == OPTIMAL and result.nodes == 3
+    assert result.objective == 0.0
+    np.testing.assert_allclose(result.values, [0.0, 0.7], rtol=0.0, atol=1e-12)

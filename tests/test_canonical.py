@@ -109,6 +109,18 @@ def bundled_model(scenario, mode):
         return build_scenario_model(doc)
 
 
+def test_tie_break_weights_follow_the_per_name_formula_on_bundled_models():
+    # One sha256 of the seed and the name per variable, its first 8 bytes a
+    # big-endian integer, 53 bits of it a weight in [1, 2).
+    for scenario in SCENARIOS:
+        for mode in CAPACITY_MODES:
+            model = bundled_model(scenario, mode)
+            digests = (hashlib.sha256(f"railflow tie-break:{name}".encode()).digest() for name in model.names)
+            want = {idx: 1.0 + (int.from_bytes(d[:8], "big") >> 11) / 2.0**53 for idx, d in enumerate(digests)}
+            got = _tie_break_objective(model)
+            assert got == want and all(type(w) is float for w in got.values())
+
+
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_bundled_refinement_matches_highs_stages(scenario, mode):

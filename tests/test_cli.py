@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mps_reader import solve_with_scipy
+from railflow import cli
 from railflow.cli import main
 from railflow.mps_io import export_model_text
 from railflow.scenario import load_scenario, run
@@ -105,6 +107,26 @@ def test_solve_relax_integrality_flag(scenario_dir, capsys):
         ]
     )
     assert code == 0
+
+
+def test_two_calls_in_one_process_parse_independently(scenario_dir, monkeypatch, capsys):
+    # The parser is built once and reused; what one call is given must not
+    # reach the next.
+    configs = []
+    solve = cli.run
+
+    def recording(doc):
+        configs.append(doc.config)
+        return solve(doc)
+
+    monkeypatch.setattr(cli, "run", recording)
+    path = scenario_dir / "single_track_shuttle.json"
+    assert main(["solve", "--scenario", str(path), "--relax-integrality", "--capacity-mode", "basic"]) == 0
+    assert main(["solve", "--scenario", str(path)]) == 0
+    own = load_scenario(path).config
+    assert (own.relax_integrality, own.capacity_mode) != (True, "basic")
+    assert configs == [replace(own, relax_integrality=True, capacity_mode="basic"), own]
+    assert cli._parser() is cli._parser()
 
 
 def test_export_is_deterministic_across_processes(scenario_dir, tmp_path):
