@@ -10,15 +10,20 @@ the nonzeros of the entering column and pivot row.  A cold solve starts from
 a triangular crash basis (_crash_levels): the = and >= rows with a zero
 right-hand side get a structural column before phase 1, pivoted in one
 dependency level per batch, as in level scheduling of a sparse triangular
-solve (Anderson and Saad, 1989).  The final primal and dual values are
-recomputed from the original data (_solve_sparse_basis), so that residuals
-are at machine precision rather than accumulated tableau error.  A basis
-that this re-solve cannot verify ends the solve as NUMERICS; tableau values
-never leave the solver.  An optimal solve keeps its final tableau (Tableau)
-for warm stages.  solve_face_lp minimises another objective over the optimal
-face of the last one, without a phase 1.  solve_held_lp holds model
-variables at given values: a phase 1 drives the rows this moves off zero
-back to it, and phase 2 minimises the tableau's own objective.
+solve (Anderson and Saad, 1989).  The zero right-hand sides of the rows
+on a real column are then lifted to distinct values near 1e-9
+(Tableau.perturb), so that the degenerate flow balances take fewer zero
+steps (Wolfe, 1963).  The final primal and dual values are recomputed from
+the original, unperturbed data (_solve_sparse_basis), so that residuals
+are at machine precision rather than accumulated tableau error or
+perturbation.  A basis that this re-solve cannot verify ends the solve as
+NUMERICS; tableau values never leave the solver.  An optimal solve keeps
+its final tableau (Tableau) for warm stages, with the certified basic
+values written over any perturbed right-hand side.  solve_face_lp
+minimises another objective over the optimal face of the last one, without
+a phase 1.  solve_held_lp holds model variables at given values: a phase 1
+drives the rows this moves off zero back to it, and phase 2 minimises the
+tableau's own objective.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ ITERATION_LIMIT = "iteration_limit"
 NUMERICS = "numerics"
 
 PIVOT = 1e-9  # smallest entry a pivot, or a reduced cost that may enter, can have
+PERTURB = 1e-9  # scale of the cold start's lift of zero right-hand sides (Tableau.perturb)
 BLAND_AFTER = 40  # degenerate pivots in a row before Bland's rule takes over
 
 
@@ -374,7 +380,8 @@ class Tableau:
     column was held (hold): such a row keeps its real column.  shut marks the
     columns that may not enter (None: every column may), and shift the value
     that hold moved out of each held column (None: nothing moved).
-    phase_one_due is set while a hold has left such rows off zero.
+    phase_one_due is set while a hold has left such rows off zero, and
+    perturbed while the right-hand side holds a perturbation (perturb).
     """
 
     def __init__(self, sf: StandardFormLP) -> None:
@@ -439,6 +446,7 @@ class Tableau:
         self.shut: Optional[np.ndarray] = None
         self.shift: Optional[np.ndarray] = None
         self.phase_one_due = False
+        self.perturbed = False
         self.iterations = 0
         # Column costs and verified duals of the last OPTIMAL re-solve.
         self.c: Optional[np.ndarray] = None
@@ -539,6 +547,20 @@ class Tableau:
             self.leave_rank[p] = q
             self.iterations += picks.size
             start = end
+
+    def perturb(self) -> None:
+        """Lift the zero right-hand sides of the rows on a real column off zero.
+
+        Row i goes to PERTURB * (1 + frac(0.618... i)), a fixed value of its
+        index that differs from its neighbours', so that fewer ratio tests tie
+        at zero and fewer pivots take a zero step (Wolfe, 1963).  Artificial
+        rows stay at zero.  finish certifies the basis on the unperturbed
+        data and writes its values back over the perturbed ones.
+        """
+        rhs = self.T[: self.m, -1]
+        rows = np.flatnonzero(~self.basic_artificial & (rhs == 0.0))
+        rhs[rows] = PERTURB * (1.0 + 0.6180339887498949 * rows % 1.0)
+        self.perturbed = rows.size > 0
 
     def pivot(self, p: int, q: int, column: np.ndarray, nzc: np.ndarray) -> None:
         # column is T[:, q] before the pivot and nzc its nonzero rows.  The
@@ -684,7 +706,9 @@ class Tableau:
           c - A^T y of at least -1e-6;
         - gap: c.x lies within 1e-6 * max(1, |c.x|) of the dual objective.
 
-        A NaN fails every one of these checks.
+        A NaN fails every one of these checks.  A certified basis of a
+        perturbed tableau (Tableau.perturb) writes its basic values, clipped
+        at 0, over the right-hand side, so warm stages see no perturbation.
         """
         outcome = self.run_phase(self.m, False, tol)
         if outcome == ITERATION_LIMIT:
@@ -754,6 +778,11 @@ class Tableau:
         objective = float(sf.c @ x) + sf.objective_constant
         if not abs(objective - dual_objective) <= 1e-6 * max(1.0, abs(objective)):
             return LpSolution(NUMERICS, None, None, self.iterations)
+        if self.perturbed:
+            # Warm stages continue from the certified values, not the
+            # perturbed ones.
+            np.maximum(x_basic, 0.0, out=self.T[:m, -1])
+            self.perturbed = False
         self.c, self.y = sf.c, y
         return LpSolution(OPTIMAL, objective, x, self.iterations, dual_objective, self)
 
@@ -764,7 +793,8 @@ def solve_lp(
     """Two-phase primal simplex on the standard-form problem.
 
     A cold solve builds a Tableau, pivots in the crash picks (Tableau.crash;
-    each counts as an iteration, against max_iterations), then runs phase 1
+    each counts as an iteration, against max_iterations), lifts the zero
+    right-hand sides of its real rows (Tableau.perturb), then runs phase 1
     and phase 2, each iteration in the nonzeros of the entering column and
     pivot row.  At the optimum, x and the duals y are re-solved from the
     sparse basis columns (_solve_sparse_basis): the only source of an
@@ -799,6 +829,7 @@ def solve_lp(
         if not tableau.basic_artificial.any():
             return tableau.finish(sf, tol)
         tableau.crash(tol)
+        tableau.perturb()
     outcome = tableau.run_phase(m + 1, True, tol)
     if outcome == ITERATION_LIMIT:
         return LpSolution(ITERATION_LIMIT, None, None, tableau.iterations)

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,7 +144,10 @@ def reference_solve_lp(sf, tol=None):
     Every iteration makes whole-column and whole-row passes over the tableau;
     solve_lp must take the same pivots and return the same bits.  The crash
     picks (crash_picks) are replayed through this pivot one at a
-    time, in their returned order, which Tableau.crash applies level by level.
+    time, in their returned order, which Tableau.crash applies level by level,
+    and then perturbed as Tableau.perturb does.  An OPTIMAL result's tableau
+    is a namespace whose rhs is the right-hand side that Tableau.finish
+    writes back after a perturbed solve (None when nothing was perturbed).
     """
     if tol is None:
         tol = Tolerances()
@@ -289,6 +293,7 @@ def reference_solve_lp(sf, tol=None):
                 stall = 0
                 bland = False
 
+    perturbed = False
     if n_art:
         # The crash picks, pivoted in as counted phase-1 pivots up to the cap.
         for p, q in crash_picks(sf):
@@ -299,6 +304,12 @@ def reference_solve_lp(sf, tol=None):
             leave_rank[p] = q
             pivot(p, q)
             iterations += 1
+        # Tableau.perturb: every zero right-hand side of a row on a real
+        # column is lifted to PERTURB * (1 + frac(0.618... i)).
+        for i in range(m):
+            if not basic_artificial[i] and T[i, -1] == 0.0:
+                T[i, -1] = simplex.PERTURB * (1.0 + (0.6180339887498949 * i) % 1.0)
+                perturbed = True
         outcome = run_phase(m + 1, phase_one=True)
         if outcome == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, iterations)
@@ -346,11 +357,14 @@ def reference_solve_lp(sf, tol=None):
     except np.linalg.LinAlgError:
         x_basic = T[:m, -1].copy()
     x_full[basis[real]] = x_basic[real]
+    # Tableau.finish's write-back: the certified basic values, clipped at
+    # zero, replace the perturbed right-hand side for the warm stages.
+    rhs = np.maximum(x_basic, 0.0) if perturbed else None
 
     np.clip(x_full, 0.0, None, out=x_full)
     x = x_full[:n]
     objective = float(sf.c @ x) + sf.objective_constant
-    return LpSolution(OPTIMAL, objective, x, iterations, dual_objective)
+    return LpSolution(OPTIMAL, objective, x, iterations, dual_objective, SimpleNamespace(rhs=rhs))
 
 
 def reference_solve_sparse_basis(
@@ -764,7 +778,11 @@ def test_degenerate_lp_terminates():
 
 
 def assert_same_solution(got, want):
-    """Same status and iterations; bit-equal x, objective and dual objective."""
+    """Same status and iterations; bit-equal x, objective and dual objective.
+
+    After a perturbed cold solve, also the bit-equal right-hand side that
+    the final tableau keeps for warm stages.
+    """
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert repr(got.objective) == repr(want.objective)
     assert repr(got.dual_objective) == repr(want.dual_objective)
@@ -772,6 +790,8 @@ def assert_same_solution(got, want):
         assert got.x is None
     else:
         assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    if want.tableau is not None and want.tableau.rhs is not None:
+        assert got.tableau.T[: want.tableau.rhs.size, -1].tobytes() == want.tableau.rhs.tobytes()
 
 
 def random_standard_form(rng, dense=False):
@@ -1245,16 +1265,34 @@ def line_lp(*args, **kwargs):
     return build_standard_form(build_scenario_model(load_scenario(synth.line_scenario(*args, **kwargs))))
 
 
+class CountingThreshold(int):
+    """A BLAND_AFTER that counts the degenerate pivots past it.
+
+    run_phase tests stall > BLAND_AFTER; with an int subclass on the right,
+    Python calls this reflected __lt__ first, so every test passes here and
+    past counts the pivots made under Bland's rule.
+    """
+
+    past = 0
+
+    def __lt__(self, stall):
+        crossed = int(self) < stall
+        self.past += crossed
+        return crossed
+
+
 def test_bland_rule_on_a_generated_line_matches_reference(monkeypatch):
     # No bundled LP reaches Bland's rule (their longest degenerate runs are
-    # shorter than BLAND_AFTER); this line has 42 degenerate pivots in a row.
-    # Without the rule it takes another path, of 392 iterations.
-    lp = line_lp(13, 8, 6, 8, single_track=1, relax_integrality=True, pace_refinement=False)
-    assert (lp.n_rows, lp.n_cols) == (405, 642)
+    # shorter than BLAND_AFTER); this line's does, from the perturbed crash
+    # basis too.
+    lp = line_lp(13, 8, 5, 8, relax_integrality=True, pace_refinement=False)
+    assert (lp.n_rows, lp.n_cols) == (461, 736)
+    threshold = CountingThreshold(simplex.BLAND_AFTER)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", threshold)
+    assert solve_lp(lp).status == OPTIMAL
+    assert threshold.past > 0
     want = assert_matches_reference_solve(lp)
-    assert (want.status, want.iterations) == (OPTIMAL, 401)
-    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**9)
-    assert solve_lp(lp).iterations == 392
+    assert (want.status, want.iterations) == (OPTIMAL, 442)
 
 
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
@@ -1266,6 +1304,38 @@ def test_bundled_lp_matches_reference(small_doc, mode):
     config = replace(small_doc.config, capacity_mode=mode, relax_integrality=True)
     sf = build_standard_form(build_scenario_model(replace(small_doc, config=config)))
     assert_same_solution(solve_lp(sf), reference_solve_lp(sf))
+
+
+def test_perturbation_never_outlives_a_cold_solve(monkeypatch):
+    # Every cold solve below lifts some zero right-hand sides
+    # (Tableau.perturb).  Its final tableau keeps, for warm stages, the
+    # certified basic values of the re-solve clipped at zero, bit for bit; and
+    # the lift is a fixed function of the row index, so a second solve gives
+    # the same bits.
+    lps = [bundled_lp(scenario, mode) for scenario, mode in BUNDLED_LPS]
+    lps += [line_lp(seed, 5, 6, 5, single_track=2, relax_integrality=True, pace_refinement=False) for seed in (11, 22, 33)]
+    lifted, resolved = [], []
+    perturb, resolve = simplex.Tableau.perturb, simplex._solve_sparse_basis
+
+    def recording_perturb(tableau):
+        perturb(tableau)
+        lifted.append(tableau.perturbed)
+
+    def recording_resolve(*args):
+        x, y = resolve(*args)
+        resolved.append(x)
+        return x, y
+
+    monkeypatch.setattr(simplex.Tableau, "perturb", recording_perturb)
+    monkeypatch.setattr(simplex, "_solve_sparse_basis", recording_resolve)
+    for lp in lps:
+        first, second = solve_lp(lp), solve_lp(lp)
+        assert first.status == OPTIMAL and lifted[-2:] == [True, True]
+        rhs = first.tableau.T[: lp.n_rows, -1]
+        assert rhs.tobytes() == np.maximum(resolved[-2], 0.0).tobytes()
+        assert first.tableau.T.tobytes() == second.tableau.T.tobytes()
+        assert first.x.tobytes() == second.x.tobytes() and first.iterations == second.iterations
+        assert not first.tableau.perturbed
 
 
 def test_cold_solve_allocates_no_tableau_sized_block(small_doc):
@@ -1410,16 +1480,19 @@ def check_against_references(monkeypatch):
 @pytest.mark.filterwarnings("ignore:capacity mode")
 def test_resolve_and_crash_levels_match_reference_on_bundled_runs(monkeypatch, scenario_dir):
     # Every cold LP of the 16 bundled runs (branch and bound nodes included),
-    # and every optimal basis, cold and after each warm stage: the two
-    # single_track_alt2 completions of a fractional root, held on the root's
-    # tableau, and the refinement stages.  Only the 16 roots choose a crash.
+    # and every optimal basis, cold and after each warm stage: the
+    # small_network_tcr single_track_alt2 completion of a fractional root,
+    # held on the root's tableau, and the refinement stages.  Only the 16
+    # roots choose a crash.  The small_network single_track_alt2 root lands
+    # on an integral vertex (from the perturbed crash basis, Tableau.perturb)
+    # and needs no completion.
     from railflow.scenario import load_scenario, run
 
     checked = check_against_references(monkeypatch)
     for scenario, mode in BUNDLED_LPS:
         doc = load_scenario(scenario_dir / f"{scenario}.json")
         assert run(replace(doc, config=replace(doc.config, capacity_mode=mode))).result.status == OPTIMAL
-    assert checked == {"_solve_sparse_basis": 50, "_crash_levels": 16}
+    assert checked == {"_solve_sparse_basis": 49, "_crash_levels": 16}
 
 
 def test_resolve_and_crash_levels_match_reference_on_generated_lines(monkeypatch):
@@ -1432,9 +1505,11 @@ def test_resolve_and_crash_levels_match_reference_on_generated_lines(monkeypatch
             assert run(doc).result.status == OPTIMAL
         doc = load_scenario(synth.line_scenario(seed, 5, 6, 5, single_track=2))
         assert run(replace(doc, config=replace(doc.config, capacity_mode="single_track_alt2"))).result.status == OPTIMAL
-    # One cold LP per run; seed 11's single_track_alt2 root is fractional,
-    # and its completion re-solves warm on the root's tableau.
-    assert checked == {"_solve_sparse_basis": 28, "_crash_levels": 9}
+    # One cold LP per run; the single_track_alt2 roots of seeds 11 and 33
+    # land on fractional vertices (from the perturbed crash basis,
+    # Tableau.perturb), and each completion re-solves warm on the root's
+    # tableau.
+    assert checked == {"_solve_sparse_basis": 29, "_crash_levels": 9}
 
 
 def test_small_network_lp_matches_highs(small_doc):
