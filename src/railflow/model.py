@@ -22,10 +22,11 @@ variable is keyed by the document's names, e.g. ``model.var("direct", "A-B",
 1, "A-C-r1")``, and links, nodes, routes, demands and train types are taken
 in document order.  Everything here is solver independent: the result is
 a set of variables and named linear rows, both kept as arrays, plus a linear
-objective.  Each kind of variable is declared in one add_variables call and
-kept as a grid of indices over its key axes, with the bounds and
-integrality of all variables in three arrays and the names made on first
-read, the way array-based modellers such as Linopy store variables.  Each
+objective.  Each kind of variable is declared by one boolean mask over the
+grid of its key axes (declare), True where the route support lets volume
+reach, and kept as a grid of indices, with the bounds and integrality of all
+variables in three arrays and the names made on first read from the masks'
+places, the way array-based modellers such as Linopy declare variables.  Each
 row family enters one row store in one add_rows call, its terms looked up
 as blocks in those grids (lookup).  Building is a pure function of the
 document, so identical documents give an identical model, row by row.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -129,9 +131,11 @@ class TimeExpandedModel:
     reports only read them, and several models may be built and solved
     concurrently.  doc is None for a bare model of hand-written rows.
 
-    The variables are arrays: each add_variables call declares a block of
-    one kind, whose indices lookup and var find in the kind's grid, and
-    bound_arrays gives the bounds and integrality of all of them.  The rows
+    The variables are arrays: each declare call declares the variables of
+    one kind at the True places of a mask over the kind's grid, whose
+    indices lookup and var find there, and bound_arrays gives the bounds and
+    integrality of all of them; a bare model names its variables by key
+    instead (add_variables).  The rows
     live in one array store (rows, a checks.ConstraintSystem): each family
     of rows enters it in one add_rows call, and a hand-written row through
     add_constraint.  names, variables and constraints are made on first
@@ -146,19 +150,20 @@ class TimeExpandedModel:
         # the earlier link's place in doc.links
         self.single_track_pairs: tuple[tuple[str, str], ...] = ()
         # Route support, set by build_variables: each route's nodes in order
-        # and the routes (in document order) riding each link or visiting
-        # each node.  Flow variables exist only there.
+        # and the routes (in document order) riding each link.  Flow
+        # variables exist only there.
         self.nodes_of: dict[str, tuple[str, ...]] = {}
         self.routes_on_link: dict[str, tuple[RouteSpec, ...]] = {}
-        self.routes_at_node: dict[str, tuple[RouteSpec, ...]] = {}
-        # Place of each name on its key axis (KEY_AXES): document order.
-        names = {} if doc is None else {
-            "link": [l.name for l in doc.links], "node": doc.nodes,
+        # The names on each key axis (KEY_AXES) in document order, a period
+        # standing for itself, and the place of each on its axis.
+        self._axes = {} if doc is None else {
+            "link": [l.name for l in doc.links], "node": doc.nodes, "period": range(doc.t_max + 1),
             "route": [r.name for r in doc.routes], "demand": [d.name for d in doc.demands],
         }
-        self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in names.items()}
-        self._declared: list[tuple[str, tuple[tuple, ...]]] = []  # (kind, keys) of each add_variables call
-        # Bounds and integrality of every variable; each add_variables or
+        self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in self._axes.items()}
+        # (kind, keys) of each add_variables call, or (kind, the mask's places per axis) of each declare call
+        self._declared: list[tuple[str, tuple]] = []
+        # Bounds and integrality of every variable; each declaration or
         # bounding add_rows call replaces an array rather than writing it.
         self._lb = self._ub = _frozen(np.zeros(0))
         self._integer = _frozen(np.zeros(0, dtype=bool))
@@ -166,8 +171,7 @@ class TimeExpandedModel:
         # where none is declared.  An axis has a place per name, or per period
         # 0..t_max, and one more at its end, which stays -1.
         self._grids = {} if doc is None else {
-            kind: np.full([len(self.positions[axis]) + 1 if axis != "period" else doc.t_max + 2 for axis in axes], -1)
-            for kind, axes in KEY_AXES.items()
+            kind: np.full([len(self._axes[axis]) + 1 for axis in axes], -1) for kind, axes in KEY_AXES.items()
         }
         self._names: tuple[str, ...] = ()
         self._records: tuple[np.ndarray, tuple[ModelVariable, ...]] | None = None  # (the ub read, records)
@@ -185,57 +189,59 @@ class TimeExpandedModel:
     def add_variables(
         self, kind: str, keys: Sequence[tuple], lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> range:
-        """Declare (kind, key) for each key, in order; returns their indices.
+        """Declare (kind, key) for each key of a bare model (doc None), in order; returns their indices.
 
-        In a model of a document, kind is one of KEY_AXES and a key holds a
-        name of the document or a period per axis of the kind; a bare model
-        (doc None) takes any kind and keys, which it only names.  Nothing is
-        declared when one of the variables cannot be: keys of different
-        lengths, a key declared before, a name the document does not have or
-        a lower bound that is not finite.
+        The keys only name the variables; a model of a document declares by mask (declare).
         """
-        if len(set(map(len, keys))) > 1:
-            raise ModelError(f"the keys of one add_variables({kind!r}) call differ in length")
-        if keys and not math.isfinite(lb):
-            raise ModelError(f"variable {_names(kind, keys[:1])[0]} needs a finite lower bound, got {lb}")
-        ids = range(self._lb.size, self._lb.size + len(keys))
-        if self._grids and keys:
-            axes = KEY_AXES.get(kind)
-            if axes is None or len(keys[0]) != len(axes):
-                raise ModelError(f"no variable kind {kind!r} has keys like {keys[0]!r}")
-            columns = list(zip(*keys))
-            try:
-                places = tuple(
-                    np.array(column if axis == "period" else [self.positions[axis][name] for name in column])
-                    for axis, column in zip(axes, columns)
-                )
-            except KeyError as exc:
-                raise ModelError(f"variable {kind} names {exc} that the document does not") from None
-            t_max = self.doc.t_max
-            if any(min(column) < 0 or max(column) > t_max for axis, column in zip(axes, columns) if axis == "period"):
-                raise ModelError(f"variable {kind} has a period outside 0..{t_max}")
-            grid = self._grids[kind]
-            # A key is declared twice when its place is taken, or when it comes
-            # again in the call, so that its place holds the later index.
-            twice = grid[places] >= 0
-            if not np.count_nonzero(twice):
-                grid[places] = ids
-                twice = grid[places] != ids
-                if np.count_nonzero(twice):
-                    grid[places] = -1
-            if np.count_nonzero(twice):
-                raise ModelError(f"variable {_names(kind, [keys[twice.argmax()]])[0]} declared twice")
+        if self._grids:
+            raise ModelError("a model of a document declares its variables by mask")
+        ids = self._bounds(kind, len(keys), lb, ub, integer)
         self._declared.append((kind, tuple(keys)))
-        self._lb = _frozen(np.concatenate((self._lb, np.full(len(keys), lb, dtype=float))))
-        self._ub = _frozen(np.concatenate((self._ub, np.full(len(keys), ub, dtype=float))))
-        self._integer = _frozen(np.concatenate((self._integer, np.full(len(keys), integer, dtype=bool))))
         return ids
+
+    def declare(
+        self, kind: str, mask: np.ndarray, lb: float = 0.0, ub: float = math.inf, integer: bool = False
+    ) -> range:
+        """Declare kind at each True place of mask; returns their indices.
+
+        mask is a boolean array over the kind's key axes (KEY_AXES): a place
+        per name, in positions order, and per period 0..t_max.  Its places
+        take the next indices in C order.  Nothing is declared when a place
+        already holds a variable.
+        """
+        grid = self._grids[kind][(slice(-1),) * mask.ndim]
+        twice = mask & (grid >= 0)
+        if twice.any():
+            raise ModelError(f"variable {_names(kind, self._keys(kind, np.nonzero(twice))[:1])[0]} declared twice")
+        ids = self._bounds(kind, np.count_nonzero(mask), lb, ub, integer)
+        grid[mask] = ids
+        self._declared.append((kind, np.nonzero(mask)))
+        return ids
+
+    def _bounds(self, kind: str, n: int, lb: float, ub: float, integer: bool) -> range:
+        """Append the bounds of n new variables of kind; returns their indices."""
+        if n and not math.isfinite(lb):
+            raise ModelError(f"variables {kind} need a finite lower bound, got {lb}")
+        ids = range(self._lb.size, self._lb.size + n)
+        self._lb = _frozen(np.concatenate((self._lb, np.full(n, lb, dtype=float))))
+        self._ub = _frozen(np.concatenate((self._ub, np.full(n, ub, dtype=float))))
+        self._integer = _frozen(np.concatenate((self._integer, np.full(n, integer, dtype=bool))))
+        return ids
+
+    def _keys(self, kind: str, places: tuple[np.ndarray, ...]) -> list[tuple]:
+        """The key at each place of kind's grid, given one array per axis."""
+        axes = [self._axes[axis] for axis in KEY_AXES[kind]]
+        return list(zip(*([names[i] for i in part.tolist()] for names, part in zip(axes, places))))
+
+    def _declarations(self) -> list[tuple[str, Sequence[tuple]]]:
+        """(kind, keys) of each declaration, in order."""
+        return [(kind, self._keys(kind, places)) for kind, places in self._declared] if self._grids else self._declared
 
     @property
     def names(self) -> tuple[str, ...]:
         """Each variable's name kind(key,...), e.g. direct(A-B,1,A-C-r1), cancel(A-C,2) or beta(X-Y,1)."""
         if len(self._names) != self._lb.size:
-            self._names = tuple(name for kind, keys in self._declared for name in _names(kind, keys))
+            self._names = tuple(name for kind, keys in self._declarations() for name in _names(kind, keys))
         return self._names
 
     @property
@@ -244,7 +250,7 @@ class TimeExpandedModel:
         made = self._records
         if made is None or made[0] is not self._ub:
             lb, ub, integer = self.bound_arrays()
-            refs = ((kind, key) for kind, keys in self._declared for key in keys)
+            refs = ((kind, key) for kind, keys in self._declarations() for key in keys)
             fields = zip(refs, self.names, lb.tolist(), ub.tolist(), integer.tolist())
             made = self._records = (ub, tuple(ModelVariable(kind, key, *rest) for (kind, key), *rest in fields))
         return made[1]
@@ -256,7 +262,7 @@ class TimeExpandedModel:
     def var(self, kind: str, *key) -> int:
         """Index of the declared variable (kind, *key); raises KeyError when absent."""
         axes = KEY_AXES.get(kind, ())
-        places = [part if axis == "period" else self.positions[axis].get(part, -1) for axis, part in zip(axes, key)]
+        places = [self.positions[axis].get(part, -1) for axis, part in zip(axes, key)]
         idx = self.lookup(kind, *places) if len(key) == len(axes) else -1
         if idx < 0:
             raise KeyError(f"no variable {kind}{key!r}")
@@ -369,50 +375,41 @@ def build_variables(doc: ScenarioDocument) -> TimeExpandedModel:
     """
     model = TimeExpandedModel(doc)
     config = doc.config
-    T = range(1, doc.t_max + 1)
-    inner = range(1, doc.t_max)  # periods that next, ni and post can leave
     routes = doc.routes
     link = {l.name: l for l in doc.links}
-    model.nodes_of = {
-        r.name: tuple(link[x].tail for x in r.links) + (link[r.links[-1]].head,) for r in routes
-    }
+    model.nodes_of = {r.name: tuple(link[x].tail for x in r.links) + (link[r.links[-1]].head,) for r in routes}
     model.routes_on_link = {l.name: tuple(r for r in routes if l.name in r.links) for l in doc.links}
-    model.routes_at_node = {
-        n: tuple(r for r in routes if n in model.nodes_of[r.name]) for n in doc.nodes
-    }
-    on_link = model.routes_on_link
-    at_node = model.routes_at_node
-    nodes_of = model.nodes_of
-    first: dict[tuple[str, str], int] = {}  # (node, route) -> first period volume can reach it
-    for r in routes:
-        first[(nodes_of[r.name][0], r.name)] = 1
-        reach = 0.0
-        for x, n in zip(r.links, nodes_of[r.name][1:]):
-            reach += doc.durations[(x, r.train_type)]
-            first[(n, r.name)] = 1 + departure_spread(reach)[0][0]
-
-    model.add_variables("dep", [(r.name, t) for r in routes for t in T])
-    links = [(l, t, r) for l in doc.links for t in T for r in on_link[l.name]]
-    model.add_variables("direct", [(l.name, t, r.name) for l, t, r in links if t >= first[(l.head, r.name)]])
-    model.add_variables("next", [
-        (l.name, t, r.name)
-        for l, t, r in links
-        if t < doc.t_max and t >= max(first[(l.head, r.name)] - 1, first[(l.tail, r.name)])
-    ])
-    nodes = [(n, t, r.name) for n in doc.nodes for t in T for r in at_node[n]]
-    model.add_variables(
-        "ni", [(n, t, r) for n, t, r in nodes if t < doc.t_max and n != nodes_of[r][-1] and t >= first[(n, r)]]
-    )
-    model.add_variables("lag", [(n, t, r) for n, t, r in nodes if n != nodes_of[r][0] and t >= first[(n, r)]])
-    model.add_variables("post", [(d.name, t) for d in doc.demands for t in inner])
-    model.add_variables("cancel", [(d.name, t) for d in doc.demands for t in T])
-    model.add_variables("cancel_total", [(d.name,) for d in doc.demands], integer=not config.relax_integrality)
+    # Route support: the first period each route's volume can reach each
+    # link's head and tail, and each node it leaves and enters, over (link
+    # or node, 1, route); t_max + 1, past the horizon, where it never does.
+    place, node = model.positions["link"], model.positions["node"]
+    head, tail = np.full((2, len(doc.links), 1, len(routes)), doc.t_max + 1)
+    leave, enter = np.full((2, len(doc.nodes), 1, len(routes)), doc.t_max + 1)
+    for i, r in enumerate(routes):
+        reach = accumulate((doc.durations[(x, r.train_type)] for x in r.links), initial=0.0)
+        first = [1 + departure_spread(x)[0][0] for x in reach]
+        on, at = [place[x] for x in r.links], [node[n] for n in model.nodes_of[r.name]]
+        tail[on, 0, i] = leave[at[:-1], 0, i] = first[:-1]
+        head[on, 0, i] = enter[at[1:], 0, i] = first[1:]
+    periods = np.arange(doc.t_max + 1)
+    T = periods >= 1
+    inner = T & (periods < doc.t_max)  # periods that next, ni and post can leave
+    t = periods[:, None]
+    model.declare("dep", np.ones((len(routes), 1), dtype=bool) & T)
+    model.declare("direct", t >= head)
+    model.declare("next", inner[:, None] & (t >= np.maximum(head - 1, tail)))
+    model.declare("ni", inner[:, None] & (t >= leave))
+    model.declare("lag", t >= enter)
+    demands = np.ones((len(doc.demands), 1), dtype=bool)
+    model.declare("post", demands & inner)
+    model.declare("cancel", demands & T)
+    model.declare("cancel_total", demands[:, 0], integer=not config.relax_integrality)
     # A pair is stated in either order; its earlier link in doc.links stands for it.
-    place = model.positions["link"]
     pairs = [tuple(sorted(pair, key=place.get)) for pair in doc.single_track_pairs]
     model.single_track_pairs = tuple(sorted(pairs, key=lambda pair: place[pair[0]]))
     if config.capacity_mode == "single_track_alt2":
-        model.add_variables("beta", [(rep, t) for rep, _ in model.single_track_pairs for t in T], ub=1.0, integer=True)
+        rep = np.isin(np.arange(len(doc.links)), [place[a] for a, _ in pairs])
+        model.declare("beta", rep[:, None] & T, ub=1.0, integer=True)
     return model
 
 

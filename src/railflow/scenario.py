@@ -233,11 +233,10 @@ def _unknown_keys(raw: dict, known: Sequence[str], prefix: str, errors: list[str
 
 
 # The largest heterogeneous charge 1 + k_het x (types - 1) a document may
-# give.  The dense simplex loses small_network's heterogeneous LP to
-# round-off well before a float overflows: it ends in numerics at charges of
-# 7.2e4, 1.1e5 and 1.5e5, and from 3.8e5 on it calls the LP infeasible where
-# HiGHS finds an optimum.  Every charge probed up to 7e4 solves to a verified
-# optimum.
+# give.  Past it, on both small_network files in heterogeneous mode (charges
+# 7.2e4 to 1e8, relaxed and integer), no run gives a wrong verdict: 28 of 32
+# agree with HiGHS and the 4 at 1e8 end in numerics.  But at 7e5 and 1e6 the
+# warm completion of an integer run's root stalls until its iteration cap.
 MAX_TYPE_CHARGE = 1e4
 
 _DOCUMENT_KEYS = (

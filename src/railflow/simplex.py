@@ -448,6 +448,7 @@ class Tableau:
         self.phase_one_due = False
         self.perturbed = False
         self.iterations = 0
+        self.bland_switches = 0  # times run_phase switched Bland's rule on
         # Column costs and verified duals of the last OPTIMAL re-solve.
         self.c: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
@@ -625,8 +626,9 @@ class Tableau:
             self.enter(int(ties[leave_rank[ties].argmin()] if ties.size > 1 else ties[0]), q, column, nzc)
             if best <= 1e-12:
                 stall += 1
-                if stall > BLAND_AFTER:
+                if stall > BLAND_AFTER and not bland:
                     bland = True
+                    self.bland_switches += 1
             else:
                 stall = 0
                 bland = False

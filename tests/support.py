@@ -7,7 +7,7 @@ from itertools import groupby
 
 import numpy as np
 
-from railflow.model import TimeExpandedModel, build_model
+from railflow.model import KEY_AXES, TimeExpandedModel, build_model
 from railflow.scenario import load_scenario
 
 
@@ -73,19 +73,33 @@ def rebuilt(model, rows=None, variables=None):
 
     A built model is not edited in place: its rows live in one array store.
     The copy declares each run of variables of one kind and the same bounds
-    through one add_variables call and appends each row through
-    add_constraint, and keeps model's document, route support and objective.
+    in one call, by mask over the run's places in a model of a document, and
+    appends each row through add_constraint, and keeps model's document,
+    route support and objective.
     """
     copy = TimeExpandedModel(model.doc)
     copy.single_track_pairs = model.single_track_pairs
-    copy.nodes_of, copy.routes_on_link, copy.routes_at_node = model.nodes_of, model.routes_on_link, model.routes_at_node
+    copy.nodes_of, copy.routes_on_link = model.nodes_of, model.routes_on_link
     runs = groupby(model.variables if variables is None else variables, lambda v: (v.kind, v.lb, v.ub, v.integer))
     for (kind, lb, ub, integer), run in runs:
-        copy.add_variables(kind, [v.key for v in run], lb, ub, integer)
+        keys = [v.key for v in run]
+        if model.doc is None:
+            copy.add_variables(kind, keys, lb, ub, integer)
+        else:
+            copy.declare(kind, mask(model, kind, keys), lb, ub, integer)
     for row in model.constraints if rows is None else rows:
         copy.add_constraint(row.name, row.terms, row.relation, row.rhs)
     copy.objective = dict(model.objective)
     return copy
+
+
+def mask(model, kind, keys):
+    """The mask of declare that holds the places of keys (kind's key tuples)."""
+    axes = [model.positions[axis] for axis in KEY_AXES[kind]]
+    out = np.zeros([len(places) for places in axes], dtype=bool)
+    for key in keys:
+        out[tuple(places[part] for places, part in zip(axes, key))] = True
+    return out
 
 
 def synthetic_model(c, rows, *, integer=(), ub=None):

@@ -22,7 +22,7 @@ from railflow.model import (
 )
 from railflow.scenario import load_scenario, run
 from railflow.simplex import OPTIMAL
-from support import line_doc, line_model, line_raw, rebuilt, usage
+from support import line_doc, line_model, line_raw, mask, rebuilt, usage
 from test_golden import SCENARIOS
 
 
@@ -757,50 +757,27 @@ def test_lookup_finds_no_variable_outside_its_window():
         model.var("post", "A-C", t_max)
 
 
-def test_a_key_declared_twice_is_rejected():
-    # Within one call and across two calls of one kind; nothing of a
-    # rejected call is declared.
+def test_a_place_declared_twice_is_rejected():
+    # Nothing of a rejected declaration is declared, and a model of a
+    # document declares by mask only.
     model = TimeExpandedModel(line_doc())
+    model.declare("dep", mask(model, "dep", [("A-C-r1", 1)]))
     with pytest.raises(ModelError, match=r"variable dep\(A-C-r1,1\) declared twice"):
-        model.add_variables("dep", [("A-C-r1", 1), ("A-C-r1", 2), ("A-C-r1", 1)])
-    assert len(model.variables) == 0
-    model.add_variables("dep", [("A-C-r1", 1)])
-    with pytest.raises(ModelError, match=r"variable dep\(A-C-r1,1\) declared twice"):
-        model.add_variables("dep", [("A-C-r1", 2), ("A-C-r1", 1)])
+        model.declare("dep", mask(model, "dep", [("A-C-r1", 2), ("A-C-r1", 1)]))
+    with pytest.raises(ModelError, match="by mask"):
+        model.add_variables("dep", [("A-C-r1", 2)])
     assert [v.name for v in model.variables] == ["dep(A-C-r1,1)"]
     assert model.var("dep", "A-C-r1", 1) == 0
     with pytest.raises(KeyError):
         model.var("dep", "A-C-r1", 2)
 
 
-@pytest.mark.parametrize("keys", [[("A-C-r1", 1), ("A-C-r1",)], [("A-C-r1",), ("A-C-r1", 1)]])
-def test_keys_of_different_lengths_are_rejected(keys):
-    # Cut to the shortest key, the keys would name the wrong places.
-    model = TimeExpandedModel(line_doc())
-    with pytest.raises(ModelError, match="differ in length"):
-        model.add_variables("dep", keys)
-    assert len(model.variables) == 0
-
-
-def test_a_key_off_its_kinds_axes_is_rejected():
-    model = TimeExpandedModel(line_doc())  # periods 1..3
-    with pytest.raises(ModelError, match=r"period outside 0\.\.3"):
-        model.add_variables("dep", [("A-C-r1", 1), ("A-C-r1", 4)])
-    with pytest.raises(ModelError, match="no variable kind 'nxt'"):
-        model.add_variables("nxt", [("A-B", 1, "A-C-r1")])
-    with pytest.raises(ModelError, match="has keys like"):
-        model.add_variables("dep", [("A-C-r1",)])
-    with pytest.raises(ModelError, match="names 'X-Y' that the document does not"):
-        model.add_variables("direct", [("X-Y", 1, "A-C-r1")])
-    assert len(model.variables) == 0
-
-
 def test_family_call_on_a_hand_written_model():
     # Five rows of four term columns (direct, direct, direct, next on A-B),
     # with per-row periods and coefficients, appended in one add_rows call.
     model = TimeExpandedModel(line_doc())
-    d1, d2 = model.add_variables("direct", [("A-B", 1, "A-C-r1"), ("A-B", 2, "A-C-r1")])
-    (n1,) = model.add_variables("next", [("A-B", 1, "A-C-r1")])
+    d1, d2 = model.declare("direct", mask(model, "direct", [("A-B", 1, "A-C-r1"), ("A-B", 2, "A-C-r1")]))
+    (n1,) = model.declare("next", mask(model, "next", [("A-B", 1, "A-C-r1")]))
     link, route = model.positions["link"]["A-B"], model.positions["route"]["A-C-r1"]
     periods = np.array([[1, 1, 1, 1], [1, 1, 2, 1], [3, 2, 2, 2], [3, 3, 3, 3], [1, 1, 1, 3]])
     coefs = np.array(

@@ -138,7 +138,7 @@ def crash_picks(sf):
     return [pick for level in simplex._crash_levels(sf) for pick in level]
 
 
-def reference_solve_lp(sf, tol=None):
+def reference_solve_lp(sf, tol=None, switches=None):
     """solve_lp as it was before pivots worked on nonzeros only: the reference.
 
     Every iteration makes whole-column and whole-row passes over the tableau;
@@ -148,6 +148,8 @@ def reference_solve_lp(sf, tol=None):
     and then perturbed as Tableau.perturb does.  An OPTIMAL result's tableau
     is a namespace whose rhs is the right-hand side that Tableau.finish
     writes back after a perturbed solve (None when nothing was perturbed).
+    switches, a list, receives the iteration counts where Bland's rule
+    switched on and where it switched off or its phase ended, in turn.
     """
     if tol is None:
         tol = Tolerances()
@@ -234,7 +236,15 @@ def reference_solve_lp(sf, tol=None):
         T[:, q] = 0.0
         T[p, q] = 1.0
 
+    switches = [] if switches is None else switches
+
     def run_phase(cost_row: int, phase_one: bool) -> str:
+        outcome = pivot_phase(cost_row, phase_one)
+        if len(switches) % 2:  # the phase ended under Bland's rule
+            switches.append(iterations)
+        return outcome
+
+    def pivot_phase(cost_row: int, phase_one: bool) -> str:
         nonlocal iterations
         bland = False
         stall = 0
@@ -288,8 +298,12 @@ def reference_solve_lp(sf, tol=None):
             if best <= 1e-12:
                 stall += 1
                 if stall > simplex.BLAND_AFTER:
+                    if not bland:
+                        switches.append(iterations)
                     bland = True
             else:
+                if bland:
+                    switches.append(iterations)
                 stall = 0
                 bland = False
 
@@ -1265,34 +1279,22 @@ def line_lp(*args, **kwargs):
     return build_standard_form(build_scenario_model(load_scenario(synth.line_scenario(*args, **kwargs))))
 
 
-class CountingThreshold(int):
-    """A BLAND_AFTER that counts the degenerate pivots past it.
-
-    run_phase tests stall > BLAND_AFTER; with an int subclass on the right,
-    Python calls this reflected __lt__ first, so every test passes here and
-    past counts the pivots made under Bland's rule.
-    """
-
-    past = 0
-
-    def __lt__(self, stall):
-        crossed = int(self) < stall
-        self.past += crossed
-        return crossed
-
-
-def test_bland_rule_on_a_generated_line_matches_reference(monkeypatch):
+def test_bland_rule_on_a_generated_line_matches_reference():
     # No bundled LP reaches Bland's rule (their longest degenerate runs are
     # shorter than BLAND_AFTER); this line's does, from the perturbed crash
-    # basis too.
+    # basis too.  Cuts outside its stretches are covered by the random LPs.
     lp = line_lp(13, 8, 5, 8, relax_integrality=True, pace_refinement=False)
     assert (lp.n_rows, lp.n_cols) == (461, 736)
-    threshold = CountingThreshold(simplex.BLAND_AFTER)
-    monkeypatch.setattr(simplex, "BLAND_AFTER", threshold)
-    assert solve_lp(lp).status == OPTIMAL
-    assert threshold.past > 0
-    want = assert_matches_reference_solve(lp)
+    switches = []
+    want = reference_solve_lp(lp, switches=switches)
     assert (want.status, want.iterations) == (OPTIMAL, 442)
+    got = solve_lp(lp)
+    assert_same_solution(got, want)
+    assert got.tableau.bland_switches == len(switches) // 2 > 0
+    stretches = zip(switches[::2], switches[1::2])
+    for k in [0, *sorted({k for on, off in stretches for k in range(on, off + 1)})]:
+        tol = Tolerances(max_iterations=k)
+        assert_same_solution(solve_lp(lp, tol), reference_solve_lp(lp, tol))
 
 
 @pytest.mark.parametrize("mode", CAPACITY_MODES)
