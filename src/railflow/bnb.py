@@ -3,14 +3,14 @@
 Only the direction-change flags (binary) and the per-demand cancellation
 totals (general integer) are ever marked, so trees stay small.  Each node is
 the base LP with tightened variable bounds, solved cold; nodes are explored
-best bound first with most-fractional branching and deterministic
-tie-breaking.  A fractional node is completed warm on its own final tableau
-(solve_held_lp): every integer is held at its rounded value, a phase 1
-drives the rows this moves off zero back to it, and phase 2 minimises the
-model's objective over what is left.  That usually closes the root node
-outright.  Every incumbent is the optimal vertex of an LP, and the result
-carries that LP's final tableau, on which refine_to_earliest_pace continues
-warm.
+best bound first, and a node branches on its most fractional integer, the
+lowest index on a tie, reading the integers' values as one array.  A
+fractional node is completed warm on its own final tableau (solve_held_lp):
+every integer is held at its rounded value, a phase 1 drives the rows this
+moves off zero back to it, and phase 2 minimises the model's objective over
+what is left.  That usually closes the root node outright.  Every incumbent
+is the optimal vertex of an LP, and the result carries that LP's final
+tableau, on which refine_to_earliest_pace continues warm.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     if tol is None:
         tol = Tolerances()
     int_idx = np.flatnonzero(model.bound_arrays()[2])
-    int_vars = int_idx.tolist()
-    objective_of = model.objective_value
 
     counter = 0
     iterations = 0
@@ -104,30 +102,26 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
         tableau, solution.tableau = solution.tableau, None
         if solution.objective >= incumbent_obj - 1e-12:
             return
-        fractional = [
-            idx for idx in int_vars if abs(values[idx] - round(values[idx])) > INTEGRALITY
-        ]
-        if not fractional:
+        rounded = np.round(values[int_idx])
+        distance = np.abs(values[int_idx] - rounded)  # to the nearest integer
+        fractional = distance > INTEGRALITY
+        if not fractional.any():
             incumbent, incumbent_obj, incumbent_tableau = values, solution.objective, tableau
             return
         # Fix-and-solve completion, warm on this node's tableau: re-solve the
         # continuous problem with every integer held at its rounded value,
         # so the continuous variables move to whatever the rounding
         # requires, which plain value rounding cannot do.
-        fix_solution, fix_values = solve_held_lp(tableau, int_idx, np.round(values[int_idx]), tol)
+        fix_solution, fix_values = solve_held_lp(tableau, int_idx, rounded, tol)
         iterations += fix_solution.iterations
         if fix_solution.status == OPTIMAL:
-            repaired_obj = objective_of(fix_values)
+            repaired_obj = model.objective_value(fix_values)
             if repaired_obj < incumbent_obj - 1e-12:
                 incumbent, incumbent_obj, incumbent_tableau = fix_values, repaired_obj, tableau
             if repaired_obj <= solution.objective + 1e-9:
                 return  # the completion already attains this node's bound
-        scores = [
-            (min(values[idx] - math.floor(values[idx]), math.ceil(values[idx]) - values[idx]), idx)
-            for idx in fractional
-        ]
-        best_score = max(s for s, _ in scores)
-        branch_idx = min(idx for s, idx in scores if s >= best_score - 1e-12)
+        # Branch on the most fractional integer, the lowest index on a tie.
+        branch_idx = int(int_idx[fractional & (distance >= distance.max() - 1e-12)][0])
         lower, upper = branch.get(branch_idx, (-math.inf, math.inf))
         down = {**branch, branch_idx: (lower, min(upper, math.floor(values[branch_idx])))}
         up = {**branch, branch_idx: (max(lower, math.ceil(values[branch_idx])), upper)}
@@ -169,10 +163,9 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
     gap = _relative_gap(incumbent_obj, best_bound)
     status = stopped or (OPTIMAL if gap <= MIP_GAP else ITERATION_LIMIT)
     values = incumbent.copy()
-    for idx in int_vars:
-        values[idx] = float(round(values[idx]))
+    values[int_idx] = np.round(values[int_idx])
     return SolveResult(
-        status, objective_of(values), values, iterations, nodes, gap=gap, bound=best_bound,
+        status, model.objective_value(values), values, iterations, nodes, gap=gap, bound=best_bound,
         tableau=incumbent_tableau if status == OPTIMAL else None,
     )
 
@@ -181,17 +174,17 @@ def solve_mip(model: TimeExpandedModel, tol: Tolerances | None = None) -> SolveR
 _TIE_BREAK_SEED = "railflow tie-break"
 
 
-def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
+def _pace_objective(model: TimeExpandedModel) -> np.ndarray:
     """Earliest pace: the volume entering each route node weighted by the period.
 
     Volume enters the origin as departures and every later node over the
     route's link into it: a direct arc within its period t, a next arc in
-    period t + 1 (no next arc leaves t_max).
+    period t + 1 (no next arc leaves t_max); the weight is 0 off these flows.
     """
     doc = model.doc
     T = np.arange(1, doc.t_max + 1)
     routes, links = np.arange(len(doc.routes)), np.arange(len(doc.links))[:, None, None]
-    weight = np.full(model.bound_arrays()[0].size, np.nan)
+    weight = np.zeros(model.bound_arrays()[0].size)
     # The period is the second key part of each kind, so axis 1 of its lookup.
     for ids, delay in (
         (model.lookup("dep", routes[:, None], T), 1),
@@ -200,11 +193,10 @@ def _pace_objective(model: TimeExpandedModel) -> dict[int, float]:
     ):
         at = (ids >= 0).nonzero()
         weight[ids[at]] = at[1] + delay
-    idx = (~np.isnan(weight)).nonzero()[0]
-    return dict(zip(idx.tolist(), weight[idx].tolist()))
+    return weight
 
 
-def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
+def _tie_break_objective(model: TimeExpandedModel) -> np.ndarray:
     """Fixed generic weights in [1, 2) on every model variable.
 
     Each weight is 53 bits of a sha256 of the seed and the variable's name, so
@@ -219,7 +211,7 @@ def _tie_break_objective(model: TimeExpandedModel) -> dict[int, float]:
         return h.digest()[:8]
 
     words = np.frombuffer(b"".join(map(digest, model.names)), dtype=">u8")
-    return dict(enumerate((1.0 + (words >> 11) / 2.0**53).tolist()))
+    return 1.0 + (words >> 11) / 2.0**53
 
 
 def refine_to_earliest_pace(
@@ -258,7 +250,7 @@ def refine_to_earliest_pace(
     if tol is None:
         tol = Tolerances()
 
-    integers = np.flatnonzero(model.bound_arrays()[2]).tolist()
+    integers = np.flatnonzero(model.bound_arrays()[2])
     iterations = result.iterations
     for objective, hold in ((_pace_objective(model), integers), (_tie_break_objective(model), ())):
         solution, values = solve_face_lp(tableau, objective, tol, hold)

@@ -133,19 +133,18 @@ class TimeExpandedModel:
 
     The variables are arrays: each declare call declares the variables of
     one kind at the True places of a mask over the kind's grid, whose
-    indices lookup and var find there, and bound_arrays gives the bounds and
-    integrality of all of them; a bare model names its variables by key
-    instead (add_variables).  The rows
-    live in one array store (rows, a checks.ConstraintSystem): each family
-    of rows enters it in one add_rows call, and a hand-written row through
-    add_constraint.  names, variables and constraints are made on first
-    read; variables and constraints give records, for readers off the solve
-    path.
+    indices lookup and var find there; bound_arrays gives the bounds and
+    integrality of all of them, and objective (an array like those, 0 off
+    the objective) their costs.  A bare model names its variables by key
+    instead (add_variables).  The rows live in one array store (rows, a
+    checks.ConstraintSystem): each family of rows enters it in one add_rows
+    call, and a hand-written row through add_constraint.  names, variables
+    and constraints are made on first read; variables and constraints give
+    records, for readers off the solve path.
     """
 
     def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
         self.doc = doc
-        self.objective: dict[int, float] = {}
         # (earlier link, later link) of each single-track pair, ordered by
         # the earlier link's place in doc.links
         self.single_track_pairs: tuple[tuple[str, str], ...] = ()
@@ -163,9 +162,10 @@ class TimeExpandedModel:
         self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in self._axes.items()}
         # (kind, keys) of each add_variables call, or (kind, the mask's places per axis) of each declare call
         self._declared: list[tuple[str, tuple]] = []
-        # Bounds and integrality of every variable; each declaration or
-        # bounding add_rows call replaces an array rather than writing it.
-        self._lb = self._ub = _frozen(np.zeros(0))
+        # Bounds, integrality and objective coefficient (0 off the objective)
+        # of every variable; each declaration, bounding add_rows call or
+        # build_objective replaces an array rather than writing it.
+        self._lb = self._ub = self.objective = _frozen(np.zeros(0))
         self._integer = _frozen(np.zeros(0, dtype=bool))
         # Per kind, the index of the variable at each place of its key, -1
         # where none is declared.  An axis has a place per name, or per period
@@ -226,6 +226,7 @@ class TimeExpandedModel:
         self._lb = _frozen(np.concatenate((self._lb, np.full(n, lb, dtype=float))))
         self._ub = _frozen(np.concatenate((self._ub, np.full(n, ub, dtype=float))))
         self._integer = _frozen(np.concatenate((self._integer, np.full(n, integer, dtype=bool))))
+        self.objective = _frozen(np.concatenate((self.objective, np.zeros(n))))
         return ids
 
     def _keys(self, kind: str, places: tuple[np.ndarray, ...]) -> list[tuple]:
@@ -352,8 +353,10 @@ class TimeExpandedModel:
         """The rows as records, made on request (off the solve path)."""
         return self.rows.records
 
-    def objective_value(self, values) -> float:
-        return float(sum(coef * values[idx] for idx, coef in self.objective.items()))
+    def objective_value(self, values: np.ndarray) -> float:
+        """The exactly rounded sum (math.fsum) of coef * value over the objective's nonzero entries."""
+        live = np.flatnonzero(self.objective)
+        return math.fsum((self.objective[live] * values[live]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +742,10 @@ def build_objective(model: TimeExpandedModel) -> None:
         coef.append(np.column_stack([T / total_volume, T / total_volume, -T / total_volume]))
     coef = np.concatenate([np.broadcast_to(c, i.shape).ravel() for i, c in zip(idx, coef)])
     idx = np.concatenate([i.ravel() for i in idx])
-    obj: dict[int, float] = {}
-    for i, c in zip(idx[idx >= 0].tolist(), coef[idx >= 0].tolist()):
-        obj[i] = obj.get(i, 0.0) + c
-    model.objective = {i: c for i, c in obj.items() if c != 0.0}
+    # A variable's terms add in order from 0.0; a sum of 0 leaves it off.
+    objective = np.zeros(model.bound_arrays()[0].size)
+    np.add.at(objective, idx[idx >= 0], coef[idx >= 0])
+    model.objective = _frozen(objective)
 
 
 def build_model(doc: ScenarioDocument) -> TimeExpandedModel:

@@ -45,8 +45,7 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     # objective's field is last, so a cell of row -1 is the objective's.
     fields = np.array([f"{row.ljust(_NAME_WIDTH)} " for row in (*rows.names, _OBJ_ROW)], dtype=object)
     n = lb.size
-    obj_var = np.fromiter(model.objective.keys(), dtype=np.intp, count=len(model.objective))
-    obj_val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
+    obj_var = np.flatnonzero(model.objective)
     # A variable in no row and not in the objective gets an objective cell of 0.
     bare = np.flatnonzero(np.bincount(np.concatenate([obj_var, rows.var_idx]), minlength=n) == 0)
     # Per variable, its objective cell first and then its rows in row order.
@@ -54,7 +53,7 @@ def export_model_text(model: TimeExpandedModel, name: str = "RAILFLOW") -> str:
     order = np.argsort(cell_var, kind="stable")
     cell_var = cell_var[order]
     cell_row = np.concatenate([np.full(obj_var.size + bare.size, -1), rows.row_of])[order]
-    cell_val = np.concatenate([obj_val, np.zeros(bare.size), rows.coefs])[order]
+    cell_val = np.concatenate([model.objective[obj_var], np.zeros(bare.size), rows.coefs])[order]
     # Cell k is the line joined from pieces[k]: the column's field, the
     # row's field and the value; a run of cells is joined at once.
     names = model.names

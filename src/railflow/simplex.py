@@ -89,16 +89,12 @@ class StandardFormLP:
     def n_cols(self) -> int:
         return self.c.size
 
-    def with_objective(self, objective: Mapping[int, float]) -> "StandardFormLP":
-        """The same rows and columns under an objective over the model variables."""
-        obj = np.zeros(self.offset.size)
-        obj[np.fromiter(objective.keys(), dtype=int, count=len(objective))] = np.fromiter(
-            objective.values(), dtype=float, count=len(objective)
-        )
+    def with_objective(self, objective: np.ndarray) -> "StandardFormLP":
+        """The same rows and columns under objective, an array of one coefficient per model variable."""
         c = np.zeros(self.n_cols)
         pos = self.pos_col >= 0
-        c[self.pos_col[pos]] = obj[pos]
-        return replace(self, c=c, objective_constant=float(obj @ self.offset))
+        c[self.pos_col[pos]] = objective[pos]
+        return replace(self, c=c, objective_constant=float(objective @ self.offset))
 
     def model_values(self, x: np.ndarray) -> np.ndarray:
         values = self.offset.copy()
@@ -440,9 +436,6 @@ class Tableau:
             )
             np.negative(phase_one, out=phase_one)
         self.T = T
-        # Leaving-variable order for Bland's rule: artificials rank before
-        # real columns so they are preferred out on ties (fixed order).
-        self.leave_rank = np.where(self.basic_artificial, -1 - np.arange(m), self.basis)
         self.shut: Optional[np.ndarray] = None
         self.shift: Optional[np.ndarray] = None
         self.phase_one_due = False
@@ -457,7 +450,6 @@ class Tableau:
         """Make column q basic in row p: one counted iteration."""
         self.basic_artificial[p] = False
         self.basis[p] = q
-        self.leave_rank[p] = q
         self.pivot(p, q, column, nzc)
         self.iterations += 1
 
@@ -545,7 +537,6 @@ class Tableau:
             T[p, q] = 1.0
             self.basic_artificial[p] = False
             self.basis[p] = q
-            self.leave_rank[p] = q
             self.iterations += picks.size
             start = end
 
@@ -581,8 +572,13 @@ class Tableau:
 
     def run_phase(self, cost_row: int, phase_one: bool, tol: Tolerances) -> str:
         T, m, shut = self.T, self.m, self.shut
-        basic_artificial, leave_rank = self.basic_artificial, self.leave_rank
+        basic_artificial, basis = self.basic_artificial, self.basis
         costs, rhs = T[cost_row, : self.ncols], T[:, -1]
+
+        def first_out(rows: np.ndarray) -> int:
+            # Fixed leaving order on ties: artificials, the later row first, then real columns by index.
+            return int(rows[np.where(basic_artificial[rows], -1 - rows, basis[rows]).argmin()])
+
         bland = False
         stall = 0
         while True:
@@ -613,7 +609,7 @@ class Tableau:
                 if guard.size:
                     drive = column[guard]
                     pick = guard[drive <= drive[drive.argmin()] + 1e-12]
-                    self.enter(int(pick[leave_rank[pick].argmin()]), q, column, nzc)
+                    self.enter(first_out(pick), q, column, nzc)
                     continue
 
             positive = entries > PIVOT
@@ -623,7 +619,7 @@ class Tableau:
             ratios = rhs[candidates] / entries[positive]
             best = ratios[ratios.argmin()]
             ties = candidates[ratios <= best + 1e-12]
-            self.enter(int(ties[leave_rank[ties].argmin()] if ties.size > 1 else ties[0]), q, column, nzc)
+            self.enter(first_out(ties) if ties.size > 1 else int(ties[0]), q, column, nzc)
             if best <= 1e-12:
                 stall += 1
                 if stall > BLAND_AFTER and not bland:
@@ -664,7 +660,6 @@ class Tableau:
             T[rows[T[rows, -1] < 0.0]] *= -1.0
             self.phase_one_due = True
         self.basic_artificial[rows] = True
-        self.leave_rank[rows] = -1 - rows
 
     def restrict(self, c: np.ndarray) -> None:
         """Shut the columns with a positive reduced cost and make c the cost row.
@@ -867,16 +862,17 @@ def solve_model_lp(
 
 def solve_face_lp(
     tableau: Tableau,
-    objective: Mapping[int, float],
+    objective: np.ndarray,
     tol: Tolerances | None = None,
-    hold: Sequence[int] = (),
+    hold: np.ndarray | Sequence[int] = (),
 ) -> tuple[LpSolution, Optional[np.ndarray]]:
     """Minimise objective over the optimal face of the tableau's last solve.
 
     The warm counterpart of solve_model_lp.  tableau is the final tableau of
-    an OPTIMAL solve (LpSolution.tableau), reused in place: the model
-    variables in hold are fixed at their current values, rounded to
-    integers (Tableau.hold), and solve_lp continues warm on the objective.
+    an OPTIMAL solve (LpSolution.tableau), reused in place, and objective an
+    array over the model variables, as model.objective: the model variables
+    in hold (indices) are fixed at their current values, rounded to integers
+    (Tableau.hold), and solve_lp continues warm on the objective.
     """
     sf = tableau.sf.with_objective(objective)
     if len(hold):

@@ -89,7 +89,7 @@ def rebuilt(model, rows=None, variables=None):
             copy.declare(kind, mask(model, kind, keys), lb, ub, integer)
     for row in model.constraints if rows is None else rows:
         copy.add_constraint(row.name, row.terms, row.relation, row.rhs)
-    copy.objective = dict(model.objective)
+    copy.objective = model.objective
     return copy
 
 
@@ -112,7 +112,7 @@ def synthetic_model(c, rows, *, integer=(), ub=None):
     for k, (coeffs, relation, rhs) in enumerate(rows):
         terms = [(j, float(a)) for j, a in enumerate(coeffs) if a != 0.0]
         model.add_constraint(f"row[{k}]", terms, relation, float(rhs))
-    model.objective = {j: float(v) for j, v in enumerate(c) if v != 0.0}
+    model.objective = np.asarray(c, dtype=float)
     return model
 
 

@@ -81,6 +81,34 @@ def test_single_binary_branches_to_the_best_child():
     assert result.nodes >= 2  # root plus at least one child explored
 
 
+@pytest.mark.parametrize(
+    "caps, branched",
+    [((1.5, 2.5, 0.75), 0), ((0.75, 1.5, 2.5), 1), ((1.4, 2.5, 0.75), 1), ((1.5, 0.75, 2.6), 0)],
+    ids=["tie-first", "tie-later", "higher-more-fractional", "lower-more-fractional"],
+)
+def test_branching_takes_the_most_fractional_integer_then_the_lowest_index(monkeypatch, caps, branched):
+    # min -(x0 + x1 + x2) s.t. x_i <= caps[i], each x_i integer: the root sits
+    # at the caps, whose distances to the nearest integer decide the branch.
+    # The completion rounds 1.5 and 2.5 to even, past a cap, or 0.75 up
+    # past its cap, so it ends infeasible and the root has children.  The
+    # first child is the down branch of the chosen integer.
+    model = synthetic_model(
+        [-1.0, -1.0, -1.0], [(np.eye(3)[i], "<=", cap) for i, cap in enumerate(caps)], integer=(0, 1, 2)
+    )
+    seen = []
+    solve = bnb.solve_model_lp
+
+    def recording(model, tol, bounds=None):
+        seen.append(bounds)
+        return solve(model, tol, bounds=bounds)
+
+    monkeypatch.setattr(bnb, "solve_model_lp", recording)
+    result = solve_mip(model)
+    assert result.status == OPTIMAL
+    assert result.objective == -sum(np.floor(caps))
+    assert seen[:2] == [None, {branched: (-np.inf, np.floor(caps[branched]))}]
+
+
 def test_forced_cancellation_is_integral_and_expensive():
     # the only route runs A->B; this demand asks for the reverse direction
     raw = line_raw(minutes=(15,), volumes=(1, 1, 0), route_name="A-B-r1", demand_name="B-A")
@@ -230,7 +258,7 @@ def test_pace_objective_weights_each_nodes_inflow_by_its_period():
     values = np.random.default_rng(5).uniform(0.0, 1.0, len(model.variables))
     flows = {"dep", "direct", "next"}
     pace = bnb._pace_objective(model)
-    got = sum(w * values[idx] for idx, w in pace.items() if model.variables[idx].kind in flows)
+    got = sum(pace[idx] * values[idx] for idx, v in enumerate(model.variables) if v.kind in flows)
     expected = sum(
         t * inflow(model, values, n, t, "A-C-r1")
         for n in model.nodes_of["A-C-r1"]
