@@ -160,11 +160,12 @@ def max_violation_by_family(model: TimeExpandedModel, values: np.ndarray) -> dic
 def verify_solution(
     model: TimeExpandedModel,
     values: np.ndarray,
-    feasibility: float = FEASIBILITY,
     integrality: float | None = INTEGRALITY,
 ) -> list[str]:
     """All constraint, bound and integrality breaches beyond the tolerances.
 
+    Rows and bounds may be breached by FEASIBILITY, an integer variable may
+    lie integrality from an integer, and integrality None checks none.
     Every check passes only on a comparison that holds, so a NaN value, or a
     row that a NaN makes NaN, is a breach.  The checks run over whole
     arrays; only the breaches are named, rows first and then variables in
@@ -173,10 +174,10 @@ def verify_solution(
     system = ConstraintSystem.from_model(model)
     violation = system.violations(values)
     issues = [
-        f"{system.names[k]}: violated by {violation[k]:g}" for k in np.flatnonzero(~(violation <= feasibility))
+        f"{system.names[k]}: violated by {violation[k]:g}" for k in np.flatnonzero(~(violation <= FEASIBILITY))
     ]
     lb, ub, integer = model.bound_arrays()
-    outside = ~((lb - feasibility <= values) & (values <= ub + feasibility))
+    outside = ~((lb - FEASIBILITY <= values) & (values <= ub + FEASIBILITY))
     fractional = np.zeros(values.size, dtype=bool)
     if integrality is not None:
         ints = np.flatnonzero(integer)

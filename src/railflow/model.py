@@ -61,7 +61,6 @@ KEY_AXES = {
     "cancel_total": ("demand",),
     "beta": ("link", "period"),
 }
-VARIABLE_KINDS = tuple(KEY_AXES)
 
 
 class ModelError(ValueError):
@@ -129,21 +128,22 @@ class TimeExpandedModel:
 
     Treat instances as immutable once build_model returns: the solver and the
     reports only read them, and several models may be built and solved
-    concurrently.  doc is None for a bare model of hand-written rows.
+    concurrently.  kinds maps each kind of variable to its key axes: those of
+    KEY_AXES for a model of a document, and for a bare model of hand-written
+    rows, TimeExpandedModel(kinds={"x": n}), one axis of places 0..n-1 each.
 
     The variables are arrays: each declare call declares the variables of
     one kind at the True places of a mask over the kind's grid, whose
     indices lookup and var find there; bound_arrays gives the bounds and
     integrality of all of them, and objective (an array like those, 0 off
-    the objective) their costs.  A bare model names its variables by key
-    instead (add_variables).  The rows live in one array store (rows, a
+    the objective) their costs.  The rows live in one array store (rows, a
     checks.ConstraintSystem): each family of rows enters it in one add_rows
     call, and a hand-written row through add_constraint.  names, variables
     and constraints are made on first read; variables and constraints give
     records, for readers off the solve path.
     """
 
-    def __init__(self, doc: Optional[ScenarioDocument] = None) -> None:
+    def __init__(self, doc: Optional[ScenarioDocument] = None, kinds: Optional[Mapping[str, int]] = None) -> None:
         self.doc = doc
         # (earlier link, later link) of each single-track pair, ordered by
         # the earlier link's place in doc.links
@@ -153,25 +153,32 @@ class TimeExpandedModel:
         # variables exist only there.
         self.nodes_of: dict[str, tuple[str, ...]] = {}
         self.routes_on_link: dict[str, tuple[RouteSpec, ...]] = {}
-        # The names on each key axis (KEY_AXES) in document order, a period
-        # standing for itself, and the place of each on its axis.
-        self._axes = {} if doc is None else {
-            "link": [l.name for l in doc.links], "node": doc.nodes, "period": range(doc.t_max + 1),
-            "route": [r.name for r in doc.routes], "demand": [d.name for d in doc.demands],
-        }
+        # The names on each key axis, and the place of each on its axis: a
+        # document's in document order, a period standing for itself, and
+        # a bare kind's places 0..n-1.
+        if doc is None:
+            sizes = kinds or {}
+            self.kinds = {kind: (kind,) for kind in sizes}
+            self._axes = {kind: range(n) for kind, n in sizes.items()}
+        else:
+            self.kinds = KEY_AXES
+            self._axes = {
+                "link": [l.name for l in doc.links], "node": doc.nodes, "period": range(doc.t_max + 1),
+                "route": [r.name for r in doc.routes], "demand": [d.name for d in doc.demands],
+            }
         self.positions = {axis: {name: i for i, name in enumerate(items)} for axis, items in self._axes.items()}
-        # (kind, keys) of each add_variables call, or (kind, the mask's places per axis) of each declare call
-        self._declared: list[tuple[str, tuple]] = []
+        # (kind, the mask's places per axis) of each declare call
+        self._declared: list[tuple[str, tuple[np.ndarray, ...]]] = []
         # Bounds, integrality and objective coefficient (0 off the objective)
         # of every variable; each declaration, bounding add_rows call or
         # build_objective replaces an array rather than writing it.
         self._lb = self._ub = self.objective = _frozen(np.zeros(0))
         self._integer = _frozen(np.zeros(0, dtype=bool))
         # Per kind, the index of the variable at each place of its key, -1
-        # where none is declared.  An axis has a place per name, or per period
-        # 0..t_max, and one more at its end, which stays -1.
-        self._grids = {} if doc is None else {
-            kind: np.full([len(self._axes[axis]) + 1 for axis in axes], -1) for kind, axes in KEY_AXES.items()
+        # where none is declared.  An axis has its places and one more at its
+        # end, which stays -1.
+        self._grids = {
+            kind: np.full([len(self._axes[axis]) + 1 for axis in axes], -1) for kind, axes in self.kinds.items()
         }
         self._names: tuple[str, ...] = ()
         self._records: tuple[np.ndarray, tuple[ModelVariable, ...]] | None = None  # (the ub read, records)
@@ -186,28 +193,15 @@ class TimeExpandedModel:
 
     # -- variables ---------------------------------------------------------
 
-    def add_variables(
-        self, kind: str, keys: Sequence[tuple], lb: float = 0.0, ub: float = math.inf, integer: bool = False
-    ) -> range:
-        """Declare (kind, key) for each key of a bare model (doc None), in order; returns their indices.
-
-        The keys only name the variables; a model of a document declares by mask (declare).
-        """
-        if self._grids:
-            raise ModelError("a model of a document declares its variables by mask")
-        ids = self._bounds(kind, len(keys), lb, ub, integer)
-        self._declared.append((kind, tuple(keys)))
-        return ids
-
     def declare(
         self, kind: str, mask: np.ndarray, lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> range:
         """Declare kind at each True place of mask; returns their indices.
 
-        mask is a boolean array over the kind's key axes (KEY_AXES): a place
-        per name, in positions order, and per period 0..t_max.  Its places
-        take the next indices in C order.  Nothing is declared when a place
-        already holds a variable.
+        mask is a boolean array over the kind's key axes (kinds): a place
+        per name, in positions order, per period 0..t_max, and per place of
+        a bare kind.  Its places take the next indices in C order.  Nothing
+        is declared when a place already holds a variable.
         """
         grid = self._grids[kind][(slice(-1),) * mask.ndim]
         twice = mask & (grid >= 0)
@@ -231,18 +225,16 @@ class TimeExpandedModel:
 
     def _keys(self, kind: str, places: tuple[np.ndarray, ...]) -> list[tuple]:
         """The key at each place of kind's grid, given one array per axis."""
-        axes = [self._axes[axis] for axis in KEY_AXES[kind]]
+        axes = [self._axes[axis] for axis in self.kinds[kind]]
         return list(zip(*([names[i] for i in part.tolist()] for names, part in zip(axes, places))))
-
-    def _declarations(self) -> list[tuple[str, Sequence[tuple]]]:
-        """(kind, keys) of each declaration, in order."""
-        return [(kind, self._keys(kind, places)) for kind, places in self._declared] if self._grids else self._declared
 
     @property
     def names(self) -> tuple[str, ...]:
         """Each variable's name kind(key,...), e.g. direct(A-B,1,A-C-r1), cancel(A-C,2) or beta(X-Y,1)."""
         if len(self._names) != self._lb.size:
-            self._names = tuple(name for kind, keys in self._declarations() for name in _names(kind, keys))
+            self._names = tuple(
+                name for kind, places in self._declared for name in _names(kind, self._keys(kind, places))
+            )
         return self._names
 
     @property
@@ -251,7 +243,7 @@ class TimeExpandedModel:
         made = self._records
         if made is None or made[0] is not self._ub:
             lb, ub, integer = self.bound_arrays()
-            refs = ((kind, key) for kind, keys in self._declarations() for key in keys)
+            refs = ((kind, key) for kind, places in self._declared for key in self._keys(kind, places))
             fields = zip(refs, self.names, lb.tolist(), ub.tolist(), integer.tolist())
             made = self._records = (ub, tuple(ModelVariable(kind, key, *rest) for (kind, key), *rest in fields))
         return made[1]
@@ -262,7 +254,7 @@ class TimeExpandedModel:
 
     def var(self, kind: str, *key) -> int:
         """Index of the declared variable (kind, *key); raises KeyError when absent."""
-        axes = KEY_AXES.get(kind, ())
+        axes = self.kinds.get(kind, ())
         places = [self.positions[axis].get(part, -1) for axis, part in zip(axes, key)]
         idx = self.lookup(kind, *places) if len(key) == len(axes) else -1
         if idx < 0:
@@ -275,14 +267,12 @@ class TimeExpandedModel:
         The vector form of var: each key part is a scalar or an array (all
         broadcast together), a name as its place in positions (-1 for none)
         and a period as itself (any period holds none outside 1..t_max).  A
-        kind outside VARIABLE_KINDS raises ModelError.
+        kind outside kinds raises ModelError.
         """
-        if kind not in KEY_AXES:
+        if kind not in self.kinds:
             raise ModelError(f"unknown variable kind {kind!r}")
-        if not self._grids:
-            raise ModelError("a model without a document has no key axes to look up")
         grid = self._grids[kind]
-        axes = KEY_AXES[kind]
+        axes = self.kinds[kind]
         if len(key) != len(axes):
             raise ModelError(f"a {kind} key has the parts {axes}, got {key!r}")
         # A period outside the grid moves to its last place, which holds -1.
@@ -544,23 +534,17 @@ def emit_capacity(model: TimeExpandedModel) -> None:
         k, m = config.k_setup, big_m(capacity)
         periods = _by_period(len(pairs), doc.t_max)[1]
         beta = np.where((both >= 0).any(axis=1), model.lookup("beta", own // doc.t_max, periods), -1)
-        # Per pair and period, three rows: own + opp <= c, then the setup
-        # row of the earlier link (beta switches it off) and of the later
-        # one, each k (own + opp) plus that link's own usage.
-        none, no_beta = np.full_like(usage[own], -1), np.full_like(beta, -1)
-        idx = np.stack(
-            [
-                np.hstack([both, none, none, no_beta[:, None]]),
-                np.hstack([both, usage[own], none, beta[:, None]]),
-                np.hstack([both, none, usage[opp], beta[:, None]]),
-            ],
-            axis=1,
-        )
+        # Per pair and period, three rows over the terms own + opp, own, opp
+        # and beta, a weight of 0 leaving a term out: own + opp <= c, then the
+        # setup row of the earlier link (beta switches it off) and of the
+        # later one, each k (own + opp) plus that link's own usage.
+        idx = np.repeat(np.hstack([both, usage[own], usage[opp], beta[:, None]]), 3, axis=0)
+        zero = np.zeros_like(coef)
         weights = np.array(
             [
-                np.concatenate([both_coef, coef, coef, [m]]),
-                np.concatenate([k * both_coef, coef, coef, [m]]),
-                np.concatenate([k * both_coef, coef, coef, [-m]]),
+                np.concatenate([both_coef, zero, zero, [0.0]]),
+                np.concatenate([k * both_coef, coef, zero, [m]]),
+                np.concatenate([k * both_coef, zero, coef, [-m]]),
             ]
         )
         cap = [min(capacity[(rep, t)], capacity[(other, t)]) for rep, other in pairs for t in T]
@@ -572,7 +556,7 @@ def emit_capacity(model: TimeExpandedModel) -> None:
             [name for three in names for name in three],
             "<=",
             [rhs for c in cap for rhs in (c, k * c + m, k * c)],
-            idx.reshape(3 * own.size, -1),
+            idx,
             np.tile(weights, (own.size, 1)),
             bound=True,
         )

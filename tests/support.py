@@ -7,7 +7,7 @@ from itertools import groupby
 
 import numpy as np
 
-from railflow.model import KEY_AXES, TimeExpandedModel, build_model
+from railflow.model import TimeExpandedModel, build_model
 from railflow.scenario import load_scenario
 
 
@@ -62,9 +62,10 @@ def line_model(config=None, **kwargs):
     return build_model(doc if config is None else replace(doc, config=config))
 
 
-def bare_model() -> TimeExpandedModel:
-    """Empty shell for synthetic LP/MIP tests that bypass the railway layers."""
-    return TimeExpandedModel()
+def bare_model(**kinds: int) -> TimeExpandedModel:
+    """Shell for synthetic LP/MIP tests that bypass the railway layers, with
+    n places for each kind of kinds (e.g. x=3) and nothing declared."""
+    return TimeExpandedModel(kinds=kinds)
 
 
 def rebuilt(model, rows=None, variables=None):
@@ -73,20 +74,19 @@ def rebuilt(model, rows=None, variables=None):
 
     A built model is not edited in place: its rows live in one array store.
     The copy declares each run of variables of one kind and the same bounds
-    in one call, by mask over the run's places in a model of a document, and
-    appends each row through add_constraint, and keeps model's document,
-    route support and objective.
+    in one call, by mask over the run's places, and appends each row through
+    add_constraint, and keeps model's document or bare kinds, route support
+    and objective.
     """
-    copy = TimeExpandedModel(model.doc)
+    if model.doc is None:
+        copy = bare_model(**{kind: len(model.positions[kind]) for kind in model.kinds})
+    else:
+        copy = TimeExpandedModel(model.doc)
     copy.single_track_pairs = model.single_track_pairs
     copy.nodes_of, copy.routes_on_link = model.nodes_of, model.routes_on_link
     runs = groupby(model.variables if variables is None else variables, lambda v: (v.kind, v.lb, v.ub, v.integer))
     for (kind, lb, ub, integer), run in runs:
-        keys = [v.key for v in run]
-        if model.doc is None:
-            copy.add_variables(kind, keys, lb, ub, integer)
-        else:
-            copy.declare(kind, mask(model, kind, keys), lb, ub, integer)
+        copy.declare(kind, mask(model, kind, [v.key for v in run]), lb, ub, integer)
     for row in model.constraints if rows is None else rows:
         copy.add_constraint(row.name, row.terms, row.relation, row.rhs)
     copy.objective = model.objective
@@ -95,7 +95,7 @@ def rebuilt(model, rows=None, variables=None):
 
 def mask(model, kind, keys):
     """The mask of declare that holds the places of keys (kind's key tuples)."""
-    axes = [model.positions[axis] for axis in KEY_AXES[kind]]
+    axes = [model.positions[axis] for axis in model.kinds[kind]]
     out = np.zeros([len(places) for places in axes], dtype=bool)
     for key in keys:
         out[tuple(places[part] for places, part in zip(axes, key))] = True
@@ -104,11 +104,11 @@ def mask(model, kind, keys):
 
 def synthetic_model(c, rows, *, integer=(), ub=None):
     """Model with variables x(0)..x(n-1), rows (coeffs, relation, rhs) and costs c."""
-    model = bare_model()
     n = len(c)
+    model = bare_model(x=n)
     for j in range(n):
         bound = np.inf if ub is None else ub[j]
-        model.add_variables("x", [(j,)], ub=bound, integer=j in set(integer))
+        model.declare("x", np.arange(n) == j, ub=bound, integer=j in set(integer))
     for k, (coeffs, relation, rhs) in enumerate(rows):
         terms = [(j, float(a)) for j, a in enumerate(coeffs) if a != 0.0]
         model.add_constraint(f"row[{k}]", terms, relation, float(rhs))

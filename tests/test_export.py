@@ -39,8 +39,8 @@ def test_twelve_significant_digits():
 
 
 def test_unreferenced_column_still_exported():
-    model = bare_model()
-    model.add_variables("idle", [(0,)])
+    model = bare_model(idle=1)
+    model.declare("idle", np.ones(1, dtype=bool))
     text = export_model_text(model)
     assert "idle(0)" in text  # appears with a zero objective entry
 

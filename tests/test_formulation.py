@@ -11,10 +11,11 @@ from hypothesis import given, strategies as st
 from railflow.checks import ConstraintSystem
 from railflow.model import (
     CAPACITY_MODES,
+    KEY_AXES,
     ModelConfig,
-    VARIABLE_KINDS,
     LinearConstraint,
     ModelError,
+    ModelVariable,
     TimeExpandedModel,
     build_model,
     build_variables,
@@ -758,18 +759,44 @@ def test_lookup_finds_no_variable_outside_its_window():
 
 
 def test_a_place_declared_twice_is_rejected():
-    # Nothing of a rejected declaration is declared, and a model of a
-    # document declares by mask only.
+    # Nothing of a rejected declaration is declared.
     model = TimeExpandedModel(line_doc())
     model.declare("dep", mask(model, "dep", [("A-C-r1", 1)]))
     with pytest.raises(ModelError, match=r"variable dep\(A-C-r1,1\) declared twice"):
         model.declare("dep", mask(model, "dep", [("A-C-r1", 2), ("A-C-r1", 1)]))
-    with pytest.raises(ModelError, match="by mask"):
-        model.add_variables("dep", [("A-C-r1", 2)])
     assert [v.name for v in model.variables] == ["dep(A-C-r1,1)"]
     assert model.var("dep", "A-C-r1", 1) == 0
     with pytest.raises(KeyError):
         model.var("dep", "A-C-r1", 2)
+
+
+def test_a_bare_place_declared_twice_is_rejected():
+    # A bare kind's places are its key axis, checked as a document's are.
+    model = TimeExpandedModel(kinds={"x": 3})
+    model.declare("x", np.array([False, True, False]))
+    with pytest.raises(ModelError, match=r"variable x\(1\) declared twice"):
+        model.declare("x", np.array([True, True, False]))
+    assert model.names == ("x(1)",)
+    assert model.bound_arrays()[0].size == 1
+
+
+def test_var_and_lookup_find_a_bare_variable():
+    # Bare kinds each have their own axis; indices follow declaration order.
+    model = TimeExpandedModel(kinds={"x": 3, "idle": 2})
+    model.declare("x", np.array([False, True, True]), ub=4.0)
+    model.declare("idle", np.array([True, False]), integer=True)
+    model.declare("x", np.array([True, False, False]))
+    assert model.names == ("x(1)", "x(2)", "idle(0)", "x(0)")
+    assert [model.var("x", j) for j in range(3)] == [3, 0, 1]
+    assert model.var("idle", 0) == 2
+    np.testing.assert_array_equal(model.lookup("x", np.array([2, 0, 1, -1])), [1, 3, 0, -1])
+    np.testing.assert_array_equal(model.lookup("idle", np.arange(2)), [2, -1])
+    assert model.variables[3] == ModelVariable("x", (0,), "x(0)", 0.0, np.inf, False)
+    for kind, key in (("idle", (1,)), ("x", (3,)), ("x", (0, 0)), ("y", (0,))):
+        with pytest.raises(KeyError):
+            model.var(kind, *key)
+    with pytest.raises(ModelError, match="unknown variable kind 'y'"):
+        model.lookup("y", 0)
 
 
 def test_family_call_on_a_hand_written_model():
@@ -847,7 +874,7 @@ def test_bundled_models_declare_every_variable_kind_and_no_other(scenario_dir):
         for mode in CAPACITY_MODES
         for v in bundled_model(scenario_dir, scenario, mode).variables
     }
-    assert kinds == set(VARIABLE_KINDS)
+    assert kinds == set(KEY_AXES)
 
 
 def test_one_period_horizon_builds_and_solves(scenario_dir):

@@ -632,13 +632,13 @@ def test_one_term_row_stays_a_row_with_the_optimum_of_its_bound():
     assert (fixed.objective, fixed_values.tolist()) == (solution.objective, values.tolist())
 
 
-def test_add_variable_rejects_infinite_lower_bound():
+def test_declare_rejects_infinite_lower_bound():
     # No variable is free, so the standard form never splits a column.
     from support import bare_model
 
-    model = bare_model()
+    model = bare_model(x=1)
     with pytest.raises(ModelError, match="finite lower bound"):
-        model.add_variables("x", [(0,)], lb=-np.inf)
+        model.declare("x", np.ones(1, dtype=bool), lb=-np.inf)
     assert model.variables == ()
 
 
@@ -663,12 +663,12 @@ def test_general_form_agreement_with_reference():
     for _ in range(120):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
-        model = bare_model()
+        model = bare_model(x=n)
         bounds = []
         for j in range(n):
             lb = -2.0 if rng.random() < 0.25 else 0.0
             ub = float(rng.uniform(0.5, 4.0)) if rng.random() < 0.3 else np.inf
-            model.add_variables("x", [(j,)], lb=lb, ub=ub)
+            model.declare("x", np.arange(n) == j, lb=lb, ub=ub)
             bounds.append((lb, ub))
         c = rng.uniform(-2, 2, size=n).round(3)
         model.objective = c
@@ -719,11 +719,11 @@ def test_standard_form_matches_reference(seed):
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
-    model = bare_model()
+    model = bare_model(x=n)
     for j in range(n):
         lb = float(rng.choice([0.0, -3.0, 1.5, -2.0]))
         ub = float(rng.choice([np.inf, 3.0, lb + 0.5, lb]))
-        model.add_variables("x", [(j,)], lb=lb, ub=ub)
+        model.declare("x", np.arange(n) == j, lb=lb, ub=ub)
     point = [float(np.clip(1.0, v.lb, v.ub)) for v in model.variables]
     model.objective = rng.uniform(-2, 2, n).round(3)
     for k in range(int(rng.integers(0, 7))):
